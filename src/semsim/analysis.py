@@ -13,8 +13,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import Ensemble, SamplePath, SimulationConfig, simulate_discrete
-from .randomness import coarsen, derive_path_seed, make_grid, sample_brownian
+from .engine import (
+    Ensemble,
+    SamplePath,
+    SimulationConfig,
+    _block_size,
+    _driving_increments,
+    _map_blocks,
+    _solve,
+)
+from .randomness import coarsen, make_grid
 from .special import gronwall_bound
 
 __all__ = [
@@ -195,10 +203,34 @@ def acf_abs_increments(path: SamplePath, max_lag: int) -> AcfSeries:
     return AcfSeries(lags=tuple(range(max_lag + 1)), values=values, series_length=n)
 
 
+def _coupled_squared_gaps(config: SimulationConfig, start: int, stop: int,
+                          n_levels: int, refine_factor: int) -> list[np.ndarray]:
+    """Squared gaps to the reference of the driving seeds ``start <= i < stop``.
+
+    Entry ``level`` is a ``(stop - start, N_level + 1)`` array, one row per
+    seed, at the level's nodes.
+    """
+    base = config.grid
+    finest = make_grid(base.horizon, base.steps * refine_factor ** n_levels)
+    fine = _driving_increments(config, finest, start, stop)
+    reference = _solve(replace(config, grid=finest),
+                       np.stack([incr.values for incr in fine]), first_index=start)
+    gaps = []
+    for level in range(n_levels):
+        stride = refine_factor ** (n_levels - level)
+        level_grid = make_grid(base.horizon, base.steps * refine_factor ** level)
+        dB = np.stack([coarsen(incr, stride).values for incr in fine])
+        values = _solve(replace(config, grid=level_grid), dB, first_index=start)
+        gap = values - reference[:, ::stride]
+        gaps.append(gap * gap)
+    return gaps
+
+
 def convergence_study(
     config: SimulationConfig,
     n_levels: int,
     refine_factor: int,
+    n_workers: int = 1,
 ) -> ConvergenceReport:
     """Coupled refinement study against a finest-grid reference.
 
@@ -212,6 +244,10 @@ def convergence_study(
     estimates the strong rate; it is left unfitted when some level is
     exactly coupled to the reference (e.g. a constant Hurst value of 1/2,
     where every level collapses to the same Brownian prefix sums).
+
+    Seeds are solved in blocks, on ``n_workers`` processes when more than
+    one is asked for; the squared gaps are added up here in seed order, so
+    the report does not depend on the worker count.
     """
     n_levels = int(n_levels)
     refine_factor = int(refine_factor)
@@ -220,25 +256,19 @@ def convergence_study(
     if refine_factor < 2:
         raise ValueError(f"refine_factor must be at least 2, got {refine_factor!r}")
     base = config.grid
-    finest = make_grid(base.horizon, base.steps * refine_factor ** n_levels)
+    finest_steps = base.steps * refine_factor ** n_levels
     level_grids = [
         make_grid(base.horizon, base.steps * refine_factor ** level)
         for level in range(n_levels)
     ]
-    level_configs = [replace(config, grid=g) for g in level_grids]
-    finest_config = replace(config, grid=finest)
 
     acc = [np.zeros(g.steps + 1) for g in level_grids]
-    for i in range(config.n_paths):
-        stream = derive_path_seed(config.seed, i)
-        fine_incr = sample_brownian(stream, finest, provenance=(config.seed.value, i))
-        reference = simulate_discrete(finest_config, fine_incr).values
-        for level in range(n_levels):
-            stride = refine_factor ** (n_levels - level)
-            incr = coarsen(fine_incr, stride)
-            values = simulate_discrete(level_configs[level], incr).values
-            gap = values - reference[::stride]
-            acc[level] += gap * gap
+    blocks = _map_blocks(_coupled_squared_gaps, config, config.n_paths,
+                         _block_size(finest_steps), n_workers, n_levels, refine_factor)
+    for _, gaps in blocks:
+        for total, squared in zip(acc, gaps):
+            for row in squared:
+                total += row
 
     sup_mse = tuple(float(np.max(a) / config.n_paths) for a in acc)
     dt_levels = tuple(g.dt for g in level_grids)

@@ -220,8 +220,10 @@ def _cmd_simulate(config: ExperimentConfig, out_dir: str, threads: int) -> list[
     matrix = ensemble.values_matrix()
     header = "t," + ",".join(f"path_{i}" for i in range(matrix.shape[0]))
     lines = [header]
+    # One column at a time: a whole-matrix tolist() would hold every value
+    # as a Python float at once.
     for k in range(t.shape[0]):
-        lines.append(",".join([_fmt(t[k])] + [_fmt(v) for v in matrix[:, k]]))
+        lines.append(_fmt(t[k]) + "," + ",".join(map(repr, matrix[:, k].tolist())))
     return [_atomic_write(out_dir, "paths.csv", "\n".join(lines) + "\n")]
 
 
@@ -231,6 +233,7 @@ def _cmd_converge(config: ExperimentConfig, out_dir: str, threads: int) -> list[
         config.simulation_config(),
         n_levels=section["n_levels"],
         refine_factor=section["refine_factor"],
+        n_workers=threads,
     )
     payload = {
         "dt_levels": list(report.dt_levels),

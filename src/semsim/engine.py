@@ -7,24 +7,61 @@ Volterra equation:
     X[k] = g(t_k) + sum_{i < k} sigma(t_k, t_i, X[i]) * dB[i]
 
 with ``sigma(t, s, x) = (t - s)**(h(t, x) - 1/2)``, optionally dampened by
-``exp(-f(t, s-argument state) * (t - s))``.  The kernel's first argument is
-the *evaluation* time ``t_k``, so no column of kernel values can be reused
+``exp(-f(t, x) * (t - s))``.  The kernel's first argument is the
+*evaluation* time ``t_k``, so no column of kernel values can be reused
 across rows and a path costs Theta(N^2) kernel evaluations.
+
+Batched solver
+--------------
+One solver serves every caller.  It takes the increments of P paths as a
+``(P, N)`` array and evaluates row ``k`` for all P paths with one numpy
+call per operation, so the per-call overhead is paid once per row of a
+batch rather than once per row of every path.  :func:`simulate_discrete`
+is a batch of one; :func:`monte_carlo` and the refinement study in
+``analysis`` solve contiguous blocks of ``max(1, 2**14 // N)`` paths,
+each block one task when a process pool is used.
+
+Per-node caching
+----------------
+A Hurst or dampening function that declares ``lip_t == 0`` does not
+depend on time, so ``h(X[i]) - 1/2`` and ``-f(X[i])`` are evaluated once,
+when node ``i`` is solved, and reused by every later row: N evaluations
+per path instead of N(N+1)/2.  Every built-in declares ``lip_t == 0``.  A
+function with ``lip_t > 0`` is evaluated at ``(t_k, X[i])`` on every row,
+as the recursion reads.  The declaration is trusted: a custom function
+that varies in time while declaring ``lip_t == 0`` is evaluated at the
+node times only.  :func:`~semsim.model.validate_hurst` and
+:func:`~semsim.model.validate_dampening` scan the ``t`` direction and
+report such a declaration as a ``lipschitz_t`` violation.
 
 Summation discipline
 --------------------
 Every row sum is accumulated strictly left to right (a sequential running
-sum), and row term arrays are always built in index order.  Together with
-the lattice quantization of the driving increments this makes the exact
-identities hold bitwise: a constant Hurst value of 1/2 reproduces Brownian
-prefix sums, zero dampening reproduces the undampened run, and refinement
-interpolation reproduces the coarse path at shared nodes on grids with
-exact node products.
+sum, ``cumsum`` along each path's row), and row term arrays are always
+built in index order as ``(power * dampening) * increment``.  Together
+with the lattice quantization of the driving increments this makes the
+exact identities hold bitwise: a constant Hurst value of 1/2 reproduces
+Brownian prefix sums, zero dampening reproduces the undampened run, and
+refinement interpolation reproduces the coarse path at shared nodes on
+grids with exact node products.  A path's bits do not depend on the batch
+it is solved in.
 
 On grids whose node products are exact (see ``TimeGrid.has_exact_nodes``)
 constant Hurst or dampening components are served from precomputed tables
 indexed by node distance; the tables contain bitwise the same values the
-direct formula would produce, so they change speed, never output.
+direct formula would produce, so they change speed, never output.  When
+every factor is tabled the kernel depends on the node distance alone, and
+the sums are built column by column: term ``i`` is added to every later
+node at once, each node still summing its terms in index order.  A
+constant component on any grid is computed once per row for the whole
+batch, and constant dampening is never passed to ``evaluate``.
+
+Failures
+--------
+After each batch one ``isfinite`` scan checks every state.  A NaN or
+infinite state raises :class:`PathSimulationError` naming the path and the
+first non-finite step; custom Hurst or dampening functions are the usual
+cause.
 """
 
 from __future__ import annotations
@@ -32,7 +69,8 @@ from __future__ import annotations
 import concurrent.futures
 import pickle
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -57,20 +95,29 @@ __all__ = [
     "monte_carlo",
 ]
 
+# Paths per block are chosen so a block holds about this many states.
+_BLOCK_STATES = 2 ** 14
+
 
 class PathSimulationError(RuntimeError):
-    """A single path failed; ``path_index`` names the offender."""
+    """A single path failed; ``path_index`` names the offender.
 
-    def __init__(self, path_index: int, cause: BaseException):
-        super().__init__(f"simulation of path {path_index} failed: {cause!r}")
+    ``step`` is the first node whose state is not finite, or None when the
+    failure was an exception raised while solving.
+    """
+
+    def __init__(self, path_index: int, cause: BaseException, step: int | None = None):
+        where = f"path {path_index}" if step is None else f"path {path_index} at step {step}"
+        super().__init__(f"simulation of {where} failed: {cause!r}")
         self.path_index = path_index
         self.cause = cause
+        self.step = step
 
     def __reduce__(self):
         # Default exception reduction would replay __init__ with the
-        # formatted message only; keep both attributes across pickling so
+        # formatted message only; keep every attribute across pickling so
         # worker failures arrive intact.
-        return (PathSimulationError, (self.path_index, self.cause))
+        return (PathSimulationError, (self.path_index, self.cause, self.step))
 
 
 @dataclass(frozen=True)
@@ -121,14 +168,36 @@ class SamplePath:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """An ordered collection of paths simulated under one config."""
+    """An ordered collection of paths simulated under one config.
+
+    ``values`` is one read-only ``(n_paths, steps + 1)`` matrix whose row
+    ``i`` is path ``i``.
+    """
 
     config: SimulationConfig
-    paths: tuple[SamplePath, ...]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = self.values
+        shape = (self.config.n_paths, self.config.grid.steps + 1)
+        if not (isinstance(v, np.ndarray) and v.shape == shape):
+            raise ValueError(f"values must have shape {shape}, got {getattr(v, 'shape', None)}")
+        if v.flags.writeable:
+            v = v.view()
+            v.setflags(write=False)
+            object.__setattr__(self, "values", v)
+
+    @cached_property
+    def paths(self) -> tuple[SamplePath, ...]:
+        """One :class:`SamplePath` per row, viewing the matrix."""
+        return tuple(
+            SamplePath(grid=self.config.grid, values=row, path_index=i)
+            for i, row in enumerate(self.values)
+        )
 
     def values_matrix(self) -> np.ndarray:
-        """Stack path values into an ``(n_paths, steps + 1)`` array."""
-        return np.stack([p.values for p in self.paths])
+        """The ``(n_paths, steps + 1)`` matrix itself, read-only; no copy."""
+        return self.values
 
 
 def _offset_values(config: SimulationConfig) -> np.ndarray | None:
@@ -137,59 +206,158 @@ def _offset_values(config: SimulationConfig) -> np.ndarray | None:
     return np.array([float(config.offset_g(float(t))) for t in config.grid.nodes])
 
 
-class _KernelRows:
-    """Row-wise kernel evaluation with optional distance-indexed tables.
+def _table_slice(table: np.ndarray, offset: int, k: int) -> np.ndarray:
+    # Elements offset, offset-1, ..., offset-k+1 as a reversed view.
+    stop = offset - k
+    return table[offset:(stop if stop >= 0 else None):-1]
 
-    ``row(t_eval, nodes, states, out)`` writes ``sigma(t_eval, nodes[i],
-    states[i])`` into ``out`` for every ``i``.  ``table_offset`` activates
-    the table path: nodes must then satisfy ``t_eval - nodes[i] ==
-    t_table[offset - i]`` bitwise, which on exact-node grids holds with
-    ``offset = k`` for row ``k``.
+
+class _Rows:
+    """Kernel rows for a batch of paths, with tables and per-node caches.
+
+    ``row`` writes ``sigma(t_eval, nodes[i], X[:, i]) * weights[..., i]``
+    for every ``i < k`` into ``out[:, :k]``.  ``table_offset`` activates
+    the distance-indexed tables: nodes must then satisfy ``t_eval -
+    nodes[i] == t_table[offset - i]`` bitwise, which on exact-node grids
+    holds with ``offset = k`` for row ``k``.  ``add_node`` must have been
+    called for every node a row reads.
     """
 
-    def __init__(self, grid: TimeGrid, hurst: HurstFunction, dampening: DampeningFunction | None):
+    def __init__(self, config: SimulationConfig, n_paths: int):
+        hurst, dampening = config.hurst, config.dampening
+        n = config.grid.steps
+        t = config.grid.nodes
+        use_tables = config.grid.has_exact_nodes
         self.hurst = hurst
         self.dampening = dampening
-        n = grid.steps
-        t = grid.nodes
-        use_tables = grid.has_exact_nodes
         self.pow_table = None
         if use_tables and hurst.is_constant:
             table = np.empty(n + 1)
             table[0] = np.nan
             np.power(t[1:], hurst.h_star - 0.5, out=table[1:])
             self.pow_table = table
+        self.damp_constant = None if dampening is None else dampening.constant_value
         self.damp_table = None
-        if use_tables and dampening is not None and dampening.constant_value is not None:
+        if use_tables and self.damp_constant is not None:
             table = np.empty(n + 1)
             table[0] = np.nan
-            np.exp(-dampening.constant_value * t[1:], out=table[1:])
+            np.exp(-self.damp_constant * t[1:], out=table[1:])
             self.damp_table = table
+        # With every factor tabled the kernel depends on the node distance
+        # alone: by_distance[d - 1] is the kernel of nodes d steps apart.
+        self.by_distance = None
+        if self.pow_table is not None and (dampening is None or self.damp_table is not None):
+            self.by_distance = self.pow_table[1:]
+            if self.damp_table is not None:
+                self.by_distance = self.by_distance * self.damp_table[1:]
+        # Column i holds h(X[:, i]) - 1/2, respectively -f(X[:, i]).
+        self.exponents = None
+        if not hurst.is_constant and hurst.lip_t == 0.0:
+            self.exponents = np.empty((n_paths, n))
+        self.neg_f = None
+        self.damp_work = None
+        if dampening is not None and self.damp_constant is None:
+            self.damp_work = np.empty((n_paths, n))
+            if dampening.lip_t == 0.0:
+                self.neg_f = np.empty((n_paths, n))
 
-    @staticmethod
-    def _table_slice(table: np.ndarray, offset: int, k: int) -> np.ndarray:
-        # Elements offset, offset-1, ..., offset-k+1 as a reversed view.
-        stop = offset - k
-        return table[offset:(stop if stop >= 0 else None):-1]
+    def add_node(self, i: int, t_i: float, states: np.ndarray) -> None:
+        """Cache the terms of node ``i`` from its states, one per path."""
+        if self.exponents is not None:
+            self.exponents[:, i] = np.asarray(self.hurst.evaluate(t_i, states)) - 0.5
+        if self.neg_f is not None:
+            self.neg_f[:, i] = -np.asarray(self.dampening.evaluate(t_i, states), dtype=np.float64)
 
-    def row(self, t_eval: float, nodes: np.ndarray, states: np.ndarray,
+    def row(self, t_eval: float, nodes: np.ndarray, states: np.ndarray, weights: np.ndarray,
             out: np.ndarray, table_offset: int | None = None) -> np.ndarray:
         k = nodes.shape[0]
-        o = out[:k]
+        o = out[:, :k]
+        dts = None
+        # ``shared`` is the power factor when it is the same for every path.
         if self.pow_table is not None and table_offset is not None:
-            np.copyto(o, self._table_slice(self.pow_table, table_offset, k))
+            shared = _table_slice(self.pow_table, table_offset, k)
         else:
             dts = t_eval - nodes
-            h = self.hurst.evaluate(t_eval, states) if not self.hurst.is_constant \
-                else self.hurst.h_star
-            np.power(dts, np.asarray(h) - 0.5, out=o)
+            if self.hurst.is_constant:
+                shared = np.power(dts, self.hurst.h_star - 0.5)
+            else:
+                shared = None
+                if self.exponents is not None:
+                    exponents = self.exponents[:, :k]
+                else:
+                    exponents = np.asarray(self.hurst.evaluate(t_eval, states)) - 0.5
+                # The base keeps its row axis so that no operand is
+                # broadcast when the batch is a single element: on a
+                # broadcast one-element operand np.power takes a separate
+                # fast path for the exponent 1/2, which moves the last bit.
+                np.power(dts[None, :], exponents, out=o)
+        damp = None
         if self.dampening is not None:
             if self.damp_table is not None and table_offset is not None:
-                o *= self._table_slice(self.damp_table, table_offset, k)
+                damp = _table_slice(self.damp_table, table_offset, k)
             else:
-                f = np.asarray(self.dampening.evaluate(t_eval, states), dtype=np.float64)
-                o *= np.exp(-f * (t_eval - nodes))
+                if dts is None:
+                    dts = t_eval - nodes
+                if self.damp_constant is not None:
+                    damp = np.exp(-self.damp_constant * dts)
+                else:
+                    if self.neg_f is not None:
+                        neg_f = self.neg_f[:, :k]
+                    else:
+                        neg_f = -np.asarray(self.dampening.evaluate(t_eval, states),
+                                            dtype=np.float64)
+                    damp = np.multiply(neg_f, dts, out=self.damp_work[:, :k])
+                    np.exp(damp, out=damp)
+        if shared is not None:
+            if damp is not None and damp.ndim == 1:
+                shared = shared * damp
+                damp = None
+            if damp is None:
+                return np.multiply(shared, weights, out=o)
+            np.multiply(shared, damp, out=o)
+        elif damp is not None:
+            o *= damp
+        o *= weights
         return o
+
+
+def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np.ndarray:
+    """Run the recursion for a batch of paths: ``dB[P, N] -> X[P, N + 1]``.
+
+    Path ``p`` of the batch is reported as ``first_index + p`` when its
+    states are not all finite.
+    """
+    n_paths, n = dB.shape
+    t = config.grid.nodes
+    g = _offset_values(config)
+    rows = _Rows(config, n_paths)
+    x = np.empty((n_paths, n + 1))
+    x[:, 0] = 0.0 if g is None else g[0]
+    work = np.empty((n_paths, n))
+    if rows.by_distance is not None:
+        # Term i is added to every later node at once, column by column.
+        # Each node still sums its terms in index order, starting from term
+        # 0 rather than from 0.0 (which would turn a -0.0 sum into +0.0).
+        kernel = rows.by_distance
+        sums = x[:, 1:]
+        np.multiply(dB[:, :1], kernel, out=sums)
+        for i in range(1, n):
+            sums[:, i:] += np.multiply(dB[:, i:i + 1], kernel[:n - i], out=work[:, :n - i])
+        if g is not None:
+            sums += g[1:]
+    else:
+        for k in range(1, n + 1):
+            rows.add_node(k - 1, t[k - 1], x[:, k - 1])
+            kern = rows.row(t[k], t[:k], x[:, :k], dB[:, :k], work, table_offset=k)
+            np.cumsum(kern, axis=1, out=kern)
+            x[:, k] = kern[:, k - 1] if g is None else g[k] + kern[:, k - 1]
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        step = int(np.argmin(np.isfinite(x[p])))
+        cause = FloatingPointError(f"state {x[p, step]!r} is not finite")
+        raise PathSimulationError(first_index + p, cause, step=step)
+    return x
 
 
 def simulate_discrete(config: SimulationConfig, increments: BrownianIncrements) -> SamplePath:
@@ -197,26 +365,14 @@ def simulate_discrete(config: SimulationConfig, increments: BrownianIncrements) 
 
     ``increments.grid`` must equal ``config.grid``.  Cost is Theta(N^2):
     the kernel depends on the evaluation time, so each row is evaluated
-    afresh and summed left to right.
+    afresh and summed left to right.  A non-finite state raises
+    :class:`PathSimulationError` with ``path_index`` 0 and the step.
     """
     if increments.grid != config.grid:
         raise ValueError(
             f"increments grid {increments.grid} does not match config grid {config.grid}"
         )
-    n = config.grid.steps
-    t = config.grid.nodes
-    dB = increments.values
-    g = _offset_values(config)
-    rows = _KernelRows(config.grid, config.hurst, config.dampening)
-
-    x = np.empty(n + 1)
-    x[0] = 0.0 if g is None else g[0]
-    work = np.empty(max(n, 1))
-    for k in range(1, n + 1):
-        kern = rows.row(t[k], t[:k], x[:k], work, table_offset=k)
-        kern *= dB[:k]
-        np.cumsum(kern, out=kern)
-        x[k] = kern[k - 1] if g is None else g[k] + kern[k - 1]
+    x = _solve(config, increments.values[None, :])[0]
     x.setflags(write=False)
     return SamplePath(grid=config.grid, values=x, path_index=0)
 
@@ -268,44 +424,101 @@ def interpolate_on_refinement(
     r = refine_factor
     tau = fine_grid.nodes
     t_c = config.grid.nodes
-    xc = coarse_path.values
+    states = coarse_path.values[None, :]
     dB_fine = fine_increments.values
     dB_coarse = coarse_increments.values
     g_fn = config.offset_g
-    rows = _KernelRows(config.grid, config.hurst, config.dampening)
+    rows = _Rows(config, 1)
+    for i in range(n):
+        rows.add_node(i, t_c[i], states[:, i])
 
     out = np.empty(n * r + 1)
-    out[0] = xc[0]
-    work = np.empty(n + 1)
+    out[0] = states[0, 0]
+    work = np.empty((1, n))
     for j in range(1, n * r + 1):
         b, p = divmod(j, r)
         m = b + (1 if p else 0)
-        kern = rows.row(float(tau[j]), t_c[:m], xc[:m], work)
+        weights = dB_coarse[:m]
         if p:
-            kern[:b] *= dB_coarse[:b]
-            partial = np.cumsum(dB_fine[b * r:b * r + p])
-            kern[b] *= partial[p - 1]
-        else:
-            kern *= dB_coarse[:b]
-        np.cumsum(kern, out=kern)
-        total = kern[m - 1]
+            weights = weights.copy()
+            weights[b] = np.cumsum(dB_fine[b * r:b * r + p])[p - 1]
+        kern = rows.row(float(tau[j]), t_c[:m], states[:, :m], weights, work)
+        np.cumsum(kern, axis=1, out=kern)
+        total = kern[0, m - 1]
         out[j] = total if g_fn is None else float(g_fn(float(tau[j]))) + total
     out.setflags(write=False)
     return SamplePath(grid=fine_grid, values=out, path_index=coarse_path.path_index)
 
 
-def _simulate_indexed(config: SimulationConfig, index: int) -> np.ndarray:
+def _block_size(steps: int) -> int:
+    """Paths per block for grids of ``steps`` steps."""
+    return max(1, _BLOCK_STATES // steps)
+
+
+def _driving_increments(config: SimulationConfig, grid: TimeGrid, start: int, stop: int
+                        ) -> list[BrownianIncrements]:
+    """Increments on ``grid`` of the paths ``start <= i < stop`` of ``config``."""
+    return [
+        sample_brownian(derive_path_seed(config.seed, i), grid, provenance=(config.seed.value, i))
+        for i in range(start, stop)
+    ]
+
+
+def _run_block(task: Callable, payload: bytes, start: int, stop: int, *args):
+    return task(pickle.loads(payload), start, stop, *args)
+
+
+def _map_blocks(task: Callable, config: SimulationConfig, n_items: int, block: int,
+                n_workers: int, *args) -> Iterator[tuple[int, object]]:
+    """Yield ``(start, task(config, start, stop, *args))`` block by block, in order.
+
+    The items ``range(n_items)`` are cut into contiguous blocks of
+    ``block``.  With ``n_workers > 1`` each block is one task of a process
+    pool, the config pickled once for all of them; results are still
+    yielded in block order, so the first failing block is the one that
+    raises and pending blocks are cancelled.  Configs whose callables
+    cannot be pickled run serially.
+    """
+    starts = range(0, n_items, block)
+    n_workers = int(n_workers)
+    payload = None
+    if n_workers > 1:
+        try:
+            payload = pickle.dumps(config)
+        except Exception:
+            payload = None
+    if payload is None:
+        for s in starts:
+            yield s, task(config, s, min(s + block, n_items), *args)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(n_workers, len(starts))) as pool:
+        futures = [
+            pool.submit(_run_block, task, payload, s, min(s + block, n_items), *args)
+            for s in starts
+        ]
+        try:
+            for i, s in enumerate(starts):
+                result = futures[i].result()
+                futures[i] = None  # the caller copies the block; let it be freed
+                yield s, result
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _simulate_block(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
+    dB = np.stack([incr.values for incr in _driving_increments(config, config.grid, start, stop)])
     try:
-        stream = derive_path_seed(config.seed, index)
-        incr = sample_brownian(stream, config.grid, provenance=(config.seed.value, index))
-        return simulate_discrete(config, incr).values
+        return _solve(config, dB, first_index=start)
+    except PathSimulationError:
+        raise  # a non-finite state: it already names its path and step
     except Exception as exc:
-        raise PathSimulationError(index, exc) from exc
-
-
-def _worker(payload: bytes, index: int) -> tuple[int, np.ndarray]:
-    config = pickle.loads(payload)
-    return index, _simulate_indexed(config, index)
+        if stop - start > 1:
+            # A batched evaluation cannot say which path raised; solve the
+            # block's paths one at a time to name the first that does.
+            for i in range(start, stop):
+                _simulate_block(config, i, i + 1)
+        raise PathSimulationError(start, exc) from exc
 
 
 def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
@@ -314,37 +527,19 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     Path ``i`` is driven by the stream derived from ``(seed, i)``, so the
     ensemble is a pure function of the config: any worker count, including
     the serial path, produces identical output, and paths can be
-    regenerated individually.  Failures inside one path surface as
-    :class:`PathSimulationError` naming the index.  Configs whose callables
-    cannot be pickled fall back to serial execution.
+    regenerated individually.  Paths are solved in contiguous blocks of
+    ``max(1, 2**14 // N)``, one pool task per block when ``n_workers > 1``.
+    Failures surface as :class:`PathSimulationError` naming the lowest
+    failing index.  Configs whose callables cannot be pickled fall back to
+    serial execution.
     """
-    n_workers = max(1, int(n_workers))
-    indices = range(config.n_paths)
-    if n_workers > 1:
-        try:
-            payload = pickle.dumps(config)
-        except Exception:
-            payload = None
-        if payload is not None:
-            results: list[np.ndarray | None] = [None] * config.n_paths
-            with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-                futures = [pool.submit(_worker, payload, i) for i in indices]
-                for fut in concurrent.futures.as_completed(futures):
-                    try:
-                        i, values = fut.result()
-                    except PathSimulationError:
-                        raise
-                    results[i] = values
-            paths = tuple(
-                SamplePath(grid=config.grid, values=v, path_index=i)
-                for i, v in enumerate(results)
-            )
-            return Ensemble(config=config, paths=paths)
-    paths = tuple(
-        SamplePath(grid=config.grid, values=_simulate_indexed(config, i), path_index=i)
-        for i in indices
-    )
-    return Ensemble(config=config, paths=paths)
+    steps = config.grid.steps
+    values = np.empty((config.n_paths, steps + 1))
+    for start, block in _map_blocks(_simulate_block, config, config.n_paths,
+                                    _block_size(steps), n_workers):
+        values[start:start + block.shape[0]] = block
+    values.setflags(write=False)
+    return Ensemble(config=config, values=values)
 
 
 def refine_config(config: SimulationConfig, factor: int) -> SimulationConfig:

@@ -6,6 +6,9 @@ increments); the refinement study is checked once in its degenerate exactly
 coupled regime and once on a state-dependent Hurst family with pinned seeds.
 """
 
+import concurrent.futures
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,9 +37,8 @@ def _manual_ensemble():
     cfg = SimulationConfig(
         grid=grid, hurst=builtin_hurst("constant", [0.5]), seed=Seed(1), n_paths=2
     )
-    a = SamplePath(grid=grid, values=np.array([0.0, 1.0, 3.0, 2.0, -2.0]), path_index=0)
-    b = SamplePath(grid=grid, values=np.array([0.0, -1.0, -1.0, 0.5, 4.0]), path_index=1)
-    return Ensemble(config=cfg, paths=(a, b))
+    values = np.array([[0.0, 1.0, 3.0, 2.0, -2.0], [0.0, -1.0, -1.0, 0.5, 4.0]])
+    return Ensemble(config=cfg, values=values)
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +231,26 @@ class TestConvergenceStudy:
         assert report.envelope_constant < 2.5e-6
         assert report.n_paths == 40
         assert report.refine_factor == 2
+
+    def test_worker_count_does_not_change_report(self, monkeypatch):
+        # Base N = 64 puts the reference on N = 512, so the 40 seeds run as
+        # two pool tasks of 32 and 8 seeds; the squared gaps must still add
+        # up in seed order.
+        cfg = replace(self._trig_config(builtin_dampening("constant", [1.0])),
+                      grid=make_grid(1.0, 64))
+        serial = convergence_study(cfg, n_levels=3, refine_factor=2)
+        blocks = []
+        submit = concurrent.futures.ProcessPoolExecutor.submit
+
+        def recording_submit(pool, fn, /, *args, **kwargs):
+            blocks.append(args[2:4])
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", recording_submit)
+        pooled = convergence_study(cfg, n_levels=3, refine_factor=2, n_workers=2)
+        assert blocks == [(0, 32), (32, 40)]
+        assert serial == pooled
+        assert serial.degenerate is False
 
     def test_validation(self):
         cfg = self._trig_config()

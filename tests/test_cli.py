@@ -167,6 +167,22 @@ class TestAnalysisCommands:
         assert payload["theoretical_rate_bound"] == pytest.approx(0.8)
         assert len(payload["dt_levels"]) == 3
 
+    def test_converge_thread_counts_are_byte_identical(self, tmp_path):
+        # Base N = 64 with three levels puts the reference on N = 512:
+        # 40 seeds make two blocks, so --threads 2 runs both in the pool.
+        config_path, _ = _write_config(
+            tmp_path,
+            overrides={"N": 64, "n_paths": 40, "converge": {"n_levels": 3, "refine_factor": 2}},
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["converge", "--config", config_path, "--output-dir", str(out),
+                         "--threads", threads]) == 0
+            outputs.append((out / "convergence.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["flag"] == "ok"
+
     def test_holder_output(self, tmp_path):
         config_path, _ = _write_config(
             tmp_path, overrides={"N": 64, "holder": {"q": 2.0}}

@@ -8,7 +8,8 @@ agreement under refinement), and statistically on a shared Gaussian ensemble.
 """
 
 import math
-from dataclasses import dataclass
+import pickle
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,71 @@ class _FixedValue:
 class _RaisingEvaluator:
     def __call__(self, t, x):
         raise FloatingPointError("evaluator exploded")
+
+
+@dataclass(frozen=True)
+class _TimeVaryingHurst:
+    """h(t, x) = 0.55 + 0.25 t / (1 + x^2): in [0.55, 0.8] on [0, 1]."""
+
+    def __call__(self, t, x):
+        x = np.asarray(x, dtype=np.float64)
+        return 0.55 + 0.25 * t / (1.0 + x * x)
+
+
+@dataclass(frozen=True)
+class _TimeVaryingDampening:
+    """f(t, x) = t |x|."""
+
+    def __call__(self, t, x):
+        return t * np.abs(np.asarray(x, dtype=np.float64))
+
+
+@dataclass(frozen=True)
+class _ConstantArray:
+    """Returns ``value`` for every state, as an array shaped like ``x``."""
+
+    value: float
+
+    def __call__(self, t, x):
+        return np.full(np.shape(x), self.value)
+
+
+@dataclass(frozen=True)
+class _NanPastThreshold:
+    """Returns ``value``, or NaN where ``|x|`` exceeds ``threshold``."""
+
+    value: float
+    threshold: float
+
+    def __call__(self, t, x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.where(np.abs(x) > self.threshold, np.nan, self.value)
+
+
+@dataclass(frozen=True)
+class _RaisingPastThreshold:
+    """Returns ``value``, or raises once any ``|x|`` exceeds ``threshold``."""
+
+    value: float
+    threshold: float
+
+    def __call__(self, t, x):
+        x = np.asarray(x, dtype=np.float64)
+        if np.any(np.abs(x) > self.threshold):
+            raise FloatingPointError("state out of the evaluator's domain")
+        return np.full(x.shape, self.value)
+
+
+class _CountingEvaluator:
+    """Bell-shaped evaluator that counts the states it is asked about."""
+
+    def __init__(self):
+        self.values = 0
+
+    def __call__(self, t, x):
+        x = np.asarray(x, dtype=np.float64)
+        self.values += x.size
+        return 0.5 + 0.3 / (1.0 + x * x)
 
 
 def _oracle_path(config: SimulationConfig, increments: BrownianIncrements) -> np.ndarray:
@@ -135,6 +201,32 @@ class TestAgainstNaiveRecursion:
         path = simulate_discrete(cfg, incr)
         expected = _oracle_path(cfg, incr)
         np.testing.assert_allclose(path.values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("driver", ["simulate_discrete", "monte_carlo"])
+    def test_time_dependent_functions_are_evaluated_per_row(self, driver):
+        # With lip_t > 0 the kernel of row k must see h and f at the row
+        # time t_k; a per-node cache evaluated at t_i would miss the
+        # double loop by far more than the tolerance.
+        hurst = HurstFunction(
+            evaluator=_TimeVaryingHurst(), h_star=0.55, h_sup=0.8, lip_t=0.25, lip_x=0.25
+        )
+        dampening = DampeningFunction(
+            evaluator=_TimeVaryingDampening(), growth_C=1.0, lip_t=1.0, lip_x=1.0
+        )
+        cfg = SimulationConfig(
+            grid=make_grid(1.0, 48), hurst=hurst, seed=Seed(405), dampening=dampening, n_paths=3
+        )
+        if driver == "simulate_discrete":
+            incr = sample_brownian(Seed(405), cfg.grid)
+            got = [simulate_discrete(cfg, incr).values]
+            increments = [incr]
+        else:
+            got = list(monte_carlo(cfg, n_workers=2).values_matrix())
+            increments = [
+                sample_brownian(derive_path_seed(cfg.seed, i), cfg.grid) for i in range(3)
+            ]
+        for values, incr in zip(got, increments):
+            np.testing.assert_allclose(values, _oracle_path(cfg, incr), rtol=1e-12, atol=0.0)
 
     def test_output_is_readonly(self):
         cfg = SimulationConfig(
@@ -348,6 +440,90 @@ class TestMonteCarlo:
             monte_carlo(cfg, n_workers=n_workers)
         assert excinfo.value.path_index in (0, 1)
         assert isinstance(excinfo.value.cause, FloatingPointError)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_non_finite_state_names_path_and_step(self, n_workers):
+        # Two blocks of 8 paths on N = 2048.  The healthy twin returns the
+        # same exponent everywhere, so both runs agree bitwise until the
+        # first node past the threshold; the row after it turns NaN.
+        grid = make_grid(1.0, 2048)
+        healthy = SimulationConfig(
+            grid=grid,
+            hurst=HurstFunction(_ConstantArray(0.7), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0),
+            seed=Seed(64),
+            n_paths=10,
+        )
+        reference = monte_carlo(healthy).values_matrix()
+        threshold = 0.5 * float(np.max(np.abs(reference[0, :-1])))
+        crossed = np.abs(reference[:, :-1]) > threshold
+        path = int(np.flatnonzero(crossed.any(axis=1))[0])
+        step = int(np.argmax(crossed[path])) + 1
+        broken = replace(healthy, hurst=HurstFunction(
+            _NanPastThreshold(0.7, threshold), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0
+        ))
+        with pytest.raises(PathSimulationError) as excinfo:
+            monte_carlo(broken, n_workers=n_workers)
+        assert (excinfo.value.path_index, excinfo.value.step) == (path, step)
+        assert isinstance(excinfo.value.cause, FloatingPointError)
+        assert f"path {path} at step {step}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_raising_evaluator_names_the_failing_path(self, n_workers):
+        # All four paths share one block, so the evaluation that raises
+        # covers every path; the error must still name the one whose state
+        # left the domain, not the first path of the block.
+        grid = make_grid(1.0, 64)
+        healthy = SimulationConfig(
+            grid=grid,
+            hurst=HurstFunction(_ConstantArray(0.7), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0),
+            seed=Seed(70),
+            n_paths=4,
+        )
+        reference = np.abs(monte_carlo(healthy).values_matrix()[:, :-1])
+        threshold = float(np.max(reference[0]))
+        path = int(np.flatnonzero(np.max(reference, axis=1) > threshold)[0])
+        assert path > 0
+        broken = replace(healthy, hurst=HurstFunction(
+            _RaisingPastThreshold(0.7, threshold), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0
+        ))
+        with pytest.raises(PathSimulationError) as excinfo:
+            monte_carlo(broken, n_workers=n_workers)
+        assert excinfo.value.path_index == path
+        assert excinfo.value.step is None
+        assert isinstance(excinfo.value.cause, FloatingPointError)
+
+    def test_simulate_discrete_rejects_non_finite_state(self):
+        grid = make_grid(1.0, 64)
+        hurst = HurstFunction(_NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8,
+                              lip_t=0.0, lip_x=0.0)
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(65))
+        with pytest.raises(PathSimulationError) as excinfo:
+            simulate_discrete(cfg, sample_brownian(Seed(65), grid))
+        # x[0] = 0 is within the threshold; the first nonzero state is not.
+        assert excinfo.value.path_index == 0
+        assert excinfo.value.step == 2
+
+    def test_path_error_survives_pickling(self):
+        err = PathSimulationError(3, FloatingPointError("nan"), step=17)
+        back = pickle.loads(pickle.dumps(err))
+        assert (back.path_index, back.step, str(back)) == (3, 17, str(err))
+        assert isinstance(back.cause, FloatingPointError)
+
+    def test_values_matrix_is_stored_not_copied(self):
+        ensemble = monte_carlo(self._config(n_paths=3))
+        matrix = ensemble.values_matrix()
+        assert matrix is ensemble.values_matrix()
+        assert not matrix.flags.writeable
+        assert all(np.shares_memory(p.values, matrix) for p in ensemble.paths)
+
+    @pytest.mark.parametrize(("lip_t", "expected"), [(0.0, 64), (0.5, 64 * 65 // 2)])
+    def test_hurst_is_evaluated_once_per_node_unless_time_dependent(self, lip_t, expected):
+        counter = _CountingEvaluator()
+        hurst = HurstFunction(counter, h_star=0.5, h_sup=0.8, lip_t=lip_t, lip_x=0.2)
+        grid = make_grid(1.0, 64)
+        simulate_discrete(SimulationConfig(grid=grid, hurst=hurst, seed=Seed(66)),
+                          sample_brownian(Seed(66), grid))
+        assert counter.values == expected
 
     def test_refine_config_doubles_steps(self):
         cfg = self._config(steps=64)

@@ -218,6 +218,18 @@ def test_validator_catches_time_dependence():
     assert any(v.kind == "lipschitz_t" for v in report.violations)
 
 
+def test_dampening_validator_catches_time_dependence():
+    # The engine evaluates a dampening that declares lip_t == 0 once per
+    # node; the validator is what catches such a declaration when false.
+    drifting = DampeningFunction(
+        lambda t, x: t * np.abs(np.asarray(x, dtype=np.float64)),
+        growth_C=1.0, lip_t=0.0, lip_x=1.0,
+    )
+    report = validate_dampening(drifting, 50, (-1.0, 1.0), 10)
+    assert not report.passed
+    assert any(v.kind == "lipschitz_t" for v in report.violations)
+
+
 def test_dampening_validator_catches_sign_error():
     signed = DampeningFunction(
         lambda t, x: np.asarray(x, dtype=np.float64), growth_C=1.0, lip_t=0.0, lip_x=1.0
