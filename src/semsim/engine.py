@@ -8,52 +8,62 @@ Volterra equation:
 
 with ``sigma(t, s, x) = (t - s)**(h(t, x) - 1/2)``, optionally dampened by
 ``exp(-f(t, x) * (t - s))``.  The kernel's first argument is the
-*evaluation* time ``t_k``, so no column of kernel values can be reused
-across rows and a path costs Theta(N^2) kernel evaluations.
+*evaluation* time ``t_k``, so no kernel value serves two rows and a path
+costs Theta(N^2) kernel evaluations.
 
 Batched solver
 --------------
 One solver serves every caller.  It takes the increments of P paths as a
-``(P, N)`` array and evaluates row ``k`` for all P paths with one numpy
-call per operation, so the per-call overhead is paid once per row of a
-batch rather than once per row of every path.  :func:`simulate_discrete`
-is a batch of one; :func:`monte_carlo` and the refinement study in
-``analysis`` solve contiguous blocks of ``max(1, 2**14 // N)`` paths,
-each block one task when a process pool is used.
+``(P, N)`` array and makes one numpy call per operation for all P paths,
+so the per-call overhead is paid once per step of a batch rather than
+once per step of every path.  :func:`simulate_discrete` is a batch of
+one; :func:`monte_carlo` and the refinement study in ``analysis`` solve
+contiguous blocks of ``max(1, 2**14 // N)`` paths, each block one task
+when a process pool is used.
 
-Per-node caching
+Columns and rows
 ----------------
 A Hurst or dampening function that declares ``lip_t == 0`` does not
-depend on time, so ``h(X[i]) - 1/2`` and ``-f(X[i])`` are evaluated once,
-when node ``i`` is solved, and reused by every later row: N evaluations
-per path instead of N(N+1)/2.  Every built-in declares ``lip_t == 0``.  A
-function with ``lip_t > 0`` is evaluated at ``(t_k, X[i])`` on every row,
-as the recursion reads.  The declaration is trusted: a custom function
-that varies in time while declaring ``lip_t == 0`` is evaluated at the
-node times only.  :func:`~semsim.model.validate_hurst` and
+depend on time, and neither does a constant one.  When both factors are
+such, the kernel sees the evaluation time only through the node distance
+``t_k - t_i``, and the solver goes column by column: once node ``i`` is
+final, ``h(X[i]) - 1/2`` and ``-f(X[i])`` are evaluated once, the terms
+of node ``i`` for every later node are built in one column, and the
+column is added to the running sums of those nodes.  That is N
+evaluations per path instead of N(N+1)/2.  Every built-in declares
+``lip_t == 0``.
+
+A function with ``lip_t > 0`` is evaluated at ``(t_k, X[i])`` on every
+row, as the recursion reads, so the solver goes row by row: row ``k`` is
+built whole and summed with ``cumsum``.  A factor declaring ``lip_t == 0``
+is then still evaluated once per node and cached.  Refinement
+interpolation uses the same rows.  The declaration is trusted: a custom
+function that varies in time while declaring ``lip_t == 0`` is evaluated
+at the node times only.  :func:`~semsim.model.validate_hurst` and
 :func:`~semsim.model.validate_dampening` scan the ``t`` direction and
 report such a declaration as a ``lipschitz_t`` violation.
 
 Summation discipline
 --------------------
-Every row sum is accumulated strictly left to right (a sequential running
-sum, ``cumsum`` along each path's row), and row term arrays are always
-built in index order as ``(power * dampening) * increment``.  Together
-with the lattice quantization of the driving increments this makes the
-exact identities hold bitwise: a constant Hurst value of 1/2 reproduces
-Brownian prefix sums, zero dampening reproduces the undampened run, and
-refinement interpolation reproduces the coarse path at shared nodes on
-grids with exact node products.  A path's bits do not depend on the batch
-it is solved in.
+Every node sums its terms strictly left to right, in index order: the
+columns are added to the running sums in node order, starting from term
+0 rather than from 0.0 (which would turn a -0.0 sum into +0.0), and a row
+is summed with a sequential ``cumsum``.  Terms are always built as
+``(power * dampening) * increment``, so both orders give the same bits.
+Together with the lattice quantization of the driving increments this
+makes the exact identities hold bitwise: a constant Hurst value of 1/2
+reproduces Brownian prefix sums, zero dampening reproduces the
+undampened run, and refinement interpolation reproduces the coarse path
+at shared nodes on grids with exact node products.  A path's bits do not
+depend on the batch it is solved in.
 
 On grids whose node products are exact (see ``TimeGrid.has_exact_nodes``)
-constant Hurst or dampening components are served from precomputed tables
-indexed by node distance; the tables contain bitwise the same values the
-direct formula would produce, so they change speed, never output.  When
-every factor is tabled the kernel depends on the node distance alone, and
-the sums are built column by column: term ``i`` is added to every later
-node at once, each node still summing its terms in index order.  A
-constant component on any grid is computed once per row for the whole
+node distances are read from the nodes themselves, and constant Hurst or
+dampening components are served from precomputed tables indexed by node
+distance; the tables contain bitwise the same values the direct formula
+would produce, so they change speed, never output.  When every factor is
+tabled, every column is a slice of one precomputed kernel.  A constant
+component on any grid is computed once per column or row for the whole
 batch, and constant dampening is never passed to ``evaluate``.
 
 Failures
@@ -212,15 +222,42 @@ def _table_slice(table: np.ndarray, offset: int, k: int) -> np.ndarray:
     return table[offset:(stop if stop >= 0 else None):-1]
 
 
-class _Rows:
-    """Kernel rows for a batch of paths, with tables and per-node caches.
+def _terms(shared: np.ndarray | None, damp: np.ndarray | None, weights: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """Write ``(power * dampening) * weights`` into ``out`` and return it.
 
-    ``row`` writes ``sigma(t_eval, nodes[i], X[:, i]) * weights[..., i]``
-    for every ``i < k`` into ``out[:, :k]``.  ``table_offset`` activates
-    the distance-indexed tables: nodes must then satisfy ``t_eval -
-    nodes[i] == t_table[offset - i]`` bitwise, which on exact-node grids
-    holds with ``offset = k`` for row ``k``.  ``add_node`` must have been
-    called for every node a row reads.
+    ``shared`` is the power factor when it is the same for every path;
+    otherwise ``out`` already holds each path's power.  ``damp`` is None
+    without dampening.
+    """
+    if shared is not None:
+        if damp is not None and damp.ndim == 1:
+            shared = shared * damp
+            damp = None
+        if damp is None:
+            return np.multiply(shared, weights, out=out)
+        np.multiply(shared, damp, out=out)
+    elif damp is not None:
+        out *= damp
+    out *= weights
+    return out
+
+
+def _by_column(config: SimulationConfig) -> bool:
+    """True when no kernel factor depends on time: each is constant or declares ``lip_t == 0``."""
+    hurst, dampening = config.hurst, config.dampening
+    return (hurst.is_constant or hurst.lip_t == 0.0) and (
+        dampening is None or dampening.constant_value is not None or dampening.lip_t == 0.0
+    )
+
+
+class _Kernel:
+    """Kernel terms for a batch of paths, with exact-node tables and constants.
+
+    ``column`` writes the terms a solved node contributes to every later
+    node.  It needs a kernel that sees the evaluation time only through
+    the node distance (see :func:`_by_column`); other kernels are
+    evaluated row by row through :class:`_Rows`.
     """
 
     def __init__(self, config: SimulationConfig, n_paths: int):
@@ -228,6 +265,8 @@ class _Rows:
         n = config.grid.steps
         t = config.grid.nodes
         use_tables = config.grid.has_exact_nodes
+        self.t = t
+        self.use_tables = use_tables
         self.hurst = hurst
         self.dampening = dampening
         self.pow_table = None
@@ -250,16 +289,75 @@ class _Rows:
             self.by_distance = self.pow_table[1:]
             if self.damp_table is not None:
                 self.by_distance = self.by_distance * self.damp_table[1:]
+        # Exponents or dampening exponents of a state-dependent factor.
+        self.work = None
+        if not hurst.is_constant or (dampening is not None and self.damp_constant is None):
+            self.work = np.empty((n_paths, n))
+
+    def column(self, i: int, x: np.ndarray, dB: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Terms of node ``i`` for the nodes ``k > i``, in ``out[:, :N - i]``.
+
+        ``x`` holds the states, of which column ``i`` must be final, and
+        ``dB`` the increments; column ``k - i - 1`` of the result is
+        ``sigma(t_k, t_i, x[:, i]) * dB[:, i]``.  ``h`` and ``f`` are
+        evaluated once, at ``(t_i, x[:, i])``.
+        """
+        m = out.shape[1] - i
+        o = out[:, :m]
+        weights = dB[:, i:i + 1]
+        if self.by_distance is not None:
+            return np.multiply(weights, self.by_distance[:m], out=o)
+        states = x[:, i]
+        t = self.t
+        dts = t[1:m + 1] if self.use_tables else t[i + 1:] - t[i]
+        if self.pow_table is not None:
+            shared = self.pow_table[1:m + 1]
+        elif self.hurst.is_constant:
+            shared = np.power(dts, self.hurst.h_star - 0.5)
+        else:
+            shared = None
+            # A 0-d evaluation is reshaped, not indexed, and the exponent
+            # is filled into a full array: on an exponent broadcast with
+            # stride 0 np.power takes a separate fast path for 1/2, which
+            # moves the last bit.
+            exponents = self.work[:, :m]
+            exponents[...] = np.reshape(np.asarray(self.hurst.evaluate(t[i], states)) - 0.5,
+                                        (-1, 1))
+            np.power(dts[None, :], exponents, out=o)
+        damp = None
+        if self.damp_table is not None:
+            damp = self.damp_table[1:m + 1]
+        elif self.damp_constant is not None:
+            damp = np.exp(-self.damp_constant * dts)
+        elif self.dampening is not None:
+            neg_f = -np.asarray(self.dampening.evaluate(t[i], states), dtype=np.float64)
+            damp = np.multiply(np.reshape(neg_f, (-1, 1)), dts, out=self.work[:, :m])
+            np.exp(damp, out=damp)
+        return _terms(shared, damp, weights, o)
+
+
+class _Rows(_Kernel):
+    """Kernel rows for a batch of paths, with per-node caches.
+
+    ``row`` writes ``sigma(t_eval, nodes[i], X[:, i]) * weights[..., i]``
+    for every ``i < k`` into ``out[:, :k]``.  ``table_offset`` activates
+    the distance-indexed tables: nodes must then satisfy ``t_eval -
+    nodes[i] == t_table[offset - i]`` bitwise, which on exact-node grids
+    holds with ``offset = k`` for row ``k``.  ``add_node`` must have been
+    called for every node a row reads.
+    """
+
+    def __init__(self, config: SimulationConfig, n_paths: int):
+        super().__init__(config, n_paths)
+        hurst, dampening = self.hurst, self.dampening
+        n = config.grid.steps
         # Column i holds h(X[:, i]) - 1/2, respectively -f(X[:, i]).
         self.exponents = None
         if not hurst.is_constant and hurst.lip_t == 0.0:
             self.exponents = np.empty((n_paths, n))
         self.neg_f = None
-        self.damp_work = None
-        if dampening is not None and self.damp_constant is None:
-            self.damp_work = np.empty((n_paths, n))
-            if dampening.lip_t == 0.0:
-                self.neg_f = np.empty((n_paths, n))
+        if dampening is not None and self.damp_constant is None and dampening.lip_t == 0.0:
+            self.neg_f = np.empty((n_paths, n))
 
     def add_node(self, i: int, t_i: float, states: np.ndarray) -> None:
         """Cache the terms of node ``i`` from its states, one per path."""
@@ -273,7 +371,6 @@ class _Rows:
         k = nodes.shape[0]
         o = out[:, :k]
         dts = None
-        # ``shared`` is the power factor when it is the same for every path.
         if self.pow_table is not None and table_offset is not None:
             shared = _table_slice(self.pow_table, table_offset, k)
         else:
@@ -306,19 +403,9 @@ class _Rows:
                     else:
                         neg_f = -np.asarray(self.dampening.evaluate(t_eval, states),
                                             dtype=np.float64)
-                    damp = np.multiply(neg_f, dts, out=self.damp_work[:, :k])
+                    damp = np.multiply(neg_f, dts, out=self.work[:, :k])
                     np.exp(damp, out=damp)
-        if shared is not None:
-            if damp is not None and damp.ndim == 1:
-                shared = shared * damp
-                damp = None
-            if damp is None:
-                return np.multiply(shared, weights, out=o)
-            np.multiply(shared, damp, out=o)
-        elif damp is not None:
-            o *= damp
-        o *= weights
-        return o
+        return _terms(shared, damp, weights, o)
 
 
 def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np.ndarray:
@@ -330,25 +417,28 @@ def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np
     n_paths, n = dB.shape
     t = config.grid.nodes
     g = _offset_values(config)
-    rows = _Rows(config, n_paths)
+    by_column = _by_column(config)
+    kernel = _Kernel(config, n_paths) if by_column else _Rows(config, n_paths)
     x = np.empty((n_paths, n + 1))
     x[:, 0] = 0.0 if g is None else g[0]
     work = np.empty((n_paths, n))
-    if rows.by_distance is not None:
-        # Term i is added to every later node at once, column by column.
-        # Each node still sums its terms in index order, starting from term
-        # 0 rather than from 0.0 (which would turn a -0.0 sum into +0.0).
-        kernel = rows.by_distance
+    if by_column:
+        # Once node i is final its terms are added to every later node at
+        # once.  Each node still sums its terms in index order, starting
+        # from term 0 rather than from 0.0 (which would turn a -0.0 sum
+        # into +0.0).
         sums = x[:, 1:]
-        np.multiply(dB[:, :1], kernel, out=sums)
+        sums[...] = kernel.column(0, x, dB, work)
         for i in range(1, n):
-            sums[:, i:] += np.multiply(dB[:, i:i + 1], kernel[:n - i], out=work[:, :n - i])
+            if g is not None:
+                x[:, i] += g[i]
+            sums[:, i:] += kernel.column(i, x, dB, work)
         if g is not None:
-            sums += g[1:]
+            x[:, n] += g[n]
     else:
         for k in range(1, n + 1):
-            rows.add_node(k - 1, t[k - 1], x[:, k - 1])
-            kern = rows.row(t[k], t[:k], x[:, :k], dB[:, :k], work, table_offset=k)
+            kernel.add_node(k - 1, t[k - 1], x[:, k - 1])
+            kern = kernel.row(t[k], t[:k], x[:, :k], dB[:, :k], work, table_offset=k)
             np.cumsum(kern, axis=1, out=kern)
             x[:, k] = kern[:, k - 1] if g is None else g[k] + kern[:, k - 1]
     finite = np.isfinite(x).all(axis=1)
@@ -364,9 +454,10 @@ def simulate_discrete(config: SimulationConfig, increments: BrownianIncrements) 
     """Run the discrete recursion for one path.
 
     ``increments.grid`` must equal ``config.grid``.  Cost is Theta(N^2):
-    the kernel depends on the evaluation time, so each row is evaluated
-    afresh and summed left to right.  A non-finite state raises
-    :class:`PathSimulationError` with ``path_index`` 0 and the step.
+    the kernel depends on the evaluation time, so every term is evaluated
+    afresh, and each node sums its terms left to right.  A non-finite
+    state raises :class:`PathSimulationError` with ``path_index`` 0 and
+    the step.
     """
     if increments.grid != config.grid:
         raise ValueError(

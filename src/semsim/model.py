@@ -96,9 +96,13 @@ class HurstFunction:
         return self.h_star == self.h_sup
 
     def evaluate(self, t, x):
-        """Clipped evaluation; ndarray in, ndarray out."""
+        """Clipped evaluation; ndarray in, ndarray out.
+
+        The two ufuncs give the bits of ``np.clip``, NaN included, without
+        its Python-level dispatch, which the solver pays once per node.
+        """
         raw = self.evaluator(t, x)
-        return np.clip(raw, self.h_star, self.h_sup)
+        return np.minimum(np.maximum(raw, self.h_star), self.h_sup)
 
 
 @dataclass(frozen=True)

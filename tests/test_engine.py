@@ -3,8 +3,9 @@
 The solver is checked three ways: against a deliberately naive double-loop
 re-implementation built on the scalar kernel (scalar powers, Python running
 sums), against exact identities that must hold bitwise (Brownian collapse at
-h = 1/2, zero dampening, table versus direct kernel evaluation, coarse-node
-agreement under refinement), and statistically on a shared Gaussian ensemble.
+h = 1/2, zero dampening, table versus direct kernel evaluation, column versus
+row sums, coarse-node agreement under refinement), and statistically on a
+shared Gaussian ensemble.
 """
 
 import math
@@ -36,6 +37,7 @@ from semsim import (
     sigma,
     simulate_discrete,
 )
+from semsim.engine import _by_column, _solve
 from semsim.randomness import coarsen
 
 
@@ -303,6 +305,70 @@ class TestExactIdentities:
         )
         path = simulate_discrete(cfg, sample_brownian(Seed(3), grid))
         assert path.values[0] == 1.5
+
+
+def _declared_time_dependent(fn):
+    """The same function declaring ``lip_t > 0``, which the solver evaluates row by row."""
+    if fn is None:
+        return None
+    return replace(fn, lip_t=1.0)
+
+
+class TestColumnOrder:
+    """The per-node column sums against the row-by-row ``cumsum`` sums."""
+
+    @pytest.mark.parametrize(
+        ("hurst", "dampening", "offset", "horizon", "steps", "n_paths"),
+        [
+            # bell is 1 at x = 0, so node 0 has the exponent 1/2.
+            (builtin_hurst("bell", []), builtin_dampening("bell", []), None, 10.0, 512, 1),
+            (builtin_hurst("trig", [0.6, 0.2, 1.0]), builtin_dampening("abs_value", []), None,
+             10.0, 100, 3),
+            (builtin_hurst("bell", []), None, math.sin, 1.0, 64, 2),
+            (builtin_hurst("smooth_at_origin", []), builtin_dampening("bell", []),
+             lambda t: 0.25 - t, 1.0, 48, 2),
+        ],
+        ids=["bell-bell-exact", "trig-abs-inexact", "bell-offset", "smooth-bell-offset-inexact"],
+    )
+    def test_columns_match_rows_bitwise(self, hurst, dampening, offset, horizon, steps, n_paths):
+        grid = make_grid(horizon, steps)
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(71), dampening=dampening,
+                               offset_g=offset)
+        by_rows = replace(cfg, hurst=_declared_time_dependent(hurst),
+                          dampening=_declared_time_dependent(dampening))
+        assert _by_column(cfg) and not _by_column(by_rows)
+        dB = np.stack([sample_brownian(Seed(71 + p), grid).values for p in range(n_paths)])
+        assert _solve(cfg, dB).tobytes() == _solve(by_rows, dB).tobytes()
+
+    def test_node_zero_exponent_half_matches_rows_bitwise(self):
+        # h(0) = 1 for bell, so node 0's exponent is exactly 1/2.  With a
+        # single unit increment every later state is node 0's kernel value
+        # itself, so no last bit of it can hide in a sum.
+        grid = make_grid(10.0, 512)
+        cfg = SimulationConfig(grid=grid, hurst=builtin_hurst("bell", []), seed=Seed(73),
+                               dampening=builtin_dampening("bell", []))
+        by_rows = replace(cfg, hurst=_declared_time_dependent(cfg.hurst),
+                          dampening=_declared_time_dependent(cfg.dampening))
+        dB = np.zeros((1, 512))
+        dB[0, 0] = 1.0
+        assert _solve(cfg, dB).tobytes() == _solve(by_rows, dB).tobytes()
+
+    @pytest.mark.parametrize(
+        "hurst",
+        [
+            builtin_hurst("bell", []),
+            builtin_hurst("constant", [0.75]),
+            _declared_time_dependent(builtin_hurst("bell", [])),
+        ],
+        ids=["columns", "tabled-columns", "rows"],
+    )
+    def test_negative_zero_increments_give_negative_zero_states(self, hurst):
+        # Every sum starts from its first term: starting from 0.0 would
+        # turn the -0.0 sums into +0.0.
+        grid = make_grid(1.0, 64)
+        assert grid.has_exact_nodes
+        x = _solve(SimulationConfig(grid=grid, hurst=hurst, seed=Seed(72)), np.full((2, 64), -0.0))
+        assert np.signbit(x[:, 1:]).all()
 
 
 class TestInterpolation:

@@ -109,6 +109,18 @@ def test_constant_boundary_value_allowed():
     assert eval_hurst(h, 0.5, 2.0) == 1.0
 
 
+def test_vector_evaluation_clips_like_np_clip():
+    # Below, at and inside the range, above it, both infinities and NaN,
+    # which must propagate so that the solver can name a non-finite state.
+    raw = np.array([-1.0, 0.0, 0.2, 0.3, 0.45, 0.7, 0.9, 1.5, -np.inf, np.inf, np.nan, -np.nan])
+    h = HurstFunction(lambda t, x: x, h_star=0.3, h_sup=0.7, lip_t=0.0, lip_x=1.0)
+    got = h.evaluate(0.0, raw)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.clip(raw, 0.3, 0.7).tobytes()
+    for value in raw:
+        assert np.asarray(h.evaluate(0.0, value)).tobytes() == np.clip(value, 0.3, 0.7).tobytes()
+
+
 @pytest.mark.parametrize("name,params", [
     ("constant", []),
     ("constant", [-0.5]),
