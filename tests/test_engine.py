@@ -327,8 +327,15 @@ class TestColumnOrder:
             (builtin_hurst("bell", []), None, math.sin, 1.0, 64, 2),
             (builtin_hurst("smooth_at_origin", []), builtin_dampening("bell", []),
              lambda t: 0.25 - t, 1.0, 48, 2),
+            # A constant factor next to one declaring lip_t > 0: the column
+            # reads the constant from its exact-node table.
+            (builtin_hurst("constant", [0.75]), builtin_dampening("bell", []), None,
+             10.0, 512, 2),
+            (builtin_hurst("bell", []), builtin_dampening("constant", [0.8]), None,
+             2.0, 1024, 2),
         ],
-        ids=["bell-bell-exact", "trig-abs-inexact", "bell-offset", "smooth-bell-offset-inexact"],
+        ids=["bell-bell-exact", "trig-abs-inexact", "bell-offset", "smooth-bell-offset-inexact",
+             "constant-bell-exact", "bell-constant-exact"],
     )
     def test_columns_match_rows_bitwise(self, hurst, dampening, offset, horizon, steps, n_paths):
         grid = make_grid(horizon, steps)

@@ -1,6 +1,8 @@
 """Kernel evaluation, dominating bounds, and the power-difference inequality."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from semsim import (
 
 from _scans import (
     HURST_FAMILIES,
+    TIME_REG_CONSTANT,
     growth_violations,
     lipschitz_violations,
     time_reg_violations,
@@ -113,6 +116,29 @@ def test_state_lipschitz_bound_scan(name):
 def test_time_regularity_bound_scan(name):
     bad, n = time_reg_violations(HURST_FAMILIES[name], name, 20_000, seed=303)
     assert bad == 0 and n > 45_000
+
+
+def test_calibration_script_proposes_at_most_the_frozen_constants():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_bounds.py"
+    spec = importlib.util.spec_from_file_location("calibrate_bounds", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # One generator drawn in the order of the script's main().
+    rng = np.random.default_rng(script.RNG_SEED)
+    hursts = script.HURSTS
+    growth = [script.growth_ratio(h, rng) for h in hursts.values()]
+    lipschitz = [script.lipschitz_ratio(h, rng) for h in hursts.values() if h.lip_x != 0.0]
+    proposed = {
+        name: script.round_up(4.0 * max(script.time_reg_ratio(h, damp, rng)
+                                         for damp in script.DAMPS.values()))
+        for name, h in hursts.items()
+    }
+    # The relative slack of the scans in _scans: for constant Hurst sigma^2
+    # equals the dominating kernel, and the ratio rounds to 1 + 2 ulp.
+    assert max(growth) <= 1.0 + 1e-9
+    assert max(lipschitz) <= 1.0 + 1e-9
+    assert proposed.keys() == TIME_REG_CONSTANT.keys()
+    assert all(proposed[name] <= TIME_REG_CONSTANT[name] for name in proposed), proposed
 
 
 def test_lambda_gamma_zero_gap():

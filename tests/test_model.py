@@ -260,6 +260,37 @@ def test_dampening_validator_catches_growth_mislabel():
     assert any(v.kind == "growth" for v in report.violations)
 
 
+def test_dampening_validator_catches_lipschitz_mislabel():
+    steep = DampeningFunction(
+        lambda t, x: np.abs(np.asarray(x, dtype=np.float64)),
+        growth_C=1.0, lip_t=0.0, lip_x=0.5,
+    )
+    report = validate_dampening(steep, 10, (-1.0, 1.0), 200)
+    assert not report.passed
+    # Every adjacent pair but the one straddling 0, on each of 10 rows.
+    assert report.total_violations == 10 * 198
+    assert {v.kind for v in report.violations} == {"lipschitz_x"}
+    first = report.violations[0]
+    assert (first.t, first.x, first.t2) == (0.0, -1.0, None)
+    assert first.y > first.x and first.quantity > first.bound
+
+
+def test_violations_recorded_in_check_order_and_capped_across_kinds():
+    # f = 2 (1 + t) |x| on t in {0, 1} and 21 points of [-2, 2]: 28
+    # values exceed the growth bound 1 + |x|, 20 adjacent pairs of row
+    # t = 1 exceed lip_x = 3, and 20 states move in t despite lip_t = 0.
+    f = DampeningFunction(
+        lambda t, x: 2.0 * (1.0 + t) * np.abs(np.asarray(x, dtype=np.float64)),
+        growth_C=1.0, lip_t=0.0, lip_x=3.0,
+    )
+    report = validate_dampening(f, 2, (-2.0, 2.0), 21)
+    assert not report.passed
+    assert report.total_violations == 28 + 20 + 20
+    kinds = [v.kind for v in report.violations]
+    assert kinds == ["growth"] * 28 + ["lipschitz_x"] * 20 + ["lipschitz_t"] * 2
+    assert report.violations[-1].t2 == 1.0 and report.violations[-1].y is None
+
+
 def test_validators_require_two_samples():
     h = builtin_hurst("bell")
     with pytest.raises(ValueError):
