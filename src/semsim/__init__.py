@@ -32,7 +32,14 @@ from .engine import (
     refine_config,
     simulate_discrete,
 )
-from .kernels import KernelParams, check_fund_ineq, dominating_kernel, lambda_gamma, sigma
+from .kernels import (
+    KernelParams,
+    check_fund_ineq,
+    dominating_kernel,
+    kernel_values,
+    lambda_gamma,
+    sigma,
+)
 from .model import (
     DampeningFunction,
     EPSILON_FLOOR,
@@ -81,6 +88,7 @@ __all__ = [
     "validate_dampening",
     "KernelParams",
     "sigma",
+    "kernel_values",
     "dominating_kernel",
     "lambda_gamma",
     "check_fund_ineq",

@@ -43,6 +43,12 @@ at the node times only.  :func:`~semsim.model.validate_hurst` and
 :func:`~semsim.model.validate_dampening` scan the ``t`` direction and
 report such a declaration as a ``lipschitz_t`` violation.
 
+Both orders build their terms in one place: a column and a row differ
+only in how they gather the node distances, the exponents ``h - 1/2``
+and ``-f``.  The solver keeps this batched builder, with its per-node
+caches and tables, apart from :func:`semsim.kernels.sigma` and
+:func:`semsim.kernels.kernel_values`, the reference it is tested against.
+
 Summation discipline
 --------------------
 Every node sums its terms strictly left to right, in index order: the
@@ -58,13 +64,15 @@ at shared nodes on grids with exact node products.  A path's bits do not
 depend on the batch it is solved in.
 
 On grids whose node products are exact (see ``TimeGrid.has_exact_nodes``)
-node distances are read from the nodes themselves, and constant Hurst or
-dampening components are served from precomputed tables indexed by node
-distance; the tables contain bitwise the same values the direct formula
-would produce, so they change speed, never output.  When every factor is
-tabled, every column is a slice of one precomputed kernel.  A constant
-component on any grid is computed once per column or row for the whole
-batch, and constant dampening is never passed to ``evaluate``.
+a column reads its node distances from the nodes themselves, and constant
+Hurst or dampening components are served from precomputed tables indexed
+by node distance; the tables contain bitwise the same values the direct
+formula would produce, so they change speed, never output.  When every
+factor is tabled, every column is a slice of one precomputed kernel.  The
+tables serve columns only: a row computes its distances and constant
+components directly.  A constant component is computed once per column or
+row for the whole batch, and constant dampening is never passed to
+``evaluate``.
 
 Failures
 --------
@@ -216,33 +224,6 @@ def _offset_values(config: SimulationConfig) -> np.ndarray | None:
     return np.array([float(config.offset_g(float(t))) for t in config.grid.nodes])
 
 
-def _table_slice(table: np.ndarray, offset: int, k: int) -> np.ndarray:
-    # Elements offset, offset-1, ..., offset-k+1 as a reversed view.
-    stop = offset - k
-    return table[offset:(stop if stop >= 0 else None):-1]
-
-
-def _terms(shared: np.ndarray | None, damp: np.ndarray | None, weights: np.ndarray,
-           out: np.ndarray) -> np.ndarray:
-    """Write ``(power * dampening) * weights`` into ``out`` and return it.
-
-    ``shared`` is the power factor when it is the same for every path;
-    otherwise ``out`` already holds each path's power.  ``damp`` is None
-    without dampening.
-    """
-    if shared is not None:
-        if damp is not None and damp.ndim == 1:
-            shared = shared * damp
-            damp = None
-        if damp is None:
-            return np.multiply(shared, weights, out=out)
-        np.multiply(shared, damp, out=out)
-    elif damp is not None:
-        out *= damp
-    out *= weights
-    return out
-
-
 def _by_column(config: SimulationConfig) -> bool:
     """True when no kernel factor depends on time: each is constant or declares ``lip_t == 0``."""
     hurst, dampening = config.hurst, config.dampening
@@ -252,30 +233,35 @@ def _by_column(config: SimulationConfig) -> bool:
 
 
 class _Kernel:
-    """Kernel terms for a batch of paths, with exact-node tables and constants.
+    """Kernel terms for a batch of paths, one column or one row at a time.
 
-    ``column`` writes the terms a solved node contributes to every later
-    node.  It needs a kernel that sees the evaluation time only through
-    the node distance (see :func:`_by_column`); other kernels are
-    evaluated row by row through :class:`_Rows`.
+    ``column`` needs a kernel that sees the evaluation time only through
+    the node distance (see :func:`_by_column`); ``row`` serves any kernel.
+    Both gather the node distances, the exponents ``h - 1/2`` and ``-f``,
+    and leave the terms to ``_terms``.  Exact-node tables serve columns
+    only; with ``rows=True`` none is built, and the exponents and ``-f`` of
+    factors declaring ``lip_t == 0`` are cached per node by ``add_node``.
     """
 
-    def __init__(self, config: SimulationConfig, n_paths: int):
+    def __init__(self, config: SimulationConfig, n_paths: int, rows: bool):
         hurst, dampening = config.hurst, config.dampening
         n = config.grid.steps
         t = config.grid.nodes
-        use_tables = config.grid.has_exact_nodes
+        use_tables = config.grid.has_exact_nodes and not rows
         self.t = t
         self.use_tables = use_tables
         self.hurst = hurst
         self.dampening = dampening
+        self.damp_constant = None if dampening is None else dampening.constant_value
+        # Whether each factor depends on the state.
+        self.h_varies = not hurst.is_constant
+        self.damp_varies = dampening is not None and self.damp_constant is None
         self.pow_table = None
-        if use_tables and hurst.is_constant:
+        if use_tables and not self.h_varies:
             table = np.empty(n + 1)
             table[0] = np.nan
             np.power(t[1:], hurst.h_star - 0.5, out=table[1:])
             self.pow_table = table
-        self.damp_constant = None if dampening is None else dampening.constant_value
         self.damp_table = None
         if use_tables and self.damp_constant is not None:
             table = np.empty(n + 1)
@@ -291,8 +277,15 @@ class _Kernel:
                 self.by_distance = self.by_distance * self.damp_table[1:]
         # Exponents or dampening exponents of a state-dependent factor.
         self.work = None
-        if not hurst.is_constant or (dampening is not None and self.damp_constant is None):
+        if self.h_varies or self.damp_varies:
             self.work = np.empty((n_paths, n))
+        # Column i holds h(X[:, i]) - 1/2, respectively -f(X[:, i]).
+        self.exponents = None
+        if rows and self.h_varies and hurst.lip_t == 0.0:
+            self.exponents = np.empty((n_paths, n))
+        self.neg_f = None
+        if rows and self.damp_varies and dampening.lip_t == 0.0:
+            self.neg_f = np.empty((n_paths, n))
 
     def column(self, i: int, x: np.ndarray, dB: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Terms of node ``i`` for the nodes ``k > i``, in ``out[:, :N - i]``.
@@ -309,103 +302,89 @@ class _Kernel:
             return np.multiply(weights, self.by_distance[:m], out=o)
         states = x[:, i]
         t = self.t
-        dts = t[1:m + 1] if self.use_tables else t[i + 1:] - t[i]
-        if self.pow_table is not None:
-            shared = self.pow_table[1:m + 1]
-        elif self.hurst.is_constant:
-            shared = np.power(dts, self.hurst.h_star - 0.5)
-        else:
-            shared = None
+        exponents = neg_f = None
+        if self.h_varies:
             # A 0-d evaluation is reshaped, not indexed, and the exponent
-            # is filled into a full array: on an exponent broadcast with
-            # stride 0 np.power takes a separate fast path for 1/2, which
-            # moves the last bit.
+            # is filled into a full array (see _terms).
             exponents = self.work[:, :m]
             exponents[...] = np.reshape(np.asarray(self.hurst.evaluate(t[i], states)) - 0.5,
                                         (-1, 1))
-            np.power(dts[None, :], exponents, out=o)
-        damp = None
-        if self.damp_table is not None:
-            damp = self.damp_table[1:m + 1]
-        elif self.damp_constant is not None:
-            damp = np.exp(-self.damp_constant * dts)
-        elif self.dampening is not None:
-            neg_f = -np.asarray(self.dampening.evaluate(t[i], states), dtype=np.float64)
-            damp = np.multiply(np.reshape(neg_f, (-1, 1)), dts, out=self.work[:, :m])
-            np.exp(damp, out=damp)
-        return _terms(shared, damp, weights, o)
-
-
-class _Rows(_Kernel):
-    """Kernel rows for a batch of paths, with per-node caches.
-
-    ``row`` writes ``sigma(t_eval, nodes[i], X[:, i]) * weights[..., i]``
-    for every ``i < k`` into ``out[:, :k]``.  ``table_offset`` activates
-    the distance-indexed tables: nodes must then satisfy ``t_eval -
-    nodes[i] == t_table[offset - i]`` bitwise, which on exact-node grids
-    holds with ``offset = k`` for row ``k``.  ``add_node`` must have been
-    called for every node a row reads.
-    """
-
-    def __init__(self, config: SimulationConfig, n_paths: int):
-        super().__init__(config, n_paths)
-        hurst, dampening = self.hurst, self.dampening
-        n = config.grid.steps
-        # Column i holds h(X[:, i]) - 1/2, respectively -f(X[:, i]).
-        self.exponents = None
-        if not hurst.is_constant and hurst.lip_t == 0.0:
-            self.exponents = np.empty((n_paths, n))
-        self.neg_f = None
-        if dampening is not None and self.damp_constant is None and dampening.lip_t == 0.0:
-            self.neg_f = np.empty((n_paths, n))
+        if self.damp_varies:
+            neg_f = np.reshape(-np.asarray(self.dampening.evaluate(t[i], states),
+                                           dtype=np.float64), (-1, 1))
+        dts = t[1:m + 1] if self.use_tables else t[i + 1:] - t[i]
+        return self._terms(dts, exponents, neg_f, weights, o)
 
     def add_node(self, i: int, t_i: float, states: np.ndarray) -> None:
-        """Cache the terms of node ``i`` from its states, one per path."""
+        """Cache the exponents and ``-f`` of node ``i`` from its states, one per path."""
         if self.exponents is not None:
             self.exponents[:, i] = np.asarray(self.hurst.evaluate(t_i, states)) - 0.5
         if self.neg_f is not None:
             self.neg_f[:, i] = -np.asarray(self.dampening.evaluate(t_i, states), dtype=np.float64)
 
     def row(self, t_eval: float, nodes: np.ndarray, states: np.ndarray, weights: np.ndarray,
-            out: np.ndarray, table_offset: int | None = None) -> np.ndarray:
+            out: np.ndarray) -> np.ndarray:
+        """``sigma(t_eval, nodes[i], states[:, i]) * weights[..., i]`` for every ``i < k``.
+
+        The terms are written into ``out[:, :k]``.  ``add_node`` must have
+        been called for every node a row reads.
+        """
         k = nodes.shape[0]
-        o = out[:, :k]
-        dts = None
-        if self.pow_table is not None and table_offset is not None:
-            shared = _table_slice(self.pow_table, table_offset, k)
+        if self.exponents is not None:
+            exponents = self.exponents[:, :k]
+        elif self.h_varies:
+            exponents = np.asarray(self.hurst.evaluate(t_eval, states)) - 0.5
         else:
-            dts = t_eval - nodes
-            if self.hurst.is_constant:
+            exponents = None
+        if self.neg_f is not None:
+            neg_f = self.neg_f[:, :k]
+        elif self.damp_varies:
+            neg_f = -np.asarray(self.dampening.evaluate(t_eval, states), dtype=np.float64)
+        else:
+            neg_f = None
+        return self._terms(t_eval - nodes, exponents, neg_f, weights, out[:, :k])
+
+    def _terms(self, dts: np.ndarray, exponents: np.ndarray | None, neg_f: np.ndarray | None,
+               weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``(power * dampening) * weights`` at the distances ``dts`` into ``out``.
+
+        ``exponents`` and ``neg_f`` are None for a constant factor, which
+        is computed once for the whole batch, or read from its table:
+        tables exist only for columns on exact grids, whose distances are
+        ``t[1:m + 1]``.
+        """
+        m = dts.shape[0]
+        if exponents is None:
+            if self.pow_table is not None:
+                shared = self.pow_table[1:m + 1]
+            else:
                 shared = np.power(dts, self.hurst.h_star - 0.5)
-            else:
-                shared = None
-                if self.exponents is not None:
-                    exponents = self.exponents[:, :k]
-                else:
-                    exponents = np.asarray(self.hurst.evaluate(t_eval, states)) - 0.5
-                # The base keeps its row axis so that no operand is
-                # broadcast when the batch is a single element: on a
-                # broadcast one-element operand np.power takes a separate
-                # fast path for the exponent 1/2, which moves the last bit.
-                np.power(dts[None, :], exponents, out=o)
+        else:
+            shared = None
+            # The base keeps its row axis, and an exponent should be a full
+            # array: on an operand broadcast with stride 0 np.power takes a
+            # separate fast path for the exponent 1/2, which moves the last
+            # bit.
+            np.power(dts[None, :], exponents, out=out)
         damp = None
-        if self.dampening is not None:
-            if self.damp_table is not None and table_offset is not None:
-                damp = _table_slice(self.damp_table, table_offset, k)
-            else:
-                if dts is None:
-                    dts = t_eval - nodes
-                if self.damp_constant is not None:
-                    damp = np.exp(-self.damp_constant * dts)
-                else:
-                    if self.neg_f is not None:
-                        neg_f = self.neg_f[:, :k]
-                    else:
-                        neg_f = -np.asarray(self.dampening.evaluate(t_eval, states),
-                                            dtype=np.float64)
-                    damp = np.multiply(neg_f, dts, out=self.work[:, :k])
-                    np.exp(damp, out=damp)
-        return _terms(shared, damp, weights, o)
+        if neg_f is not None:
+            damp = np.multiply(neg_f, dts, out=self.work[:, :m])
+            np.exp(damp, out=damp)
+        elif self.damp_table is not None:
+            damp = self.damp_table[1:m + 1]
+        elif self.damp_constant is not None:
+            damp = np.exp(-self.damp_constant * dts)
+        if shared is not None:
+            if damp is not None and damp.ndim == 1:
+                shared = shared * damp
+                damp = None
+            if damp is None:
+                return np.multiply(shared, weights, out=out)
+            np.multiply(shared, damp, out=out)
+        elif damp is not None:
+            out *= damp
+        out *= weights
+        return out
 
 
 def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np.ndarray:
@@ -418,7 +397,7 @@ def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np
     t = config.grid.nodes
     g = _offset_values(config)
     by_column = _by_column(config)
-    kernel = _Kernel(config, n_paths) if by_column else _Rows(config, n_paths)
+    kernel = _Kernel(config, n_paths, rows=not by_column)
     x = np.empty((n_paths, n + 1))
     x[:, 0] = 0.0 if g is None else g[0]
     work = np.empty((n_paths, n))
@@ -438,7 +417,7 @@ def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np
     else:
         for k in range(1, n + 1):
             kernel.add_node(k - 1, t[k - 1], x[:, k - 1])
-            kern = kernel.row(t[k], t[:k], x[:, :k], dB[:, :k], work, table_offset=k)
+            kern = kernel.row(t[k], t[:k], x[:, :k], dB[:, :k], work)
             np.cumsum(kern, axis=1, out=kern)
             x[:, k] = kern[:, k - 1] if g is None else g[k] + kern[:, k - 1]
     finite = np.isfinite(x).all(axis=1)
@@ -519,7 +498,7 @@ def interpolate_on_refinement(
     dB_fine = fine_increments.values
     dB_coarse = coarse_increments.values
     g_fn = config.offset_g
-    rows = _Rows(config, 1)
+    rows = _Kernel(config, 1, rows=True)
     for i in range(n):
         rows.add_node(i, t_c[i], states[:, i])
 

@@ -2,10 +2,13 @@
 
 The base kernel is ``sigma(t, s, x) = (t - s)**(h(t, x) - 1/2)``, singular
 on the diagonal whenever ``h < 1/2``.  The dampened variant multiplies in
-``exp(-f(t, x) * (t - s))``.  The remaining operations are the analytic
-comparison tools: a state-free dominating kernel, the two-time comparison
-kernel ``lambda_gamma``, and the power-difference inequality used to prove
-kernel regularity.
+``exp(-f(t, x) * (t - s))``.  :func:`kernel_values` evaluates it on arrays
+and :func:`sigma` at one point, both from the one formula here; they are
+the reference the tests compare the solver's own batched kernel against,
+and the kernel the inequality scans sample.  The remaining operations are
+the analytic comparison tools: a state-free dominating kernel, the
+two-time comparison kernel ``lambda_gamma``, and the power-difference
+inequality used to prove kernel regularity.
 """
 
 from __future__ import annotations
@@ -13,9 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import DampeningFunction, HurstFunction, eval_hurst
 
-__all__ = ["KernelParams", "sigma", "dominating_kernel", "lambda_gamma", "check_fund_ineq"]
+__all__ = [
+    "KernelParams",
+    "sigma",
+    "kernel_values",
+    "dominating_kernel",
+    "lambda_gamma",
+    "check_fund_ineq",
+]
 
 # Comparisons tolerate one part in 1e12 of rounding on each side.
 _INEQ_SLACK = 1e-12
@@ -40,20 +52,39 @@ def _check_time_pair(params: KernelParams, t: float, s: float) -> None:
         raise ValueError(f"need 0 <= s < t <= {params.horizon}, got s={s!r}, t={t!r}")
 
 
+def _kernel(gap, h, f):
+    """``gap**(h - 1/2)``, times ``exp(-f * gap)`` unless ``f`` is None."""
+    value = gap ** (h - 0.5)
+    if f is not None:
+        value = value * np.exp(-f * gap)
+    return value
+
+
 def sigma(params: KernelParams, t: float, s: float, x: float) -> float:
     """Evaluate the (possibly dampened) kernel at ``(t, s, x)``.
 
     Requires ``0 <= s < t <= horizon``.  Always finite and positive: the
-    Hurst exponent is clipped into its declared range, and the dampening
-    factor is ``exp`` of a finite nonpositive argument.
+    Hurst exponent is clipped into its declared range, with a
+    :class:`~semsim.model.HurstClipWarning` when it strayed, and the
+    dampening factor is ``exp`` of a finite nonpositive argument.
     """
     t, s, x = float(t), float(s), float(x)
     _check_time_pair(params, t, s)
     h = eval_hurst(params.hurst, t, x)
-    value = (t - s) ** (h - 0.5)
-    if params.dampening is not None:
-        value *= math.exp(-float(params.dampening.evaluate(t, x)) * (t - s))
-    return value
+    f = None if params.dampening is None else float(params.dampening.evaluate(t, x))
+    return float(_kernel(t - s, h, f))
+
+
+def kernel_values(hurst: HurstFunction, dampening: DampeningFunction | None, t, s, x) -> np.ndarray:
+    """The kernel ``sigma(t, s, x)`` on arrays broadcast together.
+
+    The Hurst values are clipped into ``[h_star, h_sup]`` silently, with
+    the bits of ``np.clip``.  No time pair is checked: ``t - s`` must be
+    positive wherever the value is used.
+    """
+    h = np.asarray(hurst.evaluate(t, x), dtype=np.float64)
+    f = None if dampening is None else np.asarray(dampening.evaluate(t, x), dtype=np.float64)
+    return _kernel(t - s, h, f)
 
 
 def dominating_kernel(params: KernelParams, t: float, s: float) -> float:

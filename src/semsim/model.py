@@ -328,6 +328,48 @@ def _collect(mask: np.ndarray, kind: str, ts, xs, qty, bound, t2=None, ys=None) 
     return out
 
 
+def _scan(fn, t_samples, x_range, x_samples, t_range, pointwise) -> ValidationReport:
+    """Evaluate ``fn`` on a lattice and check its declarations.
+
+    ``pointwise(vals, xgrid)`` gives the ``(kind, mask, quantity, bound)``
+    of each check on single values; they are recorded first, in order,
+    then the x-Lipschitz bound on adjacent lattice columns, then the
+    t-Lipschitz bound on adjacent lattice rows.
+    """
+    if t_samples < 2 or x_samples < 2:
+        raise ValueError("need at least 2 samples along each axis")
+    ts = np.linspace(t_range[0], t_range[1], t_samples)
+    xs = np.linspace(x_range[0], x_range[1], x_samples)
+    vals = np.empty((t_samples, x_samples))
+    for i, t in enumerate(ts):
+        vals[i] = np.asarray(fn.evaluator(float(t), xs), dtype=np.float64)
+    tgrid = np.broadcast_to(ts[:, None], vals.shape)
+    xgrid = np.broadcast_to(xs[None, :], vals.shape)
+
+    checks = [(kind, mask, qty, bound, tgrid, xgrid, None, None)
+              for kind, mask, qty, bound in pointwise(vals, xgrid)]
+    jump_x = np.abs(np.diff(vals, axis=1))
+    bound_x = fn.lip_x * np.abs(np.diff(xs))[None, :] * (1.0 + _REL_SLACK) + _ABS_SLACK
+    checks.append(("lipschitz_x", jump_x > bound_x, jump_x, bound_x, tgrid[:, :-1], xgrid[:, :-1],
+                   None, np.broadcast_to(xs[None, 1:], jump_x.shape)))
+    jump_t = np.abs(np.diff(vals, axis=0))
+    bound_t = fn.lip_t * np.abs(np.diff(ts))[:, None] * (1.0 + _REL_SLACK) + _ABS_SLACK
+    checks.append(("lipschitz_t", jump_t > bound_t, jump_t, bound_t, tgrid[:-1, :], xgrid[:-1, :],
+                   np.broadcast_to(ts[1:, None], jump_t.shape), None))
+
+    violations: list[Violation] = []
+    total = 0
+    for kind, mask, qty, bound, t_at, x_at, t2, ys in checks:
+        total += int(mask.sum())
+        violations += _collect(mask, kind, t_at, x_at, qty, bound, t2, ys)
+    return ValidationReport(
+        passed=total == 0,
+        violations=tuple(violations[:_MAX_RECORDED]),
+        total_violations=total,
+        samples_used=t_samples * x_samples,
+    )
+
+
 def validate_hurst(
     h: HurstFunction,
     t_samples: int,
@@ -344,51 +386,13 @@ def validate_hurst(
     are applied with a relative slack of 1e-9 so sharp constants are not
     rejected on rounding noise.
     """
-    if t_samples < 2 or x_samples < 2:
-        raise ValueError("need at least 2 samples along each axis")
-    ts = np.linspace(t_range[0], t_range[1], t_samples)
-    xs = np.linspace(x_range[0], x_range[1], x_samples)
-    vals = np.empty((t_samples, x_samples))
-    for i, t in enumerate(ts):
-        vals[i] = np.asarray(h.evaluator(float(t), xs), dtype=np.float64)
+    def in_range(vals, xgrid):
+        return [
+            ("range", vals < h.h_star - _ABS_SLACK, vals, h.h_star),
+            ("range", vals > h.h_sup + _ABS_SLACK, vals, h.h_sup),
+        ]
 
-    violations: list[Violation] = []
-    total = 0
-    tgrid = np.broadcast_to(ts[:, None], vals.shape)
-    xgrid = np.broadcast_to(xs[None, :], vals.shape)
-
-    low = vals < h.h_star - _ABS_SLACK
-    high = vals > h.h_sup + _ABS_SLACK
-    for mask, bound in ((low, h.h_star), (high, h.h_sup)):
-        total += int(mask.sum())
-        violations += _collect(mask, "range", tgrid, xgrid, vals, np.full_like(vals, bound))
-
-    dx = np.abs(np.diff(xs))
-    jump_x = np.abs(np.diff(vals, axis=1))
-    bound_x = h.lip_x * dx[None, :] * (1.0 + _REL_SLACK) + _ABS_SLACK
-    mask_x = jump_x > bound_x
-    total += int(mask_x.sum())
-    violations += _collect(
-        mask_x, "lipschitz_x", tgrid[:, :-1], xgrid[:, :-1], jump_x, bound_x,
-        ys=np.broadcast_to(xs[None, 1:], jump_x.shape),
-    )
-
-    dtv = np.abs(np.diff(ts))
-    jump_t = np.abs(np.diff(vals, axis=0))
-    bound_t = h.lip_t * dtv[:, None] * (1.0 + _REL_SLACK) + _ABS_SLACK
-    mask_t = jump_t > bound_t
-    total += int(mask_t.sum())
-    violations += _collect(
-        mask_t, "lipschitz_t", tgrid[:-1, :], xgrid[:-1, :], jump_t, bound_t,
-        t2=np.broadcast_to(ts[1:, None], jump_t.shape),
-    )
-
-    return ValidationReport(
-        passed=total == 0,
-        violations=tuple(violations[:_MAX_RECORDED]),
-        total_violations=total,
-        samples_used=t_samples * x_samples,
-    )
+    return _scan(h, t_samples, x_range, x_samples, t_range, in_range)
 
 
 def validate_dampening(
@@ -404,51 +408,11 @@ def validate_dampening(
     ``|f(t, x)| <= growth_C * (1 + |x|)``, and both Lipschitz bounds, with
     the same slack policy as :func:`validate_hurst`.
     """
-    if t_samples < 2 or x_samples < 2:
-        raise ValueError("need at least 2 samples along each axis")
-    ts = np.linspace(t_range[0], t_range[1], t_samples)
-    xs = np.linspace(x_range[0], x_range[1], x_samples)
-    vals = np.empty((t_samples, x_samples))
-    for i, t in enumerate(ts):
-        vals[i] = np.asarray(f.evaluator(float(t), xs), dtype=np.float64)
+    def sign_and_growth(vals, xgrid):
+        growth_bound = f.growth_C * (1.0 + np.abs(xgrid)) * (1.0 + _REL_SLACK) + _ABS_SLACK
+        return [
+            ("negativity", vals < -_ABS_SLACK, vals, 0.0),
+            ("growth", np.abs(vals) > growth_bound, np.abs(vals), growth_bound),
+        ]
 
-    violations: list[Violation] = []
-    total = 0
-    tgrid = np.broadcast_to(ts[:, None], vals.shape)
-    xgrid = np.broadcast_to(xs[None, :], vals.shape)
-
-    neg = vals < -_ABS_SLACK
-    total += int(neg.sum())
-    violations += _collect(neg, "negativity", tgrid, xgrid, vals, np.zeros_like(vals))
-
-    growth_bound = f.growth_C * (1.0 + np.abs(xgrid)) * (1.0 + _REL_SLACK) + _ABS_SLACK
-    over = np.abs(vals) > growth_bound
-    total += int(over.sum())
-    violations += _collect(over, "growth", tgrid, xgrid, np.abs(vals), growth_bound)
-
-    dx = np.abs(np.diff(xs))
-    jump_x = np.abs(np.diff(vals, axis=1))
-    bound_x = f.lip_x * dx[None, :] * (1.0 + _REL_SLACK) + _ABS_SLACK
-    mask_x = jump_x > bound_x
-    total += int(mask_x.sum())
-    violations += _collect(
-        mask_x, "lipschitz_x", tgrid[:, :-1], xgrid[:, :-1], jump_x, bound_x,
-        ys=np.broadcast_to(xs[None, 1:], jump_x.shape),
-    )
-
-    dtv = np.abs(np.diff(ts))
-    jump_t = np.abs(np.diff(vals, axis=0))
-    bound_t = f.lip_t * dtv[:, None] * (1.0 + _REL_SLACK) + _ABS_SLACK
-    mask_t = jump_t > bound_t
-    total += int(mask_t.sum())
-    violations += _collect(
-        mask_t, "lipschitz_t", tgrid[:-1, :], xgrid[:-1, :], jump_t, bound_t,
-        t2=np.broadcast_to(ts[1:, None], jump_t.shape),
-    )
-
-    return ValidationReport(
-        passed=total == 0,
-        violations=tuple(violations[:_MAX_RECORDED]),
-        total_violations=total,
-        samples_used=t_samples * x_samples,
-    )
+    return _scan(f, t_samples, x_range, x_samples, t_range, sign_and_growth)

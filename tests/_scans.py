@@ -1,13 +1,14 @@
 """Randomized inequality scans shared by the kernel tests.
 
-Frozen constants were produced by ``scripts/calibrate_bounds.py`` (coarse
-scan of 10^4 tuples at horizon 2.5, then rounded up with a 4x margin);
-the tests here verify them on independent, larger scans.
+Frozen constants sit at or above the proposals of
+``scripts/calibrate_bounds.py`` (coarse scan of 10^4 tuples at horizon
+2.5, then rounded up with a 4x margin); the tests here verify them on
+independent, larger scans.
 """
 
 import numpy as np
 
-from semsim import builtin_dampening, builtin_hurst
+from semsim import builtin_dampening, builtin_hurst, kernel_values
 
 HORIZON = 2.5
 
@@ -48,15 +49,6 @@ def _draw_pairs(rng, n):
     return lo[keep], hi[keep]
 
 
-def _sigma_values(hurst, dampening, t, s, x):
-    h = np.clip(hurst.evaluator(t, x), hurst.h_star, hurst.h_sup)
-    out = (t - s) ** (np.asarray(h, dtype=np.float64) - 0.5)
-    if dampening is not None:
-        f = np.asarray(dampening.evaluator(t, x), dtype=np.float64)
-        out = out * np.exp(-f * (t - s))
-    return out
-
-
 def _dominating(hurst, t, s):
     spread = 2.0 * (hurst.h_sup - hurst.h_star)
     return HORIZON**spread * (t - s) ** (2.0 * hurst.h_star - 1.0)
@@ -67,7 +59,7 @@ def growth_violations(hurst, n_tuples, seed):
     rng = np.random.default_rng(seed)
     s, t = _draw_pairs(rng, n_tuples)
     x = rng.uniform(-10.0, 10.0, s.size)
-    lhs = _sigma_values(hurst, None, t, s, x) ** 2
+    lhs = kernel_values(hurst, None, t, s, x) ** 2
     rhs = _dominating(hurst, t, s)
     return int(np.sum(lhs > rhs * (1.0 + 1e-9))), s.size
 
@@ -84,7 +76,7 @@ def lipschitz_violations(hurst, n_tuples, seed):
     y = rng.uniform(-10.0, 10.0, s.size)
     keep = np.abs(x - y) > 1e-9
     s, t, x, y = s[keep], t[keep], x[keep], y[keep]
-    lhs = (_sigma_values(hurst, None, t, s, x) - _sigma_values(hurst, None, t, s, y)) ** 2
+    lhs = (kernel_values(hurst, None, t, s, x) - kernel_values(hurst, None, t, s, y)) ** 2
     spread = 2.0 * (hurst.h_sup - hurst.h_star)
     prefactor = 4.0 * hurst.lip_x**2 * max(1.0, HORIZON**spread)
     rhs = prefactor * _dominating(hurst, t, s) * np.log(t - s) ** 2 * (x - y) ** 2
@@ -109,7 +101,7 @@ def time_reg_violations(hurst, name, n_tuples, seed):
         keep = (tp - s > MIN_GAP) & (t - tp > MIN_GAP)
         s, tp, t = s[keep], tp[keep], t[keep]
         x = rng.uniform(-10.0, 10.0, s.size)
-        lhs = (_sigma_values(hurst, damp, t, s, x) - _sigma_values(hurst, damp, tp, s, x)) ** 2
+        lhs = (kernel_values(hurst, damp, t, s, x) - kernel_values(hurst, damp, tp, s, x)) ** 2
         lam = (t - tp) ** gamma * (tp - s) ** (-1.0 + hurst.h_star - gamma / 2.0)
         rhs = constant * lam * (1.0 + x * x)
         total_violations += int(np.sum(lhs > rhs * (1.0 + 1e-9)))
