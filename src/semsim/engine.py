@@ -46,8 +46,8 @@ report such a declaration as a ``lipschitz_t`` violation.
 Both orders build their terms in one place: a column and a row differ
 only in how they gather the node distances, the exponents ``h - 1/2``
 and ``-f``.  The solver keeps this batched builder, with its per-node
-caches and tables, apart from :func:`semsim.kernels.sigma` and
-:func:`semsim.kernels.kernel_values`, the reference it is tested against.
+caches and tables, apart from :mod:`semsim.kernels`, whose
+:func:`~semsim.kernels.sigma` is the reference it is tested against.
 
 Summation discipline
 --------------------

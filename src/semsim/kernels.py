@@ -3,9 +3,10 @@
 The base kernel is ``sigma(t, s, x) = (t - s)**(h(t, x) - 1/2)``, singular
 on the diagonal whenever ``h < 1/2``.  The dampened variant multiplies in
 ``exp(-f(t, x) * (t - s))``.  :func:`kernel_values` evaluates it on arrays
-and :func:`sigma` at one point, both from the one formula here; they are
-the reference the tests compare the solver's own batched kernel against,
-and the kernel the inequality scans sample.  The remaining operations are
+and :func:`sigma` at one point, both from the one formula here.  That
+formula is the reference the tests compare the solver's own batched
+kernel against (through ``sigma``) and the kernel the inequality scans
+sample (through ``kernel_values``).  The remaining operations are
 the analytic comparison tools: a state-free dominating kernel, the
 two-time comparison kernel ``lambda_gamma``, and the power-difference
 inequality used to prove kernel regularity.
