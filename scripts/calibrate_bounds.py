@@ -11,11 +11,12 @@ The test suite asserts three families of bounds by randomized scan:
   at gamma = h_star, with C_time calibrated here.
 
 This script draws a coarse scan per built-in Hurst family, prints the
-observed worst ratios, and proposes frozen constants with a 4x safety
-margin.  The frozen values live in ``TIME_REG_CONSTANT`` in
-tests/_scans.py, at or above what the script proposes; the kernel tests
-verify them on a larger independent scan and check that the script's
-proposals do not exceed them.
+observed worst ratios in full, flagging a growth or Lipschitz ratio above
+the scans' relative slack ``1 + RELATIVE_SLACK``, and proposes frozen
+constants with a 4x safety margin.  The frozen values live in
+``TIME_REG_CONSTANT`` in tests/_scans.py, at or above what the script
+proposes; the kernel tests verify them on a larger independent scan and
+check that the script's proposals do not exceed them.
 
 Run:  python scripts/calibrate_bounds.py
 """
@@ -29,6 +30,10 @@ from semsim import builtin_dampening, builtin_hurst, kernel_values
 HORIZON = 2.5
 COARSE = 10_000
 RNG_SEED = 913
+# The scans in tests/_scans.py pass a ratio up to 1 + RELATIVE_SLACK: for
+# constant Hurst sigma^2 equals the dominating kernel, and rounding leaves
+# the ratio an ulp or two above 1.
+RELATIVE_SLACK = 1e-9
 
 HURSTS = {
     "constant": builtin_hurst("constant", [0.75]),
@@ -93,6 +98,12 @@ def time_reg_ratio(h, damp, rng):
     return float(np.max(lhs / (lam * (1.0 + x * x))))
 
 
+def format_ratio(ratio):
+    """The ratio in full, flagged when it exceeds ``1 + RELATIVE_SLACK``."""
+    flag = "  EXCEEDS 1 + RELATIVE_SLACK" if ratio > 1.0 + RELATIVE_SLACK else ""
+    return f"{ratio!r}{flag}"
+
+
 def round_up(v):
     import math
     if v <= 0:
@@ -105,15 +116,15 @@ def round_up(v):
 def main():
     rng = np.random.default_rng(RNG_SEED)
     print(f"horizon T = {HORIZON}, coarse scan n = {COARSE}\n")
-    print("growth: worst sigma^2 / dominating ratio (must stay <= 1)")
+    print(f"growth: worst sigma^2 / dominating ratio (must stay <= 1 + {RELATIVE_SLACK})")
     for name, h in HURSTS.items():
-        print(f"  {name:18s} {growth_ratio(h, rng):.6f}")
-    print("\nstate Lipschitz with recipe constant (ratio must stay <= 1)")
+        print(f"  {name:18s} {format_ratio(growth_ratio(h, rng))}")
+    print(f"\nstate Lipschitz with recipe constant (ratio must stay <= 1 + {RELATIVE_SLACK})")
     for name, h in HURSTS.items():
         if h.lip_x == 0.0:
             print(f"  {name:18s} skipped (lip_x = 0, difference is identically 0)")
             continue
-        print(f"  {name:18s} {lipschitz_ratio(h, rng):.6f}")
+        print(f"  {name:18s} {format_ratio(lipschitz_ratio(h, rng))}")
     print("\ntime regularity at gamma = h_star: worst ratio and proposed frozen C (4x margin)")
     for name, h in HURSTS.items():
         worst = 0.0

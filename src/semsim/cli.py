@@ -214,7 +214,8 @@ def _section(config: ExperimentConfig, command: str) -> dict:
     return section
 
 
-def _cmd_simulate(config: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
+def _cmd_simulate(config: ExperimentConfig, section: dict, out_dir: str,
+                  threads: int) -> list[str]:
     ensemble = monte_carlo(config.simulation_config(), n_workers=threads)
     t = ensemble.config.grid.nodes
     matrix = ensemble.values_matrix()
@@ -227,8 +228,8 @@ def _cmd_simulate(config: ExperimentConfig, out_dir: str, threads: int) -> list[
     return [_atomic_write(out_dir, "paths.csv", "\n".join(lines) + "\n")]
 
 
-def _cmd_converge(config: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
-    section = _section(config, "converge")
+def _cmd_converge(config: ExperimentConfig, section: dict, out_dir: str,
+                  threads: int) -> list[str]:
     report = convergence_study(
         config.simulation_config(),
         n_levels=section["n_levels"],
@@ -249,8 +250,8 @@ def _cmd_converge(config: ExperimentConfig, out_dir: str, threads: int) -> list[
     return [_atomic_write(out_dir, "convergence.json", _json_text(payload))]
 
 
-def _cmd_holder(config: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
-    section = _section(config, "holder")
+def _cmd_holder(config: ExperimentConfig, section: dict, out_dir: str,
+                threads: int) -> list[str]:
     ensemble = monte_carlo(config.simulation_config(), n_workers=threads)
     lags = section.get("lags")
     estimates = [estimate_holder(p, q=section["q"], lags=lags) for p in ensemble.paths]
@@ -266,8 +267,8 @@ def _cmd_holder(config: ExperimentConfig, out_dir: str, threads: int) -> list[st
     return [_atomic_write(out_dir, "holder.json", _json_text(payload))]
 
 
-def _cmd_acf(config: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
-    section = _section(config, "acf")
+def _cmd_acf(config: ExperimentConfig, section: dict, out_dir: str,
+             threads: int) -> list[str]:
     ensemble = monte_carlo(config.simulation_config(), n_workers=threads)
     series = [acf_abs_increments(p, max_lag=section["max_lag"]) for p in ensemble.paths]
     mean_values = np.mean([s.values for s in series], axis=0)
@@ -277,8 +278,8 @@ def _cmd_acf(config: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
     return [_atomic_write(out_dir, "acf.csv", "\n".join(lines) + "\n")]
 
 
-def _cmd_moments(config: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
-    section = _section(config, "moments")
+def _cmd_moments(config: ExperimentConfig, section: dict, out_dir: str,
+                 threads: int) -> list[str]:
     ensemble = monte_carlo(config.simulation_config(), n_workers=threads)
     lines = ["node,p,value,std_error"]
     for node in section["nodes"]:
@@ -340,12 +341,12 @@ def main(argv=None) -> int:
     try:
         threads = _resolve_threads(args.threads)
         config = load_config(args.config)
-        _section(config, args.command)
+        section = _section(config, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        files = _COMMANDS[args.command](config, args.output_dir, threads)
+        files = _COMMANDS[args.command](config, section, args.output_dir, threads)
         wall = time.monotonic() - started
         manifest = {
             "tool": "semsim",

@@ -21,58 +21,49 @@ one; :func:`monte_carlo` and the refinement study in ``analysis`` solve
 contiguous blocks of ``max(1, 2**14 // N)`` paths, each block one task
 when a process pool is used.
 
-Columns and rows
-----------------
-A Hurst or dampening function that declares ``lip_t == 0`` does not
-depend on time, and neither does a constant one.  When both factors are
-such, the kernel sees the evaluation time only through the node distance
-``t_k - t_i``, and the solver goes column by column: once node ``i`` is
-final, ``h(X[i]) - 1/2`` and ``-f(X[i])`` are evaluated once, the terms
-of node ``i`` for every later node are built in one column, and the
-column is added to the running sums of those nodes.  That is N
-evaluations per path instead of N(N+1)/2.  Every built-in declares
-``lip_t == 0``.
-
-A function with ``lip_t > 0`` is evaluated at ``(t_k, X[i])`` on every
-row, as the recursion reads, so the solver goes row by row: row ``k`` is
-built whole and summed with ``cumsum``.  A factor declaring ``lip_t == 0``
-is then still evaluated once per node and cached.  Refinement
-interpolation uses the same rows.  The declaration is trusted: a custom
-function that varies in time while declaring ``lip_t == 0`` is evaluated
-at the node times only.  :func:`~semsim.model.validate_hurst` and
+Columns
+-------
+The solver goes column by column: once node ``i`` is final, its terms for
+every later node ``k`` are built as one column and added to the running
+sums of those nodes.  A Hurst or dampening function that declares
+``lip_t == 0`` does not depend on time, and neither does a constant one,
+so it is evaluated once per column, at ``(t_i, X[i])``: N evaluations per
+path instead of N(N+1)/2.  Every built-in declares ``lip_t == 0``.  A
+function with ``lip_t > 0`` is evaluated at ``(t_k, X[i])`` for every
+later node, as the recursion reads, in one call per column that takes the
+later times as a row.  The declaration is trusted: a custom function that
+varies in time while declaring ``lip_t == 0`` is evaluated at the node
+times only.  :func:`~semsim.model.validate_hurst` and
 :func:`~semsim.model.validate_dampening` scan the ``t`` direction and
 report such a declaration as a ``lipschitz_t`` violation.
 
-Both orders build their terms in one place: a column and a row differ
-only in how they gather the node distances, the exponents ``h - 1/2``
-and ``-f``.  The solver keeps this batched builder, with its per-node
-caches and tables, apart from :mod:`semsim.kernels`, whose
-:func:`~semsim.kernels.sigma` is the reference it is tested against.
+Refinement interpolation builds its sums from the same columns, one per
+coarse node over the fine nodes after it.  The solver keeps this batched
+builder, with its tables and work arrays, apart from
+:mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma` is the
+reference it is tested against.
 
 Summation discipline
 --------------------
 Every node sums its terms strictly left to right, in index order: the
 columns are added to the running sums in node order, starting from term
-0 rather than from 0.0 (which would turn a -0.0 sum into +0.0), and a row
-is summed with a sequential ``cumsum``.  Terms are always built as
-``(power * dampening) * increment``, so both orders give the same bits.
-Together with the lattice quantization of the driving increments this
-makes the exact identities hold bitwise: a constant Hurst value of 1/2
-reproduces Brownian prefix sums, zero dampening reproduces the
-undampened run, and refinement interpolation reproduces the coarse path
-at shared nodes on grids with exact node products.  A path's bits do not
-depend on the batch it is solved in.
+0 rather than from 0.0 (which would turn a -0.0 sum into +0.0).  Terms are
+always built as ``(power * dampening) * increment``.  Together with the
+lattice quantization of the driving increments this makes the exact
+identities hold bitwise: a constant Hurst value of 1/2 reproduces
+Brownian prefix sums, zero dampening reproduces the undampened run, and
+refinement interpolation reproduces the coarse path at shared nodes on
+grids with exact node products.  A path's bits do not depend on the batch
+it is solved in.
 
 On grids whose node products are exact (see ``TimeGrid.has_exact_nodes``)
 a column reads its node distances from the nodes themselves, and constant
 Hurst or dampening components are served from precomputed tables indexed
 by node distance; the tables contain bitwise the same values the direct
 formula would produce, so they change speed, never output.  When every
-factor is tabled, every column is a slice of one precomputed kernel.  The
-tables serve columns only: a row computes its distances and constant
-components directly.  A constant component is computed once per column or
-row for the whole batch, and constant dampening is never passed to
-``evaluate``.
+factor is tabled, every column is a slice of one precomputed kernel.  A
+constant component is computed once per column for the whole batch, and
+constant dampening is never passed to ``evaluate``.
 
 Failures
 --------
@@ -111,6 +102,7 @@ __all__ = [
     "simulate_discrete",
     "interpolate_on_refinement",
     "monte_carlo",
+    "refine_config",
 ]
 
 # Paths per block are chosen so a block holds about this many states.
@@ -224,30 +216,20 @@ def _offset_values(config: SimulationConfig) -> np.ndarray | None:
     return np.array([float(config.offset_g(float(t))) for t in config.grid.nodes])
 
 
-def _by_column(config: SimulationConfig) -> bool:
-    """True when no kernel factor depends on time: each is constant or declares ``lip_t == 0``."""
-    hurst, dampening = config.hurst, config.dampening
-    return (hurst.is_constant or hurst.lip_t == 0.0) and (
-        dampening is None or dampening.constant_value is not None or dampening.lip_t == 0.0
-    )
-
-
 class _Kernel:
-    """Kernel terms for a batch of paths, one column or one row at a time.
+    """Kernel terms of one node for every later node, for a batch of paths.
 
-    ``column`` needs a kernel that sees the evaluation time only through
-    the node distance (see :func:`_by_column`); ``row`` serves any kernel.
-    Both gather the node distances, the exponents ``h - 1/2`` and ``-f``,
-    and leave the terms to ``_terms``.  Exact-node tables serve columns
-    only; with ``rows=True`` none is built, and the exponents and ``-f`` of
-    factors declaring ``lip_t == 0`` are cached per node by ``add_node``.
+    Built for the grid of the later nodes.  On grids with exact node
+    products, constant Hurst and dampening components are read from tables
+    indexed by node distance, and when every factor is tabled a column is
+    a slice of one precomputed kernel.
     """
 
-    def __init__(self, config: SimulationConfig, n_paths: int, rows: bool):
+    def __init__(self, config: SimulationConfig, n_paths: int):
         hurst, dampening = config.hurst, config.dampening
         n = config.grid.steps
         t = config.grid.nodes
-        use_tables = config.grid.has_exact_nodes and not rows
+        use_tables = config.grid.has_exact_nodes
         self.t = t
         self.use_tables = use_tables
         self.hurst = hurst
@@ -279,70 +261,46 @@ class _Kernel:
         self.work = None
         if self.h_varies or self.damp_varies:
             self.work = np.empty((n_paths, n))
-        # Column i holds h(X[:, i]) - 1/2, respectively -f(X[:, i]).
-        self.exponents = None
-        if rows and self.h_varies and hurst.lip_t == 0.0:
-            self.exponents = np.empty((n_paths, n))
-        self.neg_f = None
-        if rows and self.damp_varies and dampening.lip_t == 0.0:
-            self.neg_f = np.empty((n_paths, n))
 
-    def column(self, i: int, x: np.ndarray, dB: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Terms of node ``i`` for the nodes ``k > i``, in ``out[:, :N - i]``.
+    def column(self, i: int, t_i: float, states: np.ndarray, weights: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+        """Terms of a node at ``(t_i, states)`` for the nodes ``k > i``, in ``out[:, :N - i]``.
 
-        ``x`` holds the states, of which column ``i`` must be final, and
-        ``dB`` the increments; column ``k - i - 1`` of the result is
-        ``sigma(t_k, t_i, x[:, i]) * dB[:, i]``.  ``h`` and ``f`` are
-        evaluated once, at ``(t_i, x[:, i])``.
+        Column ``k - i - 1`` of the result is ``sigma(t_k, t_i, states) *
+        weights[:, k - i - 1]``; ``weights`` is ``(P, 1)`` or ``(1, N - i)``.
+        ``t_i`` is node ``i`` itself on grids with exact node products.
         """
         m = out.shape[1] - i
         o = out[:, :m]
-        weights = dB[:, i:i + 1]
         if self.by_distance is not None:
             return np.multiply(weights, self.by_distance[:m], out=o)
-        states = x[:, i]
-        t = self.t
+        times = self.t[i + 1:]
         exponents = neg_f = None
         if self.h_varies:
-            # A 0-d evaluation is reshaped, not indexed, and the exponent
-            # is filled into a full array (see _terms).
+            # The exponent is filled into a full array (see _terms).
             exponents = self.work[:, :m]
-            exponents[...] = np.reshape(np.asarray(self.hurst.evaluate(t[i], states)) - 0.5,
-                                        (-1, 1))
+            exponents[...] = np.asarray(self._at_column(self.hurst, t_i, states, times)) - 0.5
         if self.damp_varies:
-            neg_f = np.reshape(-np.asarray(self.dampening.evaluate(t[i], states),
-                                           dtype=np.float64), (-1, 1))
-        dts = t[1:m + 1] if self.use_tables else t[i + 1:] - t[i]
+            neg_f = -np.asarray(self._at_column(self.dampening, t_i, states, times),
+                                dtype=np.float64)
+        dts = self.t[1:m + 1] if self.use_tables else times - t_i
         return self._terms(dts, exponents, neg_f, weights, o)
 
-    def add_node(self, i: int, t_i: float, states: np.ndarray) -> None:
-        """Cache the exponents and ``-f`` of node ``i`` from its states, one per path."""
-        if self.exponents is not None:
-            self.exponents[:, i] = np.asarray(self.hurst.evaluate(t_i, states)) - 0.5
-        if self.neg_f is not None:
-            self.neg_f[:, i] = -np.asarray(self.dampening.evaluate(t_i, states), dtype=np.float64)
+    @staticmethod
+    def _at_column(fn, t_i: float, states: np.ndarray, times: np.ndarray):
+        """``fn(t_k, states)`` for the later times ``t_k``, broadcastable to ``(P, m)``.
 
-    def row(self, t_eval: float, nodes: np.ndarray, states: np.ndarray, weights: np.ndarray,
-            out: np.ndarray) -> np.ndarray:
-        """``sigma(t_eval, nodes[i], states[:, i]) * weights[..., i]`` for every ``i < k``.
-
-        The terms are written into ``out[:, :k]``.  ``add_node`` must have
-        been called for every node a row reads.
+        A function declaring ``lip_t == 0`` is evaluated once, at ``t_i``.
+        Any other gets the times as a ``(1, m)`` row and the states
+        repeated over the full ``(P, m)`` shape, one value per term; numpy
+        runs the evaluators faster on that copy than on a broadcast view.
         """
-        k = nodes.shape[0]
-        if self.exponents is not None:
-            exponents = self.exponents[:, :k]
-        elif self.h_varies:
-            exponents = np.asarray(self.hurst.evaluate(t_eval, states)) - 0.5
-        else:
-            exponents = None
-        if self.neg_f is not None:
-            neg_f = self.neg_f[:, :k]
-        elif self.damp_varies:
-            neg_f = -np.asarray(self.dampening.evaluate(t_eval, states), dtype=np.float64)
-        else:
-            neg_f = None
-        return self._terms(t_eval - nodes, exponents, neg_f, weights, out[:, :k])
+        if fn.lip_t == 0.0:
+            # A 0-d evaluation is reshaped, not indexed.
+            return np.reshape(fn.evaluate(t_i, states), (-1, 1))
+        full = np.empty((states.shape[0], times.shape[0]))
+        full[...] = states[:, None]
+        return fn.evaluate(times[None, :], full)
 
     def _terms(self, dts: np.ndarray, exponents: np.ndarray | None, neg_f: np.ndarray | None,
                weights: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -350,8 +308,7 @@ class _Kernel:
 
         ``exponents`` and ``neg_f`` are None for a constant factor, which
         is computed once for the whole batch, or read from its table:
-        tables exist only for columns on exact grids, whose distances are
-        ``t[1:m + 1]``.
+        tables exist only on exact grids, whose distances are ``t[1:m + 1]``.
         """
         m = dts.shape[0]
         if exponents is None:
@@ -396,30 +353,24 @@ def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np
     n_paths, n = dB.shape
     t = config.grid.nodes
     g = _offset_values(config)
-    by_column = _by_column(config)
-    kernel = _Kernel(config, n_paths, rows=not by_column)
+    kernel = _Kernel(config, n_paths)
     x = np.empty((n_paths, n + 1))
     x[:, 0] = 0.0 if g is None else g[0]
     work = np.empty((n_paths, n))
-    if by_column:
-        # Once node i is final its terms are added to every later node at
-        # once.  Each node still sums its terms in index order, starting
-        # from term 0 rather than from 0.0 (which would turn a -0.0 sum
-        # into +0.0).
-        sums = x[:, 1:]
-        sums[...] = kernel.column(0, x, dB, work)
-        for i in range(1, n):
-            if g is not None:
-                x[:, i] += g[i]
-            sums[:, i:] += kernel.column(i, x, dB, work)
+    # Once node i is final its terms are added to every later node at once.
+    # Each node still sums its terms in index order, starting from term 0
+    # rather than from 0.0 (which would turn a -0.0 sum into +0.0).
+    sums = x[:, 1:]
+    # Per-node views: states[i] and weights[i] (node i's increments as a
+    # (P, 1) column) index faster than x[:, i] and dB[:, i:i + 1].
+    states, weights = x.T, dB.T[:, :, None]
+    sums[...] = kernel.column(0, t[0], states[0], weights[0], work)
+    for i in range(1, n):
         if g is not None:
-            x[:, n] += g[n]
-    else:
-        for k in range(1, n + 1):
-            kernel.add_node(k - 1, t[k - 1], x[:, k - 1])
-            kern = kernel.row(t[k], t[:k], x[:, :k], dB[:, :k], work)
-            np.cumsum(kern, axis=1, out=kern)
-            x[:, k] = kern[:, k - 1] if g is None else g[k] + kern[:, k - 1]
+            x[:, i] += g[i]
+        sums[:, i:] += kernel.column(i, t[i], states[i], weights[i], work)
+    if g is not None:
+        x[:, n] += g[n]
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         p = int(np.argmin(finite))
@@ -467,6 +418,12 @@ def interpolate_on_refinement(
     coarse node agree bitwise with the coarse recursion on exact-node
     grids.  ``refine_factor == 1`` returns the coarse values unchanged.
 
+    Each coarse node contributes one column of the solver's builder over
+    the fine nodes after it: its kernel at their times, weighted by the
+    running sums of its own block's fine increments and then by its
+    coarse increment.  Functions declaring ``lip_t > 0`` see every fine
+    node's time.
+
     The coupling precondition (the fine increments coarsen to exactly the
     increments that generated ``coarse_path``) is verified by re-running
     the coarse recursion; a mismatch is rejected.
@@ -476,10 +433,10 @@ def interpolate_on_refinement(
     if coarse_path.grid != config.grid:
         raise ValueError("coarse_path grid does not match config grid")
     n = config.grid.steps
-    fine_grid = make_grid(config.grid.horizon, n * refine_factor)
-    if fine_increments.grid != fine_grid:
+    fine = refine_config(config, refine_factor)
+    if fine_increments.grid != fine.grid:
         raise ValueError(
-            f"fine increments must live on the {refine_factor}-fold refinement {fine_grid}"
+            f"fine increments must live on the {refine_factor}-fold refinement {fine.grid}"
         )
     coarse_increments = coarsen(fine_increments, refine_factor)
     recomputed = simulate_discrete(config, coarse_increments)
@@ -488,36 +445,40 @@ def interpolate_on_refinement(
             "coupling violated: fine increments do not coarsen to the increments behind coarse_path"
         )
     if refine_factor == 1:
-        return SamplePath(grid=fine_grid, values=coarse_path.values,
+        return SamplePath(grid=fine.grid, values=coarse_path.values,
                           path_index=coarse_path.path_index)
 
+    # Coarse node i is one column over the fine nodes j > i r.  Its weight
+    # for the fine nodes inside its own block is the running sum of the fine
+    # increments up to j, and dB_coarse[i] for every later node.  Columns are
+    # added in node order, the first written rather than added to 0.0.  An
+    # exact fine grid has dt = T / (N r) exactly, so every coarse node is a
+    # fine node and the fine grid's tables serve the columns.
     r = refine_factor
-    tau = fine_grid.nodes
     t_c = config.grid.nodes
-    states = coarse_path.values[None, :]
+    x_c = coarse_path.values
     dB_fine = fine_increments.values
     dB_coarse = coarse_increments.values
-    g_fn = config.offset_g
-    rows = _Kernel(config, 1, rows=True)
-    for i in range(n):
-        rows.add_node(i, t_c[i], states[:, i])
-
+    g = _offset_values(fine)
+    kernel = _Kernel(fine, 1)
+    work = np.empty((1, n * r))
+    weights = np.empty((1, n * r))
     out = np.empty(n * r + 1)
-    out[0] = states[0, 0]
-    work = np.empty((1, n))
-    for j in range(1, n * r + 1):
-        b, p = divmod(j, r)
-        m = b + (1 if p else 0)
-        weights = dB_coarse[:m]
-        if p:
-            weights = weights.copy()
-            weights[b] = np.cumsum(dB_fine[b * r:b * r + p])[p - 1]
-        kern = rows.row(float(tau[j]), t_c[:m], states[:, :m], weights, work)
-        np.cumsum(kern, axis=1, out=kern)
-        total = kern[0, m - 1]
-        out[j] = total if g_fn is None else float(g_fn(float(tau[j]))) + total
+    out[0] = x_c[0]
+    sums = out[None, 1:]
+    for i in range(n):
+        w = weights[:, :(n - i) * r]
+        np.cumsum(dB_fine[i * r:(i + 1) * r], out=w[0, :r])
+        w[:, r:] = dB_coarse[i]
+        column = kernel.column(i * r, t_c[i], x_c[i:i + 1], w, work)
+        if i == 0:
+            sums[...] = column
+        else:
+            sums[:, i * r:] += column
+    if g is not None:
+        out[1:] += g[1:]
     out.setflags(write=False)
-    return SamplePath(grid=fine_grid, values=out, path_index=coarse_path.path_index)
+    return SamplePath(grid=fine.grid, values=out, path_index=coarse_path.path_index)
 
 
 def _block_size(steps: int) -> int:

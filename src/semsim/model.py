@@ -70,7 +70,10 @@ class HurstFunction:
     """A Hurst function together with its declared constants.
 
     ``evaluator(t, x)`` must accept a float ``t`` and a float or ndarray
-    ``x``.  Values are clipped into ``[h_star, h_sup]`` on evaluation.
+    ``x``.  A function declaring ``lip_t > 0``, or one passed to
+    :func:`~semsim.kernels.kernel_values`, is also called with an ndarray
+    ``t`` that broadcasts against ``x``.  Values are clipped into
+    ``[h_star, h_sup]`` on evaluation.
     ``h_star`` must be strictly positive and ``h_sup`` at most 1; the value
     1 itself is allowed because two built-ins attain it at the origin.
     """
@@ -113,6 +116,11 @@ class DampeningFunction:
     Lipschitz constants bound variation in each argument.  ``constant_value``
     is set for the constant built-in so simulators can precompute decay
     tables; it is None for every non-constant function.
+
+    ``evaluator(t, x)`` must accept a float ``t`` and a float or ndarray
+    ``x``.  A function declaring ``lip_t > 0``, or one passed to
+    :func:`~semsim.kernels.kernel_values`, is also called with an ndarray
+    ``t`` that broadcasts against ``x``.
     """
 
     evaluator: Callable

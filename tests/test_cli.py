@@ -247,6 +247,16 @@ class TestExitCodes:
         assert main(["converge", "--config", config_path]) == 2
         assert "no 'converge' section" in capsys.readouterr().err
 
+    def test_section_is_looked_up_once(self, tmp_path, monkeypatch):
+        from semsim import cli
+
+        calls = []
+        lookup = cli._section
+        monkeypatch.setattr(cli, "_section", lambda *args: calls.append(args) or lookup(*args))
+        config_path, _ = _write_config(tmp_path, {"acf": {"max_lag": 3}})
+        assert main(["acf", "--config", config_path, "--output-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_output_dir_collision_is_runtime_error(self, tmp_path, capsys):
         config_path, _ = _write_config(tmp_path)
         blocker = tmp_path / "blocker"

@@ -3,9 +3,9 @@
 The solver is checked three ways: against a deliberately naive double-loop
 re-implementation built on the scalar kernel (scalar powers, Python running
 sums), against exact identities that must hold bitwise (Brownian collapse at
-h = 1/2, zero dampening, table versus direct kernel evaluation, column versus
-row sums, coarse-node agreement under refinement), and statistically on a
-shared Gaussian ensemble.
+h = 1/2, zero dampening, table versus direct kernel evaluation, evaluation
+per node versus per later time, coarse-node agreement under refinement), and
+statistically on a shared Gaussian ensemble.
 """
 
 import math
@@ -37,7 +37,7 @@ from semsim import (
     sigma,
     simulate_discrete,
 )
-from semsim.engine import _by_column, _solve
+from semsim.engine import _solve
 from semsim.randomness import coarsen
 
 
@@ -265,7 +265,7 @@ class TestExactIdentities:
     def test_hurst_table_matches_direct_evaluation(self):
         # Same function twice: once declared constant (activates the
         # distance-indexed power table on this exact grid), once wrapped so
-        # the solver must evaluate it afresh on every row.
+        # the solver must evaluate it afresh on every column.
         grid = make_grid(1.0, 64)
         assert grid.has_exact_nodes
         tabled = builtin_hurst("constant", [0.75])
@@ -308,14 +308,18 @@ class TestExactIdentities:
 
 
 def _declared_time_dependent(fn):
-    """The same function declaring ``lip_t > 0``, which the solver evaluates row by row."""
+    """The same function declaring ``lip_t > 0``, evaluated at every later node's time."""
     if fn is None:
         return None
     return replace(fn, lip_t=1.0)
 
 
 class TestColumnOrder:
-    """The per-node column sums against the row-by-row ``cumsum`` sums."""
+    """Functions evaluated once per node against the same functions declaring ``lip_t > 0``.
+
+    The latter ("rows" in the names) are evaluated once per column at the
+    row of later node times; both must give the same bits.
+    """
 
     @pytest.mark.parametrize(
         ("hurst", "dampening", "offset", "horizon", "steps", "n_paths"),
@@ -333,9 +337,13 @@ class TestColumnOrder:
              10.0, 512, 2),
             (builtin_hurst("bell", []), builtin_dampening("constant", [0.8]), None,
              2.0, 1024, 2),
+            # A 0-d evaluation of h = 1: the exponent 1/2 must reach np.power
+            # as a full array in either declaration.
+            (HurstFunction(_FixedValue(1.0), h_star=0.5, h_sup=1.0, lip_t=0.0, lip_x=0.0), None,
+             None, 1.0, 64, 2),
         ],
         ids=["bell-bell-exact", "trig-abs-inexact", "bell-offset", "smooth-bell-offset-inexact",
-             "constant-bell-exact", "bell-constant-exact"],
+             "constant-bell-exact", "bell-constant-exact", "fixed-one-0d"],
     )
     def test_columns_match_rows_bitwise(self, hurst, dampening, offset, horizon, steps, n_paths):
         grid = make_grid(horizon, steps)
@@ -343,7 +351,6 @@ class TestColumnOrder:
                                offset_g=offset)
         by_rows = replace(cfg, hurst=_declared_time_dependent(hurst),
                           dampening=_declared_time_dependent(dampening))
-        assert _by_column(cfg) and not _by_column(by_rows)
         dB = np.stack([sample_brownian(Seed(71 + p), grid).values for p in range(n_paths)])
         assert _solve(cfg, dB).tobytes() == _solve(by_rows, dB).tobytes()
 
@@ -378,6 +385,21 @@ class TestColumnOrder:
         assert np.signbit(x[:, 1:]).all()
 
 
+_TRIG = builtin_hurst("trig", [0.6, 0.2, 1.0])
+
+# (hurst, dampening, offset, coarse steps on T = 1, refinement factor)
+_INTERPOLATION_CASES = [
+    (_TRIG, None, None, 32, 4),
+    (_TRIG, builtin_dampening("abs_value", []), math.sin, 32, 4),
+    (HurstFunction(_TimeVaryingHurst(), h_star=0.55, h_sup=0.8, lip_t=0.25, lip_x=0.25),
+     DampeningFunction(_TimeVaryingDampening(), growth_C=1.0, lip_t=1.0, lip_x=1.0), None, 32, 4),
+    (_TRIG, builtin_dampening("abs_value", []), None, 32, 3),
+    # 1/25 is inexact, so neither grid has exact node products.
+    (_TRIG, builtin_dampening("bell", []), math.sin, 25, 3),
+]
+_INTERPOLATION_IDS = ["plain", "dampened-offset", "time-dependent", "r3", "inexact-r3"]
+
+
 class TestInterpolation:
     def _coupled_setup(self, hurst, dampening=None, offset=None, steps=32, refine=4, seed=51):
         cfg = SimulationConfig(
@@ -400,26 +422,30 @@ class TestInterpolation:
         assert out.grid == cfg.grid
 
     def test_coarse_nodes_agree_bitwise(self):
-        cfg, coarse_path, fine = self._coupled_setup(builtin_hurst("trig", [0.6, 0.2, 1.0]))
-        out = interpolate_on_refinement(cfg, coarse_path, fine, 4)
-        assert out.grid.steps == 128
-        for j in range(cfg.grid.steps + 1):
-            assert out.values[4 * j] == coarse_path.values[j]
+        for hurst, dampening, offset, steps, r in _INTERPOLATION_CASES:
+            cfg, coarse_path, fine = self._coupled_setup(hurst, dampening, offset, steps, r)
+            out = interpolate_on_refinement(cfg, coarse_path, fine, r)
+            assert out.grid.steps == steps * r
+            # A coarse time that is an ulp off the fine time of the same
+            # instant (8 of 26 on the inexact grid with r = 3) sees other
+            # distances; every coarse node that is a fine node agrees bitwise.
+            shared = cfg.grid.nodes == out.grid.nodes[::r]
+            assert shared.all() or not cfg.grid.has_exact_nodes
+            assert shared.sum() >= steps // 2
+            assert out.values[::r][shared].tobytes() == coarse_path.values[shared].tobytes()
 
     @pytest.mark.parametrize(
-        ("dampening", "offset"),
-        [(None, None), (builtin_dampening("abs_value", []), math.sin)],
-        ids=["plain", "dampened-offset"],
+        ("hurst", "dampening", "offset", "steps", "r"),
+        _INTERPOLATION_CASES, ids=_INTERPOLATION_IDS,
     )
-    def test_matches_double_loop(self, dampening, offset):
-        hurst = builtin_hurst("trig", [0.6, 0.2, 1.0])
-        cfg, coarse_path, fine = self._coupled_setup(hurst, dampening, offset, seed=52)
-        r = 4
+    def test_matches_double_loop(self, hurst, dampening, offset, steps, r):
+        cfg, coarse_path, fine = self._coupled_setup(hurst, dampening, offset, steps, r, seed=52)
         out = interpolate_on_refinement(cfg, coarse_path, fine, r)
 
-        params = KernelParams(hurst=hurst, dampening=dampening, horizon=1.0)
         t_c = cfg.grid.nodes
         tau = out.grid.nodes
+        # The last fine node can overshoot the horizon by an ulp.
+        params = KernelParams(hurst=hurst, dampening=dampening, horizon=max(1.0, float(tau[-1])))
         expected = np.empty_like(out.values)
         expected[0] = coarse_path.values[0]
         for j in range(1, tau.shape[0]):
@@ -431,6 +457,18 @@ class TestInterpolation:
                 ) * float(fine.values[ell])
             expected[j] = total if offset is None else float(offset(float(tau[j]))) + total
         np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "hurst", [_TRIG, builtin_hurst("constant", [0.75])], ids=["columns", "tabled-columns"]
+    )
+    def test_negative_zero_increments_give_negative_zero_states(self, hurst):
+        # Each fine sum starts from its first term, as in the solver.
+        cfg = SimulationConfig(grid=make_grid(1.0, 16), hurst=hurst, seed=Seed(53))
+        fine = BrownianIncrements(grid=make_grid(1.0, 64), values=np.full(64, -0.0),
+                                  seed_provenance=(53, 0))
+        coarse_path = simulate_discrete(cfg, coarsen(fine, 4))
+        out = interpolate_on_refinement(cfg, coarse_path, fine, 4)
+        assert np.signbit(out.values[1:]).all()
 
     def test_half_hurst_refinement_is_fine_brownian(self):
         cfg, coarse_path, fine = self._coupled_setup(builtin_hurst("constant", [0.5]))
@@ -589,12 +627,24 @@ class TestMonteCarlo:
         assert not matrix.flags.writeable
         assert all(np.shares_memory(p.values, matrix) for p in ensemble.paths)
 
-    @pytest.mark.parametrize(("lip_t", "expected"), [(0.0, 64), (0.5, 64 * 65 // 2)])
-    def test_hurst_is_evaluated_once_per_node_unless_time_dependent(self, lip_t, expected):
+    @pytest.mark.parametrize(
+        ("counted", "lip_t", "expected"),
+        [("hurst", 0.0, 64), ("hurst", 0.5, 64 * 65 // 2),
+         ("dampening", 0.0, 64), ("dampening", 0.5, 64 * 65 // 2)],
+        ids=["0.0-64", "0.5-2080", "dampening-0.0-64", "dampening-0.5-2080"],
+    )
+    def test_hurst_is_evaluated_once_per_node_unless_time_dependent(self, counted, lip_t,
+                                                                    expected):
         counter = _CountingEvaluator()
-        hurst = HurstFunction(counter, h_star=0.5, h_sup=0.8, lip_t=lip_t, lip_x=0.2)
+        if counted == "hurst":
+            hurst = HurstFunction(counter, h_star=0.5, h_sup=0.8, lip_t=lip_t, lip_x=0.2)
+            dampening = None
+        else:
+            hurst = builtin_hurst("bell", [])
+            dampening = DampeningFunction(counter, growth_C=0.8, lip_t=lip_t, lip_x=0.2)
         grid = make_grid(1.0, 64)
-        simulate_discrete(SimulationConfig(grid=grid, hurst=hurst, seed=Seed(66)),
+        simulate_discrete(SimulationConfig(grid=grid, hurst=hurst, seed=Seed(66),
+                                           dampening=dampening),
                           sample_brownian(Seed(66), grid))
         assert counter.values == expected
 

@@ -118,11 +118,16 @@ def test_time_regularity_bound_scan(name):
     assert bad == 0 and n > 45_000
 
 
-def test_calibration_script_proposes_at_most_the_frozen_constants():
+def _calibration_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_bounds.py"
     spec = importlib.util.spec_from_file_location("calibrate_bounds", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_calibration_script_proposes_at_most_the_frozen_constants():
+    script = _calibration_script()
     # One generator drawn in the order of the script's main().
     rng = np.random.default_rng(script.RNG_SEED)
     hursts = script.HURSTS
@@ -139,6 +144,14 @@ def test_calibration_script_proposes_at_most_the_frozen_constants():
     assert max(lipschitz) <= 1.0 + 1e-9
     assert proposed.keys() == TIME_REG_CONSTANT.keys()
     assert all(proposed[name] <= TIME_REG_CONSTANT[name] for name in proposed), proposed
+
+
+def test_calibration_script_flags_ratios_above_the_slack():
+    script = _calibration_script()
+    assert script.RELATIVE_SLACK == 1e-9
+    # The constant family's growth ratio is printed in full and passes.
+    assert script.format_ratio(1.0000000000000004) == "1.0000000000000004"
+    assert "EXCEEDS" in script.format_ratio(1.0 + 2e-9)
 
 
 def test_lambda_gamma_zero_gap():
