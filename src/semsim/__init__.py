@@ -30,6 +30,7 @@ from .engine import (
     interpolate_on_refinement,
     monte_carlo,
     refine_config,
+    simulate_blocks,
     simulate_discrete,
 )
 from .kernels import (
@@ -103,6 +104,7 @@ __all__ = [
     "simulate_discrete",
     "interpolate_on_refinement",
     "monte_carlo",
+    "simulate_blocks",
     "refine_config",
     "MonteCarloEstimate",
     "HolderEstimate",

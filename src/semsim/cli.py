@@ -8,12 +8,13 @@ thread count (or ``SEM_THREADS``) changes wall time only, never bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .analysis import (
     estimate_holder,
     estimate_moment,
 )
-from .engine import SimulationConfig, monte_carlo
+from .engine import SimulationConfig, monte_carlo, simulate_blocks
 from .model import DampeningFunction, HurstFunction, builtin_dampening, builtin_hurst
 from .randomness import Seed, make_grid
 
@@ -191,12 +192,16 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _atomic_write(directory: str, filename: str, text: str) -> str:
+def _atomic_write(directory: str, filename: str, text: str | Iterable[str]) -> str:
+    """Write ``text``, one string or its chunks in order, to ``directory/filename``."""
     os.makedirs(directory, exist_ok=True)
     final = os.path.join(directory, filename)
     tmp = final + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
     os.replace(tmp, final)
     return filename
 
@@ -214,18 +219,24 @@ def _section(config: ExperimentConfig, command: str) -> dict:
     return section
 
 
+def _csv_fields(block: np.ndarray) -> list[str]:
+    """The CSV fields of a block of paths: one comma-joined string per node."""
+    return [",".join(map(repr, states)) for states in block.T.tolist()]
+
+
 def _cmd_simulate(config: ExperimentConfig, section: dict, out_dir: str,
                   threads: int) -> list[str]:
-    ensemble = monte_carlo(config.simulation_config(), n_workers=threads)
-    t = ensemble.config.grid.nodes
-    matrix = ensemble.values_matrix()
-    header = "t," + ",".join(f"path_{i}" for i in range(matrix.shape[0]))
-    lines = [header]
-    # One column at a time: a whole-matrix tolist() would hold every value
-    # as a Python float at once.
-    for k in range(t.shape[0]):
-        lines.append(_fmt(t[k]) + "," + ",".join(map(repr, matrix[:, k].tolist())))
-    return [_atomic_write(out_dir, "paths.csv", "\n".join(lines) + "\n")]
+    sim = config.simulation_config()
+    t = sim.grid.nodes
+    # Each block's task formats its own paths, so the float reprs run in the
+    # pool workers too; a block holds about 2**14 states, so its tolist()
+    # stays small.  The parent keeps only the formatted strings, one per
+    # node and block, never a Python float per value, and streams the rows
+    # to the file instead of building the whole text.
+    fields = [block for _, block in simulate_blocks(sim, threads, _csv_fields)]
+    header = "t," + ",".join(f"path_{i}" for i in range(sim.n_paths)) + "\n"
+    rows = (",".join([_fmt(t[k]), *(f[k] for f in fields)]) + "\n" for k in range(t.shape[0]))
+    return [_atomic_write(out_dir, "paths.csv", itertools.chain([header], rows))]
 
 
 def _cmd_converge(config: ExperimentConfig, section: dict, out_dir: str,

@@ -17,9 +17,10 @@ One solver serves every caller.  It takes the increments of P paths as a
 ``(P, N)`` array and makes one numpy call per operation for all P paths,
 so the per-call overhead is paid once per step of a batch rather than
 once per step of every path.  :func:`simulate_discrete` is a batch of
-one; :func:`monte_carlo` and the refinement study in ``analysis`` solve
-contiguous blocks of ``max(1, 2**14 // N)`` paths, each block one task
-when a process pool is used.
+one; :func:`simulate_blocks` (behind :func:`monte_carlo`) and the
+refinement study in ``analysis`` solve contiguous blocks of ``max(1,
+2**14 // N)`` paths, each block one task when a process pool is used and
+there is more than one block.
 
 Columns
 -------
@@ -43,14 +44,28 @@ builder, with its tables and work arrays, apart from
 :mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma` is the
 reference it is tested against.
 
+Diagonals
+---------
+When every factor is tabled (constant Hurst, no or constant dampening, an
+exact grid) the kernel depends on the node distance alone and no state
+feeds it: ``X[k] = g(t_k) + sum_{i < k} K[k - i - 1] dB[i]``.  The solver
+then holds the sums node-major, ``(N + 1, P)``, and adds one distance
+``d`` at a time, ``sums[d:] += K[d] * dB[:N - d]``, where every operand is
+one contiguous block; going from the largest distance down keeps each
+node's index order, and ``K[d] * dB[i]`` is the column loop's term bit for
+bit.  The offset is added last.  State-dependent kernels keep the
+path-major columns, where the node-major layout is slower on narrow
+batches.
+
 Summation discipline
 --------------------
 Every node sums its terms strictly left to right, in index order: the
-columns are added to the running sums in node order, starting from term
-0 rather than from 0.0 (which would turn a -0.0 sum into +0.0).  Terms are
-always built as ``(power * dampening) * increment``.  Together with the
-lattice quantization of the driving increments this makes the exact
-identities hold bitwise: a constant Hurst value of 1/2 reproduces
+columns (or diagonals) are added to running sums that start at -0.0, the
+identity of float addition, since ``-0.0 + a`` is ``a`` bit for bit, signed
+zeros included, where a start at 0.0 would turn a -0.0 sum into +0.0.
+Terms are always built as ``(power * dampening) * increment``.  Together
+with the lattice quantization of the driving increments this makes the
+exact identities hold bitwise: a constant Hurst value of 1/2 reproduces
 Brownian prefix sums, zero dampening reproduces the undampened run, and
 refinement interpolation reproduces the coarse path at shared nodes on
 grids with exact node products.  A path's bits do not depend on the batch
@@ -61,8 +76,9 @@ a column reads its node distances from the nodes themselves, and constant
 Hurst or dampening components are served from precomputed tables indexed
 by node distance; the tables contain bitwise the same values the direct
 formula would produce, so they change speed, never output.  When every
-factor is tabled, every column is a slice of one precomputed kernel.  A
-constant component is computed once per column for the whole batch, and
+factor is tabled, the solver sums diagonals of one precomputed kernel and
+every column of refinement interpolation is a slice of it.  A constant
+component is computed once per column for the whole batch, and
 constant dampening is never passed to ``evaluate``.
 
 Failures
@@ -102,6 +118,7 @@ __all__ = [
     "simulate_discrete",
     "interpolate_on_refinement",
     "monte_carlo",
+    "simulate_blocks",
     "refine_config",
 ]
 
@@ -350,27 +367,18 @@ def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np
     Path ``p`` of the batch is reported as ``first_index + p`` when its
     states are not all finite.
     """
-    n_paths, n = dB.shape
-    t = config.grid.nodes
     g = _offset_values(config)
-    kernel = _Kernel(config, n_paths)
-    x = np.empty((n_paths, n + 1))
-    x[:, 0] = 0.0 if g is None else g[0]
-    work = np.empty((n_paths, n))
-    # Once node i is final its terms are added to every later node at once.
-    # Each node still sums its terms in index order, starting from term 0
-    # rather than from 0.0 (which would turn a -0.0 sum into +0.0).
-    sums = x[:, 1:]
-    # Per-node views: states[i] and weights[i] (node i's increments as a
-    # (P, 1) column) index faster than x[:, i] and dB[:, i:i + 1].
-    states, weights = x.T, dB.T[:, :, None]
-    sums[...] = kernel.column(0, t[0], states[0], weights[0], work)
-    for i in range(1, n):
-        if g is not None:
-            x[:, i] += g[i]
-        sums[:, i:] += kernel.column(i, t[i], states[i], weights[i], work)
+    kernel = _Kernel(config, dB.shape[0])
+    # Node 0 sums no terms: it is 0.0, or the offset added to -0.0.
+    x0 = 0.0 if g is None else -0.0
+    if kernel.by_distance is not None:
+        x = _diagonal_sums(kernel.by_distance, dB, x0)
+    else:
+        x = _column_sums(kernel, dB, g, x0)
     if g is not None:
-        x[:, n] += g[n]
+        # Neither loop puts the offset into the sums, so every node gets it
+        # once, here.
+        x += g
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         p = int(np.argmin(finite))
@@ -378,6 +386,46 @@ def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np
         cause = FloatingPointError(f"state {x[p, step]!r} is not finite")
         raise PathSimulationError(first_index + p, cause, step=step)
     return x
+
+
+def _column_sums(kernel: _Kernel, dB: np.ndarray, g: np.ndarray | None, x0: float
+                 ) -> np.ndarray:
+    """Sums of a batch, path-major, one column of terms per node; no offset added."""
+    n_paths, n = dB.shape
+    x = np.full((n_paths, n + 1), -0.0)
+    x[:, 0] = x0
+    work = np.empty((n_paths, n))
+    # Once node i is final its terms are added to every later node at once,
+    # so each node still sums its terms in index order.  Node i's state
+    # includes its offset; the sums do not.
+    sums = x[:, 1:]
+    # Per-node views: states[i] and weights[i] (node i's increments as a
+    # (P, 1) column) index faster than x[:, i] and dB[:, i:i + 1].
+    states, weights, t = x.T, dB.T[:, :, None], kernel.t
+    for i in range(n):
+        state = states[i] if g is None else states[i] + g[i]
+        sums[:, i:] += kernel.column(i, t[i], state, weights[i], work)
+    return x
+
+
+def _diagonal_sums(by_distance: np.ndarray, dB: np.ndarray, x0: float) -> np.ndarray:
+    """Sums of a batch under a kernel of the node distance alone; no offset added.
+
+    The sums are held node-major, ``(N + 1, P)``, and the result is their
+    transposed view.  Distance ``d`` adds ``by_distance[d] * dB[i]`` to node
+    ``i + d + 1`` for every ``i`` at once, one contiguous block.  Going from
+    the largest distance down adds each node's terms in index order.
+    """
+    n_paths, n = dB.shape
+    x = np.full((n + 1, n_paths), -0.0)
+    x[0] = x0
+    sums = x[1:]
+    increments = np.ascontiguousarray(dB.T)
+    work = np.empty((n, n_paths))
+    for d in range(n - 1, -1, -1):
+        m = n - d
+        sums[d:] += np.multiply(increments[:m], by_distance[d], out=work[:m])
+    return x.T
 
 
 def simulate_discrete(config: SimulationConfig, increments: BrownianIncrements) -> SamplePath:
@@ -451,9 +499,9 @@ def interpolate_on_refinement(
     # Coarse node i is one column over the fine nodes j > i r.  Its weight
     # for the fine nodes inside its own block is the running sum of the fine
     # increments up to j, and dB_coarse[i] for every later node.  Columns are
-    # added in node order, the first written rather than added to 0.0.  An
-    # exact fine grid has dt = T / (N r) exactly, so every coarse node is a
-    # fine node and the fine grid's tables serve the columns.
+    # added in node order to sums that start at -0.0.  An exact fine grid has
+    # dt = T / (N r) exactly, so every coarse node is a fine node and the fine
+    # grid's tables serve the columns.
     r = refine_factor
     t_c = config.grid.nodes
     x_c = coarse_path.values
@@ -463,18 +511,14 @@ def interpolate_on_refinement(
     kernel = _Kernel(fine, 1)
     work = np.empty((1, n * r))
     weights = np.empty((1, n * r))
-    out = np.empty(n * r + 1)
+    out = np.full(n * r + 1, -0.0)
     out[0] = x_c[0]
     sums = out[None, 1:]
     for i in range(n):
         w = weights[:, :(n - i) * r]
         np.cumsum(dB_fine[i * r:(i + 1) * r], out=w[0, :r])
         w[:, r:] = dB_coarse[i]
-        column = kernel.column(i * r, t_c[i], x_c[i:i + 1], w, work)
-        if i == 0:
-            sums[...] = column
-        else:
-            sums[:, i * r:] += column
+        sums[:, i * r:] += kernel.column(i * r, t_c[i], x_c[i:i + 1], w, work)
     if g is not None:
         out[1:] += g[1:]
     out.setflags(write=False)
@@ -504,16 +548,17 @@ def _map_blocks(task: Callable, config: SimulationConfig, n_items: int, block: i
     """Yield ``(start, task(config, start, stop, *args))`` block by block, in order.
 
     The items ``range(n_items)`` are cut into contiguous blocks of
-    ``block``.  With ``n_workers > 1`` each block is one task of a process
-    pool, the config pickled once for all of them; results are still
-    yielded in block order, so the first failing block is the one that
-    raises and pending blocks are cancelled.  Configs whose callables
-    cannot be pickled run serially.
+    ``block``.  With ``n_workers > 1`` and more than one block each block
+    is one task of a process pool, the config pickled once for all of
+    them; results are still yielded in block order, so the first failing
+    block is the one that raises and pending blocks are cancelled.  A
+    single block, and configs whose callables cannot be pickled, run in
+    this process.
     """
     starts = range(0, n_items, block)
     n_workers = int(n_workers)
     payload = None
-    if n_workers > 1:
+    if n_workers > 1 and len(starts) > 1:
         try:
             payload = pickle.dumps(config)
         except Exception:
@@ -537,10 +582,11 @@ def _map_blocks(task: Callable, config: SimulationConfig, n_items: int, block: i
             raise
 
 
-def _simulate_block(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
+def _simulate_block(config: SimulationConfig, start: int, stop: int,
+                    finish: Callable[[np.ndarray], object] | None = None) -> object:
     dB = np.stack([incr.values for incr in _driving_increments(config, config.grid, start, stop)])
     try:
-        return _solve(config, dB, first_index=start)
+        x = _solve(config, dB, first_index=start)
     except PathSimulationError:
         raise  # a non-finite state: it already names its path and step
     except Exception as exc:
@@ -550,6 +596,24 @@ def _simulate_block(config: SimulationConfig, start: int, stop: int) -> np.ndarr
             for i in range(start, stop):
                 _simulate_block(config, i, i + 1)
         raise PathSimulationError(start, exc) from exc
+    return x if finish is None else finish(x)
+
+
+def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
+                    finish: Callable[[np.ndarray], object] | None = None
+                    ) -> Iterator[tuple[int, object]]:
+    """Solve the ``config.n_paths`` paths block by block; yield ``(start, result)`` in order.
+
+    A block is the contiguous paths ``start <= i < start + P``, with ``P =
+    max(1, 2**14 // N)`` (fewer in the last block), and its result is their
+    ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` runs in the
+    task that solved the block, so with ``n_workers > 1`` it runs in the
+    pool workers and must be picklable, a module-level function.  Worker
+    counts, failures and the serial fallback are those of
+    :func:`monte_carlo`.
+    """
+    return _map_blocks(_simulate_block, config, config.n_paths, _block_size(config.grid.steps),
+                       n_workers, finish)
 
 
 def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
@@ -559,15 +623,13 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     ensemble is a pure function of the config: any worker count, including
     the serial path, produces identical output, and paths can be
     regenerated individually.  Paths are solved in contiguous blocks of
-    ``max(1, 2**14 // N)``, one pool task per block when ``n_workers > 1``.
-    Failures surface as :class:`PathSimulationError` naming the lowest
-    failing index.  Configs whose callables cannot be pickled fall back to
-    serial execution.
+    ``max(1, 2**14 // N)``, one pool task per block when ``n_workers > 1``
+    and there is more than one block.  Failures surface as
+    :class:`PathSimulationError` naming the lowest failing index.  Configs
+    whose callables cannot be pickled fall back to serial execution.
     """
-    steps = config.grid.steps
-    values = np.empty((config.n_paths, steps + 1))
-    for start, block in _map_blocks(_simulate_block, config, config.n_paths,
-                                    _block_size(steps), n_workers):
+    values = np.empty((config.n_paths, config.grid.steps + 1))
+    for start, block in simulate_blocks(config, n_workers):
         values[start:start + block.shape[0]] = block
     values.setflags(write=False)
     return Ensemble(config=config, values=values)

@@ -134,6 +134,32 @@ class TestSimulateCommand:
             outputs.append((out / "paths.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("hurst", [{"name": "constant", "params": [0.7]},
+                                       {"name": "bell", "params": []}],
+                             ids=["tabled", "state-dependent"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blockwise_csv_matches_columnwise_formatter(self, tmp_path, hurst, threads):
+        # N = 128 makes blocks of 2**14 // 128 = 128 paths, so 257 paths are
+        # two full blocks and a block of one: every block's fields must join
+        # into the rows of the whole ensemble.
+        steps, n_paths = 128, 2 * 128 + 1
+        config_path, _ = _write_config(tmp_path, {"hurst": hurst, "N": steps,
+                                                  "n_paths": n_paths})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config_path, "--output-dir", str(out),
+                     "--threads", str(threads)]) == 0
+        matrix = monte_carlo(SimulationConfig(
+            grid=make_grid(1.0, steps),
+            hurst=builtin_hurst(hurst["name"], hurst["params"]),
+            seed=Seed(12345),
+            n_paths=n_paths,
+        )).values_matrix()
+        t = make_grid(1.0, steps).nodes
+        lines = ["t," + ",".join(f"path_{i}" for i in range(n_paths))]
+        for k in range(steps + 1):
+            lines.append(repr(float(t[k])) + "," + ",".join(map(repr, matrix[:, k].tolist())))
+        assert (out / "paths.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestAnalysisCommands:
     def test_converge_degenerate_flag(self, tmp_path):

@@ -8,6 +8,7 @@ per node versus per later time, coarse-node agreement under refinement), and
 statistically on a shared Gaussian ensemble.
 """
 
+import concurrent.futures
 import math
 import pickle
 from dataclasses import dataclass, replace
@@ -37,7 +38,7 @@ from semsim import (
     sigma,
     simulate_discrete,
 )
-from semsim.engine import _solve
+from semsim.engine import _Kernel, _solve
 from semsim.randomness import coarsen
 
 
@@ -306,6 +307,15 @@ class TestExactIdentities:
         path = simulate_discrete(cfg, sample_brownian(Seed(3), grid))
         assert path.values[0] == 1.5
 
+    @pytest.mark.parametrize("hurst", [builtin_hurst("constant", [0.6]), builtin_hurst("bell", [])],
+                             ids=["tabled", "columns"])
+    def test_negative_zero_offset_at_node_zero_is_kept(self, hurst):
+        # Node 0 sums no terms; with an offset it must be g(0) bit for bit.
+        grid = make_grid(1.0, 8)
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(3), offset_g=lambda t: -t)
+        x = _solve(cfg, np.stack([sample_brownian(Seed(3), grid).values] * 2))
+        assert np.signbit(x[:, 0]).all() and not x[:, 0].any()
+
 
 def _declared_time_dependent(fn):
     """The same function declaring ``lip_t > 0``, evaluated at every later node's time."""
@@ -383,6 +393,79 @@ class TestColumnOrder:
         assert grid.has_exact_nodes
         x = _solve(SimulationConfig(grid=grid, hurst=hurst, seed=Seed(72)), np.full((2, 64), -0.0))
         assert np.signbit(x[:, 1:]).all()
+
+
+def _tabled_config(dampening, offset=None):
+    """Constant Hurst on an exact grid: every kernel factor is tabled."""
+    grid = make_grid(1.0, 64)
+    assert grid.has_exact_nodes
+    return SimulationConfig(grid=grid, hurst=builtin_hurst("constant", [0.7]), seed=Seed(74),
+                            dampening=dampening, offset_g=offset)
+
+
+def _distance_sums(config: SimulationConfig, dB: np.ndarray) -> np.ndarray:
+    """Plain Python left-to-right sums of ``by_distance[k - i - 1] * dB[i]``, plus the offset."""
+    by_distance = _Kernel(config, dB.shape[0]).by_distance
+    assert by_distance is not None
+    g = config.offset_g
+    t = config.grid.nodes
+    rows = []
+    for increments in dB.tolist():
+        row = [0.0 if g is None else float(g(0.0))]
+        for k in range(1, len(increments) + 1):
+            total = -0.0
+            for i in range(k):
+                total += float(by_distance[k - i - 1]) * increments[i]
+            row.append(total if g is None else total + float(g(float(t[k]))))
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestDiagonalLoop:
+    """A kernel of the node distance alone is summed node-major, one distance at a time."""
+
+    @pytest.mark.parametrize("offset", [None, math.sin], ids=["plain", "sin"])
+    @pytest.mark.parametrize("n_paths", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "dampening",
+        [None, builtin_dampening("constant", [0.8]), builtin_dampening("constant", [0.0])],
+        ids=["undampened", "constant-0.8", "constant-0.0"],
+    )
+    def test_matches_left_to_right_sums_bitwise(self, dampening, n_paths, offset):
+        cfg = _tabled_config(dampening, offset)
+        dB = np.stack([sample_brownian(Seed(75 + p), cfg.grid).values for p in range(n_paths)])
+        assert _solve(cfg, dB).tobytes() == _distance_sums(cfg, dB).tobytes()
+
+    def test_path_bits_do_not_depend_on_the_batch(self):
+        cfg = _tabled_config(builtin_dampening("constant", [0.8]), math.sin)
+        dB = np.stack([sample_brownian(Seed(75 + p), cfg.grid).values for p in range(64)])
+        batch = _solve(cfg, dB)
+        for p in (0, 17, 63):
+            assert _solve(cfg, dB[p:p + 1])[0].tobytes() == batch[p].tobytes()
+
+    def test_signed_zero_increments_keep_their_signs(self):
+        # A node's sum is -0.0 exactly while every increment before it is
+        # -0.0; one +0.0 term makes it +0.0 from then on.
+        cfg = _tabled_config(builtin_dampening("constant", [0.8]))
+        dB = np.full((4, 64), -0.0)
+        dB[1, 10] = 0.0
+        dB[2, 0] = 0.0
+        dB[3, 1::2] = 0.0
+        x = _solve(cfg, dB)
+        assert x.tobytes() == _distance_sums(cfg, dB).tobytes()
+        assert not np.signbit(x[:, 0]).any()
+        expected = np.logical_and.accumulate(np.signbit(dB), axis=1)
+        assert np.array_equal(np.signbit(x[:, 1:]), expected)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_increment_names_path_and_step(self, bad):
+        cfg = _tabled_config(None)
+        dB = np.stack([sample_brownian(Seed(75 + p), cfg.grid).values for p in range(3)])
+        dB[1, 17] = bad
+        with pytest.raises(PathSimulationError) as excinfo:
+            _solve(cfg, dB, first_index=10)
+        # Increment 17 first enters the state at node 18.
+        assert (excinfo.value.path_index, excinfo.value.step) == (11, 18)
 
 
 _TRIG = builtin_hurst("trig", [0.6, 0.2, 1.0])
@@ -522,18 +605,30 @@ class TestMonteCarlo:
         assert a.values_matrix().shape == (4, 65)
 
     def test_worker_count_does_not_change_output(self):
-        cfg = self._config(n_paths=4)
+        # Blocks of 2**14 // 2048 = 8 paths: two blocks, so a pool runs.
+        cfg = self._config(n_paths=10, steps=2048)
         serial = monte_carlo(cfg, n_workers=1)
         parallel = monte_carlo(cfg, n_workers=2)
         assert serial.values_matrix().tobytes() == parallel.values_matrix().tobytes()
 
+    def test_single_block_runs_without_a_pool(self, monkeypatch):
+        serial = monte_carlo(self._config(n_paths=3), n_workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for a single block")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        parallel = monte_carlo(self._config(n_paths=3), n_workers=2)
+        assert serial.values_matrix().tobytes() == parallel.values_matrix().tobytes()
+
     def test_unpicklable_config_falls_back_to_serial(self):
+        # Two blocks of 8 paths on N = 2048, so a pool would run.
         cfg = SimulationConfig(
-            grid=make_grid(1.0, 32),
+            grid=make_grid(1.0, 2048),
             hurst=builtin_hurst("constant", [0.6]),
             seed=Seed(62),
             offset_g=lambda t: 0.1 * t,
-            n_paths=2,
+            n_paths=10,
         )
         serial = monte_carlo(cfg, n_workers=1)
         fallback = monte_carlo(cfg, n_workers=2)
