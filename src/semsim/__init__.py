@@ -63,6 +63,7 @@ from .randomness import (
     derive_path_seed,
     make_grid,
     sample_brownian,
+    sample_brownian_block,
 )
 from .special import MittagLefflerError, gronwall_bound, log_gamma, mittag_leffler
 
@@ -76,6 +77,7 @@ __all__ = [
     "make_grid",
     "derive_path_seed",
     "sample_brownian",
+    "sample_brownian_block",
     "coarsen",
     "HurstFunction",
     "DampeningFunction",

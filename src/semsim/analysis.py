@@ -18,11 +18,10 @@ from .engine import (
     SamplePath,
     SimulationConfig,
     _block_size,
-    _driving_increments,
     _map_blocks,
     _solve,
 )
-from .randomness import coarsen, make_grid
+from .randomness import make_grid, sample_brownian_block
 from .special import gronwall_bound
 
 __all__ = [
@@ -212,14 +211,15 @@ def _coupled_squared_gaps(config: SimulationConfig, start: int, stop: int,
     """
     base = config.grid
     finest = make_grid(base.horizon, base.steps * refine_factor ** n_levels)
-    fine = _driving_increments(config, finest, start, stop)
-    reference = _solve(replace(config, grid=finest),
-                       np.stack([incr.values for incr in fine]), first_index=start)
+    fine = sample_brownian_block(config.seed, finest, start, stop)
+    reference = _solve(replace(config, grid=finest), fine, first_index=start)
     gaps = []
     for level in range(n_levels):
         stride = refine_factor ** (n_levels - level)
         level_grid = make_grid(base.horizon, base.steps * refine_factor ** level)
-        dB = np.stack([coarsen(incr, stride).values for incr in fine])
+        # Exact block sums of each row, as randomness.coarsen adds them.
+        blocks = fine.reshape(fine.shape[0], level_grid.steps, stride)
+        dB = np.cumsum(blocks, axis=2)[:, :, -1]
         values = _solve(replace(config, grid=level_grid), dB, first_index=start)
         gap = values - reference[:, ::stride]
         gaps.append(gap * gap)

@@ -105,9 +105,8 @@ from .randomness import (
     Seed,
     TimeGrid,
     coarsen,
-    derive_path_seed,
     make_grid,
-    sample_brownian,
+    sample_brownian_block,
 )
 
 __all__ = [
@@ -296,10 +295,9 @@ class _Kernel:
         if self.h_varies:
             # The exponent is filled into a full array (see _terms).
             exponents = self.work[:, :m]
-            exponents[...] = np.asarray(self._at_column(self.hurst, t_i, states, times)) - 0.5
+            exponents[...] = self._at_column(self.hurst, t_i, states, times) - 0.5
         if self.damp_varies:
-            neg_f = -np.asarray(self._at_column(self.dampening, t_i, states, times),
-                                dtype=np.float64)
+            neg_f = -self._at_column(self.dampening, t_i, states, times)
         dts = self.t[1:m + 1] if self.use_tables else times - t_i
         return self._terms(dts, exponents, neg_f, weights, o)
 
@@ -313,11 +311,12 @@ class _Kernel:
         runs the evaluators faster on that copy than on a broadcast view.
         """
         if fn.lip_t == 0.0:
-            # A 0-d evaluation is reshaped, not indexed.
-            return np.reshape(fn.evaluate(t_i, states), (-1, 1))
+            # A 0-d evaluation is reshaped, not indexed; an evaluator may
+            # return a Python float, which has no reshape method.
+            return np.asarray(fn.evaluate(t_i, states), dtype=np.float64).reshape(-1, 1)
         full = np.empty((states.shape[0], times.shape[0]))
         full[...] = states[:, None]
-        return fn.evaluate(times[None, :], full)
+        return np.asarray(fn.evaluate(times[None, :], full), dtype=np.float64)
 
     def _terms(self, dts: np.ndarray, exponents: np.ndarray | None, neg_f: np.ndarray | None,
                weights: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -530,15 +529,6 @@ def _block_size(steps: int) -> int:
     return max(1, _BLOCK_STATES // steps)
 
 
-def _driving_increments(config: SimulationConfig, grid: TimeGrid, start: int, stop: int
-                        ) -> list[BrownianIncrements]:
-    """Increments on ``grid`` of the paths ``start <= i < stop`` of ``config``."""
-    return [
-        sample_brownian(derive_path_seed(config.seed, i), grid, provenance=(config.seed.value, i))
-        for i in range(start, stop)
-    ]
-
-
 def _run_block(task: Callable, payload: bytes, start: int, stop: int, *args):
     return task(pickle.loads(payload), start, stop, *args)
 
@@ -584,7 +574,7 @@ def _map_blocks(task: Callable, config: SimulationConfig, n_items: int, block: i
 
 def _simulate_block(config: SimulationConfig, start: int, stop: int,
                     finish: Callable[[np.ndarray], object] | None = None) -> object:
-    dB = np.stack([incr.values for incr in _driving_increments(config, config.grid, start, stop)])
+    dB = sample_brownian_block(config.seed, config.grid, start, stop)
     try:
         x = _solve(config, dB, first_index=start)
     except PathSimulationError:

@@ -12,9 +12,13 @@ All randomness flows through a single counter-based pipeline:
 3. Each word is mapped to a uniform in the open interval (0, 1) by taking the
    top 53 bits and centering, ``u = (w >> 11 + 0.5) * 2**-53``.  Exactly one
    word is consumed per Gaussian.
-4. Gaussians are produced by the inverse normal CDF (the Cephes ``ndtri``
-   rational approximation), never by rejection sampling, so the draw count
-   is a fixed function of the request size.
+4. Gaussians are produced by the inverse normal CDF, never by rejection
+   sampling, so the draw count is a fixed function of the request size.
+   The inverse is a numpy port of the Cephes ``ndtri`` rational
+   approximation: the same coefficients, branch tests and operation order,
+   with the two tail logarithms taken by ``math.log``, the C library's
+   ``log``.  numpy's vectorised ``log`` is not used there because it
+   rounds differently from the C library on some inputs.
 
 Increments are quantized to the fixed dyadic lattice ``QUANTUM = 2**-40``.
 Every increment is an exact integer multiple of the quantum, and any sum of
@@ -25,9 +29,17 @@ coarsened increments agree bitwise with prefix sums of the fine increments
 at shared nodes.  The quantization perturbs each draw by at most ``2**-41``,
 which is orders of magnitude below every statistical tolerance used here.
 
-Results are bit-for-bit reproducible for a fixed build of numpy/scipy on
-one platform.  Across builds the stream of raw words is stable (Philox is
-fully specified) but the last ulp of ``ndtri`` may differ.
+Paths are sampled a block at a time: :func:`sample_brownian_block` derives
+the keys of a block of path indices at once, restarts one Philox generator
+per key and maps the whole block through the inverse CDF in one call.  A
+row depends only on its key and the grid, never on its block, and
+:func:`sample_brownian` is a block of one.
+
+Results are bit-for-bit reproducible for a fixed numpy and C library on one
+platform.  The stream of raw words is stable across builds (Philox is fully
+specified), and the rest of the inverse CDF is correctly rounded IEEE
+arithmetic, so only the last ulp of the C library's ``log`` may move the
+bits from one build to another.
 """
 
 from __future__ import annotations
@@ -37,7 +49,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "QUANTUM",
@@ -47,6 +58,7 @@ __all__ = [
     "make_grid",
     "derive_path_seed",
     "sample_brownian",
+    "sample_brownian_block",
     "coarsen",
 ]
 
@@ -57,12 +69,120 @@ _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(z: int) -> int:
-    """SplitMix64 output permutation, a bijection on 64-bit integers."""
-    z &= _UINT64_MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _UINT64_MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _UINT64_MASK
-    return (z ^ (z >> 31)) & _UINT64_MASK
+def _path_keys(master: int, start: int, stop: int) -> np.ndarray:
+    """Stream keys of the path indices ``start <= i < stop``, as uint64.
+
+    Key ``i`` is ``splitmix64(master + GOLDEN_GAMMA * (i + 1))``, the
+    SplitMix64 output permutation applied in wrapping uint64 arithmetic.
+    """
+    first = (master + _GOLDEN_GAMMA * (start + 1)) & _UINT64_MASK
+    z = np.arange(stop - start, dtype=np.uint64) * np.uint64(_GOLDEN_GAMMA)
+    z += np.uint64(first)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+# Cephes ndtri: sqrt(2 pi), exp(-2), and the rational approximations on
+# |y - 1/2| <= 3/8 (P0/Q0) and on z = sqrt(-2 log y) in [2, 8) (P1/Q1) and
+# [8, 64] (P2/Q2).  The leading coefficient 1 of each Q is implicit.
+_S2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes ``polevl``: Horner's rule from the leading coefficient."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Cephes ``p1evl``: :func:`_polevl` with an implicit leading 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """The C library's ``log`` of each value (see the module docstring)."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF, bitwise equal to Cephes ``ndtri``.
+
+    0 and 1 map to -inf and +inf; values outside [0, 1] and NaN map to
+    NaN.  The central and tail branches run on the gathered values of
+    each, in the Cephes operation order.
+    """
+    y0 = np.asarray(y0, dtype=np.float64)
+    shape = y0.shape
+    y0 = y0.ravel()
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    out = np.empty_like(y)
+
+    central = y > _EXP_M2
+    index = np.flatnonzero(central)
+    yc = y[index]
+    yc -= 0.5
+    y2 = yc * yc
+    x = y2 * _polevl(y2, _P0)
+    x /= _p1evl(y2, _Q0)
+    x *= yc
+    x += yc
+    x *= _S2PI
+    out[index] = x
+
+    index = np.flatnonzero(~central)
+    y = y[index]
+    # 0, negatives and NaN land here, where the log is undefined.
+    domain = y > 0.0
+    if not domain.all():
+        edge = index[~domain]
+        out[edge] = np.where(y0[edge] == 0.0, -np.inf, np.where(y0[edge] == 1.0, np.inf, np.nan))
+        index, y = index[domain], y[domain]
+    x = _log(y)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1)
+    x1 /= _p1evl(z, _Q1)
+    far = np.flatnonzero(x >= 8.0)
+    if far.size:
+        z = z[far]
+        x1[far] = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x0 -= x1
+    np.negative(x0, out=x0, where=~upper[index])
+    out[index] = x0
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -150,8 +270,7 @@ def derive_path_seed(seed: Seed, path_index: int) -> Seed:
     path_index = int(path_index)
     if path_index < 0:
         raise ValueError(f"path_index must be a nonnegative integer, got {path_index!r}")
-    pre = (seed.value + _GOLDEN_GAMMA * (path_index + 1)) & _UINT64_MASK
-    return Seed(_splitmix64(pre))
+    return Seed(int(_path_keys(seed.value, path_index, path_index + 1)[0]))
 
 
 @dataclass(frozen=True)
@@ -197,16 +316,41 @@ def sample_brownian(seed: Seed, grid: TimeGrid, *, provenance: tuple[int, int] |
         Overrides the recorded ``seed_provenance``.  Ensemble drivers pass
         ``(master_seed, path_index)`` here so each path stays regenerable.
     """
-    n = grid.steps
-    bitgen = np.random.Philox(key=seed.value)
-    raw = bitgen.random_raw(n)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    z = ndtri(u)
-    values = np.rint(z * math.sqrt(grid.dt) / QUANTUM) * QUANTUM
+    values = _increments([seed.value], grid)[0]
     values.setflags(write=False)
     if provenance is None:
         provenance = (seed.value, 0)
     return BrownianIncrements(grid=grid, values=values, seed_provenance=provenance)
+
+
+def sample_brownian_block(master: Seed, grid: TimeGrid, start: int, stop: int) -> np.ndarray:
+    """Sample the increments of the paths ``start <= i < stop`` of a master seed.
+
+    Returns a ``(stop - start, grid.steps)`` array whose row ``i - start``
+    is ``sample_brownian(derive_path_seed(master, i), grid).values`` bit
+    for bit.  The whole block goes through the inverse CDF in one call.
+    """
+    start, stop = int(start), int(stop)
+    if not 0 <= start <= stop:
+        raise ValueError(f"need 0 <= start <= stop, got start={start!r}, stop={stop!r}")
+    return _increments(_path_keys(master.value, start, stop), grid)
+
+
+def _increments(keys, grid: TimeGrid) -> np.ndarray:
+    """Increments on ``grid`` of the stream of each key, one row per key."""
+    n = grid.steps
+    raw = np.empty((len(keys), n), dtype=np.uint64)
+    # Setting the state of one generator with a new key and a zero counter
+    # restarts it exactly as a new Philox(key=key) would start, without
+    # seeding a new generator per stream.
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    for row, key in zip(raw, keys):
+        state["state"]["key"][0] = key
+        bitgen.state = state
+        row[...] = bitgen.random_raw(n)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.rint(_ndtri(u) * math.sqrt(grid.dt) / QUANTUM) * QUANTUM
 
 
 def coarsen(increments: BrownianIncrements, factor: int) -> BrownianIncrements:

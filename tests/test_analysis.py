@@ -26,10 +26,14 @@ from semsim import (
     estimate_holder,
     estimate_moment,
     fit_loglog_slope,
+    coarsen,
+    derive_path_seed,
     make_grid,
     sample_brownian,
     simulate_discrete,
 )
+from semsim.analysis import _coupled_squared_gaps
+from semsim.engine import _solve
 
 
 def _manual_ensemble():
@@ -231,6 +235,23 @@ class TestConvergenceStudy:
         assert report.envelope_constant < 2.5e-6
         assert report.n_paths == 40
         assert report.refine_factor == 2
+
+    @pytest.mark.parametrize("refine_factor", [2, 3])
+    def test_block_gaps_match_per_path_coarsening(self, refine_factor):
+        # The block's one cumsum per level against coarsen on each seed's
+        # own draw, for seeds 5..11 of a block starting past 0.
+        cfg = self._trig_config(builtin_dampening("constant", [1.0]))
+        n_levels, start, stop = 3, 5, 12
+        finest = make_grid(1.0, 32 * refine_factor ** n_levels)
+        fine = [sample_brownian(derive_path_seed(cfg.seed, i), finest) for i in range(start, stop)]
+        reference = _solve(replace(cfg, grid=finest), np.stack([f.values for f in fine]))
+        gaps = _coupled_squared_gaps(cfg, start, stop, n_levels, refine_factor)
+        for level, squared in enumerate(gaps):
+            stride = refine_factor ** (n_levels - level)
+            dB = np.stack([coarsen(f, stride).values for f in fine])
+            level_cfg = replace(cfg, grid=make_grid(1.0, 32 * refine_factor ** level))
+            gap = _solve(level_cfg, dB) - reference[:, ::stride]
+            assert squared.tobytes() == (gap * gap).tobytes()
 
     def test_worker_count_does_not_change_report(self, monkeypatch):
         # Base N = 64 puts the reference on N = 512, so the 40 seeds run as

@@ -6,10 +6,15 @@ the in-process API, which is what the byte-determinism contract promises.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import semsim
 from semsim import Seed, SimulationConfig, builtin_hurst, make_grid, monte_carlo
 from semsim import __version__
 from semsim.cli import ConfigError, main, parse_config
@@ -329,3 +334,23 @@ class TestThreadResolution:
         config_path, _ = _write_config(tmp_path)
         assert main(["simulate", "--config", config_path, "--threads", "0"]) == 2
         assert "threads" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_loading_a_config_imports_no_scipy(self):
+        # numpy is the only runtime dependency; scipy's import alone cost
+        # about 330 ms and 25 MB before a config was parsed.
+        config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bell_trajectory.json"
+        package_root = str(pathlib.Path(semsim.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        script = (
+            "import sys, semsim\n"
+            "from semsim import cli\n"
+            f"cli.load_config({str(config)!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -351,9 +351,14 @@ class TestColumnOrder:
             # as a full array in either declaration.
             (HurstFunction(_FixedValue(1.0), h_star=0.5, h_sup=1.0, lip_t=0.0, lip_x=0.0), None,
              None, 1.0, 64, 2),
+            # A dampening evaluator returning a Python float, which has no
+            # array methods, in either declaration.
+            (builtin_hurst("bell", []),
+             DampeningFunction(_FixedValue(0.8), growth_C=0.8, lip_t=0.0, lip_x=0.0), None,
+             1.0, 64, 2),
         ],
         ids=["bell-bell-exact", "trig-abs-inexact", "bell-offset", "smooth-bell-offset-inexact",
-             "constant-bell-exact", "bell-constant-exact", "fixed-one-0d"],
+             "constant-bell-exact", "bell-constant-exact", "fixed-one-0d", "bell-float-damping"],
     )
     def test_columns_match_rows_bitwise(self, hurst, dampening, offset, horizon, steps, n_paths):
         grid = make_grid(horizon, steps)

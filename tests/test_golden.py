@@ -18,9 +18,10 @@ three direct ``simulate_discrete`` runs:
   table applies.
 
 The digests hold for one numpy/scipy build: ``randomness`` documents that
-``ndtri`` may move in the last ulp across builds, and so may ``power``,
-``exp`` and ``sin``.  On another build the tests skip; regenerate the
-digests there with the same code to use them.
+the C library's ``log`` behind its inverse normal CDF may move in the last
+ulp across builds, and so may ``power``, ``exp`` and ``sin``.  On another
+build the tests skip; regenerate the digests there with the same code to
+use them.
 """
 
 import hashlib

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
+from scipy.special import ndtri as scipy_ndtri
 
 from semsim import (
     QUANTUM,
@@ -21,7 +22,9 @@ from semsim import (
     derive_path_seed,
     make_grid,
     sample_brownian,
+    sample_brownian_block,
 )
+from semsim.randomness import _ndtri, _path_keys
 
 
 def test_make_grid_quarter_steps():
@@ -91,6 +94,25 @@ def test_derive_path_seed_golden_values():
     assert derive_path_seed(Seed(2**64 - 1), 3).value == 7862637804313477842
 
 
+def _splitmix64_key(master, index):
+    """The stream key of one path in Python integers, the definition the uint64 code follows."""
+    mask = 2**64 - 1
+    z = (master + 0x9E3779B97F4A7C15 * (index + 1)) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("master", [0, 12345, 2**64 - 1])
+def test_vectorised_keys_match_integer_splitmix64(master):
+    keys = _path_keys(master, 0, 10_000).tolist()
+    assert keys == [_splitmix64_key(master, i) for i in range(10_000)]
+    assert keys == [derive_path_seed(Seed(master), i).value for i in range(10_000)]
+    # Blocks starting past 0, and indices whose pre-mix value wraps 2**64.
+    assert _path_keys(master, 4_096, 4_100).tolist() == keys[4_096:4_100]
+    assert derive_path_seed(Seed(master), 2**70).value == _splitmix64_key(master, 2**70)
+
+
 def test_derive_path_seed_deterministic_and_injective():
     master = Seed(424242)
     first = [derive_path_seed(master, i).value for i in range(10_000)]
@@ -136,6 +158,25 @@ def test_sample_brownian_provenance_override():
     grid = make_grid(1.0, 8)
     incr = sample_brownian(derive_path_seed(Seed(99), 4), grid, provenance=(99, 4))
     assert incr.seed_provenance == (99, 4)
+
+
+@pytest.mark.parametrize("master", [0, 2**64 - 1])
+@pytest.mark.parametrize(("start", "stop"), [(0, 1), (3, 40), (1_000, 1_064)])
+def test_block_rows_equal_single_path_samples(master, start, stop):
+    grid = make_grid(2.5, 100)
+    block = sample_brownian_block(Seed(master), grid, start, stop)
+    assert block.shape == (stop - start, 100) and block.dtype == np.float64
+    rows = [sample_brownian(derive_path_seed(Seed(master), i), grid).values
+            for i in range(start, stop)]
+    assert block.tobytes() == np.stack(rows).tobytes()
+
+
+def test_block_sampler_bounds():
+    grid = make_grid(1.0, 8)
+    assert sample_brownian_block(Seed(1), grid, 5, 5).shape == (0, 8)
+    for start, stop in [(-1, 2), (3, 2)]:
+        with pytest.raises(ValueError):
+            sample_brownian_block(Seed(1), grid, start, stop)
 
 
 def test_increments_are_lattice_multiples():
@@ -228,3 +269,69 @@ def test_coarsen_composes(seed):
 def test_all_increments_quantized(seed):
     v = sample_brownian(Seed(seed), make_grid(3.0, 64)).values
     assert np.all(v == np.rint(v / QUANTUM) * QUANTUM)
+
+
+# ---- the inverse normal CDF against scipy's Cephes ndtri -------------------
+
+def _assert_bitwise_ndtri(y):
+    ours, theirs = _ndtri(y), scipy_ndtri(y)
+    assert ours.shape == theirs.shape
+    assert_array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+
+def _uniforms(codes):
+    """The sampler's uniforms of 53-bit lattice codes."""
+    return (np.asarray(codes, dtype=np.uint64).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def test_ndtri_matches_scipy_on_random_codes():
+    rng = np.random.default_rng(20261018)
+    _assert_bitwise_ndtri(_uniforms(rng.integers(0, 2**53, size=1_000_000, dtype=np.uint64)))
+
+
+def test_ndtri_matches_scipy_on_extreme_codes():
+    codes = np.arange(100_000, dtype=np.uint64)
+    _assert_bitwise_ndtri(_uniforms(codes))
+    top = _uniforms(np.uint64(2**53 - 1) - codes)
+    _assert_bitwise_ndtri(top)
+    # The top code rounds to u = 1 exactly.
+    assert top[0] == 1.0 and _ndtri(top[:1])[0] == np.inf
+
+
+@pytest.mark.parametrize("edge", [math.exp(-2.0), math.exp(-32.0)],
+                         ids=["central-tail", "tail-far-tail"])
+def test_ndtri_matches_scipy_across_branch_edges(edge):
+    # exp(-2) separates the central and tail approximations, exp(-32)
+    # (x = 8) the two tail ones; both sides, near 0 and near 1.
+    below = [edge]
+    above = [edge]
+    for _ in range(2_000):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    y = np.array(below + above)
+    y = np.concatenate([y, 1.0 - y, y * 0.999, y * 1.001])
+    _assert_bitwise_ndtri(y)
+
+
+def test_ndtri_matches_scipy_deep_in_the_tail():
+    # Only x >= 8 reaches the P2/Q2 approximation, where a wrong
+    # coefficient (such as the often quoted Q2[5] = 3.28079399065131891300E-4
+    # for 3.28014464682127739104E-4) would show.
+    rng = np.random.default_rng(7)
+    y = np.exp(rng.uniform(math.log(1e-300), math.log(1e-14), size=100_000))
+    _assert_bitwise_ndtri(y)
+    _assert_bitwise_ndtri(1.0 - y)
+
+
+def test_ndtri_special_values():
+    y = np.array([0.0, -0.0, 1.0, 0.5, -1e-300, -1.0, 1.0 + 2**-52, 2.0,
+                  np.inf, -np.inf, np.nan, 5e-324])
+    ours = _ndtri(y)
+    assert_array_equal(ours, scipy_ndtri(y))
+    assert_array_equal(ours[:3], [-np.inf, -np.inf, np.inf])
+    assert ours[3] == 0.0 and not np.signbit(ours[3])
+    assert np.isnan(ours[4:11]).all()
+    # Shapes are kept, including 0-d and empty inputs.
+    assert _ndtri(np.full((2, 3), 0.25)).shape == (2, 3)
+    assert _ndtri(np.float64(0.975)) == scipy_ndtri(0.975)
+    assert _ndtri(np.empty((0, 4))).shape == (0, 4)
