@@ -38,9 +38,17 @@ times only.  :func:`~semsim.model.validate_hurst` and
 :func:`~semsim.model.validate_dampening` scan the ``t`` direction and
 report such a declaration as a ``lipschitz_t`` violation.
 
+A column of the ``m = N - i`` later nodes is built as one C-contiguous
+``(P, m)`` block: the exponents, dampening and terms of every column are
+views of the first ``P * m`` floats of two flat buffers of ``P * N``,
+allocated once per batch.  numpy runs each fill, ``power``, ``exp`` and
+product over such a block as one loop; over the ``[:, :m]`` slice of a
+``(P, N)`` array, whose rows sit N floats apart, it runs P short loops.
+The running sums keep the path-major ``(P, N + 1)`` layout.
+
 Refinement interpolation builds its sums from the same columns, one per
 coarse node over the fine nodes after it.  The solver keeps this batched
-builder, with its tables and work arrays, apart from
+builder, with its tables and buffers, apart from
 :mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma` is the
 reference it is tested against.
 
@@ -235,10 +243,14 @@ def _offset_values(config: SimulationConfig) -> np.ndarray | None:
 class _Kernel:
     """Kernel terms of one node for every later node, for a batch of paths.
 
-    Built for the grid of the later nodes.  On grids with exact node
-    products, constant Hurst and dampening components are read from tables
-    indexed by node distance, and when every factor is tabled a column is
-    a slice of one precomputed kernel.
+    Built for the grid of the later nodes and a batch of P paths.  On grids
+    with exact node products, constant Hurst and dampening components are
+    read from tables indexed by node distance, and when every factor is
+    tabled a column is a slice of one precomputed kernel.  A column of m
+    later nodes is written into C-contiguous ``(P, m)`` views of two flat
+    buffers of ``P * N`` floats, so every numpy call on it is one loop
+    rather than P strided rows; the kernel owns the buffers, and a
+    column's terms last until the next column is built.
     """
 
     def __init__(self, config: SimulationConfig, n_paths: int):
@@ -273,33 +285,37 @@ class _Kernel:
             self.by_distance = self.pow_table[1:]
             if self.damp_table is not None:
                 self.by_distance = self.by_distance * self.damp_table[1:]
-        # Exponents or dampening exponents of a state-dependent factor.
-        self.work = None
-        if self.h_varies or self.damp_varies:
-            self.work = np.empty((n_paths, n))
+        # The exponents and then the dampening of a state-dependent factor,
+        # and the terms; each column views its (P, m) block of them.
+        self.n_paths = n_paths
+        self.work = np.empty(n_paths * n) if self.h_varies or self.damp_varies else None
+        self.terms = np.empty(n_paths * n)
 
-    def column(self, i: int, t_i: float, states: np.ndarray, weights: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-        """Terms of a node at ``(t_i, states)`` for the nodes ``k > i``, in ``out[:, :N - i]``.
+    def column(self, i: int, t_i: float, states: np.ndarray, weights: np.ndarray
+               ) -> np.ndarray:
+        """Terms of a node at ``(t_i, states)`` for the ``m = N - i`` nodes ``k > i``.
 
         Column ``k - i - 1`` of the result is ``sigma(t_k, t_i, states) *
-        weights[:, k - i - 1]``; ``weights`` is ``(P, 1)`` or ``(1, N - i)``.
-        ``t_i`` is node ``i`` itself on grids with exact node products.
+        weights[:, k - i - 1]``; ``weights`` is ``(P, 1)`` or ``(1, m)``.
+        ``t_i`` is node ``i`` itself on grids with exact node products.  The
+        result is a C-contiguous ``(P, m)`` view of the kernel's terms
+        buffer, valid until the next call.
         """
-        m = out.shape[1] - i
-        o = out[:, :m]
+        m = self.t.shape[0] - 1 - i
+        size = self.n_paths * m
+        out = self.terms[:size].reshape(self.n_paths, m)
         if self.by_distance is not None:
-            return np.multiply(weights, self.by_distance[:m], out=o)
+            return np.multiply(weights, self.by_distance[:m], out=out)
         times = self.t[i + 1:]
         exponents = neg_f = None
         if self.h_varies:
             # The exponent is filled into a full array (see _terms).
-            exponents = self.work[:, :m]
+            exponents = self.work[:size].reshape(self.n_paths, m)
             exponents[...] = self._at_column(self.hurst, t_i, states, times) - 0.5
         if self.damp_varies:
             neg_f = -self._at_column(self.dampening, t_i, states, times)
         dts = self.t[1:m + 1] if self.use_tables else times - t_i
-        return self._terms(dts, exponents, neg_f, weights, o)
+        return self._terms(dts, exponents, neg_f, weights, out)
 
     @staticmethod
     def _at_column(fn, t_i: float, states: np.ndarray, times: np.ndarray):
@@ -325,6 +341,8 @@ class _Kernel:
         ``exponents`` and ``neg_f`` are None for a constant factor, which
         is computed once for the whole batch, or read from its table:
         tables exist only on exact grids, whose distances are ``t[1:m + 1]``.
+        A state-dependent dampening is built in the work buffer, in the
+        block shape of ``out``, once the exponents there are spent.
         """
         m = dts.shape[0]
         if exponents is None:
@@ -341,7 +359,7 @@ class _Kernel:
             np.power(dts[None, :], exponents, out=out)
         damp = None
         if neg_f is not None:
-            damp = np.multiply(neg_f, dts, out=self.work[:, :m])
+            damp = np.multiply(neg_f, dts, out=self.work[:out.size].reshape(out.shape))
             np.exp(damp, out=damp)
         elif self.damp_table is not None:
             damp = self.damp_table[1:m + 1]
@@ -393,7 +411,6 @@ def _column_sums(kernel: _Kernel, dB: np.ndarray, g: np.ndarray | None, x0: floa
     n_paths, n = dB.shape
     x = np.full((n_paths, n + 1), -0.0)
     x[:, 0] = x0
-    work = np.empty((n_paths, n))
     # Once node i is final its terms are added to every later node at once,
     # so each node still sums its terms in index order.  Node i's state
     # includes its offset; the sums do not.
@@ -403,7 +420,7 @@ def _column_sums(kernel: _Kernel, dB: np.ndarray, g: np.ndarray | None, x0: floa
     states, weights, t = x.T, dB.T[:, :, None], kernel.t
     for i in range(n):
         state = states[i] if g is None else states[i] + g[i]
-        sums[:, i:] += kernel.column(i, t[i], state, weights[i], work)
+        sums[:, i:] += kernel.column(i, t[i], state, weights[i])
     return x
 
 
@@ -508,7 +525,6 @@ def interpolate_on_refinement(
     dB_coarse = coarse_increments.values
     g = _offset_values(fine)
     kernel = _Kernel(fine, 1)
-    work = np.empty((1, n * r))
     weights = np.empty((1, n * r))
     out = np.full(n * r + 1, -0.0)
     out[0] = x_c[0]
@@ -517,7 +533,7 @@ def interpolate_on_refinement(
         w = weights[:, :(n - i) * r]
         np.cumsum(dB_fine[i * r:(i + 1) * r], out=w[0, :r])
         w[:, r:] = dB_coarse[i]
-        sums[:, i * r:] += kernel.column(i * r, t_c[i], x_c[i:i + 1], w, work)
+        sums[:, i * r:] += kernel.column(i * r, t_c[i], x_c[i:i + 1], w)
     if g is not None:
         out[1:] += g[1:]
     out.setflags(write=False)

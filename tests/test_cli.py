@@ -127,8 +127,17 @@ class TestSimulateCommand:
         assert manifest["config"] == raw
         assert manifest["files"] == ["paths.csv"]
         assert manifest["threads"] == 1
+        assert manifest["exact_nodes"] is True
         assert manifest["seed_rule"] == "splitmix64-philox-ndtri-v1"
         assert isinstance(manifest["wall_seconds"], float)
+
+    @pytest.mark.parametrize(("steps", "exact"), [(1000, False), (1024, True)])
+    def test_manifest_says_whether_grid_nodes_are_exact(self, tmp_path, steps, exact):
+        config_path, _ = _write_config(tmp_path, {"T": 10.0, "N": steps})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config_path, "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exact_nodes"] is exact
 
     def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path):
         config_path, _ = _write_config(tmp_path)

@@ -400,6 +400,55 @@ class TestColumnOrder:
         assert np.signbit(x[:, 1:]).all()
 
 
+class TestColumnBlocks:
+    """A state-dependent column is one contiguous ``(P, m)`` block of the batch."""
+
+    @pytest.mark.parametrize(
+        ("hurst", "dampening", "offset", "horizon", "steps"),
+        [
+            # bell is 1 at x = 0, so node 0 has the exponent 1/2.
+            (builtin_hurst("bell", []), builtin_dampening("bell", []), None, 10.0, 512),
+            # The constant dampening is read from its exact-node table.
+            (builtin_hurst("trig", [0.6, 0.2, 1.0]), builtin_dampening("constant", [0.8]), None,
+             1.0, 256),
+            (_declared_time_dependent(builtin_hurst("bell", [])),
+             _declared_time_dependent(builtin_dampening("abs_value", [])), None, 1.0, 128),
+            (builtin_hurst("trig", [0.6, 0.2, 1.0]), builtin_dampening("abs_value", []), math.sin,
+             10.0, 100),
+        ],
+        ids=["bell-bell-exact", "trig-constant-table", "rows", "trig-abs-offset-inexact"],
+    )
+    def test_path_bits_do_not_depend_on_the_batch(self, hurst, dampening, offset, horizon, steps):
+        grid = make_grid(horizon, steps)
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(76), dampening=dampening,
+                               offset_g=offset)
+        # Only the case with an offset runs on an inexact grid.
+        assert grid.has_exact_nodes == (offset is None)
+        dB = np.stack([sample_brownian(Seed(76 + p), grid).values for p in range(32)])
+        batch = _solve(cfg, dB)
+        for p in range(32):
+            assert _solve(cfg, dB[p:p + 1])[0].tobytes() == batch[p].tobytes(), p
+
+    @pytest.mark.parametrize(
+        ("hurst", "dampening"),
+        [
+            (builtin_hurst("bell", []), builtin_dampening("bell", [])),
+            (builtin_hurst("trig", [0.6, 0.2, 1.0]), builtin_dampening("constant", [0.8])),
+        ],
+        ids=["bell-bell", "trig-constant"],
+    )
+    def test_column_is_a_contiguous_block(self, hurst, dampening):
+        grid = make_grid(1.0, 64)
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(77), dampening=dampening)
+        kernel = _Kernel(cfg, 3)
+        assert kernel.by_distance is None
+        states = np.array([-0.5, 0.0, 0.5])
+        for i in (1, 30, 63):
+            block = kernel.column(i, grid.nodes[i], states, np.ones((3, 1)))
+            assert block.shape == (3, 64 - i)
+            assert block.flags.c_contiguous
+
+
 def _tabled_config(dampening, offset=None):
     """Constant Hurst on an exact grid: every kernel factor is tabled."""
     grid = make_grid(1.0, 64)
