@@ -17,9 +17,9 @@ from .engine import (
     Ensemble,
     SamplePath,
     SimulationConfig,
-    _block_size,
     _map_blocks,
     _solve,
+    refine_config,
 )
 from .randomness import make_grid, sample_brownian_block
 from .special import gronwall_bound
@@ -206,17 +206,18 @@ def _coupled_squared_gaps(config: SimulationConfig, start: int, stop: int,
                           n_levels: int, refine_factor: int) -> list[np.ndarray]:
     """Squared gaps to the reference of the driving seeds ``start <= i < stop``.
 
-    Entry ``level`` is a ``(stop - start, N_level + 1)`` array, one row per
-    seed, at the level's nodes.
+    ``config.grid`` is the finest grid, the reference's; level ``l`` has
+    ``refine_factor ** (n_levels - l)`` times fewer steps.  Entry ``level``
+    is a ``(stop - start, N_level + 1)`` array, one row per seed, at the
+    level's nodes.
     """
-    base = config.grid
-    finest = make_grid(base.horizon, base.steps * refine_factor ** n_levels)
+    finest = config.grid
     fine = sample_brownian_block(config.seed, finest, start, stop)
-    reference = _solve(replace(config, grid=finest), fine, first_index=start)
+    reference = _solve(config, fine, first_index=start)
     gaps = []
     for level in range(n_levels):
         stride = refine_factor ** (n_levels - level)
-        level_grid = make_grid(base.horizon, base.steps * refine_factor ** level)
+        level_grid = make_grid(finest.horizon, finest.steps // stride)
         # Exact block sums of each row, as randomness.coarsen adds them.
         blocks = fine.reshape(fine.shape[0], level_grid.steps, stride)
         dB = np.cumsum(blocks, axis=2)[:, :, -1]
@@ -247,7 +248,9 @@ def convergence_study(
 
     Seeds are solved in blocks, on ``n_workers`` processes when more than
     one is asked for; the squared gaps are added up here in seed order, so
-    the report does not depend on the worker count.
+    the report does not depend on the worker count.  A failure raises
+    :class:`~semsim.engine.PathSimulationError` naming the lowest failing
+    seed index.
     """
     n_levels = int(n_levels)
     refine_factor = int(refine_factor)
@@ -256,15 +259,14 @@ def convergence_study(
     if refine_factor < 2:
         raise ValueError(f"refine_factor must be at least 2, got {refine_factor!r}")
     base = config.grid
-    finest_steps = base.steps * refine_factor ** n_levels
     level_grids = [
         make_grid(base.horizon, base.steps * refine_factor ** level)
         for level in range(n_levels)
     ]
 
     acc = [np.zeros(g.steps + 1) for g in level_grids]
-    blocks = _map_blocks(_coupled_squared_gaps, config, config.n_paths,
-                         _block_size(finest_steps), n_workers, n_levels, refine_factor)
+    blocks = _map_blocks(_coupled_squared_gaps, refine_config(config, refine_factor ** n_levels),
+                         n_workers, n_levels, refine_factor)
     for _, gaps in blocks:
         for total, squared in zip(acc, gaps):
             for row in squared:

@@ -46,17 +46,25 @@ product over such a block as one loop; over the ``[:, :m]`` slice of a
 ``(P, N)`` array, whose rows sit N floats apart, it runs P short loops.
 The running sums keep the path-major ``(P, N + 1)`` layout.
 
+A factor that does not read the state, a constant Hurst value's power or
+a constant dampening, depends on the node distance alone.  The product of
+such factors is one state-free row: on grids whose node products are
+exact it is tabled once over the distances ``t[1:]``, on any other grid
+it is built per column from ``t_k - t_i``.  A column is the
+state-dependent power, times the state-dependent dampening, times that
+row, times the increments; one builder assembles every column.
+
 Refinement interpolation builds its sums from the same columns, one per
 coarse node over the fine nodes after it.  The solver keeps this batched
-builder, with its tables and buffers, apart from
+builder, with its row and buffers, apart from
 :mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma` is the
 reference it is tested against.
 
 Diagonals
 ---------
-When every factor is tabled (constant Hurst, no or constant dampening, an
-exact grid) the kernel depends on the node distance alone and no state
-feeds it: ``X[k] = g(t_k) + sum_{i < k} K[k - i - 1] dB[i]``.  The solver
+When no factor reads the state (constant Hurst, no or constant
+dampening) and the grid is exact, the kernel is the tabled state-free row
+``K``: ``X[k] = g(t_k) + sum_{i < k} K[k - i - 1] dB[i]``.  The solver
 then holds the sums node-major, ``(N + 1, P)``, and adds one distance
 ``d`` at a time, ``sums[d:] += K[d] * dB[:N - d]``, where every operand is
 one contiguous block; going from the largest distance down keeps each
@@ -80,13 +88,12 @@ grids with exact node products.  A path's bits do not depend on the batch
 it is solved in.
 
 On grids whose node products are exact (see ``TimeGrid.has_exact_nodes``)
-a column reads its node distances from the nodes themselves, and constant
-Hurst or dampening components are served from precomputed tables indexed
-by node distance; the tables contain bitwise the same values the direct
-formula would produce, so they change speed, never output.  When every
-factor is tabled, the solver sums diagonals of one precomputed kernel and
-every column of refinement interpolation is a slice of it.  A constant
-component is computed once per column for the whole batch, and
+a column reads its node distances from the nodes themselves, and the
+state-free row is a slice of its table; the table holds bitwise the
+values the row built per column would, so it changes speed, never
+output.  Products of floats commute bit for bit, so multiplying the row
+in after the state-dependent factors keeps ``(power * dampening) *
+increment``.  The row serves the whole batch, never one path, and
 constant dampening is never passed to ``evaluate``.
 
 Failures
@@ -94,7 +101,9 @@ Failures
 After each batch one ``isfinite`` scan checks every state.  A NaN or
 infinite state raises :class:`PathSimulationError` naming the path and the
 first non-finite step; custom Hurst or dampening functions are the usual
-cause.
+cause.  An exception raised inside a batch is named by the block runner,
+which re-runs the block's paths one at a time to find the lowest that
+fails.
 """
 
 from __future__ import annotations
@@ -243,12 +252,15 @@ def _offset_values(config: SimulationConfig) -> np.ndarray | None:
 class _Kernel:
     """Kernel terms of one node for every later node, for a batch of paths.
 
-    Built for the grid of the later nodes and a batch of P paths.  On grids
-    with exact node products, constant Hurst and dampening components are
-    read from tables indexed by node distance, and when every factor is
-    tabled a column is a slice of one precomputed kernel.  A column of m
-    later nodes is written into C-contiguous ``(P, m)`` views of two flat
-    buffers of ``P * N`` floats, so every numpy call on it is one loop
+    Built for the grid of the later nodes and a batch of P paths.  The
+    factors that do not read the state, a constant Hurst value's power and
+    a constant dampening, depend on the node distance alone; their product
+    is the state-free row ``fixed``, tabled once over the node distances on
+    grids with exact node products and built per column on any other grid.
+    When no factor reads the state, ``by_distance`` is that table: the
+    kernel of nodes ``d + 1`` steps apart is ``by_distance[d]``.  A column
+    of m later nodes is written into C-contiguous ``(P, m)`` views of two
+    flat buffers of ``P * N`` floats, so every numpy call on it is one loop
     rather than P strided rows; the kernel owns the buffers, and a
     column's terms last until the next column is built.
     """
@@ -257,39 +269,34 @@ class _Kernel:
         hurst, dampening = config.hurst, config.dampening
         n = config.grid.steps
         t = config.grid.nodes
-        use_tables = config.grid.has_exact_nodes
         self.t = t
-        self.use_tables = use_tables
+        self.exact = config.grid.has_exact_nodes
         self.hurst = hurst
         self.dampening = dampening
         self.damp_constant = None if dampening is None else dampening.constant_value
         # Whether each factor depends on the state.
         self.h_varies = not hurst.is_constant
         self.damp_varies = dampening is not None and self.damp_constant is None
-        self.pow_table = None
-        if use_tables and not self.h_varies:
-            table = np.empty(n + 1)
-            table[0] = np.nan
-            np.power(t[1:], hurst.h_star - 0.5, out=table[1:])
-            self.pow_table = table
-        self.damp_table = None
-        if use_tables and self.damp_constant is not None:
-            table = np.empty(n + 1)
-            table[0] = np.nan
-            np.exp(-self.damp_constant * t[1:], out=table[1:])
-            self.damp_table = table
-        # With every factor tabled the kernel depends on the node distance
-        # alone: by_distance[d - 1] is the kernel of nodes d steps apart.
-        self.by_distance = None
-        if self.pow_table is not None and (dampening is None or self.damp_table is not None):
-            self.by_distance = self.pow_table[1:]
-            if self.damp_table is not None:
-                self.by_distance = self.by_distance * self.damp_table[1:]
+        self.fixed = self._fixed(t[1:]) if self.exact else None
+        self.by_distance = None if self.h_varies or self.damp_varies else self.fixed
         # The exponents and then the dampening of a state-dependent factor,
         # and the terms; each column views its (P, m) block of them.
         self.n_paths = n_paths
         self.work = np.empty(n_paths * n) if self.h_varies or self.damp_varies else None
         self.terms = np.empty(n_paths * n)
+
+    def _fixed(self, dts: np.ndarray) -> np.ndarray | None:
+        """The product of the factors that do not read the state at the distances ``dts``.
+
+        None when both factors read the state.
+        """
+        fixed = None
+        if not self.h_varies:
+            fixed = np.power(dts, self.hurst.h_star - 0.5)
+        if self.damp_constant is not None:
+            damp = np.exp(-self.damp_constant * dts)
+            fixed = damp if fixed is None else fixed * damp
+        return fixed
 
     def column(self, i: int, t_i: float, states: np.ndarray, weights: np.ndarray
                ) -> np.ndarray:
@@ -297,25 +304,41 @@ class _Kernel:
 
         Column ``k - i - 1`` of the result is ``sigma(t_k, t_i, states) *
         weights[:, k - i - 1]``; ``weights`` is ``(P, 1)`` or ``(1, m)``.
-        ``t_i`` is node ``i`` itself on grids with exact node products.  The
-        result is a C-contiguous ``(P, m)`` view of the kernel's terms
-        buffer, valid until the next call.
+        ``t_i`` is node ``i`` itself on grids with exact node products, whose
+        distances are ``t[1:m + 1]``.  A state-dependent power is built in
+        the result and a state-dependent dampening in the work buffer, once
+        the exponents there are spent; their product is multiplied by the
+        ``fixed`` row, then by ``weights``.  The result is a C-contiguous
+        ``(P, m)`` view of the kernel's terms buffer, valid until the next
+        call.
         """
         m = self.t.shape[0] - 1 - i
         size = self.n_paths * m
         out = self.terms[:size].reshape(self.n_paths, m)
-        if self.by_distance is not None:
-            return np.multiply(weights, self.by_distance[:m], out=out)
         times = self.t[i + 1:]
-        exponents = neg_f = None
+        if self.exact:
+            dts = self.t[1:m + 1]
+            fixed = None if self.fixed is None else self.fixed[:m]
+        else:
+            dts = times - t_i
+            fixed = self._fixed(dts)
+        terms = None
         if self.h_varies:
-            # The exponent is filled into a full array (see _terms).
+            # The base keeps its row axis, and the exponent is filled into a
+            # full array: on an operand broadcast with stride 0 np.power takes
+            # a separate fast path for the exponent 1/2, which moves the last
+            # bit.
             exponents = self.work[:size].reshape(self.n_paths, m)
             exponents[...] = self._at_column(self.hurst, t_i, states, times) - 0.5
+            terms = np.power(dts[None, :], exponents, out=out)
         if self.damp_varies:
             neg_f = -self._at_column(self.dampening, t_i, states, times)
-        dts = self.t[1:m + 1] if self.use_tables else times - t_i
-        return self._terms(dts, exponents, neg_f, weights, out)
+            damp = np.multiply(neg_f, dts, out=self.work[:size].reshape(self.n_paths, m))
+            np.exp(damp, out=damp)
+            terms = damp if terms is None else np.multiply(terms, damp, out=out)
+        if fixed is not None:
+            terms = fixed if terms is None else np.multiply(terms, fixed, out=out)
+        return np.multiply(terms, weights, out=out)
 
     @staticmethod
     def _at_column(fn, t_i: float, states: np.ndarray, times: np.ndarray):
@@ -333,49 +356,6 @@ class _Kernel:
         full = np.empty((states.shape[0], times.shape[0]))
         full[...] = states[:, None]
         return np.asarray(fn.evaluate(times[None, :], full), dtype=np.float64)
-
-    def _terms(self, dts: np.ndarray, exponents: np.ndarray | None, neg_f: np.ndarray | None,
-               weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write ``(power * dampening) * weights`` at the distances ``dts`` into ``out``.
-
-        ``exponents`` and ``neg_f`` are None for a constant factor, which
-        is computed once for the whole batch, or read from its table:
-        tables exist only on exact grids, whose distances are ``t[1:m + 1]``.
-        A state-dependent dampening is built in the work buffer, in the
-        block shape of ``out``, once the exponents there are spent.
-        """
-        m = dts.shape[0]
-        if exponents is None:
-            if self.pow_table is not None:
-                shared = self.pow_table[1:m + 1]
-            else:
-                shared = np.power(dts, self.hurst.h_star - 0.5)
-        else:
-            shared = None
-            # The base keeps its row axis, and an exponent should be a full
-            # array: on an operand broadcast with stride 0 np.power takes a
-            # separate fast path for the exponent 1/2, which moves the last
-            # bit.
-            np.power(dts[None, :], exponents, out=out)
-        damp = None
-        if neg_f is not None:
-            damp = np.multiply(neg_f, dts, out=self.work[:out.size].reshape(out.shape))
-            np.exp(damp, out=damp)
-        elif self.damp_table is not None:
-            damp = self.damp_table[1:m + 1]
-        elif self.damp_constant is not None:
-            damp = np.exp(-self.damp_constant * dts)
-        if shared is not None:
-            if damp is not None and damp.ndim == 1:
-                shared = shared * damp
-                damp = None
-            if damp is None:
-                return np.multiply(shared, weights, out=out)
-            np.multiply(shared, damp, out=out)
-        elif damp is not None:
-            out *= damp
-        out *= weights
-        return out
 
 
 def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np.ndarray:
@@ -517,7 +497,7 @@ def interpolate_on_refinement(
     # increments up to j, and dB_coarse[i] for every later node.  Columns are
     # added in node order to sums that start at -0.0.  An exact fine grid has
     # dt = T / (N r) exactly, so every coarse node is a fine node and the fine
-    # grid's tables serve the columns.
+    # grid's tabled row serves the columns.
     r = refine_factor
     t_c = config.grid.nodes
     x_c = coarse_path.values
@@ -545,22 +525,43 @@ def _block_size(steps: int) -> int:
     return max(1, _BLOCK_STATES // steps)
 
 
-def _run_block(task: Callable, payload: bytes, start: int, stop: int, *args):
-    return task(pickle.loads(payload), start, stop, *args)
+def _run_block(task: Callable, config: SimulationConfig, start: int, stop: int, *args):
+    """``task(config, start, stop, *args)``, failing with the lowest failing path named.
+
+    A batched evaluation that raises cannot say which path it was on, so
+    the block's paths are then run one at a time to name the first that
+    fails.  A non-finite state already names its path and step.
+    """
+    try:
+        return task(config, start, stop, *args)
+    except PathSimulationError:
+        raise
+    except Exception as exc:
+        if stop - start > 1:
+            for i in range(start, stop):
+                _run_block(task, config, i, i + 1, *args)
+        raise PathSimulationError(start, exc) from exc
 
 
-def _map_blocks(task: Callable, config: SimulationConfig, n_items: int, block: int,
-                n_workers: int, *args) -> Iterator[tuple[int, object]]:
+def _run_pickled_block(task: Callable, payload: bytes, start: int, stop: int, *args):
+    return _run_block(task, pickle.loads(payload), start, stop, *args)
+
+
+def _map_blocks(task: Callable, config: SimulationConfig, n_workers: int, *args
+                ) -> Iterator[tuple[int, object]]:
     """Yield ``(start, task(config, start, stop, *args))`` block by block, in order.
 
-    The items ``range(n_items)`` are cut into contiguous blocks of
-    ``block``.  With ``n_workers > 1`` and more than one block each block
-    is one task of a process pool, the config pickled once for all of
-    them; results are still yielded in block order, so the first failing
-    block is the one that raises and pending blocks are cancelled.  A
-    single block, and configs whose callables cannot be pickled, run in
-    this process.
+    The paths ``range(config.n_paths)`` are cut into contiguous blocks of
+    ``max(1, 2**14 // N)`` for the ``N`` steps of ``config.grid``.  With
+    ``n_workers > 1`` and more than one block each block is one task of a
+    process pool, the config pickled once for all of them; results are
+    still yielded in block order, so the first failing block is the one
+    that raises and pending blocks are cancelled.  A single block, and
+    configs whose callables cannot be pickled, run in this process.  A
+    failure raises :class:`PathSimulationError` naming the lowest failing
+    path.
     """
+    n_items, block = config.n_paths, _block_size(config.grid.steps)
     starts = range(0, n_items, block)
     n_workers = int(n_workers)
     payload = None
@@ -571,11 +572,11 @@ def _map_blocks(task: Callable, config: SimulationConfig, n_items: int, block: i
             payload = None
     if payload is None:
         for s in starts:
-            yield s, task(config, s, min(s + block, n_items), *args)
+            yield s, _run_block(task, config, s, min(s + block, n_items), *args)
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(n_workers, len(starts))) as pool:
         futures = [
-            pool.submit(_run_block, task, payload, s, min(s + block, n_items), *args)
+            pool.submit(_run_pickled_block, task, payload, s, min(s + block, n_items), *args)
             for s in starts
         ]
         try:
@@ -590,18 +591,8 @@ def _map_blocks(task: Callable, config: SimulationConfig, n_items: int, block: i
 
 def _simulate_block(config: SimulationConfig, start: int, stop: int,
                     finish: Callable[[np.ndarray], object] | None = None) -> object:
-    dB = sample_brownian_block(config.seed, config.grid, start, stop)
-    try:
-        x = _solve(config, dB, first_index=start)
-    except PathSimulationError:
-        raise  # a non-finite state: it already names its path and step
-    except Exception as exc:
-        if stop - start > 1:
-            # A batched evaluation cannot say which path raised; solve the
-            # block's paths one at a time to name the first that does.
-            for i in range(start, stop):
-                _simulate_block(config, i, i + 1)
-        raise PathSimulationError(start, exc) from exc
+    x = _solve(config, sample_brownian_block(config.seed, config.grid, start, stop),
+               first_index=start)
     return x if finish is None else finish(x)
 
 
@@ -618,8 +609,7 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
     counts, failures and the serial fallback are those of
     :func:`monte_carlo`.
     """
-    return _map_blocks(_simulate_block, config, config.n_paths, _block_size(config.grid.steps),
-                       n_workers, finish)
+    return _map_blocks(_simulate_block, config, n_workers, finish)
 
 
 def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:

@@ -280,11 +280,13 @@ class BrownianIncrements:
     ``values[i]`` is the increment over ``[t_i, t_{i+1})``; there are
     ``grid.steps`` of them, each an exact multiple of :data:`QUANTUM`.
 
-    ``seed_provenance`` records ``(master_seed, path_index)`` for sampled
-    objects: regenerate with ``sample_brownian(derive_path_seed(Seed(m), k),
-    grid)`` when ``k > 0`` and ``sample_brownian(Seed(m), grid)`` when the
-    object came from a direct call.  Objects produced by :func:`coarsen`
-    inherit the provenance of the fine stream they were reduced from.
+    ``seed_provenance`` records ``(master_seed, path_index)``.
+    :func:`sample_brownian` records ``(m, 0)`` for ``Seed(m)``; regenerate
+    with ``sample_brownian(Seed(m), grid)``.  Increments built from row
+    ``k`` of :func:`sample_brownian_block` under ``Seed(m)`` carry ``(m,
+    k)``; regenerate with ``sample_brownian(derive_path_seed(Seed(m), k),
+    grid)``.  Objects produced by :func:`coarsen` inherit the provenance of
+    the fine stream they were reduced from.
     """
 
     grid: TimeGrid
@@ -299,7 +301,7 @@ class BrownianIncrements:
             )
 
 
-def sample_brownian(seed: Seed, grid: TimeGrid, *, provenance: tuple[int, int] | None = None) -> BrownianIncrements:
+def sample_brownian(seed: Seed, grid: TimeGrid) -> BrownianIncrements:
     """Sample the ``grid.steps`` Gaussian increments of one Brownian path.
 
     Each increment has mean 0 and variance ``grid.dt`` (up to lattice
@@ -312,15 +314,10 @@ def sample_brownian(seed: Seed, grid: TimeGrid, *, provenance: tuple[int, int] |
         Stream key; use :func:`derive_path_seed` for per-path keys.
     grid : TimeGrid
         Target grid.
-    provenance : tuple, optional
-        Overrides the recorded ``seed_provenance``.  Ensemble drivers pass
-        ``(master_seed, path_index)`` here so each path stays regenerable.
     """
     values = _increments([seed.value], grid)[0]
     values.setflags(write=False)
-    if provenance is None:
-        provenance = (seed.value, 0)
-    return BrownianIncrements(grid=grid, values=values, seed_provenance=provenance)
+    return BrownianIncrements(grid=grid, values=values, seed_provenance=(seed.value, 0))
 
 
 def sample_brownian_block(master: Seed, grid: TimeGrid, start: int, stop: int) -> np.ndarray:

@@ -7,7 +7,7 @@ coupled regime and once on a state-dependent Hurst family with pinned seeds.
 """
 
 import concurrent.futures
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from semsim import (
     AcfSeries,
     DegeneratePathError,
     Ensemble,
+    HurstFunction,
+    PathSimulationError,
     SamplePath,
     Seed,
     SimulationConfig,
@@ -29,11 +31,26 @@ from semsim import (
     coarsen,
     derive_path_seed,
     make_grid,
+    refine_config,
     sample_brownian,
     simulate_discrete,
 )
 from semsim.analysis import _coupled_squared_gaps
 from semsim.engine import _solve
+
+
+@dataclass(frozen=True)
+class _RaisingPastThreshold:
+    """Returns ``value``, or raises once any ``|x|`` exceeds ``threshold``."""
+
+    value: float
+    threshold: float
+
+    def __call__(self, t, x):
+        x = np.asarray(x, dtype=np.float64)
+        if np.any(np.abs(x) > self.threshold):
+            raise FloatingPointError("state out of the evaluator's domain")
+        return np.full(x.shape, self.value)
 
 
 def _manual_ensemble():
@@ -245,7 +262,8 @@ class TestConvergenceStudy:
         finest = make_grid(1.0, 32 * refine_factor ** n_levels)
         fine = [sample_brownian(derive_path_seed(cfg.seed, i), finest) for i in range(start, stop)]
         reference = _solve(replace(cfg, grid=finest), np.stack([f.values for f in fine]))
-        gaps = _coupled_squared_gaps(cfg, start, stop, n_levels, refine_factor)
+        gaps = _coupled_squared_gaps(refine_config(cfg, refine_factor ** n_levels), start, stop,
+                                     n_levels, refine_factor)
         for level, squared in enumerate(gaps):
             stride = refine_factor ** (n_levels - level)
             dB = np.stack([coarsen(f, stride).values for f in fine])
@@ -272,6 +290,32 @@ class TestConvergenceStudy:
         assert blocks == [(0, 32), (32, 40)]
         assert serial == pooled
         assert serial.degenerate is False
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_raising_evaluator_names_the_failing_seed(self, n_workers):
+        # Base N = 64 puts the reference on N = 512: two blocks of 32 and 8
+        # seeds, so n_workers = 2 runs them in a pool.  The evaluation that
+        # raises covers a whole block; the error must name the lowest seed
+        # whose own study raises, not the first seed of the block.
+        hurst = HurstFunction(_RaisingPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,
+                              lip_t=0.0, lip_x=0.0)
+        cfg = replace(self._trig_config(), grid=make_grid(1.0, 64), hurst=hurst)
+        finest = refine_config(cfg, 2 ** 3)
+
+        def raises(seed):
+            try:
+                _coupled_squared_gaps(finest, seed, seed + 1, 3, 2)
+            except FloatingPointError:
+                return True
+            return False
+
+        seed = next(i for i in range(cfg.n_paths) if raises(i))
+        assert seed > 0
+        with pytest.raises(PathSimulationError) as excinfo:
+            convergence_study(cfg, n_levels=3, refine_factor=2, n_workers=n_workers)
+        assert excinfo.value.path_index == seed
+        assert excinfo.value.step is None
+        assert isinstance(excinfo.value.cause, FloatingPointError)
 
     def test_validation(self):
         cfg = self._trig_config()

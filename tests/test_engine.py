@@ -263,36 +263,57 @@ class TestExactIdentities:
         )
         assert bare.values.tobytes() == zeroed.values.tobytes()
 
-    def test_hurst_table_matches_direct_evaluation(self):
-        # Same function twice: once declared constant (activates the
-        # distance-indexed power table on this exact grid), once wrapped so
-        # the solver must evaluate it afresh on every column.
-        grid = make_grid(1.0, 64)
-        assert grid.has_exact_nodes
+    # The state-free row is tabled once on the exact grid and built per
+    # column on the inexact one; next to a state-dependent factor it
+    # multiplies that factor's block.
+    _ROW_GRIDS = pytest.mark.parametrize(("horizon", "steps", "exact"),
+                                         [(1.0, 64, True), (10.0, 100, False)],
+                                         ids=["exact", "inexact"])
+
+    @_ROW_GRIDS
+    @pytest.mark.parametrize(
+        "dampening", [None, builtin_dampening("constant", [0.8]), builtin_dampening("bell", [])],
+        ids=["undampened", "constant", "bell"],
+    )
+    def test_hurst_table_matches_direct_evaluation(self, horizon, steps, exact, dampening):
+        # Same function twice: once declared constant (a factor of the
+        # state-free row), once wrapped so the solver must evaluate it afresh
+        # on every column.
+        grid = make_grid(horizon, steps)
+        assert grid.has_exact_nodes == exact
         tabled = builtin_hurst("constant", [0.75])
         direct = HurstFunction(
             evaluator=_FixedValue(0.75), h_star=0.5, h_sup=1.0, lip_t=0.0, lip_x=0.0
         )
         assert tabled.is_constant and not direct.is_constant
         incr = sample_brownian(Seed(31), grid)
-        a = simulate_discrete(SimulationConfig(grid=grid, hurst=tabled, seed=Seed(31)), incr)
-        b = simulate_discrete(SimulationConfig(grid=grid, hurst=direct, seed=Seed(31)), incr)
+        a, b = (
+            simulate_discrete(
+                SimulationConfig(grid=grid, hurst=h, seed=Seed(31), dampening=dampening), incr
+            )
+            for h in (tabled, direct)
+        )
         assert a.values.tobytes() == b.values.tobytes()
 
-    def test_dampening_table_matches_direct_evaluation(self):
-        grid = make_grid(1.0, 64)
-        h = builtin_hurst("constant", [0.7])
+    @_ROW_GRIDS
+    @pytest.mark.parametrize(
+        "hurst", [builtin_hurst("constant", [0.7]), builtin_hurst("bell", [])],
+        ids=["constant", "bell"],
+    )
+    def test_dampening_table_matches_direct_evaluation(self, horizon, steps, exact, hurst):
+        grid = make_grid(horizon, steps)
+        assert grid.has_exact_nodes == exact
         tabled = builtin_dampening("constant", [0.8])
         direct = DampeningFunction(
             evaluator=_FixedValue(0.8), growth_C=0.8, lip_t=0.0, lip_x=0.0
         )
         assert tabled.constant_value == 0.8 and direct.constant_value is None
         incr = sample_brownian(Seed(41), grid)
-        a = simulate_discrete(
-            SimulationConfig(grid=grid, hurst=h, seed=Seed(41), dampening=tabled), incr
-        )
-        b = simulate_discrete(
-            SimulationConfig(grid=grid, hurst=h, seed=Seed(41), dampening=direct), incr
+        a, b = (
+            simulate_discrete(
+                SimulationConfig(grid=grid, hurst=hurst, seed=Seed(41), dampening=f), incr
+            )
+            for f in (tabled, direct)
         )
         assert a.values.tobytes() == b.values.tobytes()
 
@@ -645,7 +666,7 @@ class TestMonteCarlo:
         cfg = self._config(n_paths=1)
         ensemble = monte_carlo(cfg)
         stream = derive_path_seed(cfg.seed, 0)
-        incr = sample_brownian(stream, cfg.grid, provenance=(cfg.seed.value, 0))
+        incr = sample_brownian(stream, cfg.grid)
         direct = simulate_discrete(cfg, incr)
         assert ensemble.paths[0].values.tobytes() == direct.values.tobytes()
 

@@ -5,7 +5,7 @@ every bit the same way, such as replacing ``np.power`` by ``exp(log)``:
 both sides of each comparison would move together.  These digests can.
 They pin the bytes of every data file each ``configs/*.json`` command
 writes, at one and at two worker processes, and the raw float64 bytes of
-three direct ``simulate_discrete`` runs:
+six direct ``simulate_discrete`` runs:
 
 - ``bell`` Hurst with ``bell`` dampening on T = 10, N = 4096.  Every path
   starts at x = 0 where bell gives h = 1 exactly, so the kernel exponent
@@ -13,9 +13,15 @@ three direct ``simulate_discrete`` runs:
   path when its exponent operand is a scalar or a stride-0 broadcast, so
   the form of that operand shows in the bits.
 - ``trig`` Hurst with constant dampening on an exact-node grid, where the
-  dampening comes from the distance-indexed table.
-- constant Hurst 0.75 on the inexact grid T = 10, N = 1000, where no
-  table applies.
+  dampening comes from the state-free row tabled by node distance.
+- constant Hurst 0.75 on the inexact grid T = 10, N = 1000, where the
+  state-free row is built for each column.
+- constant Hurst 0.75 with ``bell`` dampening, on the exact grid T = 1,
+  N = 512 and on the inexact grid T = 10, N = 1000: the state-dependent
+  dampening times the tabled, then the per-column, power.
+- constant Hurst 0.75 with constant dampening 0.8 on T = 10, N = 1000,
+  where both constant factors are built for each column.
+No example config reaches the last three.
 
 The digests hold for one numpy/scipy build: ``randomness`` documents that
 the C library's ``log`` behind its inverse normal CDF may move in the last
@@ -82,6 +88,18 @@ DIRECT_RUNS = {
     "constant075-T10-N1000": (
         10.0, 1000, ("constant", [0.75]), None, 1000,
         "7c4f1e2f26fe50770c624b4103ed8bdcb8d19774707452f58e90253a7ce79c8b",
+    ),
+    "constant075-bell-T1-N512": (
+        1.0, 512, ("constant", [0.75]), ("bell", []), 512,
+        "3b22572c397c75d97d8fbb6949cf500b2357b2c805b7fbcc3a16e178010df29d",
+    ),
+    "constant075-bell-T10-N1000": (
+        10.0, 1000, ("constant", [0.75]), ("bell", []), 1000,
+        "b0b9dc9fede0d4ef2eb72f902362b0ff9f5aab5f22fa938b089566e137877b3c",
+    ),
+    "constant075-constdamp-T10-N1000": (
+        10.0, 1000, ("constant", [0.75]), ("constant", [0.8]), 1000,
+        "80115e3e7f1764c2c2e048846d938abc843168b53406cef927748dbd70aa4e67",
     ),
 }
 

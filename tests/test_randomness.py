@@ -154,12 +154,6 @@ def test_sample_brownian_shape_and_flags():
     assert not incr.values.flags.writeable
 
 
-def test_sample_brownian_provenance_override():
-    grid = make_grid(1.0, 8)
-    incr = sample_brownian(derive_path_seed(Seed(99), 4), grid, provenance=(99, 4))
-    assert incr.seed_provenance == (99, 4)
-
-
 @pytest.mark.parametrize("master", [0, 2**64 - 1])
 @pytest.mark.parametrize(("start", "stop"), [(0, 1), (3, 40), (1_000, 1_064)])
 def test_block_rows_equal_single_path_samples(master, start, stop):
