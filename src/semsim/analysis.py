@@ -21,7 +21,7 @@ from .engine import (
     _solve,
     refine_config,
 )
-from .randomness import make_grid, sample_brownian_block
+from .randomness import _block_sums, make_grid, sample_brownian_block
 from .special import gronwall_bound
 
 __all__ = [
@@ -218,10 +218,9 @@ def _coupled_squared_gaps(config: SimulationConfig, start: int, stop: int,
     for level in range(n_levels):
         stride = refine_factor ** (n_levels - level)
         level_grid = make_grid(finest.horizon, finest.steps // stride)
-        # Exact block sums of each row, as randomness.coarsen adds them.
-        blocks = fine.reshape(fine.shape[0], level_grid.steps, stride)
-        dB = np.cumsum(blocks, axis=2)[:, :, -1]
-        values = _solve(replace(config, grid=level_grid), dB, first_index=start)
+        # Exact block sums of each row, by the helper randomness.coarsen uses.
+        values = _solve(replace(config, grid=level_grid), _block_sums(fine, stride),
+                        first_index=start)
         gap = values - reference[:, ::stride]
         gaps.append(gap * gap)
     return gaps

@@ -19,8 +19,10 @@ so the per-call overhead is paid once per step of a batch rather than
 once per step of every path.  :func:`simulate_discrete` is a batch of
 one; :func:`simulate_blocks` (behind :func:`monte_carlo`) and the
 refinement study in ``analysis`` solve contiguous blocks of ``max(1,
-2**14 // N)`` paths, each block one task when a process pool is used and
-there is more than one block.
+2**14 // N)`` paths.  One in-order map runs the blocks: the map of a
+process pool, one task per block, when more than one worker is asked for,
+there is more than one block and the config pickles; the builtin ``map``
+in this process otherwise.  Results arrive in block order either way.
 
 Columns
 -------
@@ -99,11 +101,11 @@ constant dampening is never passed to ``evaluate``.
 Failures
 --------
 After each batch one ``isfinite`` scan checks every state.  A NaN or
-infinite state raises :class:`PathSimulationError` naming the path and the
-first non-finite step; custom Hurst or dampening functions are the usual
-cause.  An exception raised inside a batch is named by the block runner,
-which re-runs the block's paths one at a time to find the lowest that
-fails.
+infinite state raises :class:`PathSimulationError` naming the path, the
+first non-finite step and the step count of its grid; custom Hurst or
+dampening functions are the usual cause.  An exception raised inside a
+batch is named by the block runner, which re-runs the block's paths one
+at a time to find the lowest that fails.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ from __future__ import annotations
 import concurrent.futures
 import pickle
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -376,11 +379,11 @@ def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np
         # Neither loop puts the offset into the sums, so every node gets it
         # once, here.
         x += g
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        p = int(np.argmin(finite))
-        step = int(np.argmin(np.isfinite(x[p])))
-        cause = FloatingPointError(f"state {x[p, step]!r} is not finite")
+    if not np.isfinite(x).all():
+        # The lowest failing path, its first failing step, and the step
+        # count N of the grid it is on: a study solves one block on several.
+        p, step = (int(i) for i in np.argwhere(~np.isfinite(x))[0])
+        cause = FloatingPointError(f"state {float(x[p, step])!r} is not finite (N = {dB.shape[1]})")
         raise PathSimulationError(first_index + p, cause, step=step)
     return x
 
@@ -520,11 +523,6 @@ def interpolate_on_refinement(
     return SamplePath(grid=fine.grid, values=out, path_index=coarse_path.path_index)
 
 
-def _block_size(steps: int) -> int:
-    """Paths per block for grids of ``steps`` steps."""
-    return max(1, _BLOCK_STATES // steps)
-
-
 def _run_block(task: Callable, config: SimulationConfig, start: int, stop: int, *args):
     """``task(config, start, stop, *args)``, failing with the lowest failing path named.
 
@@ -552,41 +550,33 @@ def _map_blocks(task: Callable, config: SimulationConfig, n_workers: int, *args
     """Yield ``(start, task(config, start, stop, *args))`` block by block, in order.
 
     The paths ``range(config.n_paths)`` are cut into contiguous blocks of
-    ``max(1, 2**14 // N)`` for the ``N`` steps of ``config.grid``.  With
-    ``n_workers > 1`` and more than one block each block is one task of a
-    process pool, the config pickled once for all of them; results are
-    still yielded in block order, so the first failing block is the one
-    that raises and pending blocks are cancelled.  A single block, and
-    configs whose callables cannot be pickled, run in this process.  A
-    failure raises :class:`PathSimulationError` naming the lowest failing
-    path.
+    ``max(1, 2**14 // N)`` for the ``N`` steps of ``config.grid``, and one
+    in-order map runs ``_run_block`` over them.  With ``n_workers > 1``
+    and more than one block it is the map of a process pool on
+    ``min(n_workers, blocks)`` workers, one task per block and the config
+    pickled once for all of them; a single block, one worker, and configs
+    whose callables cannot be pickled run in this process under the
+    builtin ``map``.  Either way a failure raises
+    :class:`PathSimulationError` naming the lowest failing path, from the
+    first failing block, and however the caller stops reading, the blocks
+    not yet started are dropped.
     """
-    n_items, block = config.n_paths, _block_size(config.grid.steps)
+    n_items, block = config.n_paths, max(1, _BLOCK_STATES // config.grid.steps)
     starts = range(0, n_items, block)
-    n_workers = int(n_workers)
-    payload = None
-    if n_workers > 1 and len(starts) > 1:
-        try:
-            payload = pickle.dumps(config)
-        except Exception:
-            payload = None
+    jobs = (starts, [min(s + block, n_items) for s in starts], *map(repeat, args))
+    n_workers = min(int(n_workers), len(starts))
+    try:
+        payload = pickle.dumps(config) if n_workers > 1 else None
+    except Exception:
+        payload = None
     if payload is None:
-        for s in starts:
-            yield s, _run_block(task, config, s, min(s + block, n_items), *args)
+        yield from zip(starts, map(partial(_run_block, task, config), *jobs))
         return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(n_workers, len(starts))) as pool:
-        futures = [
-            pool.submit(_run_pickled_block, task, payload, s, min(s + block, n_items), *args)
-            for s in starts
-        ]
-        try:
-            for i, s in enumerate(starts):
-                result = futures[i].result()
-                futures[i] = None  # the caller copies the block; let it be freed
-                yield s, result
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
+    try:
+        yield from zip(starts, pool.map(partial(_run_pickled_block, task, payload), *jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _simulate_block(config: SimulationConfig, start: int, stop: int,
@@ -605,9 +595,10 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
     max(1, 2**14 // N)`` (fewer in the last block), and its result is their
     ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` runs in the
     task that solved the block, so with ``n_workers > 1`` it runs in the
-    pool workers and must be picklable, a module-level function.  Worker
-    counts, failures and the serial fallback are those of
-    :func:`monte_carlo`.
+    pool workers and must be picklable, a module-level function.  The
+    blocks go through the one in-order map of :func:`monte_carlo`, a
+    pool's or the builtin one; closing the iterator early drops the
+    blocks not yet started.
     """
     return _map_blocks(_simulate_block, config, n_workers, finish)
 
@@ -619,10 +610,13 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     ensemble is a pure function of the config: any worker count, including
     the serial path, produces identical output, and paths can be
     regenerated individually.  Paths are solved in contiguous blocks of
-    ``max(1, 2**14 // N)``, one pool task per block when ``n_workers > 1``
-    and there is more than one block.  Failures surface as
-    :class:`PathSimulationError` naming the lowest failing index.  Configs
-    whose callables cannot be pickled fall back to serial execution.
+    ``max(1, 2**14 // N)`` by one in-order map: a process pool's, one task
+    per block, when ``n_workers > 1`` and there is more than one block;
+    the builtin ``map`` in this process for a single block, one worker, or
+    a config whose callables cannot be pickled.  Failures surface as
+    :class:`PathSimulationError` naming the lowest failing index, and the
+    blocks not yet started when the first failing block is read are
+    dropped.
     """
     values = np.empty((config.n_paths, config.grid.steps + 1))
     for start, block in simulate_blocks(config, n_workers):

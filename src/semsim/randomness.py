@@ -365,8 +365,17 @@ def coarsen(increments: BrownianIncrements, factor: int) -> BrownianIncrements:
         raise ValueError(f"factor {factor} does not divide the step count {n}")
     if factor == 1:
         return increments
-    blocks = increments.values.reshape(n // factor, factor)
-    values = np.cumsum(blocks, axis=1)[:, -1]
+    values = _block_sums(increments.values, factor)
     values.setflags(write=False)
     coarse = TimeGrid(horizon=increments.grid.horizon, steps=n // factor)
     return BrownianIncrements(grid=coarse, values=values, seed_provenance=increments.seed_provenance)
+
+
+def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:
+    """Sums of each run of ``factor`` entries along the last axis, added left to right.
+
+    The last axis must be a multiple of ``factor`` long; every row of a
+    batch is summed as :func:`coarsen` sums one path.
+    """
+    blocks = values.reshape(*values.shape[:-1], -1, factor)
+    return np.cumsum(blocks, axis=-1)[..., -1]

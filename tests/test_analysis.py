@@ -33,10 +33,24 @@ from semsim import (
     make_grid,
     refine_config,
     sample_brownian,
+    sample_brownian_block,
     simulate_discrete,
 )
+from semsim import analysis
 from semsim.analysis import _coupled_squared_gaps
 from semsim.engine import _solve
+
+
+@dataclass(frozen=True)
+class _NanPastThreshold:
+    """Returns ``value``, or NaN where ``|x|`` exceeds ``threshold``."""
+
+    value: float
+    threshold: float
+
+    def __call__(self, t, x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.where(np.abs(x) > self.threshold, np.nan, self.value)
 
 
 @dataclass(frozen=True)
@@ -278,16 +292,24 @@ class TestConvergenceStudy:
         cfg = replace(self._trig_config(builtin_dampening("constant", [1.0])),
                       grid=make_grid(1.0, 64))
         serial = convergence_study(cfg, n_levels=3, refine_factor=2)
-        blocks = []
-        submit = concurrent.futures.ProcessPoolExecutor.submit
+        blocks, pools = [], []
+        map_blocks = analysis._map_blocks
 
-        def recording_submit(pool, fn, /, *args, **kwargs):
-            blocks.append(args[2:4])
-            return submit(pool, fn, *args, **kwargs)
+        def recording_map_blocks(*args):
+            for start, gaps in map_blocks(*args):
+                blocks.append((start, start + gaps[0].shape[0]))
+                yield start, gaps
 
-        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", recording_submit)
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(analysis, "_map_blocks", recording_map_blocks)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         pooled = convergence_study(cfg, n_levels=3, refine_factor=2, n_workers=2)
         assert blocks == [(0, 32), (32, 40)]
+        assert len(pools) == 1
         assert serial == pooled
         assert serial.degenerate is False
 
@@ -316,6 +338,25 @@ class TestConvergenceStudy:
         assert excinfo.value.path_index == seed
         assert excinfo.value.step is None
         assert isinstance(excinfo.value.cause, FloatingPointError)
+
+    def test_non_finite_state_names_the_grid_of_its_step(self):
+        # Base N = 16 with three levels of r = 2 puts the reference on
+        # N = 128, which the config never names.  The reference is solved
+        # first, so the first NaN is found there, and its step counts nodes
+        # of that grid.
+        hurst = HurstFunction(_NanPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,
+                              lip_t=0.0, lip_x=0.0)
+        cfg = replace(self._trig_config(), grid=make_grid(1.0, 16), hurst=hurst)
+        finest = refine_config(cfg, 2 ** 3)
+        with pytest.raises(PathSimulationError) as direct:
+            _solve(finest, sample_brownian_block(cfg.seed, finest.grid, 0, cfg.n_paths))
+        with pytest.raises(PathSimulationError) as excinfo:
+            convergence_study(cfg, n_levels=3, refine_factor=2)
+        path, step = direct.value.path_index, direct.value.step
+        assert (excinfo.value.path_index, excinfo.value.step) == (path, step)
+        assert step > 16
+        assert f"path {path} at step {step}" in str(excinfo.value)
+        assert "(N = 128)" in str(excinfo.value)
 
     def test_validation(self):
         cfg = self._trig_config()

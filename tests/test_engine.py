@@ -11,6 +11,7 @@ statistically on a shared Gaussian ensemble.
 import concurrent.futures
 import math
 import pickle
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from semsim import (
     sigma,
     simulate_discrete,
 )
-from semsim.engine import _Kernel, _solve
+from semsim.engine import _Kernel, _map_blocks, _solve
 from semsim.randomness import coarsen
 
 
@@ -120,6 +121,15 @@ class _CountingEvaluator:
         x = np.asarray(x, dtype=np.float64)
         self.values += x.size
         return 0.5 + 0.3 / (1.0 + x * x)
+
+
+def _fail_first_block(config: SimulationConfig, start: int, stop: int, marks) -> int:
+    """A block task: block 0 raises; any other sleeps, then leaves a marker in ``marks``."""
+    if start == 0:
+        raise FloatingPointError("block 0 fails")
+    time.sleep(0.2)
+    (marks / f"block-{start}").touch()
+    return start
 
 
 def _oracle_path(config: SimulationConfig, increments: BrownianIncrements) -> np.ndarray:
@@ -696,7 +706,7 @@ class TestMonteCarlo:
         parallel = monte_carlo(self._config(n_paths=3), n_workers=2)
         assert serial.values_matrix().tobytes() == parallel.values_matrix().tobytes()
 
-    def test_unpicklable_config_falls_back_to_serial(self):
+    def test_unpicklable_config_falls_back_to_serial(self, monkeypatch):
         # Two blocks of 8 paths on N = 2048, so a pool would run.
         cfg = SimulationConfig(
             grid=make_grid(1.0, 2048),
@@ -706,8 +716,29 @@ class TestMonteCarlo:
             n_paths=10,
         )
         serial = monte_carlo(cfg, n_workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for an unpicklable config")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         fallback = monte_carlo(cfg, n_workers=2)
         assert serial.values_matrix().tobytes() == fallback.values_matrix().tobytes()
+
+    def test_no_pending_block_starts_after_the_first_failing_block(self, tmp_path):
+        # N = 2**14 makes every path its own block: 24 blocks on 2 workers.
+        # When block 0's failure is read, the blocks that may still run are
+        # one per worker and those in the pool's call queue, which holds
+        # n_workers + 1 calls a future can no longer cancel; both 4 and 5
+        # markers occur.  Without the cancel all 23 other blocks would run.
+        cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
+                               seed=Seed(71), n_paths=24)
+        n_workers = 2
+        with pytest.raises(PathSimulationError) as excinfo:
+            for _ in _map_blocks(_fail_first_block, cfg, n_workers, tmp_path):
+                pass
+        assert excinfo.value.path_index == 0
+        assert isinstance(excinfo.value.cause, FloatingPointError)
+        assert len(list(tmp_path.iterdir())) <= 2 * n_workers + 1
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_path_failure_names_the_index(self, n_workers):
