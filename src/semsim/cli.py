@@ -366,8 +366,8 @@ def main(argv=None) -> int:
             "config": config.echo,
             "files": files,
             "threads": threads,
-            # Whether the base grid's node products are exact, which lets
-            # the solver table its state-free row (TimeGrid.has_exact_nodes).
+            # Whether refinement coupling is bit-exact on the base grid: its
+            # node products are exact (TimeGrid.has_exact_nodes).
             "exact_nodes": make_grid(config.horizon, config.steps).has_exact_nodes,
             "wall_seconds": wall,
             "seed_rule": SEED_RULE,

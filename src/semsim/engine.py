@@ -41,36 +41,39 @@ times only.  :func:`~semsim.model.validate_hurst` and
 report such a declaration as a ``lipschitz_t`` violation.
 
 A column of the ``m = N - i`` later nodes is built as one C-contiguous
-``(P, m)`` block: the exponents, dampening and terms of every column are
-views of the first ``P * m`` floats of two flat buffers of ``P * N``,
-allocated once per batch.  numpy runs each fill, ``power``, ``exp`` and
-product over such a block as one loop; over the ``[:, :m]`` slice of a
-``(P, N)`` array, whose rows sit N floats apart, it runs P short loops.
-The running sums keep the path-major ``(P, N + 1)`` layout.
+``(P, m)`` block: the exponents and terms of every column are views of the
+first ``P * m`` floats of two flat buffers of ``P * N``, allocated once per
+batch.  numpy runs each fill, ``exp`` and product over such a block as one
+loop; over the ``[:, :m]`` slice of a ``(P, N)`` array, whose rows sit N
+floats apart, it runs P short loops.  The running sums keep the
+path-major ``(P, N + 1)`` layout.
 
-A factor that does not read the state, a constant Hurst value's power or
-a constant dampening, depends on the node distance alone.  The product of
-such factors is one state-free row: on grids whose node products are
-exact it is tabled once over the distances ``t[1:]``, on any other grid
-it is built per column from ``t_k - t_i``.  A column is the
-state-dependent power, times the state-dependent dampening, times that
-row, times the increments; one builder assembles every column.
+On every grid, node ``k > i`` lies the distance ``d[k - i - 1]`` after node
+``i``, where ``d = t[1:]`` are the node times themselves: one rounding of
+``(k - i) * dt``.  ``log d`` is tabled once per kernel, and a term is one
+``exp``: ``exp((h - 1/2) * log d - f * d) * increment``.  An exponent that
+does not read the state, a constant Hurst value's or a constant
+dampening's, depends on the distance alone; their sum is one state-free
+row, tabled once.  A column is the state-dependent Hurst exponent plus
+the state-dependent dampening exponent plus that row, exponentiated, times
+the increments; one builder assembles every column.
 
 Refinement interpolation builds its sums from the same columns, one per
 coarse node over the fine nodes after it.  The solver keeps this batched
 builder, with its row and buffers, apart from
-:mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma` is the
-reference it is tested against.
+:mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma` (the power
+``gap ** (h - 1/2)``) is the reference it is tested against; the two
+agree to a few ulp per term.
 
 Diagonals
 ---------
 When no factor reads the state (constant Hurst, no or constant
-dampening) and the grid is exact, the kernel is the tabled state-free row
-``K``: ``X[k] = g(t_k) + sum_{i < k} K[k - i - 1] dB[i]``.  The solver
-then holds the sums node-major, ``(N + 1, P)``, and adds one distance
-``d`` at a time, ``sums[d:] += K[d] * dB[:N - d]``, where every operand is
-one contiguous block; going from the largest distance down keeps each
-node's index order, and ``K[d] * dB[i]`` is the column loop's term bit for
+dampening), on any grid, the kernel is ``K = exp`` of the state-free row:
+``X[k] = g(t_k) + sum_{i < k} K[k - i - 1] dB[i]``.  The solver then holds
+the sums node-major, ``(N + 1, P)``, and adds one distance ``d`` at a
+time, ``sums[d:] += K[d] * dB[:N - d]``, where every operand is one
+contiguous block; going from the largest distance down keeps each node's
+index order, and ``K[d] * dB[i]`` is the column builder's term bit for
 bit.  The offset is added last.  State-dependent kernels keep the
 path-major columns, where the node-major layout is slower on narrow
 batches.
@@ -81,22 +84,19 @@ Every node sums its terms strictly left to right, in index order: the
 columns (or diagonals) are added to running sums that start at -0.0, the
 identity of float addition, since ``-0.0 + a`` is ``a`` bit for bit, signed
 zeros included, where a start at 0.0 would turn a -0.0 sum into +0.0.
-Terms are always built as ``(power * dampening) * increment``.  Together
-with the lattice quantization of the driving increments this makes the
-exact identities hold bitwise: a constant Hurst value of 1/2 reproduces
-Brownian prefix sums, zero dampening reproduces the undampened run, and
-refinement interpolation reproduces the coarse path at shared nodes on
-grids with exact node products.  A path's bits do not depend on the batch
-it is solved in.
-
-On grids whose node products are exact (see ``TimeGrid.has_exact_nodes``)
-a column reads its node distances from the nodes themselves, and the
-state-free row is a slice of its table; the table holds bitwise the
-values the row built per column would, so it changes speed, never
-output.  Products of floats commute bit for bit, so multiplying the row
-in after the state-dependent factors keeps ``(power * dampening) *
-increment``.  The row serves the whole batch, never one path, and
-constant dampening is never passed to ``evaluate``.
+Terms are always built as ``exp(exponent) * increment``, the exponent a
+sum of at most two terms, so the order in which they are added does not
+show in the bits.  Together with the lattice quantization of the driving
+increments this makes the exact identities hold bitwise: a constant Hurst
+value of 1/2 gives the exponent 0 and the factor 1, which reproduces
+Brownian prefix sums; zero dampening adds an exact zero to the exponent,
+which reproduces the undampened run; and refinement interpolation
+reproduces the coarse path at shared nodes on grids with exact node
+products (see ``TimeGrid.has_exact_nodes``), where a coarse distance is
+bitwise a fine one.  A path's bits do not depend on the batch it is
+solved in, and a constant declared as varying gives the bits of its
+tabled row.  The row serves the whole batch, never one path, and constant
+dampening is never passed to ``evaluate``.
 
 Failures
 --------
@@ -255,100 +255,84 @@ def _offset_values(config: SimulationConfig) -> np.ndarray | None:
 class _Kernel:
     """Kernel terms of one node for every later node, for a batch of paths.
 
-    Built for the grid of the later nodes and a batch of P paths.  The
-    factors that do not read the state, a constant Hurst value's power and
-    a constant dampening, depend on the node distance alone; their product
-    is the state-free row ``fixed``, tabled once over the node distances on
-    grids with exact node products and built per column on any other grid.
-    When no factor reads the state, ``by_distance`` is that table: the
-    kernel of nodes ``d + 1`` steps apart is ``by_distance[d]``.  A column
-    of m later nodes is written into C-contiguous ``(P, m)`` views of two
-    flat buffers of ``P * N`` floats, so every numpy call on it is one loop
-    rather than P strided rows; the kernel owns the buffers, and a
-    column's terms last until the next column is built.
+    Built for the grid of the later nodes and a batch of P paths.  Node
+    ``k > i`` is the distance ``d[k - i - 1]`` after node ``i`` on every
+    grid, with ``d = t[1:]``, and ``log d`` is tabled once.  A term is
+    ``exp(exponent) * increment``, its exponent the sum of ``(h - 1/2) *
+    log d`` and ``-f * d``.  The exponents that do not read the state, a
+    constant Hurst value's and a constant dampening's, are summed into the
+    state-free row ``fixed``; when no factor reads the state,
+    ``by_distance`` is its ``exp``, and the kernel of nodes ``d + 1`` steps
+    apart is ``by_distance[d]``.  A column of m later nodes is written into
+    C-contiguous ``(P, m)`` views of two flat buffers of ``P * N`` floats,
+    so every numpy call on it is one loop rather than P strided rows; the
+    kernel owns the buffers, and a column's terms last until the next
+    column is built.
     """
 
     def __init__(self, config: SimulationConfig, n_paths: int):
         hurst, dampening = config.hurst, config.dampening
         n = config.grid.steps
-        t = config.grid.nodes
-        self.t = t
-        self.exact = config.grid.has_exact_nodes
+        self.t = config.grid.nodes
+        self.d = self.t[1:]
+        self.log_d = np.log(self.d)
         self.hurst = hurst
         self.dampening = dampening
-        self.damp_constant = None if dampening is None else dampening.constant_value
+        damp_constant = None if dampening is None else dampening.constant_value
         # Whether each factor depends on the state.
         self.h_varies = not hurst.is_constant
-        self.damp_varies = dampening is not None and self.damp_constant is None
-        self.fixed = self._fixed(t[1:]) if self.exact else None
-        self.by_distance = None if self.h_varies or self.damp_varies else self.fixed
-        # The exponents and then the dampening of a state-dependent factor,
-        # and the terms; each column views its (P, m) block of them.
+        self.damp_varies = dampening is not None and damp_constant is None
+        fixed = None if self.h_varies else (hurst.h_star - 0.5) * self.log_d
+        if damp_constant is not None:
+            damp = -damp_constant * self.d
+            fixed = damp if fixed is None else fixed + damp
+        self.fixed = fixed
+        varies = self.h_varies or self.damp_varies
+        self.by_distance = None if varies else np.exp(fixed)
+        # The exponents, and the terms; each column views its (P, m) block
+        # of them.
         self.n_paths = n_paths
-        self.work = np.empty(n_paths * n) if self.h_varies or self.damp_varies else None
+        self.work = np.empty(n_paths * n) if varies else None
         self.terms = np.empty(n_paths * n)
-
-    def _fixed(self, dts: np.ndarray) -> np.ndarray | None:
-        """The product of the factors that do not read the state at the distances ``dts``.
-
-        None when both factors read the state.
-        """
-        fixed = None
-        if not self.h_varies:
-            fixed = np.power(dts, self.hurst.h_star - 0.5)
-        if self.damp_constant is not None:
-            damp = np.exp(-self.damp_constant * dts)
-            fixed = damp if fixed is None else fixed * damp
-        return fixed
 
     def column(self, i: int, t_i: float, states: np.ndarray, weights: np.ndarray
                ) -> np.ndarray:
         """Terms of a node at ``(t_i, states)`` for the ``m = N - i`` nodes ``k > i``.
 
         Column ``k - i - 1`` of the result is ``sigma(t_k, t_i, states) *
-        weights[:, k - i - 1]``; ``weights`` is ``(P, 1)`` or ``(1, m)``.
-        ``t_i`` is node ``i`` itself on grids with exact node products, whose
-        distances are ``t[1:m + 1]``.  A state-dependent power is built in
-        the result and a state-dependent dampening in the work buffer, once
-        the exponents there are spent; their product is multiplied by the
-        ``fixed`` row, then by ``weights``.  The result is a C-contiguous
-        ``(P, m)`` view of the kernel's terms buffer, valid until the next
-        call.
+        weights[:, k - i - 1]``, at the distance ``d[k - i - 1]``;
+        ``weights`` is ``(P, 1)`` or ``(1, m)``.  The state-dependent
+        exponents are written into the work buffer, a dampening's through
+        the terms buffer, and the ``fixed`` row is added to them; one
+        ``exp`` and one product with ``weights`` give the terms.  The result
+        is a C-contiguous ``(P, m)`` view of the kernel's terms buffer,
+        valid until the next call.
         """
         m = self.t.shape[0] - 1 - i
         size = self.n_paths * m
         out = self.terms[:size].reshape(self.n_paths, m)
-        times = self.t[i + 1:]
-        if self.exact:
-            dts = self.t[1:m + 1]
-            fixed = None if self.fixed is None else self.fixed[:m]
-        else:
-            dts = times - t_i
-            fixed = self._fixed(dts)
-        terms = None
+        if self.by_distance is not None:
+            return np.multiply(self.by_distance[:m], weights, out=out)
+        exponents = self.work[:size].reshape(self.n_paths, m)
         if self.h_varies:
-            # The base keeps its row axis, and the exponent is filled into a
-            # full array: on an operand broadcast with stride 0 np.power takes
-            # a separate fast path for the exponent 1/2, which moves the last
-            # bit.
-            exponents = self.work[:size].reshape(self.n_paths, m)
-            exponents[...] = self._at_column(self.hurst, t_i, states, times) - 0.5
-            terms = np.power(dts[None, :], exponents, out=out)
+            h = self._at_column(self.hurst, i, t_i, states)
+            np.multiply(h - 0.5, self.log_d[:m], out=exponents)
         if self.damp_varies:
-            neg_f = -self._at_column(self.dampening, t_i, states, times)
-            damp = np.multiply(neg_f, dts, out=self.work[:size].reshape(self.n_paths, m))
-            np.exp(damp, out=damp)
-            terms = damp if terms is None else np.multiply(terms, damp, out=out)
-        if fixed is not None:
-            terms = fixed if terms is None else np.multiply(terms, fixed, out=out)
-        return np.multiply(terms, weights, out=out)
+            neg_f = -self._at_column(self.dampening, i, t_i, states)
+            if self.h_varies:
+                exponents += np.multiply(neg_f, self.d[:m], out=out)
+            else:
+                np.multiply(neg_f, self.d[:m], out=exponents)
+        if self.fixed is not None:
+            exponents += self.fixed[:m]
+        np.exp(exponents, out=out)
+        return np.multiply(out, weights, out=out)
 
-    @staticmethod
-    def _at_column(fn, t_i: float, states: np.ndarray, times: np.ndarray):
-        """``fn(t_k, states)`` for the later times ``t_k``, broadcastable to ``(P, m)``.
+    def _at_column(self, fn, i: int, t_i: float, states: np.ndarray):
+        """``fn(t_k, states)`` for the nodes ``k > i``, broadcastable to ``(P, m)``.
 
         A function declaring ``lip_t == 0`` is evaluated once, at ``t_i``.
-        Any other gets the times as a ``(1, m)`` row and the states
+        Any other gets the times ``t_k`` as a ``(1, m)`` row and the states
         repeated over the full ``(P, m)`` shape, one value per term; numpy
         runs the evaluators faster on that copy than on a broadcast view.
         """
@@ -356,9 +340,10 @@ class _Kernel:
             # A 0-d evaluation is reshaped, not indexed; an evaluator may
             # return a Python float, which has no reshape method.
             return np.asarray(fn.evaluate(t_i, states), dtype=np.float64).reshape(-1, 1)
-        full = np.empty((states.shape[0], times.shape[0]))
+        times = self.t[None, i + 1:]
+        full = np.empty((states.shape[0], times.shape[1]))
         full[...] = states[:, None]
-        return np.asarray(fn.evaluate(times[None, :], full), dtype=np.float64)
+        return np.asarray(fn.evaluate(times, full), dtype=np.float64)
 
 
 def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np.ndarray:
@@ -498,9 +483,9 @@ def interpolate_on_refinement(
     # Coarse node i is one column over the fine nodes j > i r.  Its weight
     # for the fine nodes inside its own block is the running sum of the fine
     # increments up to j, and dB_coarse[i] for every later node.  Columns are
-    # added in node order to sums that start at -0.0.  An exact fine grid has
-    # dt = T / (N r) exactly, so every coarse node is a fine node and the fine
-    # grid's tabled row serves the columns.
+    # added in node order to sums that start at -0.0.  The fine grid's
+    # distances serve the columns; on an exact fine grid, dt = T / (N r)
+    # exactly, so they are bitwise the coarse grid's.
     r = refine_factor
     t_c = config.grid.nodes
     x_c = coarse_path.values

@@ -224,8 +224,10 @@ class TimeGrid:
         ``steps`` fits in 53 bits, e.g. for any power-of-two ``steps`` with
         a short-significand horizon such as 1.0, 2.5 or 10.0.  On such grids
         node differences collapse exactly, ``nodes[k] - nodes[i] ==
-        nodes[k - i]`` bitwise, which downstream code exploits for kernel
-        tables and for bit-exact refinement coupling.
+        nodes[k - i]`` bitwise, and a coarse node is bitwise a node of
+        every refinement, which is what makes refinement coupling bit-exact.
+        The solver's kernel reads node distances as ``nodes[k - i]`` on
+        every grid, so it does not depend on this property.
         """
         mantissa, _ = math.frexp(self.dt)
         m = int(mantissa * (1 << 53))

@@ -40,6 +40,7 @@ from semsim import (
     simulate_discrete,
 )
 from semsim.engine import _Kernel, _map_blocks, _solve
+from semsim.kernels import kernel_values
 from semsim.randomness import coarsen
 
 
@@ -273,9 +274,9 @@ class TestExactIdentities:
         )
         assert bare.values.tobytes() == zeroed.values.tobytes()
 
-    # The state-free row is tabled once on the exact grid and built per
-    # column on the inexact one; next to a state-dependent factor it
-    # multiplies that factor's block.
+    # The state-free row is tabled once over the node distances on either
+    # grid; next to a state-dependent factor it is added to that factor's
+    # exponents.
     _ROW_GRIDS = pytest.mark.parametrize(("horizon", "steps", "exact"),
                                          [(1.0, 64, True), (10.0, 100, False)],
                                          ids=["exact", "inexact"])
@@ -373,13 +374,13 @@ class TestColumnOrder:
             (builtin_hurst("smooth_at_origin", []), builtin_dampening("bell", []),
              lambda t: 0.25 - t, 1.0, 48, 2),
             # A constant factor next to one declaring lip_t > 0: the column
-            # reads the constant from its exact-node table.
+            # reads the constant from its state-free row.
             (builtin_hurst("constant", [0.75]), builtin_dampening("bell", []), None,
              10.0, 512, 2),
             (builtin_hurst("bell", []), builtin_dampening("constant", [0.8]), None,
              2.0, 1024, 2),
-            # A 0-d evaluation of h = 1: the exponent 1/2 must reach np.power
-            # as a full array in either declaration.
+            # A 0-d evaluation of h = 1, whose exponent 1/2 is broadcast over
+            # the column in either declaration.
             (HurstFunction(_FixedValue(1.0), h_star=0.5, h_sup=1.0, lip_t=0.0, lip_x=0.0), None,
              None, 1.0, 64, 2),
             # A dampening evaluator returning a Python float, which has no
@@ -439,7 +440,7 @@ class TestColumnBlocks:
         [
             # bell is 1 at x = 0, so node 0 has the exponent 1/2.
             (builtin_hurst("bell", []), builtin_dampening("bell", []), None, 10.0, 512),
-            # The constant dampening is read from its exact-node table.
+            # The constant dampening is read from its state-free row.
             (builtin_hurst("trig", [0.6, 0.2, 1.0]), builtin_dampening("constant", [0.8]), None,
              1.0, 256),
             (_declared_time_dependent(builtin_hurst("bell", [])),
@@ -480,10 +481,59 @@ class TestColumnBlocks:
             assert block.flags.c_contiguous
 
 
-def _tabled_config(dampening, offset=None):
-    """Constant Hurst on an exact grid: every kernel factor is tabled."""
-    grid = make_grid(1.0, 64)
-    assert grid.has_exact_nodes
+class TestKernelAccuracy:
+    """The solver's terms against the reference ``kernels.kernel_values``, in ulps.
+
+    The solver builds a term as one ``exp((h - 1/2) log d - f d)``; the
+    reference as ``d ** (h - 1/2) * exp(-f d)``.  Both round ``h - 1/2`` and
+    ``-f d`` the same way, so the gap is the rounding of ``log d``, of its
+    product and of the sum, carried through ``exp``: 10 ulp at most and
+    under 1 ulp on average over these samples.
+    """
+
+    MAX_ULP = 12
+    MEAN_ULP = 1.0
+
+    @pytest.mark.parametrize(
+        ("hurst", "dampening"),
+        [
+            (builtin_hurst("bell", []), builtin_dampening("bell", [])),
+            (builtin_hurst("constant", [0.75]), builtin_dampening("bell", [])),
+            (builtin_hurst("trig", [0.6, 0.2, 1.0]), builtin_dampening("constant", [0.8])),
+            (builtin_hurst("rough_at_origin", []), builtin_dampening("constant", [0.8])),
+            (builtin_hurst("bell", []), None),
+        ],
+        ids=["bell-bell", "constant-bell", "trig-constant", "rough-constant", "bell-undampened"],
+    )
+    def test_terms_within_ulps_of_reference(self, hurst, dampening):
+        grid = make_grid(10.0, 4096)
+        # The node differences are the solver's distances bit for bit.
+        assert grid.has_exact_nodes
+        t = grid.nodes
+        n_paths = 64
+        states = np.random.default_rng(78).uniform(-4.0, 4.0, n_paths)
+        # bell is 1 at x = 0: the exponent 1/2.
+        states[0] = 0.0
+        kernel = _Kernel(SimulationConfig(grid=grid, hurst=hurst, seed=Seed(78),
+                                          dampening=dampening), n_paths)
+        ulps = []
+        for i in range(0, 4096, 256):
+            got = kernel.column(i, t[i], states, np.ones((n_paths, 1)))
+            want = np.broadcast_to(kernel_values(hurst, dampening, t[None, i + 1:], t[i],
+                                                 states[:, None]), got.shape)
+            assert (got > 0.0).all() and (want > 0.0).all()
+            # Positive floats order like their bit patterns.
+            ulps.append(np.abs(got.view(np.int64) - np.ascontiguousarray(want).view(np.int64)))
+        ulps = np.concatenate(ulps, axis=None)
+        assert ulps.size >= 10 ** 6
+        assert ulps.max() <= self.MAX_ULP
+        assert ulps.mean() <= self.MEAN_ULP
+
+
+def _tabled_config(dampening, offset=None, horizon=1.0, steps=64):
+    """Constant Hurst, on the exact grid T = 1, N = 64 by default: the kernel is tabled."""
+    grid = make_grid(horizon, steps)
+    assert grid.has_exact_nodes == (steps == 64)
     return SimulationConfig(grid=grid, hurst=builtin_hurst("constant", [0.7]), seed=Seed(74),
                             dampening=dampening, offset_g=offset)
 
@@ -510,16 +560,28 @@ class TestDiagonalLoop:
     """A kernel of the node distance alone is summed node-major, one distance at a time."""
 
     @pytest.mark.parametrize("offset", [None, math.sin], ids=["plain", "sin"])
-    @pytest.mark.parametrize("n_paths", [1, 3, 64])
+    # The exact grid T = 1, N = 64, and 3 paths on the inexact T = 10,
+    # N = 1000, whose distances are the node times too.
+    @pytest.mark.parametrize(("n_paths", "horizon", "steps"),
+                             [(1, 1.0, 64), (3, 1.0, 64), (64, 1.0, 64), (3, 10.0, 1000)],
+                             ids=["1", "3", "64", "3-inexact"])
     @pytest.mark.parametrize(
         "dampening",
         [None, builtin_dampening("constant", [0.8]), builtin_dampening("constant", [0.0])],
         ids=["undampened", "constant-0.8", "constant-0.0"],
     )
-    def test_matches_left_to_right_sums_bitwise(self, dampening, n_paths, offset):
-        cfg = _tabled_config(dampening, offset)
+    def test_matches_left_to_right_sums_bitwise(self, dampening, n_paths, horizon, steps, offset):
+        cfg = _tabled_config(dampening, offset, horizon, steps)
         dB = np.stack([sample_brownian(Seed(75 + p), cfg.grid).values for p in range(n_paths)])
         assert _solve(cfg, dB).tobytes() == _distance_sums(cfg, dB).tobytes()
+
+    @pytest.mark.parametrize(
+        "dampening", [None, builtin_dampening("constant", [0.8])], ids=["undampened", "constant"]
+    )
+    def test_constant_kernel_is_tabled_on_inexact_grid(self, dampening):
+        cfg = _tabled_config(dampening, horizon=10.0, steps=1000)
+        kernel = _Kernel(cfg, 1)
+        assert kernel.by_distance is not None and kernel.by_distance.shape == (1000,)
 
     def test_path_bits_do_not_depend_on_the_batch(self):
         cfg = _tabled_config(builtin_dampening("constant", [0.8]), math.sin)
