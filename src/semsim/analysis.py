@@ -31,6 +31,7 @@ __all__ = [
     "AcfSeries",
     "ConvergenceReport",
     "estimate_moment",
+    "sample_moment",
     "fit_loglog_slope",
     "estimate_holder",
     "acf_abs_increments",
@@ -96,13 +97,22 @@ class ConvergenceReport:
 
 def estimate_moment(ensemble: Ensemble, p: float, node: int) -> MonteCarloEstimate:
     """Monte Carlo estimate of ``E|X(t_node)|**p`` with its standard error."""
-    p = float(p)
-    if p < 0.0:
-        raise ValueError(f"moment order p must be nonnegative, got {p!r}")
     n_nodes = ensemble.config.grid.steps + 1
     if not 0 <= node < n_nodes:
         raise ValueError(f"node must lie in [0, {n_nodes}), got {node!r}")
-    samples = np.abs(ensemble.values_matrix()[:, node]) ** p
+    return sample_moment(ensemble.values_matrix()[:, node], p)
+
+
+def sample_moment(states: np.ndarray, p: float) -> MonteCarloEstimate:
+    """Monte Carlo estimate of ``E|X|**p`` from the 1-d samples ``states`` of ``X``.
+
+    The standard error is the sample standard deviation over the square
+    root of the sample count, and 0 for a single sample.
+    """
+    p = float(p)
+    if p < 0.0:
+        raise ValueError(f"moment order p must be nonnegative, got {p!r}")
+    samples = np.abs(states) ** p
     m = samples.shape[0]
     value = float(np.mean(samples))
     std_error = 0.0 if m == 1 else float(np.std(samples, ddof=1) / math.sqrt(m))

@@ -3,6 +3,14 @@
 One JSON config drives every subcommand; outputs are plain CSV/JSON files
 plus a run manifest.  Data files are a pure function of the config: the
 thread count (or ``SEM_THREADS``) changes wall time only, never bytes.
+
+Every command that simulates an ensemble runs it one way: through
+:func:`~semsim.engine.simulate_blocks` with a ``finish`` that reduces each
+block in the task that solved it.  ``simulate`` formats the block's CSV
+fields, ``holder`` and ``acf`` estimate each of its paths, and
+``moments`` keeps its paths' states at the requested nodes.  The parent
+joins the block results in path order and never holds the whole path
+matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable
+from functools import partial
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -23,11 +32,11 @@ from .analysis import (
     acf_abs_increments,
     convergence_study,
     estimate_holder,
-    estimate_moment,
+    sample_moment,
 )
-from .engine import SimulationConfig, monte_carlo, simulate_blocks
+from .engine import SamplePath, SimulationConfig, simulate_blocks
 from .model import DampeningFunction, HurstFunction, builtin_dampening, builtin_hurst
-from .randomness import Seed, make_grid
+from .randomness import Seed, TimeGrid, make_grid
 
 SEED_RULE = "splitmix64-philox-ndtri-v1"
 
@@ -54,7 +63,9 @@ def _is_int(v: Any) -> bool:
 
 
 def _is_num(v: Any) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    # A finite float, or an integer that converts to one: NaN, the
+    # infinities and integers past the float range are not numbers here.
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -261,11 +272,27 @@ def _cmd_converge(config: ExperimentConfig, section: dict, out_dir: str,
     return [_atomic_write(out_dir, "convergence.json", _json_text(payload))]
 
 
+def _per_path(grid: TimeGrid, estimate: Callable, block: np.ndarray) -> list:
+    """``estimate`` of each path of a block, in path order."""
+    return [estimate(SamplePath(grid, row)) for row in block]
+
+
+def _each_path(config: ExperimentConfig, threads: int, estimate: Callable) -> list:
+    """``estimate`` of every path of the ensemble, in path order.
+
+    The estimates are made in the task that solved the block, so the
+    parent never holds more than one block's states.  ``estimate`` must
+    pickle: a ``partial`` of a module-level function.
+    """
+    sim = config.simulation_config()
+    blocks = simulate_blocks(sim, threads, partial(_per_path, sim.grid, estimate))
+    return [result for _, block in blocks for result in block]
+
+
 def _cmd_holder(config: ExperimentConfig, section: dict, out_dir: str,
                 threads: int) -> list[str]:
-    ensemble = monte_carlo(config.simulation_config(), n_workers=threads)
-    lags = section.get("lags")
-    estimates = [estimate_holder(p, q=section["q"], lags=lags) for p in ensemble.paths]
+    estimates = _each_path(config, threads, partial(estimate_holder, q=section["q"],
+                                                    lags=section.get("lags")))
     payload = {
         "q": float(section["q"]),
         "lags": list(estimates[0].lags),
@@ -280,8 +307,7 @@ def _cmd_holder(config: ExperimentConfig, section: dict, out_dir: str,
 
 def _cmd_acf(config: ExperimentConfig, section: dict, out_dir: str,
              threads: int) -> list[str]:
-    ensemble = monte_carlo(config.simulation_config(), n_workers=threads)
-    series = [acf_abs_increments(p, max_lag=section["max_lag"]) for p in ensemble.paths]
+    series = _each_path(config, threads, partial(acf_abs_increments, max_lag=section["max_lag"]))
     mean_values = np.mean([s.values for s in series], axis=0)
     lines = ["lag,value"]
     for lag, value in zip(series[0].lags, mean_values):
@@ -291,11 +317,14 @@ def _cmd_acf(config: ExperimentConfig, section: dict, out_dir: str,
 
 def _cmd_moments(config: ExperimentConfig, section: dict, out_dir: str,
                  threads: int) -> list[str]:
-    ensemble = monte_carlo(config.simulation_config(), n_workers=threads)
+    # Each block task keeps its paths' states at the requested nodes only.
+    take = partial(np.take, indices=section["nodes"], axis=1)
+    blocks = simulate_blocks(config.simulation_config(), threads, take)
+    states = np.concatenate([block for _, block in blocks])
     lines = ["node,p,value,std_error"]
-    for node in section["nodes"]:
+    for node, samples in zip(section["nodes"], states.T):
         for p in section["p"]:
-            est = estimate_moment(ensemble, p=p, node=node)
+            est = sample_moment(samples, p)
             lines.append(f"{node},{_fmt(p)},{_fmt(est.value)},{_fmt(est.std_error)}")
     return [_atomic_write(out_dir, "moments.csv", "\n".join(lines) + "\n")]
 

@@ -17,12 +17,13 @@ One solver serves every caller.  It takes the increments of P paths as a
 ``(P, N)`` array and makes one numpy call per operation for all P paths,
 so the per-call overhead is paid once per step of a batch rather than
 once per step of every path.  :func:`simulate_discrete` is a batch of
-one; :func:`simulate_blocks` (behind :func:`monte_carlo`) and the
-refinement study in ``analysis`` solve contiguous blocks of ``max(1,
-2**14 // N)`` paths.  One in-order map runs the blocks: the map of a
-process pool, one task per block, when more than one worker is asked for,
-there is more than one block and the config pickles; the builtin ``map``
-in this process otherwise.  Results arrive in block order either way.
+one; :func:`simulate_blocks` (behind :func:`monte_carlo` and every
+command of ``cli``) and the refinement study in ``analysis`` solve
+contiguous blocks of ``max(1, 2**14 // N)`` paths.  One in-order map
+runs the blocks: the map of a process pool, one task per block, when
+more than one worker is asked for, there is more than one block and the
+config pickles; the builtin ``map`` in this process otherwise.  Results
+arrive in block order either way.
 
 Columns
 -------
@@ -183,9 +184,9 @@ class SimulationConfig:
     n_paths: int = 1
 
     def __post_init__(self) -> None:
+        if int(self.n_paths) != self.n_paths or self.n_paths < 1:
+            raise ValueError(f"n_paths must be an integer of at least 1, got {self.n_paths!r}")
         object.__setattr__(self, "n_paths", int(self.n_paths))
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be at least 1, got {self.n_paths!r}")
         if not isinstance(self.grid, TimeGrid):
             raise ValueError("grid must be a TimeGrid")
         if not isinstance(self.hurst, HurstFunction):
@@ -580,7 +581,8 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
     max(1, 2**14 // N)`` (fewer in the last block), and its result is their
     ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` runs in the
     task that solved the block, so with ``n_workers > 1`` it runs in the
-    pool workers and must be picklable, a module-level function.  The
+    pool workers and must be picklable: a module-level function, or a
+    ``functools.partial`` of one with picklable arguments.  The
     blocks go through the one in-order map of :func:`monte_carlo`, a
     pool's or the builtin one; closing the iterator early drops the
     blocks not yet started.

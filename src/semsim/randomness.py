@@ -199,9 +199,9 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(self, "steps", int(self.steps))
-        if self.steps < 1:
+        if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", int(self.steps))
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be a positive finite float, got {self.horizon!r}")
 
@@ -243,9 +243,10 @@ def make_grid(horizon: float, steps: int) -> TimeGrid:
     horizon : float
         Final time ``T``, strictly positive and finite.
     steps : int
-        Number of uniform steps ``N``, at least 1.
+        Number of uniform steps ``N``, at least 1; a non-integral value
+        raises ``ValueError`` rather than being truncated.
     """
-    return TimeGrid(horizon=float(horizon), steps=int(steps))
+    return TimeGrid(horizon=horizon, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -255,9 +256,9 @@ class Seed:
     value: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", int(self.value))
-        if not 0 <= self.value <= _UINT64_MASK:
+        if int(self.value) != self.value or not 0 <= self.value <= _UINT64_MASK:
             raise ValueError(f"seed value must be a 64-bit unsigned integer, got {self.value!r}")
+        object.__setattr__(self, "value", int(self.value))
 
 
 def derive_path_seed(seed: Seed, path_index: int) -> Seed:

@@ -15,7 +15,16 @@ import numpy as np
 import pytest
 
 import semsim
-from semsim import Seed, SimulationConfig, builtin_hurst, make_grid, monte_carlo
+from semsim import (
+    Seed,
+    SimulationConfig,
+    acf_abs_increments,
+    builtin_hurst,
+    estimate_holder,
+    estimate_moment,
+    make_grid,
+    monte_carlo,
+)
 from semsim import __version__
 from semsim.cli import ConfigError, main, parse_config
 
@@ -74,6 +83,15 @@ class TestParseConfig:
             ({"moments": {"p": [-1.0], "nodes": [0]}}, (), "moments.p"),
             ({"moments": {"p": [2.0], "nodes": [17]}}, (), "moments.nodes"),
             ({"moments": {"p": [2.0]}}, (), "moments.nodes"),
+            # JSON's NaN and Infinity, and integers past the float range,
+            # are not numbers a config may use.
+            ({"T": float("inf")}, (), "T must be"),
+            ({"T": float("-inf")}, (), "T must be"),
+            ({"T": float("nan")}, (), "T must be"),
+            ({"hurst": {"name": "constant", "params": [float("nan")]}}, (), "params"),
+            ({"holder": {"q": float("inf")}}, (), "holder.q"),
+            ({"moments": {"p": [float("inf")], "nodes": [0]}}, (), "moments.p"),
+            ({"T": 10**400}, (), "T must be"),
         ],
     )
     def test_rejections(self, overrides, drop, fragment):
@@ -264,6 +282,71 @@ class TestAnalysisCommands:
         assert len(lines) == 5
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == ["moments.csv"]
+
+
+    @pytest.mark.parametrize("command", ["holder", "acf", "moments"])
+    def test_commands_reduce_blocks_without_monte_carlo(self, tmp_path, monkeypatch, command):
+        # Every command hands simulate_blocks a finish, so each block is
+        # reduced in its task and the parent never holds the path matrix.
+        from semsim import cli, engine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("monte_carlo must not be called")
+
+        finishes = []
+        blocks = cli.simulate_blocks
+        monkeypatch.setattr(engine, "monte_carlo", forbidden)
+        monkeypatch.setattr(cli, "monte_carlo", forbidden, raising=False)
+        monkeypatch.setattr(cli, "simulate_blocks",
+                            lambda sim, threads, finish=None: finishes.append(finish)
+                            or blocks(sim, threads, finish))
+        config_path, _ = _write_config(tmp_path, {
+            "N": 64, "holder": {"q": 2.0}, "acf": {"max_lag": 5},
+            "moments": {"p": [1.0, 2.0], "nodes": [0, 32, 64]},
+        })
+        assert main([command, "--config", config_path, "--output-dir", str(tmp_path)]) == 0
+        assert len(finishes) == 1 and finishes[0] is not None
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("command", ["holder", "acf", "moments"])
+    def test_blockwise_outputs_match_api_bitwise(self, tmp_path, command, threads):
+        # N = 128 makes blocks of 128 paths, so 257 paths are two full
+        # blocks and a block of one; the blocks' results must join into the
+        # statistics of the whole ensemble.
+        steps, n_paths, nodes, ps = 128, 2 * 128 + 1, [0, 1, 64, 128], [0.5, 2.0]
+        config_path, _ = _write_config(tmp_path, {
+            "N": steps, "n_paths": n_paths, "holder": {"q": 1.5, "lags": [1, 2, 4, 8]},
+            "acf": {"max_lag": 7}, "moments": {"p": ps, "nodes": nodes},
+        })
+        out = tmp_path / "out"
+        assert main([command, "--config", config_path, "--output-dir", str(out),
+                     "--threads", str(threads)]) == 0
+        ensemble = monte_carlo(SimulationConfig(
+            grid=make_grid(1.0, steps),
+            hurst=builtin_hurst("trig", [0.6, 0.2, 1.0]),
+            seed=Seed(12345),
+            n_paths=n_paths,
+        ))
+        if command == "acf":
+            series = [acf_abs_increments(p, max_lag=7) for p in ensemble.paths]
+            mean = np.mean([s.values for s in series], axis=0)
+            lines = ["lag,value"] + [f"{lag},{float(v)!r}" for lag, v in enumerate(mean)]
+            assert (out / "acf.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        elif command == "moments":
+            lines = ["node,p,value,std_error"]
+            for node in nodes:
+                for p in ps:
+                    est = estimate_moment(ensemble, p=p, node=node)
+                    lines.append(f"{node},{p!r},{est.value!r},{est.std_error!r}")
+            assert (out / "moments.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        else:
+            estimates = [estimate_holder(p, q=1.5, lags=[1, 2, 4, 8]) for p in ensemble.paths]
+            payload = json.loads((out / "holder.json").read_text())
+            assert payload["per_path"] == [
+                {"path": i, "exponent": e.exponent, "r_squared": e.r_squared}
+                for i, e in enumerate(estimates)
+            ]
+            assert payload["median_exponent"] == float(np.median([e.exponent for e in estimates]))
 
 
 class TestExitCodes:

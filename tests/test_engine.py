@@ -160,6 +160,9 @@ class TestConfigValidation:
         h = builtin_hurst("constant", [0.5])
         with pytest.raises(ValueError, match="n_paths"):
             SimulationConfig(grid=grid, hurst=h, seed=Seed(1), n_paths=0)
+        with pytest.raises(ValueError, match="n_paths"):
+            SimulationConfig(grid=grid, hurst=h, seed=Seed(1), n_paths=2.7)
+        assert SimulationConfig(grid=grid, hurst=h, seed=Seed(1), n_paths=np.int64(3)).n_paths == 3
 
     def test_rejects_wrong_types(self):
         grid = make_grid(1.0, 8)

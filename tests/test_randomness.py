@@ -31,6 +31,8 @@ def test_make_grid_quarter_steps():
     grid = make_grid(1.0, 4)
     assert grid.dt == 0.25
     assert_array_equal(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert make_grid(1.0, np.int64(4)) == grid
+    assert type(make_grid(1.0, np.int64(4)).steps) is int
 
 
 def test_make_grid_single_step():
@@ -42,7 +44,7 @@ def test_make_grid_fractional_dt():
     assert make_grid(2.5, 100).dt == 0.025
 
 
-@pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -3)])
+@pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -3), (1.0, 2.5)])
 def test_make_grid_rejects_bad_inputs(horizon, steps):
     with pytest.raises(ValueError):
         make_grid(horizon, steps)
@@ -77,10 +79,13 @@ def test_grid_nodes_read_only():
 def test_seed_range_validation():
     Seed(0)
     Seed(2**64 - 1)
+    assert Seed(np.uint64(2**64 - 1)).value == 2**64 - 1
     with pytest.raises(ValueError):
         Seed(-1)
     with pytest.raises(ValueError):
         Seed(2**64)
+    with pytest.raises(ValueError):
+        Seed(3.9)
 
 
 def test_derive_path_seed_golden_values():
