@@ -16,7 +16,9 @@ the scans' relative slack ``1 + RELATIVE_SLACK``, and proposes frozen
 constants with a 4x safety margin.  The frozen values live in
 ``TIME_REG_CONSTANT`` in tests/_scans.py, at or above what the script
 proposes; the kernel tests verify them on a larger independent scan and
-check that the script's proposals do not exceed them.
+check that the script's proposals do not exceed them.  Those scans load
+this file and draw through its ``*_terms`` functions, so the draws and
+both sides of every bound are written once, here.
 
 Run:  python scripts/calibrate_bounds.py
 """
@@ -30,6 +32,9 @@ from semsim import builtin_dampening, builtin_hurst, kernel_values
 HORIZON = 2.5
 COARSE = 10_000
 RNG_SEED = 913
+# Pairs closer than this are excluded: the log factor and the singular
+# power are floating-point hazards there, not mathematical content.
+MIN_GAP = 1e-12
 # The scans in tests/_scans.py pass a ratio up to 1 + RELATIVE_SLACK: for
 # constant Hurst sigma^2 equals the dominating kernel, and rounding leaves
 # the ratio an ulp or two above 1.
@@ -50,52 +55,70 @@ DAMPS = {
 }
 
 
-def draw_times(rng, n, min_gap=1e-12):
+def draw_times(rng, n):
+    """Ordered time pairs ``s < t`` on ``[0, HORIZON]``, at least ``MIN_GAP`` apart."""
     s = rng.uniform(0.0, HORIZON, n)
     t = rng.uniform(0.0, HORIZON, n)
     lo, hi = np.minimum(s, t), np.maximum(s, t)
-    keep = hi - lo > min_gap
+    keep = hi - lo > MIN_GAP
     return lo[keep], hi[keep]
 
 
-def growth_ratio(h, rng):
-    s, t = draw_times(rng, COARSE)
-    x = rng.uniform(-10.0, 10.0, s.shape[0])
+def dominating(h, t, s):
+    """The state-free bound ``T^(2 (h_sup - h_star)) (t - s)^(2 h_star - 1)`` on arrays."""
     spread = 2.0 * (h.h_sup - h.h_star)
-    dom = HORIZON ** spread * (t - s) ** (2.0 * h.h_star - 1.0)
-    return float(np.max(kernel_values(h, None, t, s, x) ** 2 / dom))
+    return HORIZON ** spread * (t - s) ** (2.0 * h.h_star - 1.0)
 
 
-def lipschitz_ratio(h, rng):
-    s, t = draw_times(rng, COARSE)
-    n = s.shape[0]
-    x = rng.uniform(-10.0, 10.0, n)
-    y = rng.uniform(-10.0, 10.0, n)
+def growth_terms(h, rng, n):
+    """``sigma^2`` and the dominating kernel on ``n`` draws."""
+    s, t = draw_times(rng, n)
+    x = rng.uniform(-10.0, 10.0, s.shape[0])
+    return kernel_values(h, None, t, s, x) ** 2, dominating(h, t, s)
+
+
+def lipschitz_terms(h, rng, n):
+    """Both sides of the squared state-Lipschitz bound on ``n`` draws."""
+    s, t = draw_times(rng, n)
+    x = rng.uniform(-10.0, 10.0, s.shape[0])
+    y = rng.uniform(-10.0, 10.0, s.shape[0])
     keep = np.abs(x - y) > 1e-9
     s, t, x, y = s[keep], t[keep], x[keep], y[keep]
     lhs = (kernel_values(h, None, t, s, x) - kernel_values(h, None, t, s, y)) ** 2
     spread = 2.0 * (h.h_sup - h.h_star)
     c_lip = 4.0 * h.lip_x ** 2 * max(1.0, HORIZON ** spread)
-    dom = HORIZON ** spread * (t - s) ** (2.0 * h.h_star - 1.0)
-    rhs = c_lip * dom * np.log(t - s) ** 2 * (x - y) ** 2
-    keep = rhs > 0.0
-    return float(np.max(lhs[keep] / rhs[keep]))
+    return lhs, c_lip * dominating(h, t, s) * np.log(t - s) ** 2 * (x - y) ** 2
 
 
-def time_reg_ratio(h, damp, rng):
-    n = COARSE
-    s = rng.uniform(0.0, HORIZON, n)
-    tp = rng.uniform(0.0, HORIZON, n)
-    t = rng.uniform(0.0, HORIZON, n)
-    order = np.sort(np.stack([s, tp, t]), axis=0)
-    s, tp, t = order[0], order[1], order[2]
-    keep = (tp - s > 1e-12) & (t - tp > 1e-12)
+def time_reg_terms(h, damp, rng, n):
+    """The squared two-time difference, ``lambda_gamma`` and ``1 + x^2`` on ``n`` draws.
+
+    At gamma = h_star, where the bound is ``C_time * lambda_gamma * (1 + x^2)``.
+    """
+    s, tp, t = np.sort(rng.uniform(0.0, HORIZON, (3, n)), axis=0)
+    keep = (tp - s > MIN_GAP) & (t - tp > MIN_GAP)
     s, tp, t = s[keep], tp[keep], t[keep]
     x = rng.uniform(-10.0, 10.0, s.shape[0])
     gamma = h.h_star
     lhs = (kernel_values(h, damp, t, s, x) - kernel_values(h, damp, tp, s, x)) ** 2
     lam = (t - tp) ** gamma * (tp - s) ** (-1.0 + h.h_star - gamma / 2.0)
-    return float(np.max(lhs / (lam * (1.0 + x * x))))
+    return lhs, lam, 1.0 + x * x
+
+
+def growth_ratio(h, rng):
+    lhs, dom = growth_terms(h, rng, COARSE)
+    return float(np.max(lhs / dom))
+
+
+def lipschitz_ratio(h, rng):
+    lhs, rhs = lipschitz_terms(h, rng, COARSE)
+    keep = rhs > 0.0
+    return float(np.max(lhs[keep] / rhs[keep]))
+
+
+def time_reg_ratio(h, damp, rng):
+    lhs, lam, weight = time_reg_terms(h, damp, rng, COARSE)
+    return float(np.max(lhs / (lam * weight)))
 
 
 def format_ratio(ratio):

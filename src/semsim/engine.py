@@ -31,13 +31,16 @@ The solver goes column by column: once node ``i`` is final, its terms for
 every later node ``k`` are built as one column and added to the running
 sums of those nodes.  A Hurst or dampening function that declares
 ``lip_t == 0`` does not depend on time, and neither does a constant one,
-so it is evaluated once per column, at ``(t_i, X[i])``: N evaluations per
-path instead of N(N+1)/2.  Every built-in declares ``lip_t == 0``.  A
-function with ``lip_t > 0`` is evaluated at ``(t_k, X[i])`` for every
-later node, as the recursion reads, in one call per column that takes the
-later times as a row.  The declaration is trusted: a custom function that
-varies in time while declaring ``lip_t == 0`` is evaluated at the node
-times only.  :func:`~semsim.model.validate_hurst` and
+so it is evaluated once per column, at ``(t_i, X[i])``: one ``evaluate``
+call on the node's states as a ``(P, 1)`` column, whose values broadcast
+along the later nodes, and N evaluations per path instead of N(N+1)/2.
+Every built-in declares ``lip_t == 0``.  Whatever dtype an evaluator
+returns, a Python float, float32 or ints, its values enter the exponent
+in float64.  A function with ``lip_t > 0`` is evaluated at ``(t_k,
+X[i])`` for every later node, as the recursion reads, in one call per
+column that takes the later times as a row.  The declaration is trusted:
+a custom function that varies in time while declaring ``lip_t == 0`` is
+evaluated at the node times only.  :func:`~semsim.model.validate_hurst` and
 :func:`~semsim.model.validate_dampening` scan the ``t`` direction and
 report such a declaration as a ``lipschitz_t`` violation.
 
@@ -184,7 +187,7 @@ class SimulationConfig:
     n_paths: int = 1
 
     def __post_init__(self) -> None:
-        if int(self.n_paths) != self.n_paths or self.n_paths < 1:
+        if not 1 <= self.n_paths < np.inf or int(self.n_paths) != self.n_paths:
             raise ValueError(f"n_paths must be an integer of at least 1, got {self.n_paths!r}")
         object.__setattr__(self, "n_paths", int(self.n_paths))
         if not isinstance(self.grid, TimeGrid):
@@ -300,14 +303,16 @@ class _Kernel:
                ) -> np.ndarray:
         """Terms of a node at ``(t_i, states)`` for the ``m = N - i`` nodes ``k > i``.
 
-        Column ``k - i - 1`` of the result is ``sigma(t_k, t_i, states) *
-        weights[:, k - i - 1]``, at the distance ``d[k - i - 1]``;
-        ``weights`` is ``(P, 1)`` or ``(1, m)``.  The state-dependent
-        exponents are written into the work buffer, a dampening's through
-        the terms buffer, and the ``fixed`` row is added to them; one
-        ``exp`` and one product with ``weights`` give the terms.  The result
-        is a C-contiguous ``(P, m)`` view of the kernel's terms buffer,
-        valid until the next call.
+        ``states`` is the node's ``(P, 1)`` column.  Column ``k - i - 1`` of
+        the result is ``sigma(t_k, t_i, states) * weights[:, k - i - 1]``, at
+        the distance ``d[k - i - 1]``; ``weights`` is ``(P, 1)`` or ``(1,
+        m)``.  The exponent goes into the work buffer: the state-dependent
+        Hurst exponent, or the ``fixed`` row when Hurst is constant, less a
+        state-dependent ``f * d`` built in the terms buffer, or plus the
+        ``fixed`` row when the dampening is constant.  One ``exp`` and one
+        product with ``weights`` give the terms.  The result is a
+        C-contiguous ``(P, m)`` view of the kernel's terms buffer, valid
+        until the next call.
         """
         m = self.t.shape[0] - 1 - i
         size = self.n_paths * m
@@ -317,14 +322,15 @@ class _Kernel:
         exponents = self.work[:size].reshape(self.n_paths, m)
         if self.h_varies:
             h = self._at_column(self.hurst, i, t_i, states)
-            np.multiply(h - 0.5, self.log_d[:m], out=exponents)
+            # In float64 whatever the evaluator returns.
+            np.multiply(np.subtract(h, 0.5, dtype=np.float64), self.log_d[:m], out=exponents)
+            base = exponents
+        else:
+            base = self.fixed[:m]
         if self.damp_varies:
-            neg_f = -self._at_column(self.dampening, i, t_i, states)
-            if self.h_varies:
-                exponents += np.multiply(neg_f, self.d[:m], out=out)
-            else:
-                np.multiply(neg_f, self.d[:m], out=exponents)
-        if self.fixed is not None:
+            f = self._at_column(self.dampening, i, t_i, states)
+            np.subtract(base, np.multiply(f, self.d[:m], out=out), out=exponents)
+        elif self.fixed is not None:
             exponents += self.fixed[:m]
         np.exp(exponents, out=out)
         return np.multiply(out, weights, out=out)
@@ -332,19 +338,18 @@ class _Kernel:
     def _at_column(self, fn, i: int, t_i: float, states: np.ndarray):
         """``fn(t_k, states)`` for the nodes ``k > i``, broadcastable to ``(P, m)``.
 
-        A function declaring ``lip_t == 0`` is evaluated once, at ``t_i``.
-        Any other gets the times ``t_k`` as a ``(1, m)`` row and the states
-        repeated over the full ``(P, m)`` shape, one value per term; numpy
-        runs the evaluators faster on that copy than on a broadcast view.
+        A function declaring ``lip_t == 0`` is evaluated once, at ``t_i``, on
+        the ``(P, 1)`` states.  Any other gets the times ``t_k`` as a ``(1,
+        m)`` row and the states repeated over the full ``(P, m)`` shape, one
+        value per term; numpy runs the evaluators faster on that copy than
+        on a broadcast view.
         """
         if fn.lip_t == 0.0:
-            # A 0-d evaluation is reshaped, not indexed; an evaluator may
-            # return a Python float, which has no reshape method.
-            return np.asarray(fn.evaluate(t_i, states), dtype=np.float64).reshape(-1, 1)
+            return fn.evaluate(t_i, states)
         times = self.t[None, i + 1:]
         full = np.empty((states.shape[0], times.shape[1]))
-        full[...] = states[:, None]
-        return np.asarray(fn.evaluate(times, full), dtype=np.float64)
+        full[...] = states
+        return fn.evaluate(times, full)
 
 
 def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np.ndarray:
@@ -384,9 +389,10 @@ def _column_sums(kernel: _Kernel, dB: np.ndarray, g: np.ndarray | None, x0: floa
     # so each node still sums its terms in index order.  Node i's state
     # includes its offset; the sums do not.
     sums = x[:, 1:]
-    # Per-node views: states[i] and weights[i] (node i's increments as a
-    # (P, 1) column) index faster than x[:, i] and dB[:, i:i + 1].
-    states, weights, t = x.T, dB.T[:, :, None], kernel.t
+    # Per-node views: states[i] and weights[i] (node i's states and
+    # increments as (P, 1) columns) index faster than x[:, i:i + 1] and
+    # dB[:, i:i + 1].
+    states, weights, t = x.T[:, :, None], dB.T[:, :, None], kernel.t
     for i in range(n):
         state = states[i] if g is None else states[i] + g[i]
         sums[:, i:] += kernel.column(i, t[i], state, weights[i])
@@ -502,7 +508,7 @@ def interpolate_on_refinement(
         w = weights[:, :(n - i) * r]
         np.cumsum(dB_fine[i * r:(i + 1) * r], out=w[0, :r])
         w[:, r:] = dB_coarse[i]
-        sums[:, i * r:] += kernel.column(i * r, t_c[i], x_c[i:i + 1], w)
+        sums[:, i * r:] += kernel.column(i * r, t_c[i], x_c[i:i + 1, None], w)
     if g is not None:
         out[1:] += g[1:]
     out.setflags(write=False)

@@ -199,7 +199,8 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "horizon", float(self.horizon))
-        if int(self.steps) != self.steps or self.steps < 1:
+        # Range first: int() of an infinite or NaN count raises its own error.
+        if not 1 <= self.steps < math.inf or int(self.steps) != self.steps:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
@@ -256,7 +257,7 @@ class Seed:
     value: int
 
     def __post_init__(self) -> None:
-        if int(self.value) != self.value or not 0 <= self.value <= _UINT64_MASK:
+        if not 0 <= self.value <= _UINT64_MASK or int(self.value) != self.value:
             raise ValueError(f"seed value must be a 64-bit unsigned integer, got {self.value!r}")
         object.__setattr__(self, "value", int(self.value))
 

@@ -162,6 +162,9 @@ class TestConfigValidation:
             SimulationConfig(grid=grid, hurst=h, seed=Seed(1), n_paths=0)
         with pytest.raises(ValueError, match="n_paths"):
             SimulationConfig(grid=grid, hurst=h, seed=Seed(1), n_paths=2.7)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="n_paths"):
+                SimulationConfig(grid=grid, hurst=h, seed=Seed(1), n_paths=bad)
         assert SimulationConfig(grid=grid, hurst=h, seed=Seed(1), n_paths=np.int64(3)).n_paths == 3
 
     def test_rejects_wrong_types(self):
@@ -479,7 +482,7 @@ class TestColumnBlocks:
         assert kernel.by_distance is None
         states = np.array([-0.5, 0.0, 0.5])
         for i in (1, 30, 63):
-            block = kernel.column(i, grid.nodes[i], states, np.ones((3, 1)))
+            block = kernel.column(i, grid.nodes[i], states[:, None], np.ones((3, 1)))
             assert block.shape == (3, 64 - i)
             assert block.flags.c_contiguous
 
@@ -521,7 +524,7 @@ class TestKernelAccuracy:
                                           dampening=dampening), n_paths)
         ulps = []
         for i in range(0, 4096, 256):
-            got = kernel.column(i, t[i], states, np.ones((n_paths, 1)))
+            got = kernel.column(i, t[i], states[:, None], np.ones((n_paths, 1)))
             want = np.broadcast_to(kernel_values(hurst, dampening, t[None, i + 1:], t[i],
                                                  states[:, None]), got.shape)
             assert (got > 0.0).all() and (want > 0.0).all()

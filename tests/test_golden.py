@@ -24,6 +24,11 @@ runs:
   where both exponents are in the tabled row and the diagonal loop sums.
 No example config reaches the last three.
 
+``CUSTOM_RUNS`` pin three-path batches solved with custom evaluators
+whose values are not float64 arrays: a Python float, a float32 array and
+an int array, and one Hurst function declaring ``lip_t > 0``.  Each is
+also interpolated onto its 2-fold refinement, one path at a time.
+
 The digests hold for one numpy/scipy build: ``randomness`` documents that
 the C library's ``log`` behind its inverse normal CDF may move in the last
 ulp across builds, and so may numpy's ``exp``, ``log`` and ``sin``.  On
@@ -40,15 +45,21 @@ import pytest
 import scipy
 
 from semsim import (
+    DampeningFunction,
+    HurstFunction,
     Seed,
     SimulationConfig,
     builtin_dampening,
     builtin_hurst,
+    interpolate_on_refinement,
     make_grid,
+    monte_carlo,
+    refine_config,
     sample_brownian,
     simulate_discrete,
 )
 from semsim.cli import main
+from semsim.randomness import coarsen
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -105,6 +116,64 @@ DIRECT_RUNS = {
 }
 
 
+
+def _python_float(t, x):
+    return 0.3
+
+
+def _float32_rough(t, x):
+    return (0.1 + 0.4 / (1.0 + np.square(x))).astype(np.float32)
+
+
+def _int_steps(t, x):
+    return (np.abs(x) > 0.5).astype(np.int64)
+
+
+def _time_dependent_bell(t, x):
+    return 0.55 + 0.1 * np.cos(t) + 0.3 / (1.0 + x * x)
+
+
+# name -> (hurst, dampening, digest of the solve, digest of the interpolation)
+CUSTOM_RUNS = {
+    "bell-floatdamp": (
+        builtin_hurst("bell", []),
+        DampeningFunction(_python_float, growth_C=0.3, lip_t=0.0, lip_x=0.0),
+        "98877b1fa43ed00042b9165252768256accb7d11fbd370311845e2e77abec852",
+        "0dd7089dfd8a2e6fbf9660cfd989d47cba0b9afd05b247d66db7806a7379825c",
+    ),
+    "floathurst-constdamp": (
+        HurstFunction(_python_float, h_star=0.2, h_sup=0.4, lip_t=0.0, lip_x=0.0),
+        builtin_dampening("constant", [0.8]),
+        "a2471fa0458447057c7fd527aedf551884cdbde783ef5170632a9556eb96483d",
+        "03439eb1ed022c2e419eb1397df6987c90ccf7a92ca026319ba2d17f7b311242",
+    ),
+    "float32hurst-undampened": (
+        HurstFunction(_float32_rough, h_star=0.1, h_sup=0.5, lip_t=0.0, lip_x=0.8),
+        None,
+        "064638a36ad4772a028cf8030e1c34f46b2f2c1bf1bd57a283bdad1ec4c2d0d2",
+        "d4b69fa06c7f9c827e9b67a0777d60451b7c3a77435aad01dfb9f28095ae732e",
+    ),
+    "constant075-intdamp": (
+        builtin_hurst("constant", [0.75]),
+        DampeningFunction(_int_steps, growth_C=1.0, lip_t=0.0, lip_x=0.0),
+        "bc06b2e3806c47b0ad7e02f1cb49b96c3f1babcedd19c22eb3b2222144f7646a",
+        "1a414d73fe5eaa0eb9556b031a5f288103d38dd9f288bdfdf84fe482fae76725",
+    ),
+    "float32hurst-intdamp": (
+        HurstFunction(_float32_rough, h_star=0.1, h_sup=0.5, lip_t=0.0, lip_x=0.8),
+        DampeningFunction(_int_steps, growth_C=1.0, lip_t=0.0, lip_x=0.0),
+        "30074451a584a40f812bcdcfc948569e98fb3cd3112815cc0e9ce17707a975bf",
+        "891b084f1ec34e68235919f0882e746bdf82eb957c689129dbc37ff2df233f01",
+    ),
+    "timehurst-bell": (
+        HurstFunction(_time_dependent_bell, h_star=0.45, h_sup=0.95, lip_t=0.1, lip_x=0.6),
+        builtin_dampening("bell", []),
+        "ea65253bbd84b5c3e4240e8676d8b06116bb4bb10505e94480937714d26c518a",
+        "90cad89cda4f3c34562df0004cfb4e4ede3d0927c7b3c7fa6d4eadda33cf0ba0",
+    ),
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -139,3 +208,25 @@ def test_direct_solve_digest(name):
     )
     path = simulate_discrete(config, sample_brownian(Seed(seed), grid))
     assert _sha256(path.values.tobytes()) == digest
+
+
+def _custom_digests(name):
+    hurst, dampening = CUSTOM_RUNS[name][:2]
+    config = SimulationConfig(grid=make_grid(1.0, 128), hurst=hurst, dampening=dampening,
+                              seed=Seed(4242), n_paths=3)
+    values = monte_carlo(config).values_matrix()
+    fine = refine_config(config, 2)
+    interpolated = b"".join(
+        interpolate_on_refinement(
+            config,
+            simulate_discrete(config, coarsen(sample_brownian(Seed(4242 + p), fine.grid), 2)),
+            sample_brownian(Seed(4242 + p), fine.grid), 2,
+        ).values.tobytes()
+        for p in range(3)
+    )
+    return _sha256(values.tobytes()), _sha256(interpolated)
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_RUNS))
+def test_custom_evaluator_digest(name):
+    assert _custom_digests(name) == CUSTOM_RUNS[name][2:]

@@ -1,8 +1,6 @@
 """Kernel evaluation, dominating bounds, and the power-difference inequality."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from semsim import (
 from _scans import (
     HURST_FAMILIES,
     TIME_REG_CONSTANT,
+    calibration,
     growth_violations,
     lipschitz_violations,
     time_reg_violations,
@@ -118,24 +117,15 @@ def test_time_regularity_bound_scan(name):
     assert bad == 0 and n > 45_000
 
 
-def _calibration_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_bounds.py"
-    spec = importlib.util.spec_from_file_location("calibrate_bounds", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def test_calibration_script_proposes_at_most_the_frozen_constants():
-    script = _calibration_script()
     # One generator drawn in the order of the script's main().
-    rng = np.random.default_rng(script.RNG_SEED)
-    hursts = script.HURSTS
-    growth = [script.growth_ratio(h, rng) for h in hursts.values()]
-    lipschitz = [script.lipschitz_ratio(h, rng) for h in hursts.values() if h.lip_x != 0.0]
+    rng = np.random.default_rng(calibration.RNG_SEED)
+    hursts = calibration.HURSTS
+    growth = [calibration.growth_ratio(h, rng) for h in hursts.values()]
+    lipschitz = [calibration.lipschitz_ratio(h, rng) for h in hursts.values() if h.lip_x != 0.0]
     proposed = {
-        name: script.round_up(4.0 * max(script.time_reg_ratio(h, damp, rng)
-                                         for damp in script.DAMPS.values()))
+        name: calibration.round_up(4.0 * max(calibration.time_reg_ratio(h, damp, rng)
+                                              for damp in calibration.DAMPS.values()))
         for name, h in hursts.items()
     }
     # The relative slack of the scans in _scans: for constant Hurst sigma^2
@@ -147,11 +137,10 @@ def test_calibration_script_proposes_at_most_the_frozen_constants():
 
 
 def test_calibration_script_flags_ratios_above_the_slack():
-    script = _calibration_script()
-    assert script.RELATIVE_SLACK == 1e-9
+    assert calibration.RELATIVE_SLACK == 1e-9
     # The constant family's growth ratio is printed in full and passes.
-    assert script.format_ratio(1.0000000000000004) == "1.0000000000000004"
-    assert "EXCEEDS" in script.format_ratio(1.0 + 2e-9)
+    assert calibration.format_ratio(1.0000000000000004) == "1.0000000000000004"
+    assert "EXCEEDS" in calibration.format_ratio(1.0 + 2e-9)
 
 
 def test_lambda_gamma_zero_gap():

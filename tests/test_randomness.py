@@ -44,7 +44,11 @@ def test_make_grid_fractional_dt():
     assert make_grid(2.5, 100).dt == 0.025
 
 
-@pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -3), (1.0, 2.5)])
+@pytest.mark.parametrize(
+    "horizon,steps",
+    [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -3), (1.0, 2.5),
+     (1.0, float("inf")), (1.0, float("-inf")), (1.0, float("nan"))],
+)
 def test_make_grid_rejects_bad_inputs(horizon, steps):
     with pytest.raises(ValueError):
         make_grid(horizon, steps)
@@ -86,6 +90,9 @@ def test_seed_range_validation():
         Seed(2**64)
     with pytest.raises(ValueError):
         Seed(3.9)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="seed value"):
+            Seed(bad)
 
 
 def test_derive_path_seed_golden_values():
