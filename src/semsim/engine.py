@@ -47,10 +47,21 @@ report such a declaration as a ``lipschitz_t`` violation.
 A column of the ``m = N - i`` later nodes is built as one C-contiguous
 ``(P, m)`` block: the exponents and terms of every column are views of the
 first ``P * m`` floats of two flat buffers of ``P * N``, allocated once per
-batch.  numpy runs each fill, ``exp`` and product over such a block as one
-loop; over the ``[:, :m]`` slice of a ``(P, N)`` array, whose rows sit N
-floats apart, it runs P short loops.  The running sums keep the
-path-major ``(P, N + 1)`` layout.
+batch, and the running sums keep the path-major ``(P, N + 1)`` layout.
+numpy runs the ``exp`` over such a block as one flat loop.  The other
+calls cannot be one flat loop: the ``(P, 1)`` Hurst, dampening and
+increment columns broadcast along ``(m,)`` rows, and each column is added
+to the strided ``[:, i:]`` slice of the sums.  numpy runs such a call
+through its iterator's buffers whenever its output has at most
+``np.getbufsize()`` elements, 8192 by default, copying the operands into
+buffers of that size so one inner loop covers the block; that costs two
+to three times a flat call.  Larger calls run one inner loop per row at
+about flat speed.  So the column loop sets the buffer to numpy's minimum,
+16 elements, under which a small call costs about what a flat one does,
+and restores the caller's size when it returns or raises; the Hurst and
+dampening evaluators of a column run under it too.  Buffering copies
+operands and nothing else: every value is the same IEEE operation
+on the same operands, so no bit depends on the buffer size.
 
 On every grid, node ``k > i`` lies the distance ``d[k - i - 1]`` after node
 ``i``, where ``d = t[1:]`` are the node times themselves: one rounding of
@@ -147,6 +158,10 @@ __all__ = [
 
 # Paths per block are chosen so a block holds about this many states.
 _BLOCK_STATES = 2 ** 14
+
+# The ufunc buffer size, in elements, while state-dependent columns are
+# built (see ``_column_sums``): numpy's minimum.
+_BUFSIZE = 16
 
 
 class PathSimulationError(RuntimeError):
@@ -269,9 +284,10 @@ class _Kernel:
     ``by_distance`` is its ``exp``, and the kernel of nodes ``d + 1`` steps
     apart is ``by_distance[d]``.  A column of m later nodes is written into
     C-contiguous ``(P, m)`` views of two flat buffers of ``P * N`` floats,
-    so every numpy call on it is one loop rather than P strided rows; the
-    kernel owns the buffers, and a column's terms last until the next
-    column is built.
+    so its ``exp`` is one flat loop rather than P strided rows; its
+    broadcast products are cheap only under the small ufunc buffer that
+    :func:`_column_sums` sets.  The kernel owns the buffers, and a column's
+    terms last until the next column is built.
     """
 
     def __init__(self, config: SimulationConfig, n_paths: int):
@@ -340,9 +356,10 @@ class _Kernel:
 
         A function declaring ``lip_t == 0`` is evaluated once, at ``t_i``, on
         the ``(P, 1)`` states.  Any other gets the times ``t_k`` as a ``(1,
-        m)`` row and the states repeated over the full ``(P, m)`` shape, one
-        value per term; numpy runs the evaluators faster on that copy than
-        on a broadcast view.
+        m)`` row and the states repeated over the full ``(P, m)`` shape, so
+        it is asked about one state per term it returns.  The copy is there
+        for that count, not for speed: timed against a broadcast view,
+        neither was reliably faster.
         """
         if fn.lip_t == 0.0:
             return fn.evaluate(t_i, states)
@@ -381,7 +398,13 @@ def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np
 
 def _column_sums(kernel: _Kernel, dB: np.ndarray, g: np.ndarray | None, x0: float
                  ) -> np.ndarray:
-    """Sums of a batch, path-major, one column of terms per node; no offset added."""
+    """Sums of a batch, path-major, one column of terms per node; no offset added.
+
+    The loop runs under a ufunc buffer of ``_BUFSIZE`` elements, and the
+    caller's size comes back however it ends.  At numpy's default of 8192,
+    every broadcast product and strided sum of a column with at most 8192
+    terms would be copied through 8192-element buffers first.
+    """
     n_paths, n = dB.shape
     x = np.full((n_paths, n + 1), -0.0)
     x[:, 0] = x0
@@ -393,9 +416,13 @@ def _column_sums(kernel: _Kernel, dB: np.ndarray, g: np.ndarray | None, x0: floa
     # increments as (P, 1) columns) index faster than x[:, i:i + 1] and
     # dB[:, i:i + 1].
     states, weights, t = x.T[:, :, None], dB.T[:, :, None], kernel.t
-    for i in range(n):
-        state = states[i] if g is None else states[i] + g[i]
-        sums[:, i:] += kernel.column(i, t[i], state, weights[i])
+    old = np.setbufsize(_BUFSIZE)
+    try:
+        for i in range(n):
+            state = states[i] if g is None else states[i] + g[i]
+            sums[:, i:] += kernel.column(i, t[i], state, weights[i])
+    finally:
+        np.setbufsize(old)
     return x
 
 

@@ -39,6 +39,8 @@ from semsim import (
     sigma,
     simulate_discrete,
 )
+from semsim import engine
+from semsim.analysis import convergence_study
 from semsim.engine import _Kernel, _map_blocks, _solve
 from semsim.kernels import kernel_values
 from semsim.randomness import coarsen
@@ -113,15 +115,27 @@ class _RaisingPastThreshold:
 
 
 class _CountingEvaluator:
-    """Bell-shaped evaluator that counts the states it is asked about."""
+    """Bell-shaped evaluator that counts the states it is asked about.
+
+    ``bufsizes`` records ``np.getbufsize()`` at every call.
+    """
 
     def __init__(self):
         self.values = 0
+        self.bufsizes = []
 
     def __call__(self, t, x):
+        self.bufsizes.append(np.getbufsize())
         x = np.asarray(x, dtype=np.float64)
         self.values += x.size
         return 0.5 + 0.3 / (1.0 + x * x)
+
+
+class _OutOfDomain:
+    """Raises the ``ValueError`` of an evaluator asked about a state it cannot take."""
+
+    def __call__(self, t, x):
+        raise ValueError("state out of the evaluator's domain")
 
 
 def _fail_first_block(config: SimulationConfig, start: int, stop: int, marks) -> int:
@@ -485,6 +499,91 @@ class TestColumnBlocks:
             block = kernel.column(i, grid.nodes[i], states[:, None], np.ones((3, 1)))
             assert block.shape == (3, 64 - i)
             assert block.flags.c_contiguous
+
+
+@pytest.fixture
+def caller_bufsize():
+    """A caller's ufunc buffer size other than numpy's default, restored afterwards."""
+    old = np.setbufsize(4096)
+    yield 4096
+    np.setbufsize(old)
+
+
+class TestUfuncBuffer:
+    """State-dependent columns run under the solver's ufunc buffer size, and only there."""
+
+    @staticmethod
+    def _increments(grid, n_paths, seed):
+        return np.stack([sample_brownian(Seed(seed + p), grid).values for p in range(n_paths)])
+
+    def test_every_column_sees_the_solver_buffer(self, caller_bufsize):
+        recorder = _CountingEvaluator()
+        grid = make_grid(1.0, 64)
+        hurst = HurstFunction(recorder, h_star=0.5, h_sup=0.8, lip_t=0.0, lip_x=0.2)
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(80))
+        assert engine._BUFSIZE != caller_bufsize
+        _solve(cfg, self._increments(grid, 4, 80))
+        # One call per column: N of them.
+        assert recorder.bufsizes == [engine._BUFSIZE] * 64
+        assert np.getbufsize() == caller_bufsize
+
+    def test_caller_buffer_comes_back(self, caller_bufsize):
+        grid = make_grid(1.0, 32)
+        cfg = SimulationConfig(grid=grid, hurst=builtin_hurst("trig", [0.6, 0.2, 1.0]),
+                               seed=Seed(81), dampening=builtin_dampening("constant", [1.0]),
+                               n_paths=3)
+        fine = sample_brownian(Seed(81), refine_config(cfg, 2).grid)
+        coarse = simulate_discrete(cfg, coarsen(fine, 2))
+        assert np.getbufsize() == caller_bufsize
+        monte_carlo(cfg)
+        assert np.getbufsize() == caller_bufsize
+        interpolate_on_refinement(cfg, coarse, fine, 2)
+        assert np.getbufsize() == caller_bufsize
+        convergence_study(cfg, n_levels=3, refine_factor=2)
+        assert np.getbufsize() == caller_bufsize
+
+    def test_caller_buffer_comes_back_after_a_raise(self, caller_bufsize):
+        grid = make_grid(1.0, 64)
+        raising = SimulationConfig(
+            grid=grid, seed=Seed(82), n_paths=2,
+            hurst=HurstFunction(_OutOfDomain(), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0),
+        )
+        with pytest.raises(PathSimulationError) as excinfo:
+            monte_carlo(raising)
+        assert isinstance(excinfo.value.cause, ValueError)
+        assert np.getbufsize() == caller_bufsize
+        nan = replace(raising, n_paths=1, hurst=HurstFunction(
+            _NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0))
+        with pytest.raises(PathSimulationError) as excinfo:
+            simulate_discrete(nan, sample_brownian(Seed(82), grid))
+        assert excinfo.value.step == 2
+        assert np.getbufsize() == caller_bufsize
+
+    @pytest.mark.parametrize(
+        ("hurst", "dampening", "horizon", "steps", "n_paths"),
+        [
+            (builtin_hurst("bell", []), builtin_dampening("bell", []), 10.0, 512, 4),
+            # Columns of up to 32 * 512 terms: above and below numpy's
+            # default buffer of 8192.
+            (builtin_hurst("trig", [0.6, 0.2, 1.0]), builtin_dampening("constant", [0.8]),
+             1.0, 512, 32),
+            # The evaluators broadcast a (1, m) row of times against (P, m) states.
+            (_declared_time_dependent(builtin_hurst("bell", [])),
+             _declared_time_dependent(builtin_dampening("abs_value", [])), 1.0, 128, 4),
+        ],
+        ids=["bell-bell-P4", "trig-constant-P32", "rows-P4"],
+    )
+    def test_bits_do_not_depend_on_the_buffer(self, monkeypatch, hurst, dampening, horizon,
+                                              steps, n_paths):
+        grid = make_grid(horizon, steps)
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(83), dampening=dampening)
+        dB = self._increments(grid, n_paths, 83)
+        solved = []
+        # 8192 is numpy's default buffer size.
+        for size in (16, 8192, 2 ** 16):
+            monkeypatch.setattr(engine, "_BUFSIZE", size)
+            solved.append(_solve(cfg, dB).tobytes())
+        assert solved[0] == solved[1] == solved[2]
 
 
 class TestKernelAccuracy:
