@@ -21,7 +21,7 @@ from .engine import (
     _solve,
     refine_config,
 )
-from .randomness import _block_sums, make_grid, sample_brownian_block
+from .randomness import _as_int, _block_sums, make_grid, sample_brownian_block
 from .special import gronwall_bound
 
 __all__ = [
@@ -143,16 +143,27 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float, float]:
     return slope, intercept, r_squared
 
 
-_DEFAULT_MAX_HOLDER_LAG = 64
+# The lags used by default, those of them at most a quarter of the step count.
+_DEFAULT_HOLDER_LAGS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def _default_lags(steps: int) -> tuple[int, ...]:
-    lags = []
-    m = 1
-    while m <= min(_DEFAULT_MAX_HOLDER_LAG, steps // 4):
-        lags.append(m)
-        m *= 2
-    return tuple(lags)
+def _holder_lags(steps: int, lags=None) -> tuple[int, ...]:
+    """The lags :func:`estimate_holder` fits on a grid of ``steps`` steps.
+
+    ``lags`` if given, else the powers of two up to ``min(64, steps //
+    4)``.  Either way there must be at least three, strictly increasing,
+    integers in ``[1, steps // 4]``, or ``ValueError`` is raised.
+    """
+    if lags is None:
+        lags = tuple(m for m in _DEFAULT_HOLDER_LAGS if 4 * m <= steps)
+    lags = tuple(_as_int(m, "lags", least=1) for m in lags)
+    if len(lags) < 3:
+        raise ValueError(f"need at least three lags in [1, {steps // 4}], got {lags!r}")
+    if any(b <= a for a, b in zip(lags, lags[1:])):
+        raise ValueError(f"lags must be strictly increasing, got {lags!r}")
+    if any(4 * m > steps for m in lags):
+        raise ValueError(f"lags must lie in [1, {steps // 4}], got {lags!r}")
+    return lags
 
 
 def estimate_holder(path: SamplePath, q: float = 2.0, lags=None) -> HolderEstimate:
@@ -162,20 +173,14 @@ def estimate_holder(path: SamplePath, q: float = 2.0, lags=None) -> HolderEstima
     log-log coordinates; the exponent is the slope divided by ``q``.  For
     Brownian input and ``q = 2`` this recovers 1/2.  Lags must be at least
     three, strictly increasing, and no larger than a quarter of the step
-    count (larger lags leave too few pairs to average).  A constant path
-    (any ``S(m) == 0``) raises :class:`DegeneratePathError`.
+    count (larger lags leave too few pairs to average); by default they
+    are the powers of two up to ``min(64, N // 4)``.  A constant path (any
+    ``S(m) == 0``) raises :class:`DegeneratePathError`.
     """
     q = float(q)
     if q <= 0.0:
         raise ValueError(f"q must be positive, got {q!r}")
-    steps = path.grid.steps
-    lags = _default_lags(steps) if lags is None else tuple(int(m) for m in lags)
-    if len(lags) < 3:
-        raise ValueError("need at least three lags")
-    if any(b <= a for a, b in zip(lags, lags[1:])):
-        raise ValueError(f"lags must be strictly increasing, got {lags!r}")
-    if any(m < 1 or 4 * m > steps for m in lags):
-        raise ValueError(f"lags must lie in [1, {steps // 4}], got {lags!r}")
+    lags = _holder_lags(path.grid.steps, lags)
     x = path.values
     s_vals = np.empty(len(lags))
     for idx, m in enumerate(lags):
@@ -195,9 +200,9 @@ def acf_abs_increments(path: SamplePath, max_lag: int) -> AcfSeries:
     constant absolute increments has no variance to normalize by and
     raises :class:`DegeneratePathError`.
     """
-    max_lag = int(max_lag)
+    max_lag = _as_int(max_lag, "max_lag", least=1)
     n = path.grid.steps
-    if not (1 <= max_lag and 2 * max_lag < n):
+    if 2 * max_lag >= n:
         raise ValueError(f"max_lag must lie in [1, {(n - 1) // 2}], got {max_lag!r}")
     d = np.abs(np.diff(path.values))
     a = d - d.mean()
@@ -261,12 +266,9 @@ def convergence_study(
     :class:`~semsim.engine.PathSimulationError` naming the lowest failing
     seed index.
     """
-    n_levels = int(n_levels)
-    refine_factor = int(refine_factor)
-    if n_levels < 3:
-        raise ValueError(f"need at least 3 levels for a slope, got {n_levels!r}")
-    if refine_factor < 2:
-        raise ValueError(f"refine_factor must be at least 2, got {refine_factor!r}")
+    # Three levels at least, for a slope.
+    n_levels = _as_int(n_levels, "n_levels", least=3)
+    refine_factor = _as_int(refine_factor, "refine_factor", least=2)
     base = config.grid
     level_grids = [
         make_grid(base.horizon, base.steps * refine_factor ** level)

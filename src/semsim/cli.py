@@ -29,13 +29,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _holder_lags,
     acf_abs_increments,
     convergence_study,
     estimate_holder,
     sample_moment,
 )
 from .engine import SamplePath, SimulationConfig, simulate_blocks
-from .model import DampeningFunction, HurstFunction, builtin_dampening, builtin_hurst
+from .model import builtin_dampening, builtin_hurst
 from .randomness import Seed, TimeGrid, make_grid
 
 SEED_RULE = "splitmix64-philox-ndtri-v1"
@@ -83,31 +84,28 @@ def _parse_function(section: Any, where: str) -> tuple[str, tuple]:
     return section["name"], tuple(params)
 
 
+def _checked(where: str, fn: Callable, *args):
+    """``fn(*args)``, its ``ValueError`` raised as a :class:`ConfigError` naming ``where``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed, validated experiment description plus its JSON echo."""
+    """A parsed, validated experiment: what it simulates, its command sections, its JSON echo.
 
-    process: str
-    hurst: HurstFunction
-    dampening: DampeningFunction | None
-    horizon: float
-    steps: int
-    seed: int
-    n_paths: int
-    converge: dict | None
-    holder: dict | None
-    acf: dict | None
-    moments: dict | None
+    ``sections`` maps each command the config can run to its section;
+    ``simulate`` needs none and maps to an empty one.
+    """
+
+    simulation: SimulationConfig
+    sections: dict
     echo: dict
 
     def simulation_config(self) -> SimulationConfig:
-        return SimulationConfig(
-            grid=make_grid(self.horizon, self.steps),
-            hurst=self.hurst,
-            dampening=self.dampening,
-            seed=Seed(self.seed),
-            n_paths=self.n_paths,
-        )
+        return self.simulation
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -118,21 +116,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     process = raw["process"]
     _require(process in ("sem", "sem_gamma"), "process must be 'sem' or 'sem_gamma'")
-
-    name, params = _parse_function(raw["hurst"], "hurst")
-    try:
-        hurst = builtin_hurst(name, params)
-    except ValueError as exc:
-        raise ConfigError(f"hurst: {exc}") from exc
-
+    hurst = _checked("hurst", builtin_hurst, *_parse_function(raw["hurst"], "hurst"))
     dampening = None
     if process == "sem_gamma":
         _require("dampening" in raw, "sem_gamma requires a dampening entry")
-        dname, dparams = _parse_function(raw["dampening"], "dampening")
-        try:
-            dampening = builtin_dampening(dname, dparams)
-        except ValueError as exc:
-            raise ConfigError(f"dampening: {exc}") from exc
+        dampening = _checked("dampening", builtin_dampening,
+                             *_parse_function(raw["dampening"], "dampening"))
     else:
         _require("dampening" not in raw, "dampening is only valid for process 'sem_gamma'")
 
@@ -142,7 +131,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "seed must be an integer in [0, 2**64)")
     _require(_is_int(raw["n_paths"]) and raw["n_paths"] >= 1,
              "n_paths must be a positive integer")
-    horizon, steps = float(raw["T"]), raw["N"]
+    steps = raw["N"]
+    simulation = SimulationConfig(grid=make_grid(raw["T"], steps), hurst=hurst,
+                                  dampening=dampening, seed=Seed(raw["seed"]),
+                                  n_paths=raw["n_paths"])
 
     converge = raw.get("converge")
     if converge is not None:
@@ -158,12 +150,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(isinstance(holder, dict), "holder must be an object")
         _check_keys(holder, {"q", "lags"}, "holder")
         _require(_is_num(holder.get("q")) and holder["q"] > 0, "holder.q must be a positive number")
-        if "lags" in holder:
-            lags = holder["lags"]
-            _require(isinstance(lags, list) and len(lags) >= 3
-                     and all(_is_int(m) and 1 <= m and 4 * m <= steps for m in lags)
-                     and all(b > a for a, b in zip(lags, lags[1:])),
-                     f"holder.lags must be >= 3 strictly increasing integers in [1, {steps // 4}]")
+        lags = holder.get("lags")
+        _require("lags" not in holder or isinstance(lags, list) and all(map(_is_int, lags)),
+                 "holder.lags must be a list of integers")
+        # The lags given, or the default ones, as estimate_holder checks them.
+        _checked("holder.lags", _holder_lags, steps, lags)
 
     acf = raw.get("acf")
     if acf is not None:
@@ -184,12 +175,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                  and all(_is_int(k) and 0 <= k <= steps for k in nodes),
                  f"moments.nodes must be a list of integers in [0, {steps}]")
 
-    return ExperimentConfig(
-        process=process, hurst=hurst, dampening=dampening,
-        horizon=horizon, steps=steps, seed=raw["seed"], n_paths=raw["n_paths"],
-        converge=converge, holder=holder, acf=acf, moments=moments,
-        echo=raw,
-    )
+    sections = {"simulate": {}}
+    sections.update((k, v) for k, v in raw.items() if k in _COMMANDS and v is not None)
+    return ExperimentConfig(simulation=simulation, sections=sections, echo=raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -222,9 +210,7 @@ def _json_text(obj: Any) -> str:
 
 
 def _section(config: ExperimentConfig, command: str) -> dict:
-    if command == "simulate":
-        return {}
-    section = getattr(config, command)
+    section = config.sections.get(command)
     if section is None:
         raise ConfigError(f"config has no '{command}' section but the {command} command needs one")
     return section
@@ -237,11 +223,12 @@ def _csv_fields(block: np.ndarray) -> list[str]:
 
 def _cmd_simulate(config: ExperimentConfig, section: dict, out_dir: str,
                   threads: int) -> list[str]:
+    """simulate an ensemble and write paths.csv"""
     sim = config.simulation_config()
     t = sim.grid.nodes
     # Each block's task formats its own paths, so the float reprs run in the
-    # pool workers too; a block holds about 2**14 states, so its tolist()
-    # stays small.  The parent keeps only the formatted strings, one per
+    # pool workers too; a block is small (engine._map_blocks sets its size),
+    # so its tolist() stays small.  The parent keeps only the formatted strings, one per
     # node and block, never a Python float per value, and streams the rows
     # to the file instead of building the whole text.
     fields = [block for _, block in simulate_blocks(sim, threads, _csv_fields)]
@@ -252,6 +239,7 @@ def _cmd_simulate(config: ExperimentConfig, section: dict, out_dir: str,
 
 def _cmd_converge(config: ExperimentConfig, section: dict, out_dir: str,
                   threads: int) -> list[str]:
+    """run a coupled refinement study and write convergence.json"""
     report = convergence_study(
         config.simulation_config(),
         n_levels=section["n_levels"],
@@ -291,6 +279,7 @@ def _each_path(config: ExperimentConfig, threads: int, estimate: Callable) -> li
 
 def _cmd_holder(config: ExperimentConfig, section: dict, out_dir: str,
                 threads: int) -> list[str]:
+    """estimate structure-function roughness and write holder.json"""
     estimates = _each_path(config, threads, partial(estimate_holder, q=section["q"],
                                                     lags=section.get("lags")))
     payload = {
@@ -307,6 +296,7 @@ def _cmd_holder(config: ExperimentConfig, section: dict, out_dir: str,
 
 def _cmd_acf(config: ExperimentConfig, section: dict, out_dir: str,
              threads: int) -> list[str]:
+    """autocorrelation of absolute increments, written to acf.csv"""
     series = _each_path(config, threads, partial(acf_abs_increments, max_lag=section["max_lag"]))
     mean_values = np.mean([s.values for s in series], axis=0)
     lines = ["lag,value"]
@@ -317,6 +307,7 @@ def _cmd_acf(config: ExperimentConfig, section: dict, out_dir: str,
 
 def _cmd_moments(config: ExperimentConfig, section: dict, out_dir: str,
                  threads: int) -> list[str]:
+    """Monte Carlo moment table, written to moments.csv"""
     # Each block task keeps its paths' states at the requested nodes only.
     take = partial(np.take, indices=section["nodes"], axis=1)
     blocks = simulate_blocks(config.simulation_config(), threads, take)
@@ -329,6 +320,7 @@ def _cmd_moments(config: ExperimentConfig, section: dict, out_dir: str,
     return [_atomic_write(out_dir, "moments.csv", "\n".join(lines) + "\n")]
 
 
+# Each command's handler; its docstring is the command's help text.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "converge": _cmd_converge,
@@ -359,14 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze self-exciting multifractional processes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "simulate an ensemble and write paths.csv"),
-        ("converge", "run a coupled refinement study and write convergence.json"),
-        ("holder", "estimate structure-function roughness and write holder.json"),
-        ("acf", "autocorrelation of absolute increments, written to acf.csv"),
-        ("moments", "Monte Carlo moment table, written to moments.csv"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, handler in _COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--output-dir", default=".", help="directory for output files")
         p.add_argument("--threads", type=int, default=None,
@@ -397,7 +383,7 @@ def main(argv=None) -> int:
             "threads": threads,
             # Whether refinement coupling is bit-exact on the base grid: its
             # node products are exact (TimeGrid.has_exact_nodes).
-            "exact_nodes": make_grid(config.horizon, config.steps).has_exact_nodes,
+            "exact_nodes": config.simulation_config().grid.has_exact_nodes,
             "wall_seconds": wall,
             "seed_rule": SEED_RULE,
         }

@@ -19,7 +19,7 @@ so the per-call overhead is paid once per step of a batch rather than
 once per step of every path.  :func:`simulate_discrete` is a batch of
 one; :func:`simulate_blocks` (behind :func:`monte_carlo` and every
 command of ``cli``) and the refinement study in ``analysis`` solve
-contiguous blocks of ``max(1, 2**14 // N)`` paths.  One in-order map
+contiguous blocks of paths, sized by ``_map_blocks``.  One in-order map
 runs the blocks: the map of a process pool, one task per block, when
 more than one worker is asked for, there is more than one block and the
 config pickles; the builtin ``map`` in this process otherwise.  Results
@@ -139,6 +139,7 @@ from .randomness import (
     BrownianIncrements,
     Seed,
     TimeGrid,
+    _as_int,
     coarsen,
     make_grid,
     sample_brownian_block,
@@ -202,9 +203,7 @@ class SimulationConfig:
     n_paths: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_paths < np.inf or int(self.n_paths) != self.n_paths:
-            raise ValueError(f"n_paths must be an integer of at least 1, got {self.n_paths!r}")
-        object.__setattr__(self, "n_paths", int(self.n_paths))
+        object.__setattr__(self, "n_paths", _as_int(self.n_paths, "n_paths", least=1))
         if not isinstance(self.grid, TimeGrid):
             raise ValueError("grid must be a TimeGrid")
         if not isinstance(self.hurst, HurstFunction):
@@ -494,8 +493,7 @@ def interpolate_on_refinement(
     increments that generated ``coarse_path``) is verified by re-running
     the coarse recursion; a mismatch is rejected.
     """
-    if not (isinstance(refine_factor, int) and refine_factor >= 1):
-        raise ValueError(f"refine_factor must be a positive integer, got {refine_factor!r}")
+    refine_factor = _as_int(refine_factor, "refine_factor", least=1)
     if coarse_path.grid != config.grid:
         raise ValueError("coarse_path grid does not match config grid")
     n = config.grid.steps
@@ -610,9 +608,9 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
                     ) -> Iterator[tuple[int, object]]:
     """Solve the ``config.n_paths`` paths block by block; yield ``(start, result)`` in order.
 
-    A block is the contiguous paths ``start <= i < start + P``, with ``P =
-    max(1, 2**14 // N)`` (fewer in the last block), and its result is their
-    ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` runs in the
+    A block is the contiguous paths ``start <= i < start + P``, with ``P``
+    set by :func:`_map_blocks` (fewer in the last block), and its result is
+    their ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` runs in the
     task that solved the block, so with ``n_workers > 1`` it runs in the
     pool workers and must be picklable: a module-level function, or a
     ``functools.partial`` of one with picklable arguments.  The
@@ -629,9 +627,9 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     Path ``i`` is driven by the stream derived from ``(seed, i)``, so the
     ensemble is a pure function of the config: any worker count, including
     the serial path, produces identical output, and paths can be
-    regenerated individually.  Paths are solved in contiguous blocks of
-    ``max(1, 2**14 // N)`` by one in-order map: a process pool's, one task
-    per block, when ``n_workers > 1`` and there is more than one block;
+    regenerated individually.  Paths are solved in the contiguous blocks of
+    :func:`_map_blocks` by one in-order map: a process pool's, one task per
+    block, when ``n_workers > 1`` and there is more than one block;
     the builtin ``map`` in this process for a single block, one worker, or
     a config whose callables cannot be pickled.  Failures surface as
     :class:`PathSimulationError` naming the lowest failing index, and the
@@ -647,6 +645,5 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
 
 def refine_config(config: SimulationConfig, factor: int) -> SimulationConfig:
     """Config on the ``factor``-fold refined grid, all else unchanged."""
-    if not (isinstance(factor, int) and factor >= 1):
-        raise ValueError(f"factor must be a positive integer, got {factor!r}")
+    factor = _as_int(factor, "factor", least=1)
     return replace(config, grid=make_grid(config.grid.horizon, config.grid.steps * factor))

@@ -209,86 +209,92 @@ class _AbsEval:
         return np.abs(np.asarray(x, dtype=np.float64))
 
 
-def builtin_hurst(name: str, params: tuple | list = ()) -> HurstFunction:
-    """Construct a built-in Hurst function by name.
+def _constant_hurst(H: float) -> HurstFunction:
+    if not (0.0 < H <= 1.0):
+        raise ValueError(f"constant H must lie in (0, 1], got {H!r}")
+    return HurstFunction(_ConstantEval(H), h_star=H, h_sup=H, lip_t=0.0, lip_x=0.0, name="constant")
 
-    Names: ``constant`` (one parameter ``H``), ``smooth_at_origin``,
-    ``rough_at_origin``, ``bell`` (no parameters), ``trig`` (parameters
-    ``alpha, beta, gamma``).
-    """
+
+def _trig_hurst(alpha: float, beta: float, gamma: float) -> HurstFunction:
+    lo, hi = alpha - abs(beta), alpha + abs(beta)
+    if not (0.0 < lo and hi < 1.0):
+        raise ValueError(
+            f"trig range [alpha - |beta|, alpha + |beta|] = [{lo}, {hi}] must lie strictly inside (0, 1)"
+        )
+    return HurstFunction(
+        _TrigEval(alpha, beta, gamma), h_star=lo, h_sup=hi,
+        lip_t=0.0, lip_x=abs(beta * gamma), name="trig",
+    )
+
+
+def _constant_dampening(c: float) -> DampeningFunction:
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"constant dampening level must be finite and nonnegative, got {c!r}")
+    return DampeningFunction(
+        _ConstantEval(c), growth_C=c, lip_t=0.0, lip_x=0.0,
+        name="constant", constant_value=c,
+    )
+
+
+# The built-in families of each kind: name -> (parameter names, constructor).
+_HURST_FAMILIES = {
+    "constant": (("H",), _constant_hurst),
+    "smooth_at_origin": ((), lambda: HurstFunction(
+        _SmoothAtOriginEval(), h_star=0.5, h_sup=1.0,
+        lip_t=0.0, lip_x=_HALF_CAUCHY_SLOPE, name="smooth_at_origin",
+    )),
+    "rough_at_origin": ((), lambda: HurstFunction(
+        _RoughAtOriginEval(), h_star=EPSILON_FLOOR, h_sup=0.5,
+        lip_t=0.0, lip_x=_HALF_CAUCHY_SLOPE, name="rough_at_origin",
+    )),
+    "bell": ((), lambda: HurstFunction(
+        _BellEval(), h_star=EPSILON_FLOOR, h_sup=1.0,
+        lip_t=0.0, lip_x=_CAUCHY_SLOPE, name="bell",
+    )),
+    "trig": (("alpha", "beta", "gamma"), _trig_hurst),
+}
+_DAMPENING_FAMILIES = {
+    "constant": (("c",), _constant_dampening),
+    "abs_value": ((), lambda: DampeningFunction(
+        _AbsEval(), growth_C=1.0, lip_t=0.0, lip_x=1.0, name="abs_value")),
+    "bell": ((), lambda: DampeningFunction(
+        _BellEval(), growth_C=1.0, lip_t=0.0, lip_x=_CAUCHY_SLOPE, name="bell",
+    )),
+}
+
+
+def _builtin(families: dict, kind: str, name: str, params):
+    """The family ``name`` of ``families`` built on ``params``, each as a float."""
+    if name not in families:
+        raise ValueError(f"unknown {kind} function {name!r}")
+    names, make = families[name]
     params = tuple(float(p) for p in params)
-    if name == "constant":
-        if len(params) != 1:
-            raise ValueError("constant takes exactly one parameter H")
-        H = params[0]
-        if not (0.0 < H <= 1.0):
-            raise ValueError(f"constant H must lie in (0, 1], got {H!r}")
-        return HurstFunction(_ConstantEval(H), h_star=H, h_sup=H, lip_t=0.0, lip_x=0.0, name="constant")
-    if name == "smooth_at_origin":
-        if params:
-            raise ValueError("smooth_at_origin takes no parameters")
-        return HurstFunction(
-            _SmoothAtOriginEval(), h_star=0.5, h_sup=1.0,
-            lip_t=0.0, lip_x=_HALF_CAUCHY_SLOPE, name="smooth_at_origin",
-        )
-    if name == "rough_at_origin":
-        if params:
-            raise ValueError("rough_at_origin takes no parameters")
-        return HurstFunction(
-            _RoughAtOriginEval(), h_star=EPSILON_FLOOR, h_sup=0.5,
-            lip_t=0.0, lip_x=_HALF_CAUCHY_SLOPE, name="rough_at_origin",
-        )
-    if name == "bell":
-        if params:
-            raise ValueError("bell takes no parameters")
-        return HurstFunction(
-            _BellEval(), h_star=EPSILON_FLOOR, h_sup=1.0,
-            lip_t=0.0, lip_x=_CAUCHY_SLOPE, name="bell",
-        )
-    if name == "trig":
-        if len(params) != 3:
-            raise ValueError("trig takes exactly three parameters alpha, beta, gamma")
-        alpha, beta, gamma = params
-        lo, hi = alpha - abs(beta), alpha + abs(beta)
-        if not (0.0 < lo and hi < 1.0):
-            raise ValueError(
-                f"trig range [alpha - |beta|, alpha + |beta|] = [{lo}, {hi}] must lie strictly inside (0, 1)"
-            )
-        return HurstFunction(
-            _TrigEval(alpha, beta, gamma), h_star=lo, h_sup=hi,
-            lip_t=0.0, lip_x=abs(beta * gamma), name="trig",
-        )
-    raise ValueError(f"unknown hurst function {name!r}")
+    if len(params) != len(names):
+        raise ValueError(f"{name} takes {len(names)} parameter(s) [{', '.join(names)}], got {len(params)}")
+    return make(*params)
+
+
+def builtin_hurst(name: str, params: tuple | list = ()) -> HurstFunction:
+    """Construct a built-in Hurst function by name (see the module docstring).
+
+    Names and parameters: ``constant [H]`` with ``0 < H <= 1``,
+    ``smooth_at_origin []``, ``rough_at_origin []``, ``bell []`` and
+    ``trig [alpha, beta, gamma]`` with ``0 < alpha - |beta|`` and ``alpha +
+    |beta| < 1``.  An unknown name, a wrong number of parameters or a value
+    out of range raises ``ValueError``.
+    """
+    return _builtin(_HURST_FAMILIES, "hurst", name, params)
 
 
 def builtin_dampening(name: str, params: tuple | list = ()) -> DampeningFunction:
     """Construct a built-in dampening function by name.
 
-    Names: ``constant`` (one parameter ``c >= 0``), ``abs_value``
-    (``f(x) = |x|``), ``bell`` (``f(x) = 1 / (1 + x**2)``).
+    Names and parameters: ``constant [c]`` with ``c`` finite and ``>= 0``,
+    ``f = c``; ``abs_value []``, ``f(x) = |x|``; ``bell []``, ``f(x) = 1 /
+    (1 + x**2)``.  An unknown name, a wrong number of parameters or a value
+    out of range raises ``ValueError``.
     """
-    params = tuple(float(p) for p in params)
-    if name == "constant":
-        if len(params) != 1:
-            raise ValueError("constant takes exactly one parameter c")
-        c = params[0]
-        if not (math.isfinite(c) and c >= 0.0):
-            raise ValueError(f"constant dampening level must be finite and nonnegative, got {c!r}")
-        return DampeningFunction(
-            _ConstantEval(c), growth_C=c, lip_t=0.0, lip_x=0.0,
-            name="constant", constant_value=c,
-        )
-    if name == "abs_value":
-        if params:
-            raise ValueError("abs_value takes no parameters")
-        return DampeningFunction(_AbsEval(), growth_C=1.0, lip_t=0.0, lip_x=1.0, name="abs_value")
-    if name == "bell":
-        if params:
-            raise ValueError("bell takes no parameters")
-        return DampeningFunction(
-            _BellEval(), growth_C=1.0, lip_t=0.0, lip_x=_CAUCHY_SLOPE, name="bell",
-        )
-    raise ValueError(f"unknown dampening function {name!r}")
+    return _builtin(_DAMPENING_FAMILIES, "dampening", name, params)
 
 
 @dataclass(frozen=True)

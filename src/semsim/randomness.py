@@ -110,6 +110,23 @@ _Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.3770209948908133027
        2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
+def _as_int(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``, or ``ValueError`` naming ``name``.
+
+    The rule for every count and index: a value equal to its ``int()`` is
+    that int, so ``4``, ``4.0`` and ``np.int64(4)`` are all 4.  Anything
+    else, a fraction, NaN or an infinity included, raises rather than being
+    truncated.
+    """
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return n
+
+
 def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
     """Cephes ``polevl``: Horner's rule from the leading coefficient."""
     ans = x * coef[0]
@@ -199,10 +216,7 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "horizon", float(self.horizon))
-        # Range first: int() of an infinite or NaN count raises its own error.
-        if not 1 <= self.steps < math.inf or int(self.steps) != self.steps:
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", _as_int(self.steps, "steps", least=1))
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be a positive finite float, got {self.horizon!r}")
 
@@ -271,9 +285,7 @@ def derive_path_seed(seed: Seed, path_index: int) -> Seed:
     permutation is a bijection, so derived keys never collide across the
     index range of a run.
     """
-    path_index = int(path_index)
-    if path_index < 0:
-        raise ValueError(f"path_index must be a nonnegative integer, got {path_index!r}")
+    path_index = _as_int(path_index, "path_index", least=0)
     return Seed(int(_path_keys(seed.value, path_index, path_index + 1)[0]))
 
 
@@ -331,9 +343,8 @@ def sample_brownian_block(master: Seed, grid: TimeGrid, start: int, stop: int) -
     is ``sample_brownian(derive_path_seed(master, i), grid).values`` bit
     for bit.  The whole block goes through the inverse CDF in one call.
     """
-    start, stop = int(start), int(stop)
-    if not 0 <= start <= stop:
-        raise ValueError(f"need 0 <= start <= stop, got start={start!r}, stop={stop!r}")
+    start = _as_int(start, "start", least=0)
+    stop = _as_int(stop, "stop", least=start)
     return _increments(_path_keys(master.value, start, stop), grid)
 
 
@@ -362,8 +373,7 @@ def coarsen(increments: BrownianIncrements, factor: int) -> BrownianIncrements:
     lattice these block sums are exact, so prefix sums of the result agree
     bitwise with prefix sums of the input at shared nodes.
     """
-    if not (isinstance(factor, int) and factor >= 1):
-        raise ValueError(f"factor must be a positive integer, got {factor!r}")
+    factor = _as_int(factor, "factor", least=1)
     n = increments.grid.steps
     if n % factor != 0:
         raise ValueError(f"factor {factor} does not divide the step count {n}")

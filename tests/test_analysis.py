@@ -364,3 +364,27 @@ class TestConvergenceStudy:
             convergence_study(cfg, n_levels=2, refine_factor=2)
         with pytest.raises(ValueError, match="refine_factor"):
             convergence_study(cfg, n_levels=3, refine_factor=1)
+
+
+_PATH = SamplePath(make_grid(1.0, 64), np.cumsum(np.r_[0.0, np.sin(np.arange(64.0) ** 2)]))
+_STUDY = SimulationConfig(grid=make_grid(1.0, 4), hurst=builtin_hurst("trig", [0.6, 0.2, 1.0]),
+                          seed=Seed(8), n_paths=2)
+_COUNT_USES = {
+    "lags": lambda n: estimate_holder(_PATH, lags=[1, n, 4]),
+    "max_lag": lambda n: acf_abs_increments(_PATH, n).values.tobytes(),
+    "n_levels": lambda n: convergence_study(_STUDY, n_levels=n + 1, refine_factor=2),
+    "refine_factor": lambda n: convergence_study(_STUDY, n_levels=3, refine_factor=n),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("name", list(_COUNT_USES))
+def test_counts_are_integers_or_errors(name, value):
+    # A value equal to its int() is that int; any other raises, never truncated.
+    use = _COUNT_USES[name]
+    if value == 2:
+        assert use(value) == use(2)
+    else:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            use(value)

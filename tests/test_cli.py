@@ -5,6 +5,7 @@ way a shell would call it; outputs are reparsed and compared bitwise against
 the in-process API, which is what the byte-determinism contract promises.
 """
 
+import argparse
 import json
 import os
 import pathlib
@@ -77,6 +78,8 @@ class TestParseConfig:
             ({"holder": {"q": 2.0, "lags": [1, 2]}}, (), "holder.lags"),
             ({"holder": {"q": 2.0, "lags": [1, 4, 2]}}, (), "holder.lags"),
             ({"holder": {"q": 2.0, "lags": [1, 2, 8]}}, (), "holder.lags"),
+            # The default lags of N = 8 are (1, 2), too few for a fit.
+            ({"holder": {"q": 2.0}, "N": 8}, (), "holder.lags"),
             ({"acf": {"max_lag": 0}}, (), "acf.max_lag"),
             ({"acf": {"max_lag": 8}}, (), "acf.max_lag"),
             ({"moments": {"p": [], "nodes": [0]}}, (), "moments.p"),
@@ -104,13 +107,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="object"):
             parse_config([1, 2, 3])
 
+    def test_simulation_config_is_built_once(self):
+        cfg = parse_config(dict(BASE))
+        assert cfg.simulation_config() is cfg.simulation_config()
+
+    def test_parser_commands_are_the_handlers(self):
+        from semsim import cli
+
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(subparsers.choices) == list(cli._COMMANDS)
+
     def test_sem_gamma_builds_dampening(self):
         raw = dict(BASE)
         raw["process"] = "sem_gamma"
         raw["dampening"] = {"name": "constant", "params": [0.5]}
-        cfg = parse_config(raw)
-        assert cfg.dampening is not None
-        assert cfg.dampening.constant_value == 0.5
+        dampening = parse_config(raw).simulation_config().dampening
+        assert dampening is not None
+        assert dampening.constant_value == 0.5
 
 
 class TestSimulateCommand:

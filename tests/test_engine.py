@@ -1069,3 +1069,33 @@ class TestGaussianEnsemble:
             terminal = monte_carlo(cfg).values_matrix()[:, -1]
             variances.append(float(terminal.var()))
         assert all(b < a for a, b in zip(variances, variances[1:]))
+
+
+_COARSE = SimulationConfig(grid=make_grid(1.0, 8), hurst=builtin_hurst("constant", [0.7]),
+                           seed=Seed(3))
+_FINE_INCR = sample_brownian(Seed(4), make_grid(1.0, 16))
+
+
+def _interpolated(factor):
+    coarse = simulate_discrete(_COARSE, coarsen(_FINE_INCR, 2))
+    return interpolate_on_refinement(_COARSE, coarse, _FINE_INCR, factor).values.tobytes()
+
+
+_COUNT_USES = {
+    "n_paths": lambda n: replace(_COARSE, n_paths=n),
+    "refine_factor": _interpolated,
+    "factor": lambda n: refine_config(_COARSE, n),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("name", list(_COUNT_USES))
+def test_counts_are_integers_or_errors(name, value):
+    # A value equal to its int() is that int; any other raises, never truncated.
+    use = _COUNT_USES[name]
+    if value == 2:
+        assert use(value) == use(2)
+    else:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            use(value)

@@ -133,6 +133,46 @@ def test_builtin_dampening_rejects(name, params):
         builtin_dampening(name, params)
 
 
+# Every built-in family with its parameter names, as the README's config
+# schema lists them.
+FAMILIES = [
+    ("hurst", "constant", ("H",)),
+    ("hurst", "smooth_at_origin", ()),
+    ("hurst", "rough_at_origin", ()),
+    ("hurst", "bell", ()),
+    ("hurst", "trig", ("alpha", "beta", "gamma")),
+    ("dampening", "constant", ("c",)),
+    ("dampening", "abs_value", ()),
+    ("dampening", "bell", ()),
+]
+BUILD = {"hurst": builtin_hurst, "dampening": builtin_dampening}
+
+
+def test_families_are_the_builtin_tables():
+    from semsim import model
+
+    tables = {"hurst": model._HURST_FAMILIES, "dampening": model._DAMPENING_FAMILIES}
+    for kind, table in tables.items():
+        assert {(name, names) for k, name, names in FAMILIES if k == kind} == {
+            (name, names) for name, (names, _) in table.items()}
+
+
+@pytest.mark.parametrize(("kind", "name", "names"), FAMILIES)
+def test_wrong_parameter_count_names_family_and_parameters(kind, name, names):
+    for count in {0, len(names) - 1, len(names) + 1} - {-1, len(names)}:
+        with pytest.raises(ValueError) as excinfo:
+            BUILD[kind](name, [0.5] * count)
+        message = str(excinfo.value)
+        assert message.startswith(f"{name} takes")
+        assert f"[{', '.join(names)}]" in message
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD))
+def test_unknown_family_raises(kind):
+    with pytest.raises(ValueError, match=f"unknown {kind} function 'no_such_family'"):
+        BUILD[kind]("no_such_family", [])
+
+
 def test_dampening_constant_exposes_value():
     f = builtin_dampening("constant", [2.5])
     assert f.constant_value == 2.5

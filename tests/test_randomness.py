@@ -341,3 +341,27 @@ def test_ndtri_special_values():
     assert _ndtri(np.full((2, 3), 0.25)).shape == (2, 3)
     assert _ndtri(np.float64(0.975)) == scipy_ndtri(0.975)
     assert _ndtri(np.empty((0, 4))).shape == (0, 4)
+
+
+_GRID = make_grid(1.0, 8)
+_INCR = sample_brownian(Seed(1), _GRID)
+_COUNT_USES = {
+    "steps": lambda n: make_grid(1.0, n),
+    "path_index": lambda n: derive_path_seed(Seed(1), n),
+    "start": lambda n: sample_brownian_block(Seed(1), _GRID, n, 4).tobytes(),
+    "stop": lambda n: sample_brownian_block(Seed(1), _GRID, 0, n).tobytes(),
+    "factor": lambda n: coarsen(_INCR, n).values.tobytes(),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("name", list(_COUNT_USES))
+def test_counts_are_integers_or_errors(name, value):
+    # A value equal to its int() is that int; any other raises, never truncated.
+    use = _COUNT_USES[name]
+    if value == 2:
+        assert use(value) == use(2)
+    else:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            use(value)
