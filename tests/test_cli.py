@@ -78,8 +78,6 @@ class TestParseConfig:
             ({"holder": {"q": 2.0, "lags": [1, 2]}}, (), "holder.lags"),
             ({"holder": {"q": 2.0, "lags": [1, 4, 2]}}, (), "holder.lags"),
             ({"holder": {"q": 2.0, "lags": [1, 2, 8]}}, (), "holder.lags"),
-            # The default lags of N = 8 are (1, 2), too few for a fit.
-            ({"holder": {"q": 2.0}, "N": 8}, (), "holder.lags"),
             ({"acf": {"max_lag": 0}}, (), "acf.max_lag"),
             ({"acf": {"max_lag": 8}}, (), "acf.max_lag"),
             ({"moments": {"p": [], "nodes": [0]}}, (), "moments.p"),
@@ -95,6 +93,8 @@ class TestParseConfig:
             ({"holder": {"q": float("inf")}}, (), "holder.q"),
             ({"moments": {"p": [float("inf")], "nodes": [0]}}, (), "moments.p"),
             ({"T": 10**400}, (), "T must be"),
+            # The default lags of N = 8 are (1, 2), too few for a fit.
+            ({"holder": {"q": 2.0}, "N": 8}, (), "holder.lags"),
         ],
     )
     def test_rejections(self, overrides, drop, fragment):
