@@ -98,7 +98,8 @@ class ConvergenceReport:
 def estimate_moment(ensemble: Ensemble, p: float, node: int) -> MonteCarloEstimate:
     """Monte Carlo estimate of ``E|X(t_node)|**p`` with its standard error."""
     n_nodes = ensemble.config.grid.steps + 1
-    if not 0 <= node < n_nodes:
+    node = _as_int(node, "node", least=0)
+    if node >= n_nodes:
         raise ValueError(f"node must lie in [0, {n_nodes}), got {node!r}")
     return sample_moment(ensemble.values_matrix()[:, node], p)
 
@@ -260,8 +261,9 @@ def convergence_study(
     exactly coupled to the reference (e.g. a constant Hurst value of 1/2,
     where every level collapses to the same Brownian prefix sums).
 
-    Seeds are solved in blocks, on ``n_workers`` processes when more than
-    one is asked for; the squared gaps are added up here in seed order, so
+    Seeds are solved in blocks, on ``n_workers`` processes, this one
+    included, when more than one is asked for; the squared gaps are added
+    up here in seed order, so
     the report does not depend on the worker count.  A failure raises
     :class:`~semsim.engine.PathSimulationError` naming the lowest failing
     seed index.

@@ -19,11 +19,13 @@ so the per-call overhead is paid once per step of a batch rather than
 once per step of every path.  :func:`simulate_discrete` is a batch of
 one; :func:`simulate_blocks` (behind :func:`monte_carlo` and every
 command of ``cli``) and the refinement study in ``analysis`` solve
-contiguous blocks of paths, sized by ``_map_blocks``.  One in-order map
-runs the blocks: the map of a process pool, one task per block, when
-more than one worker is asked for, there is more than one block and the
-config pickles; the builtin ``map`` in this process otherwise.  Results
-arrive in block order either way.
+contiguous blocks of paths, sized by ``_map_blocks``.  The worker count
+counts the processes that compute, the calling one included.  When more
+than one worker is asked for, there is more than one block and the config
+pickles, the calling process runs blocks ``0, W, 2W, ...`` of the ``W``
+workers itself and a process pool of ``W - 1`` runs the others, one task
+per block; otherwise the builtin ``map`` runs every block in this
+process.  Results arrive in block order either way.
 
 Columns
 -------
@@ -567,31 +569,38 @@ def _map_blocks(task: Callable, config: SimulationConfig, n_workers: int, *args
     """Yield ``(start, task(config, start, stop, *args))`` block by block, in order.
 
     The paths ``range(config.n_paths)`` are cut into contiguous blocks of
-    ``max(1, 2**14 // N)`` for the ``N`` steps of ``config.grid``, and one
-    in-order map runs ``_run_block`` over them.  With ``n_workers > 1``
-    and more than one block it is the map of a process pool on
-    ``min(n_workers, blocks)`` workers, one task per block and the config
-    pickled once for all of them; a single block, one worker, and configs
-    whose callables cannot be pickled run in this process under the
-    builtin ``map``.  Either way a failure raises
-    :class:`PathSimulationError` naming the lowest failing path, from the
-    first failing block, and however the caller stops reading, the blocks
-    not yet started are dropped.
+    ``max(1, 2**14 // N)`` for the ``N`` steps of ``config.grid``, and
+    ``_run_block`` runs each.  ``n_workers`` counts the processes that
+    compute, this one included.  With ``W = min(n_workers, blocks) > 1``
+    and a config that pickles, this process runs blocks ``0, W, 2W, ...``
+    itself, each when its turn comes, and the map of a pool of ``W - 1``
+    workers runs the others, one task per block and the config pickled
+    once for all of them; a single block, one worker, and configs whose
+    callables cannot be pickled run in this process under the builtin
+    ``map``.  Either way a failure raises :class:`PathSimulationError`
+    naming the lowest failing path, from the first failing block, and
+    however the caller stops reading, the blocks not yet started are
+    dropped: this process starts none of its own after reading a failure.
     """
     n_items, block = config.n_paths, max(1, _BLOCK_STATES // config.grid.steps)
     starts = range(0, n_items, block)
-    jobs = (starts, [min(s + block, n_items) for s in starts], *map(repeat, args))
-    n_workers = min(int(n_workers), len(starts))
+    stops = [min(s + block, n_items) for s in starts]
+    n_workers = min(_as_int(n_workers, "n_workers", least=1), len(starts))
+    run = partial(_run_block, task, config)
     try:
         payload = pickle.dumps(config) if n_workers > 1 else None
     except Exception:
         payload = None
     if payload is None:
-        yield from zip(starts, map(partial(_run_block, task, config), *jobs))
+        yield from zip(starts, map(run, starts, stops, *map(repeat, args)))
         return
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
+    pooled = [i for i in range(len(starts)) if i % n_workers]
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers - 1)
     try:
-        yield from zip(starts, pool.map(partial(_run_pickled_block, task, payload), *jobs))
+        results = pool.map(partial(_run_pickled_block, task, payload), [starts[i] for i in pooled],
+                           [stops[i] for i in pooled], *map(repeat, args))
+        for i, start in enumerate(starts):
+            yield start, next(results) if i % n_workers else run(start, stops[i], *args)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -612,11 +621,11 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
     set by :func:`_map_blocks` (fewer in the last block), and its result is
     their ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` runs in the
     task that solved the block, so with ``n_workers > 1`` it runs in the
-    pool workers and must be picklable: a module-level function, or a
-    ``functools.partial`` of one with picklable arguments.  The
-    blocks go through the one in-order map of :func:`monte_carlo`, a
-    pool's or the builtin one; closing the iterator early drops the
-    blocks not yet started.
+    pool workers too and must be picklable: a module-level function, or a
+    ``functools.partial`` of one with picklable arguments.  The blocks are
+    run as for :func:`monte_carlo`, by this process and a pool or by this
+    process alone; closing the iterator early drops the blocks not yet
+    started.
     """
     return _map_blocks(_simulate_block, config, n_workers, finish)
 
@@ -628,10 +637,12 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     ensemble is a pure function of the config: any worker count, including
     the serial path, produces identical output, and paths can be
     regenerated individually.  Paths are solved in the contiguous blocks of
-    :func:`_map_blocks` by one in-order map: a process pool's, one task per
-    block, when ``n_workers > 1`` and there is more than one block;
-    the builtin ``map`` in this process for a single block, one worker, or
-    a config whose callables cannot be pickled.  Failures surface as
+    :func:`_map_blocks`.  ``n_workers`` counts the processes that solve,
+    this one included, and is capped at the number of blocks: with
+    ``W > 1`` of them, this process solves blocks ``0, W, 2W, ...`` and a
+    process pool of ``W - 1`` solves the others, one task per block.  A
+    single block, one worker, or a config whose callables cannot be
+    pickled runs in this process alone.  Failures surface as
     :class:`PathSimulationError` naming the lowest failing index, and the
     blocks not yet started when the first failing block is read are
     dropped.

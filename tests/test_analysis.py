@@ -287,8 +287,9 @@ class TestConvergenceStudy:
 
     def test_worker_count_does_not_change_report(self, monkeypatch):
         # Base N = 64 puts the reference on N = 512, so the 40 seeds run as
-        # two pool tasks of 32 and 8 seeds; the squared gaps must still add
-        # up in seed order.
+        # two blocks of 32 and 8 seeds, the first in this process and the
+        # second in a pool of one worker; the squared gaps must still add up
+        # in seed order.
         cfg = replace(self._trig_config(builtin_dampening("constant", [1.0])),
                       grid=make_grid(1.0, 64))
         serial = convergence_study(cfg, n_levels=3, refine_factor=2)
@@ -316,7 +317,8 @@ class TestConvergenceStudy:
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_raising_evaluator_names_the_failing_seed(self, n_workers):
         # Base N = 64 puts the reference on N = 512: two blocks of 32 and 8
-        # seeds, so n_workers = 2 runs them in a pool.  The evaluation that
+        # seeds, so n_workers = 2 runs the first here and the second in a
+        # pool.  The evaluation that
         # raises covers a whole block; the error must name the lowest seed
         # whose own study raises, not the first seed of the block.
         hurst = HurstFunction(_RaisingPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,
@@ -374,6 +376,7 @@ _COUNT_USES = {
     "max_lag": lambda n: acf_abs_increments(_PATH, n).values.tobytes(),
     "n_levels": lambda n: convergence_study(_STUDY, n_levels=n + 1, refine_factor=2),
     "refine_factor": lambda n: convergence_study(_STUDY, n_levels=3, refine_factor=n),
+    "node": lambda n: estimate_moment(_manual_ensemble(), p=2.0, node=n),
 }
 
 

@@ -241,7 +241,8 @@ class TestAnalysisCommands:
 
     def test_converge_thread_counts_are_byte_identical(self, tmp_path):
         # Base N = 64 with three levels puts the reference on N = 512:
-        # 40 seeds make two blocks, so --threads 2 runs both in the pool.
+        # 40 seeds make two blocks, so --threads 2 runs the first in this
+        # process and the second in a pool of one worker.
         config_path, _ = _write_config(
             tmp_path,
             overrides={"N": 64, "n_paths": 40, "converge": {"n_levels": 3, "refine_factor": 2}},

@@ -10,6 +10,7 @@ statistically on a shared Gaussian ensemble.
 
 import concurrent.futures
 import math
+import os
 import pickle
 import time
 from dataclasses import dataclass, replace
@@ -145,6 +146,19 @@ def _fail_first_block(config: SimulationConfig, start: int, stop: int, marks) ->
     time.sleep(0.2)
     (marks / f"block-{start}").touch()
     return start
+
+
+def _fail_blocks_one_and_two(config: SimulationConfig, start: int, stop: int, marks) -> int:
+    """A block task: leaves a marker in ``marks`` as it starts; blocks 1 and 2 then raise."""
+    (marks / f"started-{start}").touch()
+    if start in (1, 2):
+        raise FloatingPointError(f"block {start} fails")
+    return start
+
+
+def _process_id(config: SimulationConfig, start: int, stop: int) -> int:
+    """A block task: the id of the process that runs it."""
+    return os.getpid()
 
 
 def _oracle_path(config: SimulationConfig, increments: BrownianIncrements) -> np.ndarray:
@@ -857,11 +871,41 @@ class TestMonteCarlo:
         assert a.values_matrix().shape == (4, 65)
 
     def test_worker_count_does_not_change_output(self):
-        # Blocks of 2**14 // 2048 = 8 paths: two blocks, so a pool runs.
+        # Blocks of 2**14 // 2048 = 8 paths: two blocks, so this process
+        # runs one and a pool of one worker the other.
         cfg = self._config(n_paths=10, steps=2048)
         serial = monte_carlo(cfg, n_workers=1)
         parallel = monte_carlo(cfg, n_workers=2)
         assert serial.values_matrix().tobytes() == parallel.values_matrix().tobytes()
+
+    @pytest.mark.parametrize("n_paths", [100, 400], ids=["2-blocks", "7-blocks"])
+    def test_three_workers_match_serial(self, n_paths):
+        # Blocks of 2**14 // 256 = 64 paths.  Two blocks cap the workers at
+        # two; seven run blocks 0, 3 and 6 here and the others in a pool
+        # of two.
+        cfg = self._config(n_paths=n_paths, steps=256)
+        serial = monte_carlo(cfg, n_workers=1)
+        parallel = monte_carlo(cfg, n_workers=3)
+        assert serial.values_matrix().tobytes() == parallel.values_matrix().tobytes()
+
+    @pytest.mark.parametrize(("n_workers", "n_blocks"), [(2, 10), (3, 7)])
+    def test_caller_runs_every_n_workers_th_block(self, monkeypatch, n_workers, n_blocks):
+        # N = 2**14 makes every path its own block.  The calling process is
+        # one of the n_workers: it runs blocks 0, W, 2W, ... and the one
+        # pool, of W - 1 workers, runs the others.
+        pools = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self._max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
+                               seed=Seed(72), n_paths=n_blocks)
+        pids = [pid for _, pid in _map_blocks(_process_id, cfg, n_workers)]
+        assert [pid == os.getpid() for pid in pids] == [i % n_workers == 0 for i in range(n_blocks)]
+        assert pools == [n_workers - 1]
 
     def test_single_block_runs_without_a_pool(self, monkeypatch):
         serial = monte_carlo(self._config(n_paths=3), n_workers=1)
@@ -874,7 +918,8 @@ class TestMonteCarlo:
         assert serial.values_matrix().tobytes() == parallel.values_matrix().tobytes()
 
     def test_unpicklable_config_falls_back_to_serial(self, monkeypatch):
-        # Two blocks of 8 paths on N = 2048, so a pool would run.
+        # Two blocks of 8 paths on N = 2048, so a pool of one worker would run
+        # beside this process.
         cfg = SimulationConfig(
             grid=make_grid(1.0, 2048),
             hurst=builtin_hurst("constant", [0.6]),
@@ -892,11 +937,13 @@ class TestMonteCarlo:
         assert serial.values_matrix().tobytes() == fallback.values_matrix().tobytes()
 
     def test_no_pending_block_starts_after_the_first_failing_block(self, tmp_path):
-        # N = 2**14 makes every path its own block: 24 blocks on 2 workers.
-        # When block 0's failure is read, the blocks that may still run are
-        # one per worker and those in the pool's call queue, which holds
-        # n_workers + 1 calls a future can no longer cancel; both 4 and 5
-        # markers occur.  Without the cancel all 23 other blocks would run.
+        # N = 2**14 makes every path its own block: 24 blocks on 2 workers,
+        # this process and a pool of n_workers - 1 = 1, which is given the
+        # 12 odd blocks.  Block 0 fails here.  The blocks that may still run
+        # are the pool's: one per pool worker, and those in its call queue,
+        # which holds n_workers - 1 + 1 calls a future can no longer cancel,
+        # so at most 2 * n_workers - 1 = 3; 1 and 2 markers occur.  Without
+        # the cancel all 12 pool blocks would run.
         cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(71), n_paths=24)
         n_workers = 2
@@ -905,7 +952,22 @@ class TestMonteCarlo:
                 pass
         assert excinfo.value.path_index == 0
         assert isinstance(excinfo.value.cause, FloatingPointError)
-        assert len(list(tmp_path.iterdir())) <= 2 * n_workers + 1
+        assert len(list(tmp_path.iterdir())) <= 2 * n_workers - 1
+
+    def test_caller_starts_no_block_after_a_pool_failure(self, tmp_path):
+        # Every path its own block on 2 workers: this process runs blocks 0
+        # and 2, the pool blocks 1 and 3.  Block 1 fails first in block
+        # order, so the error names it, and this process reads that failure
+        # before block 2's turn comes, so block 2 never starts.
+        cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
+                               seed=Seed(73), n_paths=4)
+        with pytest.raises(PathSimulationError) as excinfo:
+            for _ in _map_blocks(_fail_blocks_one_and_two, cfg, 2, tmp_path):
+                pass
+        assert excinfo.value.path_index == 1
+        assert str(excinfo.value.cause) == "block 1 fails"
+        assert (tmp_path / "started-0").exists() and (tmp_path / "started-1").exists()
+        assert not (tmp_path / "started-2").exists()
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_path_failure_names_the_index(self, n_workers):
@@ -1099,3 +1161,31 @@ def test_counts_are_integers_or_errors(name, value):
     else:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             use(value)
+
+
+# Blocks of 2**14 // 2048 = 8 paths and, for the study, 2**14 // 512 = 32
+# seeds on its reference grid: two blocks each, so two workers run a pool.
+_POOLED_USES = {
+    "monte_carlo": lambda n: monte_carlo(
+        replace(_COARSE, grid=make_grid(1.0, 2048), n_paths=10), n_workers=n
+    ).values_matrix().tobytes(),
+    "convergence_study": lambda n: convergence_study(
+        replace(_COARSE, grid=make_grid(1.0, 64), n_paths=40), n_levels=3, refine_factor=2,
+        n_workers=n,
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, np.int64(2), 1.9, 0, float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("use", list(_POOLED_USES))
+def test_n_workers_is_a_count(use, value):
+    # n_workers follows the count rule: a whole value is that many
+    # processes, and anything else, 0 included, raises instead of running
+    # serially.
+    run = _POOLED_USES[use]
+    if value == 2:
+        assert run(value) == run(2)
+    else:
+        with pytest.raises(ValueError, match="n_workers must be an integer"):
+            run(value)
