@@ -318,9 +318,9 @@ class TestConvergenceStudy:
     def test_raising_evaluator_names_the_failing_seed(self, n_workers):
         # Base N = 64 puts the reference on N = 512: two blocks of 32 and 8
         # seeds, so n_workers = 2 runs the first here and the second in a
-        # pool.  The evaluation that
-        # raises covers a whole block; the error must name the lowest seed
-        # whose own study raises, not the first seed of the block.
+        # pool.  The evaluation that raises covers a whole block; the error
+        # must name the lowest seed whose own study raises, not the first
+        # seed of the block.
         hurst = HurstFunction(_RaisingPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,
                               lip_t=0.0, lip_x=0.0)
         cfg = replace(self._trig_config(), grid=make_grid(1.0, 64), hurst=hurst)
