@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -229,14 +230,13 @@ def _coupled_squared_gaps(config: SimulationConfig, start: int, stop: int,
     """
     finest = config.grid
     fine = sample_brownian_block(config.seed, finest, start, stop)
-    reference = _solve(config, fine, first_index=start)
+    reference = _solve(config, fine)
     gaps = []
     for level in range(n_levels):
         stride = refine_factor ** (n_levels - level)
         level_grid = make_grid(finest.horizon, finest.steps // stride)
         # Exact block sums of each row, by the helper randomness.coarsen uses.
-        values = _solve(replace(config, grid=level_grid), _block_sums(fine, stride),
-                        first_index=start)
+        values = _solve(replace(config, grid=level_grid), _block_sums(fine, stride))
         gap = values - reference[:, ::stride]
         gaps.append(gap * gap)
     return gaps
@@ -262,11 +262,14 @@ def convergence_study(
     where every level collapses to the same Brownian prefix sums).
 
     Seeds are solved in blocks, on ``n_workers`` processes, this one
-    included, when more than one is asked for; the squared gaps are added
-    up here in seed order, so
-    the report does not depend on the worker count.  A failure raises
+    included, when more than one is asked for; the block task binds
+    ``n_levels`` and ``refine_factor`` and runs in this process alone when
+    it does not pickle (a config with a lambda offset, say).  The squared
+    gaps are added up here in seed order, so the report does not depend on
+    the worker count.  A failure raises
     :class:`~semsim.engine.PathSimulationError` naming the lowest failing
-    seed index.
+    seed index; the block task names a seed by its row in the block and
+    the block runner adds the block's first index.
     """
     # Three levels at least, for a slope.
     n_levels = _as_int(n_levels, "n_levels", least=3)
@@ -278,8 +281,8 @@ def convergence_study(
     ]
 
     acc = [np.zeros(g.steps + 1) for g in level_grids]
-    blocks = _map_blocks(_coupled_squared_gaps, refine_config(config, refine_factor ** n_levels),
-                         n_workers, n_levels, refine_factor)
+    task = partial(_coupled_squared_gaps, n_levels=n_levels, refine_factor=refine_factor)
+    blocks = _map_blocks(task, refine_config(config, refine_factor ** n_levels), n_workers)
     for _, gaps in blocks:
         for total, squared in zip(acc, gaps):
             for row in squared:

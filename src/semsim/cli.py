@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable, Iterable
 
@@ -246,17 +246,7 @@ def _cmd_converge(config: ExperimentConfig, section: dict, out_dir: str,
         refine_factor=section["refine_factor"],
         n_workers=threads,
     )
-    payload = {
-        "dt_levels": list(report.dt_levels),
-        "sup_mse": list(report.sup_mse),
-        "fitted_slope": report.fitted_slope,
-        "flag": "degenerate_exact" if report.degenerate else "ok",
-        "theoretical_rate_bound": report.theoretical_rate_bound,
-        "degenerate": report.degenerate,
-        "n_paths": report.n_paths,
-        "refine_factor": report.refine_factor,
-        "envelope_constant": report.envelope_constant,
-    }
+    payload = {**asdict(report), "flag": "degenerate_exact" if report.degenerate else "ok"}
     return [_atomic_write(out_dir, "convergence.json", _json_text(payload))]
 
 
@@ -269,8 +259,9 @@ def _each_path(config: ExperimentConfig, threads: int, estimate: Callable) -> li
     """``estimate`` of every path of the ensemble, in path order.
 
     The estimates are made in the task that solved the block, so the
-    parent never holds more than one block's states.  ``estimate`` must
-    pickle: a ``partial`` of a module-level function.
+    parent never holds more than one block's states.  ``estimate`` is a
+    ``partial`` of a module-level function, so it pickles and the blocks
+    can run in a pool; one that does not pickle runs here.
     """
     sim = config.simulation_config()
     blocks = simulate_blocks(sim, threads, partial(_per_path, sim.grid, estimate))

@@ -20,12 +20,15 @@ once per step of every path.  :func:`simulate_discrete` is a batch of
 one; :func:`simulate_blocks` (behind :func:`monte_carlo` and every
 command of ``cli``) and the refinement study in ``analysis`` solve
 contiguous blocks of paths, sized by ``_map_blocks``.  The worker count
-counts the processes that compute, the calling one included.  When more
-than one worker is asked for, there is more than one block and the config
-pickles, the calling process runs blocks ``0, W, 2W, ...`` of the ``W``
-workers itself and a process pool of ``W - 1`` runs the others, one task
-per block; otherwise the builtin ``map`` runs every block in this
-process.  Results arrive in block order either way.
+counts the processes that compute, the calling one included.  Every
+block task is ``task(config, start, stop)``, its other inputs bound with
+``functools.partial``, and the block runner wraps it.  When more than one
+worker is asked for and there is more than one block, the calling
+process runs blocks ``0, W, 2W, ...`` of the ``W`` workers itself and a
+process pool of ``W - 1`` runs the others through the same callable, one
+task per block.  A task that does not pickle runs in the calling process:
+the builtin ``map`` then runs every block here.  Results arrive in block
+order either way.
 
 Columns
 -------
@@ -118,11 +121,13 @@ dampening is never passed to ``evaluate``.
 Failures
 --------
 After each batch one ``isfinite`` scan checks every state.  A NaN or
-infinite state raises :class:`PathSimulationError` naming the path, the
-first non-finite step and the step count of its grid; custom Hurst or
-dampening functions are the usual cause.  An exception raised inside a
-batch is named by the block runner, which re-runs the block's paths one
-at a time to find the lowest that fails.
+infinite state raises :class:`PathSimulationError` naming the path by its
+row in the batch, the first non-finite step and the step count of its
+grid; custom Hurst or dampening functions are the usual cause.  The block
+runner alone knows where a block starts: it re-raises the error with the
+block's first index added.  An exception raised inside a batch is named
+by the block runner too, which re-runs the block's paths one at a time to
+find the lowest that fails.
 """
 
 from __future__ import annotations
@@ -131,7 +136,6 @@ import concurrent.futures
 import pickle
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -370,11 +374,11 @@ class _Kernel:
         return fn.evaluate(times, full)
 
 
-def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np.ndarray:
+def _solve(config: SimulationConfig, dB: np.ndarray) -> np.ndarray:
     """Run the recursion for a batch of paths: ``dB[P, N] -> X[P, N + 1]``.
 
-    Path ``p`` of the batch is reported as ``first_index + p`` when its
-    states are not all finite.
+    Path ``p`` of the batch is reported as ``p``, its row, when its states
+    are not all finite; the block runner adds the block's first index.
     """
     g = _offset_values(config)
     kernel = _Kernel(config, dB.shape[0])
@@ -393,7 +397,7 @@ def _solve(config: SimulationConfig, dB: np.ndarray, first_index: int = 0) -> np
         # count N of the grid it is on: a study solves one block on several.
         p, step = (int(i) for i in np.argwhere(~np.isfinite(x))[0])
         cause = FloatingPointError(f"state {float(x[p, step])!r} is not finite (N = {dB.shape[1]})")
-        raise PathSimulationError(first_index + p, cause, step=step)
+        raise PathSimulationError(p, cause, step=step)
     return x
 
 
@@ -542,73 +546,72 @@ def interpolate_on_refinement(
     return SamplePath(grid=fine.grid, values=out, path_index=coarse_path.path_index)
 
 
-def _run_block(task: Callable, config: SimulationConfig, start: int, stop: int, *args):
-    """``task(config, start, stop, *args)``, failing with the lowest failing path named.
+def _run_block(task: Callable, config: SimulationConfig, start: int, stop: int):
+    """``task(config, start, stop)``, failing with the lowest failing path named.
 
-    A batched evaluation that raises cannot say which path it was on, so
-    the block's paths are then run one at a time to name the first that
-    fails.  A non-finite state already names its path and step.
+    A task names a failing path by its row in the block, and this adds the
+    block's ``start``.  A batched evaluation that raises cannot say which
+    path it was on, so the block's paths are then run one at a time to
+    name the first that fails.  A non-finite state already names its row
+    and step.
     """
     try:
-        return task(config, start, stop, *args)
-    except PathSimulationError:
-        raise
+        return task(config, start, stop)
+    except PathSimulationError as exc:
+        raise PathSimulationError(start + exc.path_index, exc.cause, exc.step) from exc
     except Exception as exc:
         if stop - start > 1:
             for i in range(start, stop):
-                _run_block(task, config, i, i + 1, *args)
+                _run_block(task, config, i, i + 1)
         raise PathSimulationError(start, exc) from exc
 
 
-def _run_pickled_block(task: Callable, payload: bytes, start: int, stop: int, *args):
-    return _run_block(task, pickle.loads(payload), start, stop, *args)
-
-
-def _map_blocks(task: Callable, config: SimulationConfig, n_workers: int, *args
+def _map_blocks(task: Callable, config: SimulationConfig, n_workers: int
                 ) -> Iterator[tuple[int, object]]:
-    """Yield ``(start, task(config, start, stop, *args))`` block by block, in order.
+    """Yield ``(start, task(config, start, stop))`` block by block, in order.
 
     The paths ``range(config.n_paths)`` are cut into contiguous blocks of
     ``max(1, 2**14 // N)`` for the ``N`` steps of ``config.grid``, and
-    ``_run_block`` runs each.  ``n_workers`` counts the processes that
-    compute, this one included.  With ``W = min(n_workers, blocks) > 1``
-    and a config that pickles, this process runs blocks ``0, W, 2W, ...``
-    itself, each when its turn comes, and the map of a pool of ``W - 1``
-    workers runs the others, one task per block and the config pickled
-    once for all of them; a single block, one worker, and configs whose
-    callables cannot be pickled run in this process under the builtin
-    ``map``.  Either way a failure raises :class:`PathSimulationError`
-    naming the lowest failing path, from the first failing block, and
-    however the caller stops reading, the blocks not yet started are
-    dropped: this process starts none of its own after reading a failure.
+    ``run = partial(_run_block, task, config)`` runs each; a task's other
+    inputs are bound into it with ``functools.partial``.  ``n_workers``
+    counts the processes that compute, this one included.  With ``W =
+    min(n_workers, blocks) > 1``, this process runs blocks ``0, W, 2W,
+    ...`` itself, each when its turn comes, and the map of a pool of ``W -
+    1`` workers runs the others through the same ``run``, one task per
+    block.  A task that does not pickle runs in the calling process: ``W``
+    drops to 1 when ``run`` does not pickle, and one worker runs every
+    block here under the builtin ``map``.  Either way a failure raises
+    :class:`PathSimulationError` naming the lowest failing path, from the
+    first failing block, and however the caller stops reading, the blocks
+    not yet started are dropped: this process starts none of its own after
+    reading a failure.
     """
     n_items, block = config.n_paths, max(1, _BLOCK_STATES // config.grid.steps)
     starts = range(0, n_items, block)
     stops = [min(s + block, n_items) for s in starts]
     n_workers = min(_as_int(n_workers, "n_workers", least=1), len(starts))
     run = partial(_run_block, task, config)
-    try:
-        payload = pickle.dumps(config) if n_workers > 1 else None
-    except Exception:
-        payload = None
-    if payload is None:
-        yield from zip(starts, map(run, starts, stops, *map(repeat, args)))
+    if n_workers > 1:
+        try:
+            pickle.dumps(run)
+        except Exception:
+            n_workers = 1
+    if n_workers == 1:
+        yield from zip(starts, map(run, starts, stops))
         return
     pooled = [i for i in range(len(starts)) if i % n_workers]
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers - 1)
     try:
-        results = pool.map(partial(_run_pickled_block, task, payload), [starts[i] for i in pooled],
-                           [stops[i] for i in pooled], *map(repeat, args))
+        results = pool.map(run, [starts[i] for i in pooled], [stops[i] for i in pooled])
         for i, start in enumerate(starts):
-            yield start, next(results) if i % n_workers else run(start, stops[i], *args)
+            yield start, next(results) if i % n_workers else run(start, stops[i])
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _simulate_block(config: SimulationConfig, start: int, stop: int,
                     finish: Callable[[np.ndarray], object] | None = None) -> object:
-    x = _solve(config, sample_brownian_block(config.seed, config.grid, start, stop),
-               first_index=start)
+    x = _solve(config, sample_brownian_block(config.seed, config.grid, start, stop))
     return x if finish is None else finish(x)
 
 
@@ -619,15 +622,16 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
 
     A block is the contiguous paths ``start <= i < start + P``, with ``P``
     set by :func:`_map_blocks` (fewer in the last block), and its result is
-    their ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` runs in the
-    task that solved the block, so with ``n_workers > 1`` it runs in the
-    pool workers too and must be picklable: a module-level function, or a
-    ``functools.partial`` of one with picklable arguments.  The blocks are
-    run as for :func:`monte_carlo`, by this process and a pool or by this
-    process alone; closing the iterator early drops the blocks not yet
-    started.
+    their ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` is bound
+    into the block task and runs in the task that solved the block, so
+    with ``n_workers > 1`` it runs in the pool workers too.  A task that
+    does not pickle runs in the calling process, so a ``finish`` that does
+    not pickle, a lambda say, gives the same results from this process
+    alone.  The blocks are run as for :func:`monte_carlo`, by this process
+    and a pool or by this process alone; closing the iterator early drops
+    the blocks not yet started.
     """
-    return _map_blocks(_simulate_block, config, n_workers, finish)
+    return _map_blocks(partial(_simulate_block, finish=finish), config, n_workers)
 
 
 def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
@@ -641,11 +645,11 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     this one included, and is capped at the number of blocks: with
     ``W > 1`` of them, this process solves blocks ``0, W, 2W, ...`` and a
     process pool of ``W - 1`` solves the others, one task per block.  A
-    single block, one worker, or a config whose callables cannot be
-    pickled runs in this process alone.  Failures surface as
-    :class:`PathSimulationError` naming the lowest failing index, and the
-    blocks not yet started when the first failing block is read are
-    dropped.
+    single block, one worker, or a task that does not pickle (a config
+    with a lambda offset, say) runs in this process alone.  Failures
+    surface as :class:`PathSimulationError` naming the lowest failing
+    index, and the blocks not yet started when the first failing block is
+    read are dropped.
     """
     values = np.empty((config.n_paths, config.grid.steps + 1))
     for start, block in simulate_blocks(config, n_workers):

@@ -157,8 +157,10 @@ def eval_hurst(h: HurstFunction, t: float, x: float) -> float:
     return clipped
 
 
-# Built-in evaluators are tiny frozen dataclasses so configurations stay
-# picklable for process pools.
+# Built-in evaluators pickle, so configurations built from them can be
+# sent to process pools: a parameterless one is a module-level function,
+# pickled by name, and one with parameters is a tiny frozen dataclass,
+# which also keeps dataclass equality.
 
 @dataclass(frozen=True)
 class _ConstantEval:
@@ -172,27 +174,6 @@ class _ConstantEval:
 
 
 @dataclass(frozen=True)
-class _SmoothAtOriginEval:
-    def __call__(self, t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return 0.5 + 0.5 / (1.0 + x * x)
-
-
-@dataclass(frozen=True)
-class _RoughAtOriginEval:
-    def __call__(self, t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.maximum(0.5 - 0.5 / (1.0 + x * x), EPSILON_FLOOR)
-
-
-@dataclass(frozen=True)
-class _BellEval:
-    def __call__(self, t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.maximum(1.0 / (1.0 + x * x), EPSILON_FLOOR)
-
-
-@dataclass(frozen=True)
 class _TrigEval:
     alpha: float
     beta: float
@@ -203,10 +184,23 @@ class _TrigEval:
         return self.alpha + self.beta * np.sin(self.gamma * x)
 
 
-@dataclass(frozen=True)
-class _AbsEval:
-    def __call__(self, t, x):
-        return np.abs(np.asarray(x, dtype=np.float64))
+def _smooth_at_origin(t, x):
+    x = np.asarray(x, dtype=np.float64)
+    return 0.5 + 0.5 / (1.0 + x * x)
+
+
+def _rough_at_origin(t, x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(0.5 - 0.5 / (1.0 + x * x), EPSILON_FLOOR)
+
+
+def _bell(t, x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(1.0 / (1.0 + x * x), EPSILON_FLOOR)
+
+
+def _abs_value(t, x):
+    return np.abs(np.asarray(x, dtype=np.float64))
 
 
 def _constant_hurst(H: float) -> HurstFunction:
@@ -240,15 +234,15 @@ def _constant_dampening(c: float) -> DampeningFunction:
 _HURST_FAMILIES = {
     "constant": (("H",), _constant_hurst),
     "smooth_at_origin": ((), lambda: HurstFunction(
-        _SmoothAtOriginEval(), h_star=0.5, h_sup=1.0,
+        _smooth_at_origin, h_star=0.5, h_sup=1.0,
         lip_t=0.0, lip_x=_HALF_CAUCHY_SLOPE, name="smooth_at_origin",
     )),
     "rough_at_origin": ((), lambda: HurstFunction(
-        _RoughAtOriginEval(), h_star=EPSILON_FLOOR, h_sup=0.5,
+        _rough_at_origin, h_star=EPSILON_FLOOR, h_sup=0.5,
         lip_t=0.0, lip_x=_HALF_CAUCHY_SLOPE, name="rough_at_origin",
     )),
     "bell": ((), lambda: HurstFunction(
-        _BellEval(), h_star=EPSILON_FLOOR, h_sup=1.0,
+        _bell, h_star=EPSILON_FLOOR, h_sup=1.0,
         lip_t=0.0, lip_x=_CAUCHY_SLOPE, name="bell",
     )),
     "trig": (("alpha", "beta", "gamma"), _trig_hurst),
@@ -256,9 +250,9 @@ _HURST_FAMILIES = {
 _DAMPENING_FAMILIES = {
     "constant": (("c",), _constant_dampening),
     "abs_value": ((), lambda: DampeningFunction(
-        _AbsEval(), growth_C=1.0, lip_t=0.0, lip_x=1.0, name="abs_value")),
+        _abs_value, growth_C=1.0, lip_t=0.0, lip_x=1.0, name="abs_value")),
     "bell": ((), lambda: DampeningFunction(
-        _BellEval(), growth_C=1.0, lip_t=0.0, lip_x=_CAUCHY_SLOPE, name="bell",
+        _bell, growth_C=1.0, lip_t=0.0, lip_x=_CAUCHY_SLOPE, name="bell",
     )),
 }
 
@@ -290,8 +284,9 @@ def builtin_dampening(name: str, params: tuple | list = ()) -> DampeningFunction
     """Construct a built-in dampening function by name.
 
     Names and parameters: ``constant [c]`` with ``c`` finite and ``>= 0``,
-    ``f = c``; ``abs_value []``, ``f(x) = |x|``; ``bell []``, ``f(x) = 1 /
-    (1 + x**2)``.  An unknown name, a wrong number of parameters or a value
+    ``f = c``; ``abs_value []``, ``f(x) = |x|``; ``bell []``, ``f(x) = max(1 /
+    (1 + x**2), EPSILON_FLOOR)``, the Hurst ``bell`` evaluator and its
+    floor, which the dampening keeps.  An unknown name, a wrong number of parameters or a value
     out of range raises ``ValueError``.
     """
     return _builtin(_DAMPENING_FAMILIES, "dampening", name, params)

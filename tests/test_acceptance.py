@@ -10,6 +10,7 @@ import json
 import math
 import pathlib
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -25,7 +26,6 @@ from semsim import (
     builtin_hurst,
     check_fund_ineq,
     convergence_study,
-    derive_path_seed,
     estimate_holder,
     gronwall_bound,
     lambda_gamma,
@@ -263,17 +263,15 @@ def test_08_dampening_raises_increment_clustering(capsys):
     started = time.monotonic()
     grid = make_grid(10.0, 2**12)
     hurst = builtin_hurst("bell", [])
-    cfg_plain = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(1))
-    cfg_damped = SimulationConfig(
-        grid=grid, hurst=hurst, seed=Seed(1), dampening=builtin_dampening("constant", [0.1])
+    # Path i of both ensembles is driven by the stream of
+    # derive_path_seed(Seed(424242), i), so the draws are paired.
+    cfg_plain = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(424242), n_paths=100)
+    cfg_damped = replace(cfg_plain, dampening=builtin_dampening("constant", [0.1]))
+    mean_acf_plain, mean_acf_damped = (
+        [float(np.mean(acf_abs_increments(path, max_lag=20).values[1:]))
+         for path in monte_carlo(cfg).paths]
+        for cfg in (cfg_plain, cfg_damped)
     )
-    mean_acf_plain = []
-    mean_acf_damped = []
-    for i in range(100):
-        incr = sample_brownian(derive_path_seed(Seed(424242), i), grid)
-        for cfg, sink in ((cfg_plain, mean_acf_plain), (cfg_damped, mean_acf_damped)):
-            series = acf_abs_increments(simulate_discrete(cfg, incr), max_lag=20)
-            sink.append(float(np.mean(series.values[1:])))
     median_plain = float(np.median(mean_acf_plain))
     median_damped = float(np.median(mean_acf_damped))
     elapsed = time.monotonic() - started

@@ -14,6 +14,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,11 +39,12 @@ from semsim import (
     refine_config,
     sample_brownian,
     sigma,
+    simulate_blocks,
     simulate_discrete,
 )
 from semsim import engine
 from semsim.analysis import convergence_study
-from semsim.engine import _Kernel, _map_blocks, _solve
+from semsim.engine import _Kernel, _map_blocks, _run_block, _solve
 from semsim.kernels import kernel_values
 from semsim.randomness import coarsen
 
@@ -159,6 +161,13 @@ def _fail_blocks_one_and_two(config: SimulationConfig, start: int, stop: int, ma
 def _process_id(config: SimulationConfig, start: int, stop: int) -> int:
     """A block task: the id of the process that runs it."""
     return os.getpid()
+
+
+def _fail_last_row(config: SimulationConfig, start: int, stop: int, failing: int) -> int:
+    """A block task: the block starting at ``failing`` names its last row at step 3."""
+    if start == failing:
+        raise PathSimulationError(stop - start - 1, FloatingPointError("row fails"), step=3)
+    return start
 
 
 def _oracle_path(config: SimulationConfig, increments: BrownianIncrements) -> np.ndarray:
@@ -728,8 +737,9 @@ class TestDiagonalLoop:
         cfg = _tabled_config(None)
         dB = np.stack([sample_brownian(Seed(75 + p), cfg.grid).values for p in range(3)])
         dB[1, 17] = bad
+        # _solve names row 1; the block runner adds the block's start, 10.
         with pytest.raises(PathSimulationError) as excinfo:
-            _solve(cfg, dB, first_index=10)
+            _run_block(lambda config, start, stop: _solve(config, dB), cfg, 10, 13)
         # Increment 17 first enters the state at node 18.
         assert (excinfo.value.path_index, excinfo.value.step) == (11, 18)
 
@@ -936,6 +946,36 @@ class TestMonteCarlo:
         fallback = monte_carlo(cfg, n_workers=2)
         assert serial.values_matrix().tobytes() == fallback.values_matrix().tobytes()
 
+    def test_unpicklable_finish_falls_back_to_serial(self, monkeypatch):
+        # Four blocks of up to 16 paths on N = 1024.  The lambda finish is
+        # bound into the block task, which then does not pickle, so every
+        # block runs in this process.
+        cfg = SimulationConfig(grid=make_grid(1.0, 1024), hurst=builtin_hurst("bell", []),
+                               seed=Seed(66), n_paths=60)
+        serial = [(start, block.tobytes()) for start, block in simulate_blocks(cfg, 1)]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for a task that does not pickle")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        fallback = [(start, block.tobytes())
+                    for start, block in simulate_blocks(cfg, 2, finish=lambda x: x)]
+        assert len(serial) == 4
+        assert fallback == serial
+
+    @pytest.mark.parametrize("failing", [0, 8], ids=["caller-block", "pool-block"])
+    def test_block_runner_adds_the_block_start_to_a_row(self, failing):
+        # Two blocks of 8 paths on N = 2048 and 2 workers: block 0 runs in
+        # this process, block 8 in the pool.  The task names its last row,
+        # 7, and the error must name the global path.
+        cfg = SimulationConfig(grid=make_grid(1.0, 2048), hurst=builtin_hurst("constant", [0.6]),
+                               seed=Seed(67), n_paths=16)
+        with pytest.raises(PathSimulationError) as excinfo:
+            for _ in _map_blocks(partial(_fail_last_row, failing=failing), cfg, 2):
+                pass
+        assert (excinfo.value.path_index, excinfo.value.step) == (failing + 7, 3)
+        assert str(excinfo.value.cause) == "row fails"
+
     def test_no_pending_block_starts_after_the_first_failing_block(self, tmp_path):
         # N = 2**14 makes every path its own block: 24 blocks on 2 workers,
         # this process and a pool of n_workers - 1 = 1, which is given the
@@ -948,7 +988,7 @@ class TestMonteCarlo:
                                seed=Seed(71), n_paths=24)
         n_workers = 2
         with pytest.raises(PathSimulationError) as excinfo:
-            for _ in _map_blocks(_fail_first_block, cfg, n_workers, tmp_path):
+            for _ in _map_blocks(partial(_fail_first_block, marks=tmp_path), cfg, n_workers):
                 pass
         assert excinfo.value.path_index == 0
         assert isinstance(excinfo.value.cause, FloatingPointError)
@@ -962,7 +1002,7 @@ class TestMonteCarlo:
         cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(73), n_paths=4)
         with pytest.raises(PathSimulationError) as excinfo:
-            for _ in _map_blocks(_fail_blocks_one_and_two, cfg, 2, tmp_path):
+            for _ in _map_blocks(partial(_fail_blocks_one_and_two, marks=tmp_path), cfg, 2):
                 pass
         assert excinfo.value.path_index == 1
         assert str(excinfo.value.cause) == "block 1 fails"

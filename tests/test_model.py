@@ -1,6 +1,7 @@
 """Built-in model functions and the declaration validators."""
 
 import math
+import pickle
 import warnings
 from dataclasses import dataclass
 
@@ -155,6 +156,20 @@ def test_families_are_the_builtin_tables():
     for kind, table in tables.items():
         assert {(name, names) for k, name, names in FAMILIES if k == kind} == {
             (name, names) for name, (names, _) in table.items()}
+
+
+# Valid parameters of the families that take any.
+PARAMS = {("hurst", "constant"): [0.75], ("hurst", "trig"): [0.6, 0.2, 1.0],
+          ("dampening", "constant"): [1.5]}
+
+
+@pytest.mark.parametrize(("kind", "name", "names"), FAMILIES)
+def test_builtin_survives_pickling(kind, name, names):
+    # Configurations are sent to process pools; an evaluator must pickle
+    # and come back equal to a fresh build with the same parameters.
+    params = PARAMS.get((kind, name), [])
+    back = pickle.loads(pickle.dumps(BUILD[kind](name, params)))
+    assert back == BUILD[kind](name, params)
 
 
 @pytest.mark.parametrize(("kind", "name", "names"), FAMILIES)
