@@ -9,7 +9,7 @@ level to one fine Brownian draw per path through exact block sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -22,7 +22,7 @@ from .engine import (
     _solve,
     refine_config,
 )
-from .randomness import _as_int, _block_sums, make_grid, sample_brownian_block
+from .randomness import _as_int, _block_sums, sample_brownian_block
 from .special import gronwall_bound
 
 __all__ = [
@@ -220,24 +220,21 @@ def acf_abs_increments(path: SamplePath, max_lag: int) -> AcfSeries:
 
 
 def _coupled_squared_gaps(config: SimulationConfig, start: int, stop: int,
-                          n_levels: int, refine_factor: int) -> list[np.ndarray]:
+                          levels: list[SimulationConfig]) -> list[np.ndarray]:
     """Squared gaps to the reference of the driving seeds ``start <= i < stop``.
 
-    ``config.grid`` is the finest grid, the reference's; level ``l`` has
-    ``refine_factor ** (n_levels - l)`` times fewer steps.  Entry ``level``
-    is a ``(stop - start, N_level + 1)`` array, one row per seed, at the
-    level's nodes.
+    ``config`` is the reference's, on the finest grid, and ``levels`` are
+    the configs of the levels, each on a grid whose step count divides the
+    finest one.  Entry ``l`` is a ``(stop - start, N_l + 1)`` array, one
+    row per seed, at the nodes of ``levels[l]``.
     """
-    finest = config.grid
-    fine = sample_brownian_block(config.seed, finest, start, stop)
+    fine = sample_brownian_block(config.seed, config.grid, start, stop)
     reference = _solve(config, fine)
     gaps = []
-    for level in range(n_levels):
-        stride = refine_factor ** (n_levels - level)
-        level_grid = make_grid(finest.horizon, finest.steps // stride)
+    for level in levels:
+        stride = config.grid.steps // level.grid.steps
         # Exact block sums of each row, by the helper randomness.coarsen uses.
-        values = _solve(replace(config, grid=level_grid), _block_sums(fine, stride))
-        gap = values - reference[:, ::stride]
+        gap = _solve(level, _block_sums(fine, stride)) - reference[:, ::stride]
         gaps.append(gap * gap)
     return gaps
 
@@ -261,12 +258,14 @@ def convergence_study(
     exactly coupled to the reference (e.g. a constant Hurst value of 1/2,
     where every level collapses to the same Brownian prefix sums).
 
-    Seeds are solved in blocks, on ``n_workers`` processes, this one
-    included, when more than one is asked for; the block task binds
-    ``n_levels`` and ``refine_factor`` and runs in this process alone when
-    it does not pickle (a config with a lambda offset, say).  The squared
-    gaps are added up here in seed order, so the report does not depend on
-    the worker count.  A failure raises
+    The level configs are built here once, ``refine_config(config,
+    refine_factor ** l)``, and give ``dt_levels``.  Seeds are solved in
+    blocks, on ``n_workers`` processes, this one included, when more than
+    one is asked for; the block task binds the levels and solves each from
+    the exact block sums of the reference's draw.  It runs in this process
+    alone when it does not pickle (a config with a lambda offset, say).
+    The squared gaps are added up here in seed order, so the report does
+    not depend on the worker count.  A failure raises
     :class:`~semsim.engine.PathSimulationError` naming the lowest failing
     seed index; the block task names a seed by its row in the block and
     the block runner adds the block's first index.
@@ -274,14 +273,10 @@ def convergence_study(
     # Three levels at least, for a slope.
     n_levels = _as_int(n_levels, "n_levels", least=3)
     refine_factor = _as_int(refine_factor, "refine_factor", least=2)
-    base = config.grid
-    level_grids = [
-        make_grid(base.horizon, base.steps * refine_factor ** level)
-        for level in range(n_levels)
-    ]
+    levels = [refine_config(config, refine_factor ** level) for level in range(n_levels)]
 
-    acc = [np.zeros(g.steps + 1) for g in level_grids]
-    task = partial(_coupled_squared_gaps, n_levels=n_levels, refine_factor=refine_factor)
+    acc = [np.zeros(level.grid.steps + 1) for level in levels]
+    task = partial(_coupled_squared_gaps, levels=levels)
     blocks = _map_blocks(task, refine_config(config, refine_factor ** n_levels), n_workers)
     for _, gaps in blocks:
         for total, squared in zip(acc, gaps):
@@ -289,14 +284,14 @@ def convergence_study(
                 total += row
 
     sup_mse = tuple(float(np.max(a) / config.n_paths) for a in acc)
-    dt_levels = tuple(g.dt for g in level_grids)
+    dt_levels = tuple(level.grid.dt for level in levels)
     degenerate = any(v == 0.0 for v in sup_mse)
     if degenerate:
         slope = None
         envelope_constant = None
     else:
         slope, _, _ = fit_loglog_slope(np.array(dt_levels), np.array(sup_mse))
-        envelope = gronwall_bound(1.0, 1.0, config.hurst.h_star, base.horizon)
+        envelope = gronwall_bound(1.0, 1.0, config.hurst.h_star, config.grid.horizon)
         envelope_constant = max(
             mse / (dt ** 0.5 * envelope) for dt, mse in zip(dt_levels, sup_mse)
         )

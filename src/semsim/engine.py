@@ -78,9 +78,11 @@ row, tabled once.  A column is the state-dependent Hurst exponent plus
 the state-dependent dampening exponent plus that row, exponentiated, times
 the increments; one builder assembles every column.
 
-Refinement interpolation builds its sums from the same columns, one per
-coarse node over the fine nodes after it.  The solver keeps this batched
-builder, with its row and buffers, apart from
+Refinement interpolation takes one fine draw and nothing else: it solves
+the coarse path from the draw's exact block sums, so the two grids share
+their randomness by construction, and builds the fine sums from the same
+columns, one per coarse node over the fine nodes after it.  The solver
+keeps this batched builder, with its row and buffers, apart from
 :mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma` (the power
 ``gap ** (h - 1/2)``) is the reference it is tested against; the two
 agree to a few ulp per term.
@@ -111,12 +113,13 @@ increments this makes the exact identities hold bitwise: a constant Hurst
 value of 1/2 gives the exponent 0 and the factor 1, which reproduces
 Brownian prefix sums; zero dampening adds an exact zero to the exponent,
 which reproduces the undampened run; and refinement interpolation
-reproduces the coarse path at shared nodes on grids with exact node
-products (see ``TimeGrid.has_exact_nodes``), where a coarse distance is
-bitwise a fine one.  A path's bits do not depend on the batch it is
-solved in, and a constant declared as varying gives the bits of its
-tabled row.  The row serves the whole batch, never one path, and constant
-dampening is never passed to ``evaluate``.
+reproduces, at shared nodes, the coarse path it solves from the coarsened
+fine draw, on grids with exact node products (see
+``TimeGrid.has_exact_nodes``), where a coarse distance is bitwise a fine
+one.  A path's bits do not depend on the batch it is solved in, and a
+constant declared as varying gives the bits of its tabled row.  The row
+serves the whole batch, never one path, and constant dampening is never
+passed to ``evaluate``.
 
 Failures
 --------
@@ -471,13 +474,14 @@ def simulate_discrete(config: SimulationConfig, increments: BrownianIncrements) 
 
 def interpolate_on_refinement(
     config: SimulationConfig,
-    coarse_path: SamplePath,
     fine_increments: BrownianIncrements,
     refine_factor: int,
 ) -> SamplePath:
-    """Extend a coarse path to a refined grid without re-solving.
+    """Solve the coarsened fine draw on ``config.grid``, then extend it to the fine grid.
 
-    Each fine node ``tau_j`` gets
+    The coarse path is the recursion driven by ``coarsen(fine_increments,
+    refine_factor)``, so the two grids share one draw by construction.
+    Each fine node ``tau_j`` then gets
 
         g(tau_j) + sum over fine intervals below tau_j of
             sigma(tau_j, eta_l, X_coarse[eta_l]) * dB_fine[l]
@@ -487,21 +491,16 @@ def interpolate_on_refinement(
     blocks are accumulated through the block sums of the fine increments;
     on the lattice those sums are exact, which makes the value at every
     coarse node agree bitwise with the coarse recursion on exact-node
-    grids.  ``refine_factor == 1`` returns the coarse values unchanged.
+    grids.  ``refine_factor == 1`` returns the coarse path itself.
 
     Each coarse node contributes one column of the solver's builder over
     the fine nodes after it: its kernel at their times, weighted by the
     running sums of its own block's fine increments and then by its
     coarse increment.  Functions declaring ``lip_t > 0`` see every fine
-    node's time.
-
-    The coupling precondition (the fine increments coarsen to exactly the
-    increments that generated ``coarse_path``) is verified by re-running
-    the coarse recursion; a mismatch is rejected.
+    node's time.  A non-finite coarse state raises
+    :class:`PathSimulationError` with ``path_index`` 0 and the step.
     """
     refine_factor = _as_int(refine_factor, "refine_factor", least=1)
-    if coarse_path.grid != config.grid:
-        raise ValueError("coarse_path grid does not match config grid")
     n = config.grid.steps
     fine = refine_config(config, refine_factor)
     if fine_increments.grid != fine.grid:
@@ -509,14 +508,9 @@ def interpolate_on_refinement(
             f"fine increments must live on the {refine_factor}-fold refinement {fine.grid}"
         )
     coarse_increments = coarsen(fine_increments, refine_factor)
-    recomputed = simulate_discrete(config, coarse_increments)
-    if not np.array_equal(recomputed.values, coarse_path.values):
-        raise ValueError(
-            "coupling violated: fine increments do not coarsen to the increments behind coarse_path"
-        )
+    coarse_path = simulate_discrete(config, coarse_increments)
     if refine_factor == 1:
-        return SamplePath(grid=fine.grid, values=coarse_path.values,
-                          path_index=coarse_path.path_index)
+        return coarse_path
 
     # Coarse node i is one column over the fine nodes j > i r.  Its weight
     # for the fine nodes inside its own block is the running sum of the fine
@@ -543,7 +537,7 @@ def interpolate_on_refinement(
     if g is not None:
         out[1:] += g[1:]
     out.setflags(write=False)
-    return SamplePath(grid=fine.grid, values=out, path_index=coarse_path.path_index)
+    return SamplePath(grid=fine.grid, values=out)
 
 
 def _run_block(task: Callable, config: SimulationConfig, start: int, stop: int):

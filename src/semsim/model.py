@@ -38,6 +38,8 @@ from typing import Callable
 
 import numpy as np
 
+from .randomness import _as_int
+
 __all__ = [
     "EPSILON_FLOOR",
     "HurstClipWarning",
@@ -345,8 +347,8 @@ def _scan(fn, t_samples, x_range, x_samples, t_range, pointwise) -> ValidationRe
     then the x-Lipschitz bound on adjacent lattice columns, then the
     t-Lipschitz bound on adjacent lattice rows.
     """
-    if t_samples < 2 or x_samples < 2:
-        raise ValueError("need at least 2 samples along each axis")
+    t_samples = _as_int(t_samples, "t_samples", least=2)
+    x_samples = _as_int(x_samples, "x_samples", least=2)
     ts = np.linspace(t_range[0], t_range[1], t_samples)
     xs = np.linspace(x_range[0], x_range[1], x_samples)
     vals = np.empty((t_samples, x_samples))
@@ -393,7 +395,8 @@ def validate_hurst(
     ``[h_star, h_sup]``, the x-Lipschitz bound on adjacent lattice
     columns, and the t-Lipschitz bound on adjacent lattice rows.  Bounds
     are applied with a relative slack of 1e-9 so sharp constants are not
-    rejected on rounding noise.
+    rejected on rounding noise.  Both sample counts are integers of at
+    least 2; any other value raises ``ValueError``.
     """
     def in_range(vals, xgrid):
         return [

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from .randomness import _as_int
+
 __all__ = ["MittagLefflerError", "log_gamma", "mittag_leffler", "gronwall_bound"]
 
 _DEFAULT_TOLERANCE = 1e-12
@@ -53,10 +55,11 @@ def mittag_leffler(
 
     Terms are computed in log space, ``exp(k * log|z| - log_gamma(k * beta
     + 1))``, to keep large ``k`` stable, and accumulation stops once a term
-    falls below ``tolerance``.  Exceeding ``max_terms`` raises
-    :class:`MittagLefflerError` with the partial sum attached.  Intended
-    for ``z >= 0`` (the comparison-bound regime); negative ``z`` is
-    rejected because the alternating series cancels catastrophically.
+    falls below ``tolerance``.  Exceeding ``max_terms``, an integer of at
+    least 1, raises :class:`MittagLefflerError` with the partial sum
+    attached.  Intended for ``z >= 0`` (the comparison-bound regime);
+    negative ``z`` is rejected because the alternating series cancels
+    catastrophically.
     """
     z, beta = float(z), float(beta)
     if not (math.isfinite(beta) and beta > 0.0):
@@ -65,11 +68,12 @@ def mittag_leffler(
         raise ValueError(f"z must be finite and nonnegative, got {z!r}")
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    max_terms = _as_int(max_terms, "max_terms", least=1)
     if z == 0.0:
         return 1.0
     log_z = math.log(z)
     total = 0.0
-    for k in range(int(max_terms)):
+    for k in range(max_terms):
         log_term = k * log_z - math.lgamma(k * beta + 1.0)
         term = math.exp(log_term)
         total += term
@@ -78,7 +82,7 @@ def mittag_leffler(
     raise MittagLefflerError(
         f"series for E_{beta}({z}) did not converge within {max_terms} terms",
         partial_sum=total,
-        terms_used=int(max_terms),
+        terms_used=max_terms,
     )
 
 

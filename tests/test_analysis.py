@@ -276,8 +276,9 @@ class TestConvergenceStudy:
         finest = make_grid(1.0, 32 * refine_factor ** n_levels)
         fine = [sample_brownian(derive_path_seed(cfg.seed, i), finest) for i in range(start, stop)]
         reference = _solve(replace(cfg, grid=finest), np.stack([f.values for f in fine]))
+        levels = [refine_config(cfg, refine_factor ** level) for level in range(n_levels)]
         gaps = _coupled_squared_gaps(refine_config(cfg, refine_factor ** n_levels), start, stop,
-                                     n_levels, refine_factor)
+                                     levels)
         for level, squared in enumerate(gaps):
             stride = refine_factor ** (n_levels - level)
             dB = np.stack([coarsen(f, stride).values for f in fine])
@@ -325,10 +326,11 @@ class TestConvergenceStudy:
                               lip_t=0.0, lip_x=0.0)
         cfg = replace(self._trig_config(), grid=make_grid(1.0, 64), hurst=hurst)
         finest = refine_config(cfg, 2 ** 3)
+        levels = [refine_config(cfg, 2 ** level) for level in range(3)]
 
         def raises(seed):
             try:
-                _coupled_squared_gaps(finest, seed, seed + 1, 3, 2)
+                _coupled_squared_gaps(finest, seed, seed + 1, levels)
             except FloatingPointError:
                 return True
             return False

@@ -556,11 +556,10 @@ class TestUfuncBuffer:
                                seed=Seed(81), dampening=builtin_dampening("constant", [1.0]),
                                n_paths=3)
         fine = sample_brownian(Seed(81), refine_config(cfg, 2).grid)
-        coarse = simulate_discrete(cfg, coarsen(fine, 2))
         assert np.getbufsize() == caller_bufsize
         monte_carlo(cfg)
         assert np.getbufsize() == caller_bufsize
-        interpolate_on_refinement(cfg, coarse, fine, 2)
+        interpolate_on_refinement(cfg, fine, 2)
         assert np.getbufsize() == caller_bufsize
         convergence_study(cfg, n_levels=3, refine_factor=2)
         assert np.getbufsize() == caller_bufsize
@@ -773,17 +772,15 @@ class TestInterpolation:
         return cfg, coarse_path, fine
 
     def test_refine_factor_one_is_identity(self):
-        cfg, coarse_path, fine = self._coupled_setup(
-            builtin_hurst("trig", [0.6, 0.2, 1.0]), refine=1
-        )
-        out = interpolate_on_refinement(cfg, coarse_path, fine, 1)
-        assert out.values.tobytes() == coarse_path.values.tobytes()
+        cfg, _, fine = self._coupled_setup(builtin_hurst("trig", [0.6, 0.2, 1.0]), refine=1)
+        out = interpolate_on_refinement(cfg, fine, 1)
+        assert out.values.tobytes() == simulate_discrete(cfg, fine).values.tobytes()
         assert out.grid == cfg.grid
 
     def test_coarse_nodes_agree_bitwise(self):
         for hurst, dampening, offset, steps, r in _INTERPOLATION_CASES:
             cfg, coarse_path, fine = self._coupled_setup(hurst, dampening, offset, steps, r)
-            out = interpolate_on_refinement(cfg, coarse_path, fine, r)
+            out = interpolate_on_refinement(cfg, fine, r)
             assert out.grid.steps == steps * r
             # A coarse time that is an ulp off the fine time of the same
             # instant (8 of 26 on the inexact grid with r = 3) sees other
@@ -799,7 +796,7 @@ class TestInterpolation:
     )
     def test_matches_double_loop(self, hurst, dampening, offset, steps, r):
         cfg, coarse_path, fine = self._coupled_setup(hurst, dampening, offset, steps, r, seed=52)
-        out = interpolate_on_refinement(cfg, coarse_path, fine, r)
+        out = interpolate_on_refinement(cfg, fine, r)
 
         t_c = cfg.grid.nodes
         tau = out.grid.nodes
@@ -825,33 +822,33 @@ class TestInterpolation:
         cfg = SimulationConfig(grid=make_grid(1.0, 16), hurst=hurst, seed=Seed(53))
         fine = BrownianIncrements(grid=make_grid(1.0, 64), values=np.full(64, -0.0),
                                   seed_provenance=(53, 0))
-        coarse_path = simulate_discrete(cfg, coarsen(fine, 4))
-        out = interpolate_on_refinement(cfg, coarse_path, fine, 4)
+        out = interpolate_on_refinement(cfg, fine, 4)
         assert np.signbit(out.values[1:]).all()
 
     def test_half_hurst_refinement_is_fine_brownian(self):
-        cfg, coarse_path, fine = self._coupled_setup(builtin_hurst("constant", [0.5]))
-        out = interpolate_on_refinement(cfg, coarse_path, fine, 4)
+        cfg, _, fine = self._coupled_setup(builtin_hurst("constant", [0.5]))
+        out = interpolate_on_refinement(cfg, fine, 4)
         assert out.values[1:].tobytes() == np.cumsum(fine.values).tobytes()
         fine_cfg = refine_config(cfg, 4)
         direct = simulate_discrete(fine_cfg, fine)
         assert out.values.tobytes() == direct.values.tobytes()
 
-    def test_rejects_uncoupled_increments(self):
-        cfg, coarse_path, _ = self._coupled_setup(builtin_hurst("constant", [0.7]))
-        unrelated = sample_brownian(Seed(999), make_grid(1.0, 128))
-        with pytest.raises(ValueError, match="coupling"):
-            interpolate_on_refinement(cfg, coarse_path, unrelated, 4)
-
     def test_rejects_wrong_grids_and_factor(self):
-        cfg, coarse_path, fine = self._coupled_setup(builtin_hurst("constant", [0.7]))
+        cfg, _, fine = self._coupled_setup(builtin_hurst("constant", [0.7]))
         with pytest.raises(ValueError, match="refine_factor"):
-            interpolate_on_refinement(cfg, coarse_path, fine, 0)
+            interpolate_on_refinement(cfg, fine, 0)
         with pytest.raises(ValueError, match="refinement"):
-            interpolate_on_refinement(cfg, coarse_path, fine, 2)
-        other = SamplePath(grid=make_grid(1.0, 16), values=np.zeros(17))
-        with pytest.raises(ValueError, match="coarse_path"):
-            interpolate_on_refinement(cfg, other, fine, 4)
+            interpolate_on_refinement(cfg, fine, 2)
+
+    def test_non_finite_coarse_state_names_path_and_step(self):
+        # x[0] = 0 is within the threshold; the first nonzero coarse state
+        # is not, so the coarse recursion fails before any fine node is built.
+        hurst = HurstFunction(_NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8,
+                              lip_t=0.0, lip_x=0.0)
+        cfg, _, fine = self._coupled_setup(builtin_hurst("constant", [0.7]))
+        with pytest.raises(PathSimulationError) as excinfo:
+            interpolate_on_refinement(replace(cfg, hurst=hurst), fine, 4)
+        assert (excinfo.value.path_index, excinfo.value.step) == (0, 2)
 
 
 class TestMonteCarlo:
@@ -1179,8 +1176,7 @@ _FINE_INCR = sample_brownian(Seed(4), make_grid(1.0, 16))
 
 
 def _interpolated(factor):
-    coarse = simulate_discrete(_COARSE, coarsen(_FINE_INCR, 2))
-    return interpolate_on_refinement(_COARSE, coarse, _FINE_INCR, factor).values.tobytes()
+    return interpolate_on_refinement(_COARSE, _FINE_INCR, factor).values.tobytes()
 
 
 _COUNT_USES = {

@@ -59,7 +59,6 @@ from semsim import (
     simulate_discrete,
 )
 from semsim.cli import main
-from semsim.randomness import coarsen
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -217,11 +216,8 @@ def _custom_digests(name):
     values = monte_carlo(config).values_matrix()
     fine = refine_config(config, 2)
     interpolated = b"".join(
-        interpolate_on_refinement(
-            config,
-            simulate_discrete(config, coarsen(sample_brownian(Seed(4242 + p), fine.grid), 2)),
-            sample_brownian(Seed(4242 + p), fine.grid), 2,
-        ).values.tobytes()
+        interpolate_on_refinement(config, sample_brownian(Seed(4242 + p), fine.grid), 2)
+        .values.tobytes()
         for p in range(3)
     )
     return _sha256(values.tobytes()), _sha256(interpolated)

@@ -375,3 +375,27 @@ def test_dampening_nonnegative_with_linear_growth(t, x, f):
     value = float(f.evaluate(t, x))
     assert value >= 0.0
     assert value <= f.growth_C * (1.0 + abs(x)) * (1.0 + 1e-12)
+
+
+_COUNT_VALIDATORS = {
+    "hurst": lambda **counts: validate_hurst(builtin_hurst("trig", [0.6, 0.2, 1.0]),
+                                             x_range=(-1.0, 1.0), **counts),
+    "dampening": lambda **counts: validate_dampening(builtin_dampening("abs_value"),
+                                                     x_range=(-1.0, 1.0), **counts),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("name", ["t_samples", "x_samples"])
+@pytest.mark.parametrize("validator", list(_COUNT_VALIDATORS))
+def test_counts_are_integers_or_errors(validator, name, value):
+    # A value equal to its int() is that int; any other raises, never truncated.
+    def use(n):
+        return _COUNT_VALIDATORS[validator](**{"t_samples": 3, "x_samples": 5, name: n})
+
+    if value == 2:
+        assert use(value) == use(2)
+    else:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            use(value)

@@ -137,3 +137,23 @@ class TestGronwallBound:
         lhs = a + g * integral
         rhs = gronwall_bound(a, g, beta, t)
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+def _series_or_error(max_terms):
+    """``E_0.5(1)`` with a budget of ``max_terms``, or the error it raises, as text."""
+    try:
+        return mittag_leffler(1.0, 0.5, max_terms=max_terms)
+    except MittagLefflerError as err:
+        return str(err), err.terms_used
+
+
+@pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
+                                   float("-inf")])
+def test_counts_are_integers_or_errors(value):
+    # A value equal to its int() is that int; any other raises, never truncated.
+    if value == 2:
+        assert _series_or_error(value) == _series_or_error(2)
+        assert "within 2 terms" in _series_or_error(value)[0]
+    else:
+        with pytest.raises(ValueError, match="max_terms must be an integer"):
+            mittag_leffler(1.0, 0.5, max_terms=value)
