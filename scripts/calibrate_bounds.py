@@ -17,8 +17,10 @@ constants with a 4x safety margin.  The frozen values live in
 ``TIME_REG_CONSTANT`` in tests/_scans.py, at or above what the script
 proposes; the kernel tests verify them on a larger independent scan and
 check that the script's proposals do not exceed them.  Those scans load
-this file and draw through its ``*_terms`` functions, so the draws and
-both sides of every bound are written once, here.
+this file and draw through its ``*_terms`` functions, so the draws are
+written once, here.  Both sides of every bound come from ``semsim``: the
+kernel from ``kernel_values``, the bounds from ``dominating_kernel`` and
+``lambda_gamma``, all evaluated on arrays of draws.
 
 Run:  python scripts/calibrate_bounds.py
 """
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from semsim import builtin_dampening, builtin_hurst, kernel_values
+from semsim import (KernelParams, builtin_dampening, builtin_hurst, dominating_kernel,
+                    kernel_values, lambda_gamma)
 
 HORIZON = 2.5
 COARSE = 10_000
@@ -64,17 +67,12 @@ def draw_times(rng, n):
     return lo[keep], hi[keep]
 
 
-def dominating(h, t, s):
-    """The state-free bound ``T^(2 (h_sup - h_star)) (t - s)^(2 h_star - 1)`` on arrays."""
-    spread = 2.0 * (h.h_sup - h.h_star)
-    return HORIZON ** spread * (t - s) ** (2.0 * h.h_star - 1.0)
-
-
 def growth_terms(h, rng, n):
     """``sigma^2`` and the dominating kernel on ``n`` draws."""
     s, t = draw_times(rng, n)
     x = rng.uniform(-10.0, 10.0, s.shape[0])
-    return kernel_values(h, None, t, s, x) ** 2, dominating(h, t, s)
+    params = KernelParams(h, None, HORIZON)
+    return kernel_values(h, None, t, s, x) ** 2, dominating_kernel(params, t, s)
 
 
 def lipschitz_terms(h, rng, n):
@@ -85,9 +83,10 @@ def lipschitz_terms(h, rng, n):
     keep = np.abs(x - y) > 1e-9
     s, t, x, y = s[keep], t[keep], x[keep], y[keep]
     lhs = (kernel_values(h, None, t, s, x) - kernel_values(h, None, t, s, y)) ** 2
-    spread = 2.0 * (h.h_sup - h.h_star)
-    c_lip = 4.0 * h.lip_x ** 2 * max(1.0, HORIZON ** spread)
-    return lhs, c_lip * dominating(h, t, s) * np.log(t - s) ** 2 * (x - y) ** 2
+    params = KernelParams(h, None, HORIZON)
+    # The recipe's T^(2 (h_sup - h_star)) is the dominating kernel at unit gap.
+    c_lip = 4.0 * h.lip_x ** 2 * max(1.0, dominating_kernel(params, 1.0, 0.0))
+    return lhs, c_lip * dominating_kernel(params, t, s) * np.log(t - s) ** 2 * (x - y) ** 2
 
 
 def time_reg_terms(h, damp, rng, n):
@@ -101,8 +100,7 @@ def time_reg_terms(h, damp, rng, n):
     x = rng.uniform(-10.0, 10.0, s.shape[0])
     gamma = h.h_star
     lhs = (kernel_values(h, damp, t, s, x) - kernel_values(h, damp, tp, s, x)) ** 2
-    lam = (t - tp) ** gamma * (tp - s) ** (-1.0 + h.h_star - gamma / 2.0)
-    return lhs, lam, 1.0 + x * x
+    return lhs, lambda_gamma(KernelParams(h, damp, HORIZON), t, tp, s, gamma), 1.0 + x * x
 
 
 def growth_ratio(h, rng):

@@ -1,4 +1,4 @@
-"""Count the code lines of the package and of its tests.
+"""Count the code lines of the package, of its tests and of its scripts.
 
 A code line is a physical line that holds at least one token other than a
 comment, and that is not part of a docstring: the tokenizer drops comments
@@ -9,8 +9,8 @@ Usage::
     python3 scripts/count_code_lines.py [ROOT]
 
 prints the count of each module in ``src/semsim``, the package total and
-the total for ``tests/``, for the repository at ``ROOT`` (default: the one
-holding this script).
+the totals for ``tests/`` and ``scripts/``, for the repository at ``ROOT``
+(default: the one holding this script).
 """
 
 import ast
@@ -54,8 +54,9 @@ def main(argv=None) -> int:
     for name, count in sorted(modules.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {name:<12} {count:>6,}")
     print(f"src/semsim   {sum(modules.values()):>6,}")
-    tests = sum(_count_file(p) for p in sorted((root / "tests").rglob("*.py")))
-    print(f"tests/       {tests:>6,}")
+    for directory in ("tests", "scripts"):
+        total = sum(_count_file(p) for p in sorted((root / directory).rglob("*.py")))
+        print(f"{directory + '/':<12} {total:>6,}")
     return 0
 
 

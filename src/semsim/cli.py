@@ -377,13 +377,14 @@ def main(argv=None) -> int:
             "exact_nodes": config.simulation_config().grid.has_exact_nodes,
             "wall_seconds": wall,
             "seed_rule": SEED_RULE,
+            # The data bits depend on the numpy build and on the SIMD
+            # targets it dispatches to on the running CPU.
+            "numpy": {"version": np.__version__,
+                      "simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"]},
         }
         _atomic_write(args.output_dir, "manifest.json", _json_text(manifest))
         print(f"{args.command}: wrote {', '.join(files)} and manifest.json "
               f"to {args.output_dir} in {wall:.2f}s")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

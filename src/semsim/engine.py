@@ -121,6 +121,12 @@ constant declared as varying gives the bits of its tabled row.  The row
 serves the whole batch, never one path, and constant dampening is never
 passed to ``evaluate``.
 
+The bits themselves are those of one numpy build on one class of SIMD
+targets: numpy runs ``exp``, ``log`` and ``power`` on arrays through the
+widest targets it finds on the CPU, and another target may round a term
+differently, while every identity above holds on each.  The CLI's
+``manifest.json`` records both, as ``numpy.version`` and ``numpy.simd``.
+
 Failures
 --------
 After each batch one ``isfinite`` scan checks every state.  A NaN or
@@ -491,7 +497,8 @@ def interpolate_on_refinement(
     blocks are accumulated through the block sums of the fine increments;
     on the lattice those sums are exact, which makes the value at every
     coarse node agree bitwise with the coarse recursion on exact-node
-    grids.  ``refine_factor == 1`` returns the coarse path itself.
+    grids.  ``refine_factor == 1`` gives the coarse path's bits: the
+    columns rebuild it term for term.
 
     Each coarse node contributes one column of the solver's builder over
     the fine nodes after it: its kernel at their times, weighted by the
@@ -509,8 +516,6 @@ def interpolate_on_refinement(
         )
     coarse_increments = coarsen(fine_increments, refine_factor)
     coarse_path = simulate_discrete(config, coarse_increments)
-    if refine_factor == 1:
-        return coarse_path
 
     # Coarse node i is one column over the fine nodes j > i r.  Its weight
     # for the fine nodes inside its own block is the running sum of the fine

@@ -7,10 +7,13 @@ and :func:`sigma` at one point, both from the one formula here.  That
 formula is the reference the tests compare the solver's own batched
 kernel against (through ``sigma``, and in ulps through ``kernel_values``;
 the solver builds each term as one ``exp`` of a tabled ``log``) and the
-kernel the inequality scans sample (through ``kernel_values``).  The remaining operations are
-the analytic comparison tools: a state-free dominating kernel, the
-two-time comparison kernel ``lambda_gamma``, and the power-difference
-inequality used to prove kernel regularity.
+kernel the inequality scans sample (through ``kernel_values``).  The
+remaining operations are the analytic comparison tools: a state-free
+dominating kernel, the two-time comparison kernel ``lambda_gamma``, and
+the power-difference inequality used to prove kernel regularity.  The two
+comparison kernels take float or array times, so the inequality scans of
+``scripts/calibrate_bounds.py`` draw both sides of every bound from this
+module; ``sigma`` and ``check_fund_ineq`` take one point.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ class KernelParams:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
 
 
-def _check_time_pair(params: KernelParams, t: float, s: float) -> None:
-    if not 0.0 <= s < t <= params.horizon:
+def _check_time_pair(params: KernelParams, t, s) -> None:
+    if not np.all((0.0 <= s) & (s < t) & (t <= params.horizon)):
         raise ValueError(f"need 0 <= s < t <= {params.horizon}, got s={s!r}, t={t!r}")
 
 
@@ -89,13 +92,16 @@ def kernel_values(hurst: HurstFunction, dampening: DampeningFunction | None, t, 
     return _kernel(t - s, h, f)
 
 
-def dominating_kernel(params: KernelParams, t: float, s: float) -> float:
+def dominating_kernel(params: KernelParams, t, s):
     """State-free bound ``T**(2*(h_sup - h_star)) * (t - s)**(2*h_star - 1)``.
 
     Dominates ``sigma(t, s, x)**2`` uniformly in ``x`` for horizons
-    ``T >= 1`` (the regime every bound here is stated in).
+    ``T >= 1`` (the regime every bound here is stated in).  ``t`` and
+    ``s`` are floats or arrays broadcast together, and every pair must
+    satisfy ``0 <= s < t <= horizon``: one pair out of order raises
+    ``ValueError``.  On arrays numpy's vectorized ``power`` may round a
+    value a few ulp away from the scalar call's.
     """
-    t, s = float(t), float(s)
     _check_time_pair(params, t, s)
     h = params.hurst
     spread = 2.0 * (h.h_sup - h.h_star)
@@ -104,12 +110,12 @@ def dominating_kernel(params: KernelParams, t: float, s: float) -> float:
 
 def lambda_gamma(
     params: KernelParams,
-    t: float,
-    t_prime: float,
-    s: float,
+    t,
+    t_prime,
+    s,
     gamma: float,
     constant: float = 1.0,
-) -> float:
+):
     """Two-time comparison kernel ``C * (t - t')**gamma * (t' - s)**(-1 + h_star - gamma/2)``.
 
     Defined for ``0 <= s < t' <= t <= horizon`` (the value is 0 when
@@ -119,16 +125,17 @@ def lambda_gamma(
         integral over s in [0, t'] = C * (t - t')**gamma
                                        * t'**(h_star - gamma/2) / (h_star - gamma/2)
 
-    ``constant`` is the multiplicative prefactor ``C`` (default 1).
+    ``constant`` is the multiplicative prefactor ``C`` (default 1).  The
+    times are floats or arrays broadcast together, as in
+    :func:`dominating_kernel`, and every triple must be in that order.
     """
-    t, t_prime, s, gamma = float(t), float(t_prime), float(s), float(gamma)
-    constant = float(constant)
+    gamma, constant = float(gamma), float(constant)
     h_star = params.hurst.h_star
     if not constant > 0.0:
         raise ValueError(f"constant must be positive, got {constant!r}")
     if not 0.0 < gamma < 2.0 * h_star:
         raise ValueError(f"gamma must lie in (0, 2*h_star) = (0, {2.0 * h_star}), got {gamma!r}")
-    if not 0.0 <= s < t_prime <= t <= params.horizon:
+    if not np.all((0.0 <= s) & (s < t_prime) & (t_prime <= t) & (t <= params.horizon)):
         raise ValueError(
             f"need 0 <= s < t' <= t <= {params.horizon}, got s={s!r}, t'={t_prime!r}, t={t!r}"
         )

@@ -115,9 +115,10 @@ class DampeningFunction:
     """A nonnegative dampening function with declared constants.
 
     ``growth_C`` bounds ``|f(t, x)| <= growth_C * (1 + |x|)``; the
-    Lipschitz constants bound variation in each argument.  ``constant_value``
-    is set for the constant built-in so simulators can precompute decay
-    tables; it is None for every non-constant function.
+    Lipschitz constants bound variation in each argument.  The read-only
+    ``constant_value`` is the level of the constant built-in, read from
+    its evaluator, so the decay table a simulator builds from it holds the
+    level :meth:`evaluate` returns; it is None for every other evaluator.
 
     ``evaluator(t, x)`` must accept a float ``t`` and a float or ndarray
     ``x``.  A function declaring ``lip_t > 0``, or one passed to
@@ -130,12 +131,20 @@ class DampeningFunction:
     lip_t: float
     lip_x: float
     name: str = "custom"
-    constant_value: float | None = None
 
     def __post_init__(self) -> None:
         for label, c in (("growth_C", self.growth_C), ("lip_t", self.lip_t), ("lip_x", self.lip_x)):
             if not (math.isfinite(c) and c >= 0.0):
                 raise ValueError(f"{label} must be a finite nonnegative constant, got {c!r}")
+
+    @property
+    def constant_value(self) -> float | None:
+        """The level of the constant built-in's evaluator, None for any other evaluator.
+
+        A custom evaluator that happens to be constant gives None and is
+        evaluated column by column, which gives the tabled row's bits.
+        """
+        return self.evaluator.value if isinstance(self.evaluator, _ConstantEval) else None
 
     def evaluate(self, t, x):
         return self.evaluator(t, x)
@@ -226,10 +235,7 @@ def _trig_hurst(alpha: float, beta: float, gamma: float) -> HurstFunction:
 def _constant_dampening(c: float) -> DampeningFunction:
     if not (math.isfinite(c) and c >= 0.0):
         raise ValueError(f"constant dampening level must be finite and nonnegative, got {c!r}")
-    return DampeningFunction(
-        _ConstantEval(c), growth_C=c, lip_t=0.0, lip_x=0.0,
-        name="constant", constant_value=c,
-    )
+    return DampeningFunction(_ConstantEval(c), growth_C=c, lip_t=0.0, lip_x=0.0, name="constant")
 
 
 # The built-in families of each kind: name -> (parameter names, constructor).

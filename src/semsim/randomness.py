@@ -115,11 +115,11 @@ def _as_int(value, name: str, least: int) -> int:
 
     The rule for every count and index: a value equal to its ``int()`` is
     that int, so ``4``, ``4.0`` and ``np.int64(4)`` are all 4.  Anything
-    else, a fraction, NaN or an infinity included, raises rather than being
-    truncated.
+    else, a fraction, NaN, an infinity or a bool included, raises rather
+    than being truncated: ``True == 1``, but a flag is not a count.
     """
     try:
-        n = int(value)
+        n = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value or n < least:
@@ -271,7 +271,8 @@ class Seed:
     value: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.value <= _UINT64_MASK or int(self.value) != self.value:
+        if (isinstance(self.value, (bool, np.bool_)) or not 0 <= self.value <= _UINT64_MASK
+                or int(self.value) != self.value):
             raise ValueError(f"seed value must be a 64-bit unsigned integer, got {self.value!r}")
         object.__setattr__(self, "value", int(self.value))
 

@@ -1,11 +1,13 @@
 """Randomized inequality scans shared by the kernel tests.
 
-The draws and both sides of each bound come from
-``scripts/calibrate_bounds.py``, loaded here as ``calibration``; a scan
-counts the draws whose ratio exceeds ``1 + RELATIVE_SLACK``.  Frozen
-constants sit at or above the proposals of that script (coarse scan of
-10^4 tuples at horizon 2.5, then rounded up with a 4x margin); the tests
-here verify them on independent, larger scans.
+The draws come from ``scripts/calibrate_bounds.py``, loaded here as
+``calibration``, which evaluates both sides of each bound with
+``semsim.kernels`` (``kernel_values``, ``dominating_kernel`` and
+``lambda_gamma`` on arrays); a scan counts the draws whose ratio exceeds
+``1 + RELATIVE_SLACK``.  Frozen constants sit at or above the proposals
+of that script (coarse scan of 10^4 tuples at horizon 2.5, then rounded
+up with a 4x margin); the tests here verify them on independent, larger
+scans.
 """
 
 import importlib.util

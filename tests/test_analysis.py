@@ -383,7 +383,7 @@ _COUNT_USES = {
 
 
 @pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
-                                   float("-inf")])
+                                   float("-inf"), True])
 @pytest.mark.parametrize("name", list(_COUNT_USES))
 def test_counts_are_integers_or_errors(name, value):
     # A value equal to its int() is that int; any other raises, never truncated.

@@ -162,6 +162,8 @@ class TestSimulateCommand:
         assert manifest["exact_nodes"] is True
         assert manifest["seed_rule"] == "splitmix64-philox-ndtri-v1"
         assert isinstance(manifest["wall_seconds"], float)
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        assert manifest["numpy"] == {"version": np.__version__, "simd": simd}
 
     @pytest.mark.parametrize(("steps", "exact"), [(1000, False), (1024, True)])
     def test_manifest_says_whether_grid_nodes_are_exact(self, tmp_path, steps, exact):
@@ -170,6 +172,24 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", config_path, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exact_nodes"] is exact
+
+    def test_manifest_names_the_simd_targets_of_the_run(self, tmp_path):
+        # The targets numpy dispatches to are those of the running process:
+        # with the AVX-512 ones switched off in its environment, the
+        # manifest lists none of them.
+        config_path, _ = _write_config(tmp_path)
+        out = tmp_path / "out"
+        package_root = str(pathlib.Path(semsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "semsim.cli", "simulate", "--config", config_path,
+             "--output-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        simd = json.loads((out / "manifest.json").read_text())["numpy"]["simd"]
+        assert not any(t == "X86_V4" or t.startswith("AVX512") for t in simd), simd
 
     def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path):
         config_path, _ = _write_config(tmp_path)

@@ -371,6 +371,24 @@ class TestExactIdentities:
         )
         assert a.values.tobytes() == b.values.tobytes()
 
+    def test_constant_dampening_level_is_read_from_its_evaluator(self):
+        # The level the solver tables is the one evaluate returns: a
+        # built-in whose evaluator was swapped solves like the built-in of
+        # the new level.
+        swapped = replace(builtin_dampening("constant", [0.8]),
+                          evaluator=builtin_dampening("constant", [0.5]).evaluator)
+        assert swapped.constant_value == 0.5
+        grid = make_grid(1.0, 64)
+        hurst = builtin_hurst("trig", [0.6, 0.2, 1.0])
+        incr = sample_brownian(Seed(9), grid)
+        a, b = (
+            simulate_discrete(
+                SimulationConfig(grid=grid, hurst=hurst, seed=Seed(9), dampening=f), incr
+            )
+            for f in (swapped, builtin_dampening("constant", [0.5]))
+        )
+        assert a.values.tobytes() == b.values.tobytes()
+
     def test_offset_sets_initial_value_exactly(self):
         grid = make_grid(1.0, 8)
         cfg = SimulationConfig(
@@ -1187,7 +1205,7 @@ _COUNT_USES = {
 
 
 @pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
-                                   float("-inf")])
+                                   float("-inf"), True])
 @pytest.mark.parametrize("name", list(_COUNT_USES))
 def test_counts_are_integers_or_errors(name, value):
     # A value equal to its int() is that int; any other raises, never truncated.
@@ -1213,7 +1231,7 @@ _POOLED_USES = {
 
 
 @pytest.mark.parametrize("value", [2.0, np.int64(2), 1.9, 0, float("nan"), float("inf"),
-                                   float("-inf")])
+                                   float("-inf"), True])
 @pytest.mark.parametrize("use", list(_POOLED_USES))
 def test_n_workers_is_a_count(use, value):
     # n_workers follows the count rule: a whole value is that many

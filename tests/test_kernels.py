@@ -143,6 +143,36 @@ def test_calibration_script_flags_ratios_above_the_slack():
     assert "EXCEEDS" in calibration.format_ratio(1.0 + 2e-9)
 
 
+@pytest.mark.parametrize("name", ["bell", "trig", "rough_at_origin"])
+def test_bounds_on_arrays_match_scalar_calls(name):
+    # numpy's vectorized power on arrays may round differently from the C
+    # pow behind a float's **, by a few ulp.
+    p = _params(HURST_FAMILIES[name])
+    gamma = p.hurst.h_star
+    rng = np.random.default_rng(404)
+    s, tp, t = np.sort(rng.uniform(0.0, 2.5, (3, 20_000)), axis=0)
+    keep = (tp - s > 1e-12) & (t - tp > 1e-12)
+    s, tp, t = s[keep], tp[keep], t[keep]
+    pairs = [
+        (dominating_kernel(p, t, s), [dominating_kernel(p, a, b) for a, b in zip(t, s)]),
+        (lambda_gamma(p, t, tp, s, gamma),
+         [lambda_gamma(p, a, b, c, gamma) for a, b, c in zip(t, tp, s)]),
+    ]
+    for on_array, one_by_one in pairs:
+        one_by_one = np.array(one_by_one)
+        assert on_array.shape == one_by_one.shape
+        assert np.all(np.abs(on_array - one_by_one) <= 4.0 * np.spacing(one_by_one))
+
+
+def test_bounds_on_arrays_reject_one_pair_out_of_order():
+    p = _params(builtin_hurst("constant", [0.6]))
+    t = np.array([0.5, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        dominating_kernel(p, t, np.array([0.1, 1.0, 0.3]))
+    with pytest.raises(ValueError):
+        lambda_gamma(p, t, np.array([0.4, 1.2, 1.5]), np.array([0.1, 0.2, 0.3]), 0.3)
+
+
 def test_lambda_gamma_zero_gap():
     p = _params(builtin_hurst("constant", [0.6]))
     assert lambda_gamma(p, 0.5, 0.5, 0.1, 0.3) == 0.0

@@ -3,7 +3,7 @@
 import math
 import pickle
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -193,6 +193,11 @@ def test_dampening_constant_exposes_value():
     assert f.constant_value == 2.5
     assert f.evaluate(0.3, -7.0) == 2.5
     assert builtin_dampening("abs_value").constant_value is None
+
+
+def test_constant_value_is_read_only():
+    # Read from the evaluator, never stored beside it.
+    assert "constant_value" not in {f.name for f in fields(DampeningFunction)}
 
 
 def test_hurst_function_bound_validation():
@@ -386,7 +391,7 @@ _COUNT_VALIDATORS = {
 
 
 @pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
-                                   float("-inf")])
+                                   float("-inf"), True])
 @pytest.mark.parametrize("name", ["t_samples", "x_samples"])
 @pytest.mark.parametrize("validator", list(_COUNT_VALIDATORS))
 def test_counts_are_integers_or_errors(validator, name, value):

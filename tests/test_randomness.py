@@ -93,6 +93,9 @@ def test_seed_range_validation():
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="seed value"):
             Seed(bad)
+    # True == 1, but a flag is not a seed.
+    with pytest.raises(ValueError, match="seed value"):
+        Seed(True)
 
 
 def test_derive_path_seed_golden_values():
@@ -355,7 +358,7 @@ _COUNT_USES = {
 
 
 @pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
-                                   float("-inf")])
+                                   float("-inf"), True])
 @pytest.mark.parametrize("name", list(_COUNT_USES))
 def test_counts_are_integers_or_errors(name, value):
     # A value equal to its int() is that int; any other raises, never truncated.

@@ -18,6 +18,17 @@ def test_code_line_count_drops_docstrings_comments_and_blank_lines():
     assert _script("count_code_lines").count_code_lines(source) == 2
 
 
+def test_code_line_report_totals_the_package_tests_and_scripts(tmp_path, capsys):
+    files = {"src/semsim/a.py": "x = 1\n", "tests/test_a.py": "x = 1\ny = 2\n",
+             "scripts/tool.py": '"""Doc."""\nx = 1\ny = 2\nz = 3\n'}
+    for name, source in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+    assert _script("count_code_lines").main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  a                 1", "src/semsim        1", "tests/            2", "scripts/          3",
+    ]
+
 
 _PLAIN = {"process": "sem", "hurst": {"name": "constant", "params": [0.7]},
           "T": 1.0, "N": 32, "seed": 7, "n_paths": 2}

@@ -148,7 +148,7 @@ def _series_or_error(max_terms):
 
 
 @pytest.mark.parametrize("value", [2.0, np.int64(2), 2.5, 1.9, float("nan"), float("inf"),
-                                   float("-inf")])
+                                   float("-inf"), True])
 def test_counts_are_integers_or_errors(value):
     # A value equal to its int() is that int; any other raises, never truncated.
     if value == 2:
