@@ -18,9 +18,9 @@ from .engine import (
     Ensemble,
     SamplePath,
     SimulationConfig,
-    _map_blocks,
-    _solve,
     refine_config,
+    run_blocks,
+    solve_batch,
 )
 from .randomness import _as_int, _block_sums, sample_brownian_block
 from .special import gronwall_bound
@@ -74,16 +74,29 @@ class ConvergenceReport:
 
     ``dt_levels`` is strictly decreasing; ``sup_mse[i]`` is the maximum
     over level ``i``'s nodes of the mean squared gap to the reference at
-    shared nodes.  ``fitted_slope`` is None when any level is exactly
-    coupled (``degenerate`` is then True and a slope is meaningless).
-    ``theoretical_rate_bound`` is ``2 * h_star``, the supremum of provable
-    rates.
+    shared nodes.  That maximum over noisy per-node means is biased
+    upward where the nodes' expected gaps are close: for a constant Hurst
+    value of 0.3 (base N = 64, four levels, refine factor 2) it read 7 to
+    12 % above the largest exact expectation at 2,000 seeds, and 16 to
+    22 % above at 300.
+
+    ``fitted_slope`` is the least-squares slope of ``log sup_mse`` against
+    ``log dt``, None when any level is exactly coupled (``degenerate`` is
+    then True and a slope is meaningless).  The reference lies only one
+    refinement past the finest level, and a level's gap to so near a
+    reference shrinks faster than its error, so the slope is steeper than
+    the strong rate: for that constant Hurst value of 0.3 the exact local
+    slopes of the three level pairs are 1.08, 1.37 and 2.04, and their
+    fit is 1.48.  ``theoretical_rate_bound`` is ``2 * h_star``, the
+    supremum of provable rates.
 
     ``envelope_constant`` is the smallest ``C`` such that every level
     satisfies ``sup_mse <= C * dt**0.5 * E_beta(Gamma(beta) * T**beta)``
     with ``beta = h_star``: the measured data re-expressed against a
     conservative comparison-bound envelope at the floor rate 1/2.  It is
-    an annotation for calibration tests, None in the degenerate case.
+    an annotation for calibration tests, None in the degenerate case and
+    when the envelope overflows the float range, as it does for small
+    ``h_star`` (below about 0.22 at ``T = 1``).
     """
 
     dt_levels: tuple[float, ...]
@@ -102,7 +115,7 @@ def estimate_moment(ensemble: Ensemble, p: float, node: int) -> MonteCarloEstima
     node = _as_int(node, "node", least=0)
     if node >= n_nodes:
         raise ValueError(f"node must lie in [0, {n_nodes}), got {node!r}")
-    return sample_moment(ensemble.values_matrix()[:, node], p)
+    return sample_moment(ensemble.values[:, node], p)
 
 
 def sample_moment(states: np.ndarray, p: float) -> MonteCarloEstimate:
@@ -229,12 +242,12 @@ def _coupled_squared_gaps(config: SimulationConfig, start: int, stop: int,
     row per seed, at the nodes of ``levels[l]``.
     """
     fine = sample_brownian_block(config.seed, config.grid, start, stop)
-    reference = _solve(config, fine)
+    reference = solve_batch(config, fine)
     gaps = []
     for level in levels:
         stride = config.grid.steps // level.grid.steps
         # Exact block sums of each row, by the helper randomness.coarsen uses.
-        gap = _solve(level, _block_sums(fine, stride)) - reference[:, ::stride]
+        gap = solve_batch(level, _block_sums(fine, stride)) - reference[:, ::stride]
         gaps.append(gap * gap)
     return gaps
 
@@ -277,7 +290,7 @@ def convergence_study(
 
     acc = [np.zeros(level.grid.steps + 1) for level in levels]
     task = partial(_coupled_squared_gaps, levels=levels)
-    blocks = _map_blocks(task, refine_config(config, refine_factor ** n_levels), n_workers)
+    blocks = run_blocks(task, refine_config(config, refine_factor ** n_levels), n_workers)
     for _, gaps in blocks:
         for total, squared in zip(acc, gaps):
             for row in squared:
@@ -286,15 +299,17 @@ def convergence_study(
     sup_mse = tuple(float(np.max(a) / config.n_paths) for a in acc)
     dt_levels = tuple(level.grid.dt for level in levels)
     degenerate = any(v == 0.0 for v in sup_mse)
-    if degenerate:
-        slope = None
-        envelope_constant = None
-    else:
+    slope = None
+    envelope_constant = None
+    if not degenerate:
         slope, _, _ = fit_loglog_slope(np.array(dt_levels), np.array(sup_mse))
         envelope = gronwall_bound(1.0, 1.0, config.hurst.h_star, config.grid.horizon)
-        envelope_constant = max(
-            mse / (dt ** 0.5 * envelope) for dt, mse in zip(dt_levels, sup_mse)
-        )
+        # A small h_star can put the envelope past the float range, and any
+        # mse over inf would read 0.0.
+        if math.isfinite(envelope):
+            envelope_constant = max(
+                mse / (dt ** 0.5 * envelope) for dt, mse in zip(dt_levels, sup_mse)
+            )
     return ConvergenceReport(
         dt_levels=dt_levels,
         sup_mse=sup_mse,

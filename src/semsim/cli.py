@@ -227,7 +227,7 @@ def _cmd_simulate(config: ExperimentConfig, section: dict, out_dir: str,
     sim = config.simulation_config()
     t = sim.grid.nodes
     # Each block's task formats its own paths, so the float reprs run in the
-    # pool workers too; a block is small (engine._map_blocks sets its size),
+    # pool workers too; a block is small (engine.run_blocks sets its size),
     # so its tolist() stays small.  The parent keeps only the formatted strings, one per
     # node and block, never a Python float per value, and streams the rows
     # to the file instead of building the whole text.

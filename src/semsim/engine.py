@@ -13,15 +13,16 @@ costs Theta(N^2) kernel evaluations.
 
 Batched solver
 --------------
-One solver serves every caller.  It takes the increments of P paths as a
-``(P, N)`` array and makes one numpy call per operation for all P paths,
-so the per-call overhead is paid once per step of a batch rather than
-once per step of every path.  :func:`simulate_discrete` is a batch of
-one; :func:`simulate_blocks` (behind :func:`monte_carlo` and every
-command of ``cli``) and the refinement study in ``analysis`` solve
-contiguous blocks of paths, sized by ``_map_blocks``.  The worker count
-counts the processes that compute, the calling one included.  Every
-block task is ``task(config, start, stop)``, its other inputs bound with
+One solver serves every caller.  :func:`solve_batch` takes the increments
+of P paths as a ``(P, N)`` array and makes one numpy call per operation
+for all P paths, so the per-call overhead is paid once per step of a
+batch rather than once per step of every path.  :func:`simulate_discrete`
+is a batch of one; :func:`simulate_blocks` (behind :func:`monte_carlo`
+and every command of ``cli``) and the refinement study in ``analysis``
+solve contiguous blocks of paths through one block runner,
+:func:`run_blocks`, which sizes the blocks.  The worker count counts the
+processes that compute, the calling one included.  Every block task is
+``task(config, start, stop)``, its other inputs bound with
 ``functools.partial``, and the block runner wraps it.  When more than one
 worker is asked for and there is more than one block, the calling
 process runs blocks ``0, W, 2W, ...`` of the ``W`` workers itself and a
@@ -64,7 +65,9 @@ to three times a flat call.  Larger calls run one inner loop per row at
 about flat speed.  So the column loop sets the buffer to numpy's minimum,
 16 elements, under which a small call costs about what a flat one does,
 and restores the caller's size when it returns or raises; the Hurst and
-dampening evaluators of a column run under it too.  Buffering copies
+dampening evaluators of a column run under it too.  There is one column
+loop, ``_column_sums``: the solver and refinement interpolation each feed
+it their columns, so both run under the buffer.  Buffering copies
 operands and nothing else: every value is the same IEEE operation
 on the same operands, so no bit depends on the buffer size.
 
@@ -81,11 +84,11 @@ the increments; one builder assembles every column.
 Refinement interpolation takes one fine draw and nothing else: it solves
 the coarse path from the draw's exact block sums, so the two grids share
 their randomness by construction, and builds the fine sums from the same
-columns, one per coarse node over the fine nodes after it.  The solver
-keeps this batched builder, with its row and buffers, apart from
-:mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma` (the power
-``gap ** (h - 1/2)``) is the reference it is tested against; the two
-agree to a few ulp per term.
+columns through the same loop, one per coarse node over the fine nodes
+after it.  The solver keeps this batched builder, with its row and
+buffers, apart from :mod:`semsim.kernels`, whose
+:func:`~semsim.kernels.sigma` (the power ``gap ** (h - 1/2)``) is the
+reference it is tested against; the two agree to a few ulp per term.
 
 Diagonals
 ---------
@@ -145,7 +148,7 @@ import concurrent.futures
 import pickle
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -166,9 +169,11 @@ __all__ = [
     "Ensemble",
     "PathSimulationError",
     "simulate_discrete",
+    "solve_batch",
     "interpolate_on_refinement",
     "monte_carlo",
     "simulate_blocks",
+    "run_blocks",
     "refine_config",
 ]
 
@@ -273,10 +278,6 @@ class Ensemble:
             SamplePath(grid=self.config.grid, values=row, path_index=i)
             for i, row in enumerate(self.values)
         )
-
-    def values_matrix(self) -> np.ndarray:
-        """The ``(n_paths, steps + 1)`` matrix itself, read-only; no copy."""
-        return self.values
 
 
 def _offset_values(config: SimulationConfig) -> np.ndarray | None:
@@ -383,20 +384,37 @@ class _Kernel:
         return fn.evaluate(times, full)
 
 
-def _solve(config: SimulationConfig, dB: np.ndarray) -> np.ndarray:
-    """Run the recursion for a batch of paths: ``dB[P, N] -> X[P, N + 1]``.
+def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
+    """Run the recursion for a batch of paths: ``increments[P, N] -> X[P, N + 1]``.
 
-    Path ``p`` of the batch is reported as ``p``, its row, when its states
-    are not all finite; the block runner adds the block's first index.
+    Row ``p`` of ``increments`` drives path ``p`` over the ``N`` steps of
+    ``config.grid``, and row ``p`` of the result is its states; any other
+    shape of ``increments`` raises ``ValueError``.  A path's bits do not
+    depend on the batch it is solved in.  Path ``p`` of the batch is
+    reported as ``p``, its row, when its states are not all finite; the
+    block runner adds the block's first index.
     """
+    if increments.ndim != 2 or increments.shape[1] != config.grid.steps:
+        raise ValueError(f"increments must be (P, {config.grid.steps}), got {increments.shape}")
+    n_paths, n = increments.shape
     g = _offset_values(config)
-    kernel = _Kernel(config, dB.shape[0])
+    kernel = _Kernel(config, n_paths)
     # Node 0 sums no terms: it is 0.0, or the offset added to -0.0.
     x0 = 0.0 if g is None else -0.0
     if kernel.by_distance is not None:
-        x = _diagonal_sums(kernel.by_distance, dB, x0)
+        x = _diagonal_sums(kernel.by_distance, increments, x0)
     else:
-        x = _column_sums(kernel, dB, g, x0)
+        x = np.full((n_paths, n + 1), -0.0)
+        x[:, 0] = x0
+        # Per-node views: states[i] and weights[i] (node i's states and
+        # increments as (P, 1) columns) index faster than x[:, i:i + 1] and
+        # increments[:, i:i + 1].  Column i is drawn after column i - 1 has
+        # been added, so node i's state is final when it is read; the state
+        # includes the node's offset, the sums do not.
+        states, weights, t = x.T[:, :, None], increments.T[:, :, None], kernel.t
+        columns = ((i, t[i], states[i] if g is None else states[i] + g[i], weights[i])
+                   for i in range(n))
+        _column_sums(kernel, columns, x[:, 1:])
     if g is not None:
         # Neither loop puts the offset into the sums, so every node gets it
         # once, here.
@@ -405,39 +423,31 @@ def _solve(config: SimulationConfig, dB: np.ndarray) -> np.ndarray:
         # The lowest failing path, its first failing step, and the step
         # count N of the grid it is on: a study solves one block on several.
         p, step = (int(i) for i in np.argwhere(~np.isfinite(x))[0])
-        cause = FloatingPointError(f"state {float(x[p, step])!r} is not finite (N = {dB.shape[1]})")
+        cause = FloatingPointError(f"state {float(x[p, step])!r} is not finite (N = {n})")
         raise PathSimulationError(p, cause, step=step)
     return x
 
 
-def _column_sums(kernel: _Kernel, dB: np.ndarray, g: np.ndarray | None, x0: float
-                 ) -> np.ndarray:
-    """Sums of a batch, path-major, one column of terms per node; no offset added.
+def _column_sums(kernel: _Kernel, columns: Iterable[tuple], sums: np.ndarray) -> None:
+    """Add each column ``(i, t_i, states, weights)`` to ``sums[:, i:]``, in order.
 
-    The loop runs under a ufunc buffer of ``_BUFSIZE`` elements, and the
-    caller's size comes back however it ends.  At numpy's default of 8192,
-    every broadcast product and strided sum of a column with at most 8192
-    terms would be copied through 8192-element buffers first.
+    The column's terms are ``kernel.column(i, t_i, states, weights)``, and
+    ``sums`` holds the running sums of the nodes after the first,
+    path-major, starting at -0.0.  ``columns`` is read lazily, one column
+    after the one before it has been added: each node still sums its
+    terms in index order, and a solver can read a node's final state when
+    it yields the node's column.  The loop, drawing the columns included,
+    runs under a ufunc buffer of ``_BUFSIZE`` elements, and the caller's
+    size comes back however it ends.  At numpy's default of 8192, every
+    broadcast product and strided sum of a column with at most 8192 terms
+    would be copied through 8192-element buffers first.
     """
-    n_paths, n = dB.shape
-    x = np.full((n_paths, n + 1), -0.0)
-    x[:, 0] = x0
-    # Once node i is final its terms are added to every later node at once,
-    # so each node still sums its terms in index order.  Node i's state
-    # includes its offset; the sums do not.
-    sums = x[:, 1:]
-    # Per-node views: states[i] and weights[i] (node i's states and
-    # increments as (P, 1) columns) index faster than x[:, i:i + 1] and
-    # dB[:, i:i + 1].
-    states, weights, t = x.T[:, :, None], dB.T[:, :, None], kernel.t
     old = np.setbufsize(_BUFSIZE)
     try:
-        for i in range(n):
-            state = states[i] if g is None else states[i] + g[i]
-            sums[:, i:] += kernel.column(i, t[i], state, weights[i])
+        for i, t_i, states, weights in columns:
+            sums[:, i:] += kernel.column(i, t_i, states, weights)
     finally:
         np.setbufsize(old)
-    return x
 
 
 def _diagonal_sums(by_distance: np.ndarray, dB: np.ndarray, x0: float) -> np.ndarray:
@@ -473,7 +483,7 @@ def simulate_discrete(config: SimulationConfig, increments: BrownianIncrements) 
         raise ValueError(
             f"increments grid {increments.grid} does not match config grid {config.grid}"
         )
-    x = _solve(config, increments.values[None, :])[0]
+    x = solve_batch(config, increments.values[None, :])[0]
     x.setflags(write=False)
     return SamplePath(grid=config.grid, values=x, path_index=0)
 
@@ -501,11 +511,12 @@ def interpolate_on_refinement(
     columns rebuild it term for term.
 
     Each coarse node contributes one column of the solver's builder over
-    the fine nodes after it: its kernel at their times, weighted by the
-    running sums of its own block's fine increments and then by its
-    coarse increment.  Functions declaring ``lip_t > 0`` see every fine
-    node's time.  A non-finite coarse state raises
-    :class:`PathSimulationError` with ``path_index`` 0 and the step.
+    the fine nodes after it, added by the solver's column loop under its
+    ufunc buffer: its kernel at their times, weighted by the running sums
+    of its own block's fine increments and then by its coarse increment.
+    Functions declaring ``lip_t > 0`` see every fine node's time.  A
+    non-finite coarse state raises :class:`PathSimulationError` with
+    ``path_index`` 0 and the step.
     """
     refine_factor = _as_int(refine_factor, "refine_factor", least=1)
     n = config.grid.steps
@@ -517,28 +528,32 @@ def interpolate_on_refinement(
     coarse_increments = coarsen(fine_increments, refine_factor)
     coarse_path = simulate_discrete(config, coarse_increments)
 
-    # Coarse node i is one column over the fine nodes j > i r.  Its weight
-    # for the fine nodes inside its own block is the running sum of the fine
-    # increments up to j, and dB_coarse[i] for every later node.  Columns are
-    # added in node order to sums that start at -0.0.  The fine grid's
-    # distances serve the columns; on an exact fine grid, dt = T / (N r)
-    # exactly, so they are bitwise the coarse grid's.
+    # Coarse node i is one column at fine index i r, over the fine nodes
+    # j > i r.  Its weight for the fine nodes inside its own block is the
+    # running sum of the fine increments up to j, and dB_coarse[i] for every
+    # later node.  The fine grid's distances serve the columns; on an exact
+    # fine grid, dt = T / (N r) exactly, so they are bitwise the coarse
+    # grid's.
     r = refine_factor
     t_c = config.grid.nodes
     x_c = coarse_path.values
     dB_fine = fine_increments.values
     dB_coarse = coarse_increments.values
     g = _offset_values(fine)
-    kernel = _Kernel(fine, 1)
-    weights = np.empty((1, n * r))
+
+    def columns() -> Iterator[tuple]:
+        # One weight buffer, refilled for each column once the column
+        # before it has been added.
+        weights = np.empty((1, n * r))
+        for i in range(n):
+            w = weights[:, :(n - i) * r]
+            np.cumsum(dB_fine[i * r:(i + 1) * r], out=w[0, :r])
+            w[:, r:] = dB_coarse[i]
+            yield i * r, t_c[i], x_c[i:i + 1, None], w
+
     out = np.full(n * r + 1, -0.0)
     out[0] = x_c[0]
-    sums = out[None, 1:]
-    for i in range(n):
-        w = weights[:, :(n - i) * r]
-        np.cumsum(dB_fine[i * r:(i + 1) * r], out=w[0, :r])
-        w[:, r:] = dB_coarse[i]
-        sums[:, i * r:] += kernel.column(i * r, t_c[i], x_c[i:i + 1, None], w)
+    _column_sums(_Kernel(fine, 1), columns(), out[None, 1:])
     if g is not None:
         out[1:] += g[1:]
     out.setflags(write=False)
@@ -565,8 +580,8 @@ def _run_block(task: Callable, config: SimulationConfig, start: int, stop: int):
         raise PathSimulationError(start, exc) from exc
 
 
-def _map_blocks(task: Callable, config: SimulationConfig, n_workers: int
-                ) -> Iterator[tuple[int, object]]:
+def run_blocks(task: Callable, config: SimulationConfig, n_workers: int
+               ) -> Iterator[tuple[int, object]]:
     """Yield ``(start, task(config, start, stop))`` block by block, in order.
 
     The paths ``range(config.n_paths)`` are cut into contiguous blocks of
@@ -610,7 +625,7 @@ def _map_blocks(task: Callable, config: SimulationConfig, n_workers: int
 
 def _simulate_block(config: SimulationConfig, start: int, stop: int,
                     finish: Callable[[np.ndarray], object] | None = None) -> object:
-    x = _solve(config, sample_brownian_block(config.seed, config.grid, start, stop))
+    x = solve_batch(config, sample_brownian_block(config.seed, config.grid, start, stop))
     return x if finish is None else finish(x)
 
 
@@ -620,7 +635,7 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
     """Solve the ``config.n_paths`` paths block by block; yield ``(start, result)`` in order.
 
     A block is the contiguous paths ``start <= i < start + P``, with ``P``
-    set by :func:`_map_blocks` (fewer in the last block), and its result is
+    set by :func:`run_blocks` (fewer in the last block), and its result is
     their ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` is bound
     into the block task and runs in the task that solved the block, so
     with ``n_workers > 1`` it runs in the pool workers too.  A task that
@@ -630,7 +645,7 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
     and a pool or by this process alone; closing the iterator early drops
     the blocks not yet started.
     """
-    return _map_blocks(partial(_simulate_block, finish=finish), config, n_workers)
+    return run_blocks(partial(_simulate_block, finish=finish), config, n_workers)
 
 
 def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
@@ -640,7 +655,7 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     ensemble is a pure function of the config: any worker count, including
     the serial path, produces identical output, and paths can be
     regenerated individually.  Paths are solved in the contiguous blocks of
-    :func:`_map_blocks`.  ``n_workers`` counts the processes that solve,
+    :func:`run_blocks`.  ``n_workers`` counts the processes that solve,
     this one included, and is capped at the number of blocks: with
     ``W > 1`` of them, this process solves blocks ``0, W, 2W, ...`` and a
     process pool of ``W - 1`` solves the others, one task per block.  A

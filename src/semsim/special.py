@@ -55,8 +55,9 @@ def mittag_leffler(
 
     Terms are computed in log space, ``exp(k * log|z| - log_gamma(k * beta
     + 1))``, to keep large ``k`` stable, and accumulation stops once a term
-    falls below ``tolerance``.  Exceeding ``max_terms``, an integer of at
-    least 1, raises :class:`MittagLefflerError` with the partial sum
+    falls below ``tolerance``.  Once a term or the sum overflows the float
+    range the result is ``math.inf``.  Exceeding ``max_terms``, an integer
+    of at least 1, raises :class:`MittagLefflerError` with the partial sum
     attached.  Intended for ``z >= 0`` (the comparison-bound regime);
     negative ``z`` is rejected because the alternating series cancels
     catastrophically.
@@ -75,9 +76,12 @@ def mittag_leffler(
     total = 0.0
     for k in range(max_terms):
         log_term = k * log_z - math.lgamma(k * beta + 1.0)
-        term = math.exp(log_term)
+        try:
+            term = math.exp(log_term)
+        except OverflowError:
+            return math.inf
         total += term
-        if term < tolerance:
+        if term < tolerance or total == math.inf:
             return total
     raise MittagLefflerError(
         f"series for E_{beta}({z}) did not converge within {max_terms} terms",
@@ -91,7 +95,9 @@ def gronwall_bound(a: float, g: float, beta: float, t: float) -> float:
 
     Bounds any nonnegative solution of the fractional integral inequality
     with constant term ``a``, factor ``g`` and kernel exponent ``beta - 1``.
-    At ``beta = 1`` it reduces to ``a * exp(g * t)``.
+    At ``beta = 1`` it reduces to ``a * exp(g * t)``.  It is ``math.inf``
+    when ``a > 0`` and the Mittag-Leffler value overflows, and ``a`` when
+    ``a`` or ``t`` is 0.
     """
     a, g, beta, t = float(a), float(g), float(beta), float(t)
     if a < 0.0 or g < 0.0:
@@ -100,7 +106,7 @@ def gronwall_bound(a: float, g: float, beta: float, t: float) -> float:
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    if t == 0.0:
+    if t == 0.0 or a == 0.0:
         return a
     argument = g * math.gamma(beta) * t ** beta
     return a * mittag_leffler(argument, beta)

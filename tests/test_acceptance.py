@@ -75,7 +75,7 @@ def test_02_variance_against_exact_finite_sum(capsys):
     cfg = SimulationConfig(
         grid=grid, hurst=builtin_hurst("constant", [0.75]), seed=Seed(20260822), n_paths=10_000
     )
-    terminal = monte_carlo(cfg).values_matrix()[:, -1]
+    terminal = monte_carlo(cfg).values[:, -1]
     sample_var = float(terminal.var())
     std_err = exact * math.sqrt(2.0 / (terminal.size - 1))
     deviation = abs(sample_var - exact)

@@ -38,7 +38,7 @@ from semsim import (
 )
 from semsim import analysis
 from semsim.analysis import _coupled_squared_gaps
-from semsim.engine import _solve
+from semsim.engine import solve_batch
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,7 @@ class TestConvergenceStudy:
         n_levels, start, stop = 3, 5, 12
         finest = make_grid(1.0, 32 * refine_factor ** n_levels)
         fine = [sample_brownian(derive_path_seed(cfg.seed, i), finest) for i in range(start, stop)]
-        reference = _solve(replace(cfg, grid=finest), np.stack([f.values for f in fine]))
+        reference = solve_batch(replace(cfg, grid=finest), np.stack([f.values for f in fine]))
         levels = [refine_config(cfg, refine_factor ** level) for level in range(n_levels)]
         gaps = _coupled_squared_gaps(refine_config(cfg, refine_factor ** n_levels), start, stop,
                                      levels)
@@ -283,7 +283,7 @@ class TestConvergenceStudy:
             stride = refine_factor ** (n_levels - level)
             dB = np.stack([coarsen(f, stride).values for f in fine])
             level_cfg = replace(cfg, grid=make_grid(1.0, 32 * refine_factor ** level))
-            gap = _solve(level_cfg, dB) - reference[:, ::stride]
+            gap = solve_batch(level_cfg, dB) - reference[:, ::stride]
             assert squared.tobytes() == (gap * gap).tobytes()
 
     def test_worker_count_does_not_change_report(self, monkeypatch):
@@ -295,10 +295,10 @@ class TestConvergenceStudy:
                       grid=make_grid(1.0, 64))
         serial = convergence_study(cfg, n_levels=3, refine_factor=2)
         blocks, pools = [], []
-        map_blocks = analysis._map_blocks
+        run_blocks = analysis.run_blocks
 
-        def recording_map_blocks(*args):
-            for start, gaps in map_blocks(*args):
+        def recording_run_blocks(*args):
+            for start, gaps in run_blocks(*args):
                 blocks.append((start, start + gaps[0].shape[0]))
                 yield start, gaps
 
@@ -307,7 +307,7 @@ class TestConvergenceStudy:
                 super().__init__(*args, **kwargs)
                 pools.append(self)
 
-        monkeypatch.setattr(analysis, "_map_blocks", recording_map_blocks)
+        monkeypatch.setattr(analysis, "run_blocks", recording_run_blocks)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         pooled = convergence_study(cfg, n_levels=3, refine_factor=2, n_workers=2)
         assert blocks == [(0, 32), (32, 40)]
@@ -353,7 +353,7 @@ class TestConvergenceStudy:
         cfg = replace(self._trig_config(), grid=make_grid(1.0, 16), hurst=hurst)
         finest = refine_config(cfg, 2 ** 3)
         with pytest.raises(PathSimulationError) as direct:
-            _solve(finest, sample_brownian_block(cfg.seed, finest.grid, 0, cfg.n_paths))
+            solve_batch(finest, sample_brownian_block(cfg.seed, finest.grid, 0, cfg.n_paths))
         with pytest.raises(PathSimulationError) as excinfo:
             convergence_study(cfg, n_levels=3, refine_factor=2)
         path, step = direct.value.path_index, direct.value.step

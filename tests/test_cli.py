@@ -7,6 +7,7 @@ the in-process API, which is what the byte-determinism contract promises.
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -145,7 +146,7 @@ class TestSimulateCommand:
                 seed=Seed(12345),
                 n_paths=2,
             )
-        ).values_matrix()
+        ).values
         for k, line in enumerate(lines[1:]):
             t_str, a_str, b_str = line.split(",")
             assert float(t_str) == k / 16
@@ -219,7 +220,7 @@ class TestSimulateCommand:
             hurst=builtin_hurst(hurst["name"], hurst["params"]),
             seed=Seed(12345),
             n_paths=n_paths,
-        )).values_matrix()
+        )).values
         t = make_grid(1.0, steps).nodes
         lines = ["t," + ",".join(f"path_{i}" for i in range(n_paths))]
         for k in range(steps + 1):
@@ -258,6 +259,22 @@ class TestAnalysisCommands:
         assert payload["fitted_slope"] > 0.0
         assert payload["theoretical_rate_bound"] == pytest.approx(0.8)
         assert len(payload["dt_levels"]) == 3
+
+    @pytest.mark.parametrize("hurst", ["bell", "rough_at_origin"])
+    def test_converge_with_an_overflowing_envelope(self, tmp_path, hurst):
+        # h_star = 0.05 puts the report's comparison envelope past the float
+        # range, once every path has been solved.
+        config_path, _ = _write_config(
+            tmp_path,
+            overrides={"hurst": {"name": hurst, "params": []}, "n_paths": 8,
+                       "converge": {"n_levels": 3, "refine_factor": 2}},
+        )
+        out = tmp_path / "out"
+        assert main(["converge", "--config", config_path, "--output-dir", str(out)]) == 0
+        payload = json.loads((out / "convergence.json").read_text())
+        assert payload["flag"] == "ok"
+        assert payload["envelope_constant"] is None
+        assert math.isfinite(payload["fitted_slope"])
 
     def test_converge_thread_counts_are_byte_identical(self, tmp_path):
         # Base N = 64 with three levels puts the reference on N = 512:

@@ -44,7 +44,7 @@ from semsim import (
 )
 from semsim import engine
 from semsim.analysis import convergence_study
-from semsim.engine import _Kernel, _map_blocks, _run_block, _solve
+from semsim.engine import _Kernel, _run_block, run_blocks, solve_batch
 from semsim.kernels import kernel_values
 from semsim.randomness import coarsen
 
@@ -229,6 +229,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="grid"):
             simulate_discrete(cfg, incr)
 
+    @pytest.mark.parametrize("hurst", [builtin_hurst("constant", [0.7]), builtin_hurst("bell", [])],
+                             ids=["diagonals", "columns"])
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 16), (8,)], ids=["short", "long", "one-d"])
+    def test_batch_increments_must_fit_the_grid(self, hurst, shape):
+        cfg = SimulationConfig(grid=make_grid(1.0, 8), hurst=hurst, seed=Seed(1))
+        with pytest.raises(ValueError, match=r"increments must be \(P, 8\)"):
+            solve_batch(cfg, np.ones(shape))
+
 
 class TestAgainstNaiveRecursion:
     @pytest.mark.parametrize(
@@ -278,7 +286,7 @@ class TestAgainstNaiveRecursion:
             got = [simulate_discrete(cfg, incr).values]
             increments = [incr]
         else:
-            got = list(monte_carlo(cfg, n_workers=2).values_matrix())
+            got = list(monte_carlo(cfg, n_workers=2).values)
             increments = [
                 sample_brownian(derive_path_seed(cfg.seed, i), cfg.grid) for i in range(3)
             ]
@@ -406,7 +414,7 @@ class TestExactIdentities:
         # Node 0 sums no terms; with an offset it must be g(0) bit for bit.
         grid = make_grid(1.0, 8)
         cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(3), offset_g=lambda t: -t)
-        x = _solve(cfg, np.stack([sample_brownian(Seed(3), grid).values] * 2))
+        x = solve_batch(cfg, np.stack([sample_brownian(Seed(3), grid).values] * 2))
         assert np.signbit(x[:, 0]).all() and not x[:, 0].any()
 
 
@@ -460,7 +468,7 @@ class TestColumnOrder:
         by_rows = replace(cfg, hurst=_declared_time_dependent(hurst),
                           dampening=_declared_time_dependent(dampening))
         dB = np.stack([sample_brownian(Seed(71 + p), grid).values for p in range(n_paths)])
-        assert _solve(cfg, dB).tobytes() == _solve(by_rows, dB).tobytes()
+        assert solve_batch(cfg, dB).tobytes() == solve_batch(by_rows, dB).tobytes()
 
     def test_node_zero_exponent_half_matches_rows_bitwise(self):
         # h(0) = 1 for bell, so node 0's exponent is exactly 1/2.  With a
@@ -473,7 +481,7 @@ class TestColumnOrder:
                           dampening=_declared_time_dependent(cfg.dampening))
         dB = np.zeros((1, 512))
         dB[0, 0] = 1.0
-        assert _solve(cfg, dB).tobytes() == _solve(by_rows, dB).tobytes()
+        assert solve_batch(cfg, dB).tobytes() == solve_batch(by_rows, dB).tobytes()
 
     @pytest.mark.parametrize(
         "hurst",
@@ -489,7 +497,8 @@ class TestColumnOrder:
         # turn the -0.0 sums into +0.0.
         grid = make_grid(1.0, 64)
         assert grid.has_exact_nodes
-        x = _solve(SimulationConfig(grid=grid, hurst=hurst, seed=Seed(72)), np.full((2, 64), -0.0))
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(72))
+        x = solve_batch(cfg, np.full((2, 64), -0.0))
         assert np.signbit(x[:, 1:]).all()
 
 
@@ -518,9 +527,9 @@ class TestColumnBlocks:
         # Only the case with an offset runs on an inexact grid.
         assert grid.has_exact_nodes == (offset is None)
         dB = np.stack([sample_brownian(Seed(76 + p), grid).values for p in range(32)])
-        batch = _solve(cfg, dB)
+        batch = solve_batch(cfg, dB)
         for p in range(32):
-            assert _solve(cfg, dB[p:p + 1])[0].tobytes() == batch[p].tobytes(), p
+            assert solve_batch(cfg, dB[p:p + 1])[0].tobytes() == batch[p].tobytes(), p
 
     @pytest.mark.parametrize(
         ("hurst", "dampening"),
@@ -563,8 +572,19 @@ class TestUfuncBuffer:
         hurst = HurstFunction(recorder, h_star=0.5, h_sup=0.8, lip_t=0.0, lip_x=0.2)
         cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(80))
         assert engine._BUFSIZE != caller_bufsize
-        _solve(cfg, self._increments(grid, 4, 80))
+        solve_batch(cfg, self._increments(grid, 4, 80))
         # One call per column: N of them.
+        assert recorder.bufsizes == [engine._BUFSIZE] * 64
+        assert np.getbufsize() == caller_bufsize
+
+    def test_interpolation_columns_see_the_solver_buffer(self, caller_bufsize):
+        recorder = _CountingEvaluator()
+        grid = make_grid(1.0, 32)
+        hurst = HurstFunction(recorder, h_star=0.5, h_sup=0.8, lip_t=0.0, lip_x=0.2)
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(84))
+        fine = sample_brownian(Seed(84), refine_config(cfg, 2).grid)
+        interpolate_on_refinement(cfg, fine, 2)
+        # N columns of the coarse solve, then N of the interpolation.
         assert recorder.bufsizes == [engine._BUFSIZE] * 64
         assert np.getbufsize() == caller_bufsize
 
@@ -622,7 +642,7 @@ class TestUfuncBuffer:
         # 8192 is numpy's default buffer size.
         for size in (16, 8192, 2 ** 16):
             monkeypatch.setattr(engine, "_BUFSIZE", size)
-            solved.append(_solve(cfg, dB).tobytes())
+            solved.append(solve_batch(cfg, dB).tobytes())
         assert solved[0] == solved[1] == solved[2]
 
 
@@ -718,7 +738,7 @@ class TestDiagonalLoop:
     def test_matches_left_to_right_sums_bitwise(self, dampening, n_paths, horizon, steps, offset):
         cfg = _tabled_config(dampening, offset, horizon, steps)
         dB = np.stack([sample_brownian(Seed(75 + p), cfg.grid).values for p in range(n_paths)])
-        assert _solve(cfg, dB).tobytes() == _distance_sums(cfg, dB).tobytes()
+        assert solve_batch(cfg, dB).tobytes() == _distance_sums(cfg, dB).tobytes()
 
     @pytest.mark.parametrize(
         "dampening", [None, builtin_dampening("constant", [0.8])], ids=["undampened", "constant"]
@@ -731,9 +751,9 @@ class TestDiagonalLoop:
     def test_path_bits_do_not_depend_on_the_batch(self):
         cfg = _tabled_config(builtin_dampening("constant", [0.8]), math.sin)
         dB = np.stack([sample_brownian(Seed(75 + p), cfg.grid).values for p in range(64)])
-        batch = _solve(cfg, dB)
+        batch = solve_batch(cfg, dB)
         for p in (0, 17, 63):
-            assert _solve(cfg, dB[p:p + 1])[0].tobytes() == batch[p].tobytes()
+            assert solve_batch(cfg, dB[p:p + 1])[0].tobytes() == batch[p].tobytes()
 
     def test_signed_zero_increments_keep_their_signs(self):
         # A node's sum is -0.0 exactly while every increment before it is
@@ -743,7 +763,7 @@ class TestDiagonalLoop:
         dB[1, 10] = 0.0
         dB[2, 0] = 0.0
         dB[3, 1::2] = 0.0
-        x = _solve(cfg, dB)
+        x = solve_batch(cfg, dB)
         assert x.tobytes() == _distance_sums(cfg, dB).tobytes()
         assert not np.signbit(x[:, 0]).any()
         expected = np.logical_and.accumulate(np.signbit(dB), axis=1)
@@ -754,9 +774,9 @@ class TestDiagonalLoop:
         cfg = _tabled_config(None)
         dB = np.stack([sample_brownian(Seed(75 + p), cfg.grid).values for p in range(3)])
         dB[1, 17] = bad
-        # _solve names row 1; the block runner adds the block's start, 10.
+        # solve_batch names row 1; the block runner adds the block's start, 10.
         with pytest.raises(PathSimulationError) as excinfo:
-            _run_block(lambda config, start, stop: _solve(config, dB), cfg, 10, 13)
+            _run_block(lambda config, start, stop: solve_batch(config, dB), cfg, 10, 13)
         # Increment 17 first enters the state at node 18.
         assert (excinfo.value.path_index, excinfo.value.step) == (11, 18)
 
@@ -892,8 +912,8 @@ class TestMonteCarlo:
         b = monte_carlo(cfg)
         assert isinstance(a, Ensemble)
         assert [p.path_index for p in a.paths] == [0, 1, 2, 3]
-        assert a.values_matrix().tobytes() == b.values_matrix().tobytes()
-        assert a.values_matrix().shape == (4, 65)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.values.shape == (4, 65)
 
     def test_worker_count_does_not_change_output(self):
         # Blocks of 2**14 // 2048 = 8 paths: two blocks, so this process
@@ -901,7 +921,7 @@ class TestMonteCarlo:
         cfg = self._config(n_paths=10, steps=2048)
         serial = monte_carlo(cfg, n_workers=1)
         parallel = monte_carlo(cfg, n_workers=2)
-        assert serial.values_matrix().tobytes() == parallel.values_matrix().tobytes()
+        assert serial.values.tobytes() == parallel.values.tobytes()
 
     @pytest.mark.parametrize("n_paths", [100, 400], ids=["2-blocks", "7-blocks"])
     def test_three_workers_match_serial(self, n_paths):
@@ -911,7 +931,7 @@ class TestMonteCarlo:
         cfg = self._config(n_paths=n_paths, steps=256)
         serial = monte_carlo(cfg, n_workers=1)
         parallel = monte_carlo(cfg, n_workers=3)
-        assert serial.values_matrix().tobytes() == parallel.values_matrix().tobytes()
+        assert serial.values.tobytes() == parallel.values.tobytes()
 
     @pytest.mark.parametrize(("n_workers", "n_blocks"), [(2, 10), (3, 7)])
     def test_caller_runs_every_n_workers_th_block(self, monkeypatch, n_workers, n_blocks):
@@ -928,7 +948,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(72), n_paths=n_blocks)
-        pids = [pid for _, pid in _map_blocks(_process_id, cfg, n_workers)]
+        pids = [pid for _, pid in run_blocks(_process_id, cfg, n_workers)]
         assert [pid == os.getpid() for pid in pids] == [i % n_workers == 0 for i in range(n_blocks)]
         assert pools == [n_workers - 1]
 
@@ -940,7 +960,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         parallel = monte_carlo(self._config(n_paths=3), n_workers=2)
-        assert serial.values_matrix().tobytes() == parallel.values_matrix().tobytes()
+        assert serial.values.tobytes() == parallel.values.tobytes()
 
     def test_unpicklable_config_falls_back_to_serial(self, monkeypatch):
         # Two blocks of 8 paths on N = 2048, so a pool of one worker would run
@@ -959,7 +979,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         fallback = monte_carlo(cfg, n_workers=2)
-        assert serial.values_matrix().tobytes() == fallback.values_matrix().tobytes()
+        assert serial.values.tobytes() == fallback.values.tobytes()
 
     def test_unpicklable_finish_falls_back_to_serial(self, monkeypatch):
         # Four blocks of up to 16 paths on N = 1024.  The lambda finish is
@@ -986,7 +1006,7 @@ class TestMonteCarlo:
         cfg = SimulationConfig(grid=make_grid(1.0, 2048), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(67), n_paths=16)
         with pytest.raises(PathSimulationError) as excinfo:
-            for _ in _map_blocks(partial(_fail_last_row, failing=failing), cfg, 2):
+            for _ in run_blocks(partial(_fail_last_row, failing=failing), cfg, 2):
                 pass
         assert (excinfo.value.path_index, excinfo.value.step) == (failing + 7, 3)
         assert str(excinfo.value.cause) == "row fails"
@@ -1003,7 +1023,7 @@ class TestMonteCarlo:
                                seed=Seed(71), n_paths=24)
         n_workers = 2
         with pytest.raises(PathSimulationError) as excinfo:
-            for _ in _map_blocks(partial(_fail_first_block, marks=tmp_path), cfg, n_workers):
+            for _ in run_blocks(partial(_fail_first_block, marks=tmp_path), cfg, n_workers):
                 pass
         assert excinfo.value.path_index == 0
         assert isinstance(excinfo.value.cause, FloatingPointError)
@@ -1017,7 +1037,7 @@ class TestMonteCarlo:
         cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(73), n_paths=4)
         with pytest.raises(PathSimulationError) as excinfo:
-            for _ in _map_blocks(partial(_fail_blocks_one_and_two, marks=tmp_path), cfg, 2):
+            for _ in run_blocks(partial(_fail_blocks_one_and_two, marks=tmp_path), cfg, 2):
                 pass
         assert excinfo.value.path_index == 1
         assert str(excinfo.value.cause) == "block 1 fails"
@@ -1049,7 +1069,7 @@ class TestMonteCarlo:
             seed=Seed(64),
             n_paths=10,
         )
-        reference = monte_carlo(healthy).values_matrix()
+        reference = monte_carlo(healthy).values
         threshold = 0.5 * float(np.max(np.abs(reference[0, :-1])))
         crossed = np.abs(reference[:, :-1]) > threshold
         path = int(np.flatnonzero(crossed.any(axis=1))[0])
@@ -1075,7 +1095,7 @@ class TestMonteCarlo:
             seed=Seed(70),
             n_paths=4,
         )
-        reference = np.abs(monte_carlo(healthy).values_matrix()[:, :-1])
+        reference = np.abs(monte_carlo(healthy).values[:, :-1])
         threshold = float(np.max(reference[0]))
         path = int(np.flatnonzero(np.max(reference, axis=1) > threshold)[0])
         assert path > 0
@@ -1105,10 +1125,10 @@ class TestMonteCarlo:
         assert (back.path_index, back.step, str(back)) == (3, 17, str(err))
         assert isinstance(back.cause, FloatingPointError)
 
-    def test_values_matrix_is_stored_not_copied(self):
+    def test_values_are_stored_not_copied(self):
         ensemble = monte_carlo(self._config(n_paths=3))
-        matrix = ensemble.values_matrix()
-        assert matrix is ensemble.values_matrix()
+        matrix = ensemble.values
+        assert matrix is ensemble.values
         assert not matrix.flags.writeable
         assert all(np.shares_memory(p.values, matrix) for p in ensemble.paths)
 
@@ -1152,21 +1172,21 @@ class TestGaussianEnsemble:
     """
 
     def test_initial_column_is_zero(self, brownian_ensemble):
-        vm = brownian_ensemble.values_matrix()
+        vm = brownian_ensemble.values
         assert vm.shape == (10_000, 33)
         assert np.all(vm[:, 0] == 0.0)
 
     def test_terminal_variance(self, brownian_ensemble):
-        terminal = brownian_ensemble.values_matrix()[:, -1]
+        terminal = brownian_ensemble.values[:, -1]
         se = math.sqrt(2.0 / (terminal.size - 1))
         assert abs(terminal.var() - 1.0) < 4.0 * se
 
     def test_terminal_excess_kurtosis(self, brownian_ensemble):
-        terminal = brownian_ensemble.values_matrix()[:, -1]
+        terminal = brownian_ensemble.values[:, -1]
         assert abs(stats.kurtosis(terminal)) < 0.2
 
     def test_first_half_agrees_with_full_ensemble(self, brownian_ensemble):
-        terminal = brownian_ensemble.values_matrix()[:, -1]
+        terminal = brownian_ensemble.values[:, -1]
         half = terminal[:5000]
         se_half = math.sqrt(2.0 / (half.size - 1))
         assert abs(half.var() - terminal.var()) < 4.0 * se_half
@@ -1183,7 +1203,7 @@ class TestGaussianEnsemble:
                 dampening=builtin_dampening("constant", [strength]),
                 n_paths=300,
             )
-            terminal = monte_carlo(cfg).values_matrix()[:, -1]
+            terminal = monte_carlo(cfg).values[:, -1]
             variances.append(float(terminal.var()))
         assert all(b < a for a, b in zip(variances, variances[1:]))
 
@@ -1222,7 +1242,7 @@ def test_counts_are_integers_or_errors(name, value):
 _POOLED_USES = {
     "monte_carlo": lambda n: monte_carlo(
         replace(_COARSE, grid=make_grid(1.0, 2048), n_paths=10), n_workers=n
-    ).values_matrix().tobytes(),
+    ).values.tobytes(),
     "convergence_study": lambda n: convergence_study(
         replace(_COARSE, grid=make_grid(1.0, 64), n_paths=40), n_levels=3, refine_factor=2,
         n_workers=n,

@@ -213,7 +213,7 @@ def _custom_digests(name):
     hurst, dampening = CUSTOM_RUNS[name][:2]
     config = SimulationConfig(grid=make_grid(1.0, 128), hurst=hurst, dampening=dampening,
                               seed=Seed(4242), n_paths=3)
-    values = monte_carlo(config).values_matrix()
+    values = monte_carlo(config).values
     fine = refine_config(config, 2)
     interpolated = b"".join(
         interpolate_on_refinement(config, sample_brownian(Seed(4242 + p), fine.grid), 2)

@@ -82,6 +82,12 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(1.0, beta=0.5, tolerance=0.0)
 
+    @pytest.mark.parametrize(("z", "beta"), [(19.5, 0.05), (710.0, 1.0)], ids=["term", "sum"])
+    def test_overflow_is_infinite(self, z, beta):
+        # A term of E_0.05(19.5) is past the float range; every term of
+        # E_1(710) = e**710 is finite, but their sum is not.
+        assert mittag_leffler(z, beta) == math.inf
+
     def test_truncation_error_carries_state(self):
         with pytest.raises(MittagLefflerError) as excinfo:
             mittag_leffler(50.0, beta=0.3, max_terms=5)
@@ -100,6 +106,11 @@ class TestGronwallBound:
 
     def test_zero_initial_value(self):
         assert gronwall_bound(0.0, 3.0, 0.5, 2.0) == 0.0
+
+    def test_overflowing_envelope(self):
+        # The envelope of a convergence study for h_star = 0.05 at T = 1.
+        assert gronwall_bound(1.0, 1.0, 0.05, 1.0) == math.inf
+        assert gronwall_bound(0.0, 1.0, 0.05, 1.0) == 0.0
 
     def test_zero_time_returns_initial_value(self):
         assert gronwall_bound(1.7, 3.0, 0.5, 0.0) == 1.7
