@@ -14,16 +14,11 @@ import json
 import pathlib
 import sys
 
-from semsim.cli import main as cli_main
-
-_SECTION_COMMANDS = ("converge", "holder", "acf", "moments")
+from semsim.cli import _SECTION_KEYS, main as cli_main
 
 
 def command_for(raw: dict) -> str:
-    for name in _SECTION_COMMANDS:
-        if name in raw:
-            return name
-    return "simulate"
+    return next((name for name in _SECTION_KEYS if name in raw), "simulate")
 
 
 def main(argv=None) -> int:

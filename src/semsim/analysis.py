@@ -125,7 +125,7 @@ def sample_moment(states: np.ndarray, p: float) -> MonteCarloEstimate:
     root of the sample count, and 0 for a single sample.
     """
     p = float(p)
-    if p < 0.0:
+    if not p >= 0.0:
         raise ValueError(f"moment order p must be nonnegative, got {p!r}")
     samples = np.abs(states) ** p
     m = samples.shape[0]
@@ -193,7 +193,7 @@ def estimate_holder(path: SamplePath, q: float = 2.0, lags=None) -> HolderEstima
     ``S(m) == 0``) raises :class:`DegeneratePathError`.
     """
     q = float(q)
-    if q <= 0.0:
+    if not q > 0.0:
         raise ValueError(f"q must be positive, got {q!r}")
     lags = _holder_lags(path.grid.steps, lags)
     x = path.values

@@ -4,6 +4,11 @@ One JSON config drives every subcommand; outputs are plain CSV/JSON files
 plus a run manifest.  Data files are a pure function of the config: the
 thread count (or ``SEM_THREADS``) changes wall time only, never bytes.
 
+Each command is one handler, ``(config, section, threads) -> (file name,
+text)``, where the text is one string or its chunks in order.  The handler
+writes nothing: :func:`main` writes the file it returns, then the
+manifest, so every file is written in one place.
+
 Every command that simulates an ensemble runs it one way: through
 :func:`~semsim.engine.simulate_blocks` with a ``finish`` that reduces each
 block in the task that solved it.  ``simulate`` formats the block's CSV
@@ -41,8 +46,10 @@ from .randomness import Seed, TimeGrid, make_grid
 
 SEED_RULE = "splitmix64-philox-ndtri-v1"
 
-_TOP_KEYS = {"process", "hurst", "dampening", "T", "N", "seed", "n_paths",
-             "converge", "holder", "acf", "moments"}
+# Each command that needs a config section, and the keys that section may have.
+_SECTION_KEYS = {"converge": {"n_levels", "refine_factor"}, "holder": {"q", "lags"},
+                 "acf": {"max_lag"}, "moments": {"p", "nodes"}}
+_TOP_KEYS = {"process", "hurst", "dampening", "T", "N", "seed", "n_paths", *_SECTION_KEYS}
 
 
 class ConfigError(ValueError):
@@ -94,14 +101,13 @@ def _checked(where: str, fn: Callable, *args):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed, validated experiment: what it simulates, its command sections, its JSON echo.
+    """A parsed, validated experiment: what it simulates and its JSON echo.
 
-    ``sections`` maps each command the config can run to its section;
-    ``simulate`` needs none and maps to an empty one.
+    The echo is the config as read, so it holds each command's section
+    too; :func:`_section` looks one up.
     """
 
     simulation: SimulationConfig
-    sections: dict
     echo: dict
 
     def simulation_config(self) -> SimulationConfig:
@@ -136,10 +142,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                   dampening=dampening, seed=Seed(raw["seed"]),
                                   n_paths=raw["n_paths"])
 
+    for name, allowed in _SECTION_KEYS.items():
+        if raw.get(name) is not None:
+            _require(isinstance(raw[name], dict), f"{name} must be an object")
+            _check_keys(raw[name], allowed, name)
+
     converge = raw.get("converge")
     if converge is not None:
-        _require(isinstance(converge, dict), "converge must be an object")
-        _check_keys(converge, {"n_levels", "refine_factor"}, "converge")
         _require(_is_int(converge.get("n_levels")) and converge["n_levels"] >= 3,
                  "converge.n_levels must be an integer >= 3")
         _require(_is_int(converge.get("refine_factor")) and converge["refine_factor"] >= 2,
@@ -147,8 +156,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     holder = raw.get("holder")
     if holder is not None:
-        _require(isinstance(holder, dict), "holder must be an object")
-        _check_keys(holder, {"q", "lags"}, "holder")
         _require(_is_num(holder.get("q")) and holder["q"] > 0, "holder.q must be a positive number")
         lags = holder.get("lags")
         _require("lags" not in holder or isinstance(lags, list) and all(map(_is_int, lags)),
@@ -158,15 +165,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     acf = raw.get("acf")
     if acf is not None:
-        _require(isinstance(acf, dict), "acf must be an object")
-        _check_keys(acf, {"max_lag"}, "acf")
         _require(_is_int(acf.get("max_lag")) and 1 <= acf["max_lag"] and 2 * acf["max_lag"] < steps,
                  f"acf.max_lag must be an integer in [1, {(steps - 1) // 2}]")
 
     moments = raw.get("moments")
     if moments is not None:
-        _require(isinstance(moments, dict), "moments must be an object")
-        _check_keys(moments, {"p", "nodes"}, "moments")
         ps = moments.get("p")
         _require(isinstance(ps, list) and len(ps) >= 1 and all(_is_num(p) and p >= 0 for p in ps),
                  "moments.p must be a list of nonnegative numbers")
@@ -175,9 +178,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                  and all(_is_int(k) and 0 <= k <= steps for k in nodes),
                  f"moments.nodes must be a list of integers in [0, {steps}]")
 
-    sections = {"simulate": {}}
-    sections.update((k, v) for k, v in raw.items() if k in _COMMANDS and v is not None)
-    return ExperimentConfig(simulation=simulation, sections=sections, echo=raw)
+    return ExperimentConfig(simulation=simulation, echo=raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -191,7 +192,7 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _atomic_write(directory: str, filename: str, text: str | Iterable[str]) -> str:
+def _atomic_write(directory: str, filename: str, text: str | Iterable[str]) -> None:
     """Write ``text``, one string or its chunks in order, to ``directory/filename``."""
     os.makedirs(directory, exist_ok=True)
     final = os.path.join(directory, filename)
@@ -202,7 +203,6 @@ def _atomic_write(directory: str, filename: str, text: str | Iterable[str]) -> s
         else:
             fh.writelines(text)
     os.replace(tmp, final)
-    return filename
 
 
 def _json_text(obj: Any) -> str:
@@ -210,7 +210,8 @@ def _json_text(obj: Any) -> str:
 
 
 def _section(config: ExperimentConfig, command: str) -> dict:
-    section = config.sections.get(command)
+    """The config section ``command`` runs on: its own, or an empty one for ``simulate``."""
+    section = {} if command == "simulate" else config.echo.get(command)
     if section is None:
         raise ConfigError(f"config has no '{command}' section but the {command} command needs one")
     return section
@@ -221,24 +222,23 @@ def _csv_fields(block: np.ndarray) -> list[str]:
     return [",".join(map(repr, states)) for states in block.T.tolist()]
 
 
-def _cmd_simulate(config: ExperimentConfig, section: dict, out_dir: str,
-                  threads: int) -> list[str]:
+def _cmd_simulate(config: ExperimentConfig, section: dict,
+                  threads: int) -> tuple[str, Iterable[str]]:
     """simulate an ensemble and write paths.csv"""
     sim = config.simulation_config()
     t = sim.grid.nodes
     # Each block's task formats its own paths, so the float reprs run in the
     # pool workers too; a block is small (engine.run_blocks sets its size),
     # so its tolist() stays small.  The parent keeps only the formatted strings, one per
-    # node and block, never a Python float per value, and streams the rows
-    # to the file instead of building the whole text.
+    # node and block, never a Python float per value, and the rows are
+    # made as main writes them instead of as one whole text.
     fields = [block for _, block in simulate_blocks(sim, threads, _csv_fields)]
     header = "t," + ",".join(f"path_{i}" for i in range(sim.n_paths)) + "\n"
     rows = (",".join([_fmt(t[k]), *(f[k] for f in fields)]) + "\n" for k in range(t.shape[0]))
-    return [_atomic_write(out_dir, "paths.csv", itertools.chain([header], rows))]
+    return "paths.csv", itertools.chain([header], rows)
 
 
-def _cmd_converge(config: ExperimentConfig, section: dict, out_dir: str,
-                  threads: int) -> list[str]:
+def _cmd_converge(config: ExperimentConfig, section: dict, threads: int) -> tuple[str, str]:
     """run a coupled refinement study and write convergence.json"""
     report = convergence_study(
         config.simulation_config(),
@@ -247,7 +247,7 @@ def _cmd_converge(config: ExperimentConfig, section: dict, out_dir: str,
         n_workers=threads,
     )
     payload = {**asdict(report), "flag": "degenerate_exact" if report.degenerate else "ok"}
-    return [_atomic_write(out_dir, "convergence.json", _json_text(payload))]
+    return "convergence.json", _json_text(payload)
 
 
 def _per_path(grid: TimeGrid, estimate: Callable, block: np.ndarray) -> list:
@@ -268,8 +268,7 @@ def _each_path(config: ExperimentConfig, threads: int, estimate: Callable) -> li
     return [result for _, block in blocks for result in block]
 
 
-def _cmd_holder(config: ExperimentConfig, section: dict, out_dir: str,
-                threads: int) -> list[str]:
+def _cmd_holder(config: ExperimentConfig, section: dict, threads: int) -> tuple[str, str]:
     """estimate structure-function roughness and write holder.json"""
     estimates = _each_path(config, threads, partial(estimate_holder, q=section["q"],
                                                     lags=section.get("lags")))
@@ -282,22 +281,20 @@ def _cmd_holder(config: ExperimentConfig, section: dict, out_dir: str,
         ],
         "median_exponent": float(np.median([e.exponent for e in estimates])),
     }
-    return [_atomic_write(out_dir, "holder.json", _json_text(payload))]
+    return "holder.json", _json_text(payload)
 
 
-def _cmd_acf(config: ExperimentConfig, section: dict, out_dir: str,
-             threads: int) -> list[str]:
+def _cmd_acf(config: ExperimentConfig, section: dict, threads: int) -> tuple[str, str]:
     """autocorrelation of absolute increments, written to acf.csv"""
     series = _each_path(config, threads, partial(acf_abs_increments, max_lag=section["max_lag"]))
     mean_values = np.mean([s.values for s in series], axis=0)
     lines = ["lag,value"]
     for lag, value in zip(series[0].lags, mean_values):
         lines.append(f"{lag},{_fmt(value)}")
-    return [_atomic_write(out_dir, "acf.csv", "\n".join(lines) + "\n")]
+    return "acf.csv", "\n".join(lines) + "\n"
 
 
-def _cmd_moments(config: ExperimentConfig, section: dict, out_dir: str,
-                 threads: int) -> list[str]:
+def _cmd_moments(config: ExperimentConfig, section: dict, threads: int) -> tuple[str, str]:
     """Monte Carlo moment table, written to moments.csv"""
     # Each block task keeps its paths' states at the requested nodes only.
     take = partial(np.take, indices=section["nodes"], axis=1)
@@ -308,10 +305,11 @@ def _cmd_moments(config: ExperimentConfig, section: dict, out_dir: str,
         for p in section["p"]:
             est = sample_moment(samples, p)
             lines.append(f"{node},{_fmt(p)},{_fmt(est.value)},{_fmt(est.std_error)}")
-    return [_atomic_write(out_dir, "moments.csv", "\n".join(lines) + "\n")]
+    return "moments.csv", "\n".join(lines) + "\n"
 
 
-# Each command's handler; its docstring is the command's help text.
+# Each command's handler; its docstring is the command's help text.  A
+# handler returns the file it makes, its name and text, and main writes it.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "converge": _cmd_converge,
@@ -323,14 +321,11 @@ _COMMANDS = {
 
 def _resolve_threads(value: int | None) -> int:
     if value is None:
-        env = os.environ.get("SEM_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"SEM_THREADS must be an integer, got {env!r}") from exc
-        else:
-            value = 1
+        env = os.environ.get("SEM_THREADS", "1")
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"SEM_THREADS must be an integer, got {env!r}") from exc
     if value < 1:
         raise ConfigError(f"threads must be at least 1, got {value}")
     return value
@@ -363,14 +358,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        files = _COMMANDS[args.command](config, section, args.output_dir, threads)
+        filename, text = _COMMANDS[args.command](config, section, threads)
+        _atomic_write(args.output_dir, filename, text)
         wall = time.monotonic() - started
         manifest = {
             "tool": "semsim",
             "version": __version__,
             "command": args.command,
             "config": config.echo,
-            "files": files,
+            "files": [filename],
             "threads": threads,
             # Whether refinement coupling is bit-exact on the base grid: its
             # node products are exact (TimeGrid.has_exact_nodes).
@@ -383,7 +379,7 @@ def main(argv=None) -> int:
                       "simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"]},
         }
         _atomic_write(args.output_dir, "manifest.json", _json_text(manifest))
-        print(f"{args.command}: wrote {', '.join(files)} and manifest.json "
+        print(f"{args.command}: wrote {filename} and manifest.json "
               f"to {args.output_dir} in {wall:.2f}s")
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

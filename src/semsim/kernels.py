@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DampeningFunction, HurstFunction, eval_hurst
+from .randomness import _as_real
 
 __all__ = [
     "KernelParams",
@@ -47,8 +48,8 @@ class KernelParams:
     horizon: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", float(self.horizon))
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+        object.__setattr__(self, "horizon", _as_real(self.horizon, "horizon"))
+        if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
 
 
@@ -165,7 +166,7 @@ def check_fund_ineq(u: float, v: float, alpha: float, beta: float) -> bool:
         raise ValueError(f"need u > v > 0, got u={u!r}, v={v!r}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    if alpha >= 1.0:
+    if not alpha < 1.0:
         raise ValueError(f"alpha must satisfy alpha <= 0 or 0 < alpha < 1, got {alpha!r}")
     ua = u ** alpha
     va = v ** alpha

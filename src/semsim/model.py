@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .randomness import _as_int
+from .randomness import _as_int, _as_real
 
 __all__ = [
     "EPSILON_FLOOR",
@@ -266,14 +266,14 @@ _DAMPENING_FAMILIES = {
 
 
 def _builtin(families: dict, kind: str, name: str, params):
-    """The family ``name`` of ``families`` built on ``params``, each as a float."""
+    """The family ``name`` of ``families`` built on ``params``, each a finite real number."""
     if name not in families:
         raise ValueError(f"unknown {kind} function {name!r}")
     names, make = families[name]
-    params = tuple(float(p) for p in params)
+    params = tuple(params)
     if len(params) != len(names):
         raise ValueError(f"{name} takes {len(names)} parameter(s) [{', '.join(names)}], got {len(params)}")
-    return make(*params)
+    return make(*(_as_real(p, f"{name} parameter {n}") for p, n in zip(params, names)))
 
 
 def builtin_hurst(name: str, params: tuple | list = ()) -> HurstFunction:
@@ -282,8 +282,9 @@ def builtin_hurst(name: str, params: tuple | list = ()) -> HurstFunction:
     Names and parameters: ``constant [H]`` with ``0 < H <= 1``,
     ``smooth_at_origin []``, ``rough_at_origin []``, ``bell []`` and
     ``trig [alpha, beta, gamma]`` with ``0 < alpha - |beta|`` and ``alpha +
-    |beta| < 1``.  An unknown name, a wrong number of parameters or a value
-    out of range raises ``ValueError``.
+    |beta| < 1``.  An unknown name, a wrong number of parameters, a
+    parameter that is not a finite int or float (a bool or a string, say)
+    or a value out of range raises ``ValueError``.
     """
     return _builtin(_HURST_FAMILIES, "hurst", name, params)
 
@@ -294,7 +295,8 @@ def builtin_dampening(name: str, params: tuple | list = ()) -> DampeningFunction
     Names and parameters: ``constant [c]`` with ``c`` finite and ``>= 0``,
     ``f = c``; ``abs_value []``, ``f(x) = |x|``; ``bell []``, ``f(x) = max(1 /
     (1 + x**2), EPSILON_FLOOR)``, the Hurst ``bell`` evaluator and its
-    floor, which the dampening keeps.  An unknown name, a wrong number of parameters or a value
+    floor, which the dampening keeps.  An unknown name, a wrong number of
+    parameters, a parameter that is not a finite int or float or a value
     out of range raises ``ValueError``.
     """
     return _builtin(_DAMPENING_FAMILIES, "dampening", name, params)

@@ -45,6 +45,7 @@ bits from one build to another.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,6 +126,24 @@ def _as_int(value, name: str, least: int) -> int:
     if n is None or n != value or n < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return n
+
+
+def _as_real(value, name: str) -> float:
+    """``value`` as a finite float, or ``ValueError`` naming ``name``.
+
+    The rule for every real input: an int or a float, numpy's included,
+    whose float is finite.  Anything else raises rather than being
+    converted: a string such as ``"1.0"``, ``None``, NaN, an infinity, an
+    int past the float range, or a bool, since a flag is not a number.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return x
 
 
 def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
@@ -215,9 +234,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", _as_real(self.horizon, "horizon"))
         object.__setattr__(self, "steps", _as_int(self.steps, "steps", least=1))
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+        if not self.horizon > 0.0:
             raise ValueError(f"horizon must be a positive finite float, got {self.horizon!r}")
 
     @property
@@ -271,10 +290,10 @@ class Seed:
     value: int
 
     def __post_init__(self) -> None:
-        if (isinstance(self.value, (bool, np.bool_)) or not 0 <= self.value <= _UINT64_MASK
-                or int(self.value) != self.value):
+        value = _as_int(self.value, "seed value", least=0)
+        if value > _UINT64_MASK:
             raise ValueError(f"seed value must be a 64-bit unsigned integer, got {self.value!r}")
-        object.__setattr__(self, "value", int(self.value))
+        object.__setattr__(self, "value", value)
 
 
 def derive_path_seed(seed: Seed, path_index: int) -> Seed:

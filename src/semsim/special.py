@@ -67,7 +67,7 @@ def mittag_leffler(
         raise ValueError(f"beta must be positive, got {beta!r}")
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"z must be finite and nonnegative, got {z!r}")
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     max_terms = _as_int(max_terms, "max_terms", least=1)
     if z == 0.0:
@@ -100,11 +100,11 @@ def gronwall_bound(a: float, g: float, beta: float, t: float) -> float:
     ``a`` or ``t`` is 0.
     """
     a, g, beta, t = float(a), float(g), float(beta), float(t)
-    if a < 0.0 or g < 0.0:
+    if not (a >= 0.0 and g >= 0.0):
         raise ValueError(f"need a >= 0 and g >= 0, got a={a!r}, g={g!r}")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if t == 0.0 or a == 0.0:
         return a

@@ -7,7 +7,8 @@ coupled regime and once on a state-dependent Hurst family with pinned seeds.
 """
 
 import concurrent.futures
-from dataclasses import dataclass, replace
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,31 +41,8 @@ from semsim import analysis
 from semsim.analysis import _coupled_squared_gaps
 from semsim.engine import solve_batch
 
-
-@dataclass(frozen=True)
-class _NanPastThreshold:
-    """Returns ``value``, or NaN where ``|x|`` exceeds ``threshold``."""
-
-    value: float
-    threshold: float
-
-    def __call__(self, t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(np.abs(x) > self.threshold, np.nan, self.value)
-
-
-@dataclass(frozen=True)
-class _RaisingPastThreshold:
-    """Returns ``value``, or raises once any ``|x|`` exceeds ``threshold``."""
-
-    value: float
-    threshold: float
-
-    def __call__(self, t, x):
-        x = np.asarray(x, dtype=np.float64)
-        if np.any(np.abs(x) > self.threshold):
-            raise FloatingPointError("state out of the evaluator's domain")
-        return np.full(x.shape, self.value)
+from _evaluators import NanPastThreshold, RaisingPastThreshold
+from _exact import scheme_weights
 
 
 def _manual_ensemble():
@@ -109,6 +87,8 @@ class TestEstimateMoment:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="p must be nonnegative"):
             estimate_moment(_manual_ensemble(), p=-1.0, node=0)
+        with pytest.raises(ValueError, match="p must be nonnegative"):
+            estimate_moment(_manual_ensemble(), p=float("nan"), node=0)
 
 
 class TestFitLoglogSlope:
@@ -169,6 +149,8 @@ class TestEstimateHolder:
             estimate_holder(path, lags=(1, 2, 17))
         with pytest.raises(ValueError, match="q must be positive"):
             estimate_holder(path, q=0.0)
+        with pytest.raises(ValueError, match="q must be positive"):
+            estimate_holder(path, q=float("nan"))
 
     def test_brownian_exponent_near_half(self, brownian_path_16k):
         est = estimate_holder(brownian_path_16k, q=2.0)
@@ -286,6 +268,29 @@ class TestConvergenceStudy:
             gap = solve_batch(level_cfg, dB) - reference[:, ::stride]
             assert squared.tobytes() == (gap * gap).tobytes()
 
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    def test_mean_squared_gaps_match_their_exact_expectation(self, h):
+        # For a constant Hurst value and no dampening, the gap at level node
+        # k, fine node K = k s, is linear in the fine increments: its square
+        # has mean E = dt_f sum_j (C_l[k, j] - C_f[K, j])**2 and variance
+        # 2 E**2.  The bound |z| <= 4.5 at every node and the seed were
+        # fixed before the first run.  Node 0 has no gap at all.
+        cfg = SimulationConfig(grid=make_grid(1.0, 16), hurst=builtin_hurst("constant", [h]),
+                               seed=Seed(2019), n_paths=2000)
+        n_levels, refine_factor = 4, 2
+        finest = refine_config(cfg, refine_factor ** n_levels)
+        levels = [refine_config(cfg, refine_factor ** level) for level in range(n_levels)]
+        gaps = _coupled_squared_gaps(finest, 0, cfg.n_paths, levels)
+        reference = scheme_weights(finest.grid, h)
+        for level, squared in zip(levels, gaps):
+            stride = finest.grid.steps // level.grid.steps
+            diff = scheme_weights(level.grid, h, stride) - reference[::stride]
+            expected = finest.grid.dt * np.sum(diff * diff, axis=1)
+            mean = squared.mean(axis=0)
+            assert mean[0] == expected[0] == 0.0
+            z = (mean[1:] - expected[1:]) / (expected[1:] * math.sqrt(2.0 / cfg.n_paths))
+            assert np.max(np.abs(z)) <= 4.5
+
     def test_worker_count_does_not_change_report(self, monkeypatch):
         # Base N = 64 puts the reference on N = 512, so the 40 seeds run as
         # two blocks of 32 and 8 seeds, the first in this process and the
@@ -322,7 +327,7 @@ class TestConvergenceStudy:
         # pool.  The evaluation that raises covers a whole block; the error
         # must name the lowest seed whose own study raises, not the first
         # seed of the block.
-        hurst = HurstFunction(_RaisingPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,
+        hurst = HurstFunction(RaisingPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,
                               lip_t=0.0, lip_x=0.0)
         cfg = replace(self._trig_config(), grid=make_grid(1.0, 64), hurst=hurst)
         finest = refine_config(cfg, 2 ** 3)
@@ -348,7 +353,7 @@ class TestConvergenceStudy:
         # N = 128, which the config never names.  The reference is solved
         # first, so the first NaN is found there, and its step counts nodes
         # of that grid.
-        hurst = HurstFunction(_NanPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,
+        hurst = HurstFunction(NanPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,
                               lip_t=0.0, lip_x=0.0)
         cfg = replace(self._trig_config(), grid=make_grid(1.0, 16), hurst=hurst)
         finest = refine_config(cfg, 2 ** 3)

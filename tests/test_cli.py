@@ -401,6 +401,27 @@ class TestAnalysisCommands:
             assert payload["median_exponent"] == float(np.median([e.exponent for e in estimates]))
 
 
+class TestHandlers:
+    def test_each_handler_returns_the_file_main_writes(self, tmp_path):
+        # A handler writes nothing: it returns its file's name and text, one
+        # string or its chunks, and main writes that file and the manifest.
+        from semsim import cli
+
+        config_path, raw = _write_config(tmp_path, {
+            "converge": {"n_levels": 3, "refine_factor": 2}, "holder": {"q": 2.0},
+            "acf": {"max_lag": 3}, "moments": {"p": [1.0, 2.0], "nodes": [0, 16]},
+        })
+        config = parse_config(raw)
+        for command, handler in cli._COMMANDS.items():
+            out = tmp_path / command
+            assert main([command, "--config", config_path, "--output-dir", str(out)]) == 0
+            name, text = handler(config, cli._section(config, command), 1)
+            text = text if isinstance(text, str) else "".join(text)
+            assert sorted(p.name for p in out.iterdir()) == sorted([name, "manifest.json"])
+            assert json.loads((out / "manifest.json").read_text())["files"] == [name]
+            assert (out / name).read_bytes() == text.encode()
+
+
 class TestExitCodes:
     def test_invalid_json_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

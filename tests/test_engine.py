@@ -48,6 +48,8 @@ from semsim.engine import _Kernel, _run_block, run_blocks, solve_batch
 from semsim.kernels import kernel_values
 from semsim.randomness import coarsen
 
+from _evaluators import NanPastThreshold, RaisingPastThreshold
+
 
 @dataclass(frozen=True)
 class _FixedValue:
@@ -89,32 +91,6 @@ class _ConstantArray:
 
     def __call__(self, t, x):
         return np.full(np.shape(x), self.value)
-
-
-@dataclass(frozen=True)
-class _NanPastThreshold:
-    """Returns ``value``, or NaN where ``|x|`` exceeds ``threshold``."""
-
-    value: float
-    threshold: float
-
-    def __call__(self, t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(np.abs(x) > self.threshold, np.nan, self.value)
-
-
-@dataclass(frozen=True)
-class _RaisingPastThreshold:
-    """Returns ``value``, or raises once any ``|x|`` exceeds ``threshold``."""
-
-    value: float
-    threshold: float
-
-    def __call__(self, t, x):
-        x = np.asarray(x, dtype=np.float64)
-        if np.any(np.abs(x) > self.threshold):
-            raise FloatingPointError("state out of the evaluator's domain")
-        return np.full(x.shape, self.value)
 
 
 class _CountingEvaluator:
@@ -613,7 +589,7 @@ class TestUfuncBuffer:
         assert isinstance(excinfo.value.cause, ValueError)
         assert np.getbufsize() == caller_bufsize
         nan = replace(raising, n_paths=1, hurst=HurstFunction(
-            _NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0))
+            NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0))
         with pytest.raises(PathSimulationError) as excinfo:
             simulate_discrete(nan, sample_brownian(Seed(82), grid))
         assert excinfo.value.step == 2
@@ -881,7 +857,7 @@ class TestInterpolation:
     def test_non_finite_coarse_state_names_path_and_step(self):
         # x[0] = 0 is within the threshold; the first nonzero coarse state
         # is not, so the coarse recursion fails before any fine node is built.
-        hurst = HurstFunction(_NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8,
+        hurst = HurstFunction(NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8,
                               lip_t=0.0, lip_x=0.0)
         cfg, _, fine = self._coupled_setup(builtin_hurst("constant", [0.7]))
         with pytest.raises(PathSimulationError) as excinfo:
@@ -1075,7 +1051,7 @@ class TestMonteCarlo:
         path = int(np.flatnonzero(crossed.any(axis=1))[0])
         step = int(np.argmax(crossed[path])) + 1
         broken = replace(healthy, hurst=HurstFunction(
-            _NanPastThreshold(0.7, threshold), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0
+            NanPastThreshold(0.7, threshold), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0
         ))
         with pytest.raises(PathSimulationError) as excinfo:
             monte_carlo(broken, n_workers=n_workers)
@@ -1100,7 +1076,7 @@ class TestMonteCarlo:
         path = int(np.flatnonzero(np.max(reference, axis=1) > threshold)[0])
         assert path > 0
         broken = replace(healthy, hurst=HurstFunction(
-            _RaisingPastThreshold(0.7, threshold), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0
+            RaisingPastThreshold(0.7, threshold), h_star=0.6, h_sup=0.8, lip_t=0.0, lip_x=0.0
         ))
         with pytest.raises(PathSimulationError) as excinfo:
             monte_carlo(broken, n_workers=n_workers)
@@ -1110,7 +1086,7 @@ class TestMonteCarlo:
 
     def test_simulate_discrete_rejects_non_finite_state(self):
         grid = make_grid(1.0, 64)
-        hurst = HurstFunction(_NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8,
+        hurst = HurstFunction(NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8,
                               lip_t=0.0, lip_x=0.0)
         cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(65))
         with pytest.raises(PathSimulationError) as excinfo:

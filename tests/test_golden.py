@@ -24,25 +24,35 @@ runs:
   where both exponents are in the tabled row and the diagonal loop sums.
 No example config reaches the last three.
 
-``CUSTOM_RUNS`` pin three-path batches solved with custom evaluators
+``CUSTOM_RUNS`` are three-path batches solved with custom evaluators
 whose values are not float64 arrays: a Python float, a float32 array and
 an int array, and one Hurst function declaring ``lip_t > 0``.  Each is
 also interpolated onto its 2-fold refinement, one path at a time.
 
-The digests hold for one numpy/scipy build: ``randomness`` documents that
-the C library's ``log`` behind its inverse normal CDF may move in the last
-ulp across builds, and so may numpy's ``exp``, ``log`` and ``sin``.  On
-another build the tests skip; regenerate the digests there with the same
+The digests hold for one numpy version and one SIMD class, the targets
+numpy finds on the running CPU, as ``manifest.json`` records both:
+``randomness`` documents that the C library's ``log`` behind its inverse
+normal CDF may move in the last ulp across builds, and numpy's ``exp``,
+``log`` and ``sin`` round some inputs differently in their AVX2 and
+AVX-512 kernels.  scipy plays no part: the data path imports none.
+``PINS`` holds the digests of each ``(numpy version, SIMD targets found)``
+pinned so far.  Setting ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"`` leaves numpy the ``X86_V3`` targets only, so on a host that
+finds AVX-512 one test runs this module again in a new process with that
+variable, and both classes are checked there.  On a version or class with
+no pins the digest tests skip; regenerate the digests there with the same
 code to use them.
 """
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy
 
 from semsim import (
     DampeningFunction,
@@ -62,58 +72,34 @@ from semsim.cli import main
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
-PINNED_BUILD = ("2.4.6", "1.17.1")
-
-pytestmark = pytest.mark.skipif(
-    (np.__version__, scipy.__version__) != PINNED_BUILD,
-    reason=f"digests pinned for numpy/scipy {PINNED_BUILD}",
-)
-
-CONFIG_DIGESTS = {
-    "acf_baseline": ("acf.csv", "0ec081a3ac4dfed180ac1bc1973816164a26bb16e29345b691346d08a069d855"),
-    "acf_clustering": ("acf.csv", "931908dadeb1c9b8364ac4d701316f963ebaa94feac4a739297293d84e573969"),
-    "bell_trajectory": ("paths.csv", "980005c222e206d331ee53b2ebb85c87dd4b6efb22e4392cdd47938c20e5190c"),
-    "converge_degenerate": ("convergence.json", "78534e15299f122e249befd987adaf3103f9518bcadb9c8285bed1457be6e02a"),
-    "converge_trig": ("convergence.json", "5c728f677e168bae90ff5ec25af4f68ecb774b5a2f926bc2d201ca374b55ab51"),
-    "gamma_comparison_f0": ("paths.csv", "b9ec04b697449a83a954ba5e79a87fc241cc671715dcf958bbd4d97e96af02b5"),
-    "gamma_comparison_f05": ("paths.csv", "38313356b8edb6d20c91eaf479000b2cde48d3d11da9d112da32d76e044228eb"),
-    "gamma_comparison_f1": ("paths.csv", "9f686bace0bc550c39c656c57f7aafc0037bea07ab134b81f6b0cb5b2437100d"),
-    "gamma_comparison_f10": ("paths.csv", "afae148317ed56db426bef2a2198f3f0bb456d4a6665b15ff3295f9195cb6dde"),
-    "holder_brownian": ("holder.json", "9524596944be87834e3c5e8e5159d659036e3855fe326e38a17eb0220d2ff121"),
-    "moments_gaussian": ("moments.csv", "f07eb0239c11754f5b5e81222bfd55d8efdc03a93ea0efaf6355940dfec26439"),
-    "rough_trajectory": ("paths.csv", "757b51d6be1cfba9823b466ddcfbf7590eb79cbf53a3d9090926d822ae55e07e"),
-    "smooth_trajectory": ("paths.csv", "c092564036f48231ab3a8efdfc31ae3dd8baebd735c80c7445d39ee0bb6f5429"),
-    "trig_trajectory": ("paths.csv", "c51042a84a736f15fc0fee3bf7f2f95b1f72c82b361eea01554cdb90397c67a2"),
+CONFIG_FILES = {
+    "acf_baseline": "acf.csv",
+    "acf_clustering": "acf.csv",
+    "bell_trajectory": "paths.csv",
+    "converge_degenerate": "convergence.json",
+    "converge_trig": "convergence.json",
+    "gamma_comparison_f0": "paths.csv",
+    "gamma_comparison_f05": "paths.csv",
+    "gamma_comparison_f1": "paths.csv",
+    "gamma_comparison_f10": "paths.csv",
+    "holder_brownian": "holder.json",
+    "moments_gaussian": "moments.csv",
+    "rough_trajectory": "paths.csv",
+    "smooth_trajectory": "paths.csv",
+    "trig_trajectory": "paths.csv",
 }
 
-# name -> (T, N, hurst, dampening, seed of the driving increments, digest)
+# name -> (T, N, hurst, dampening, seed of the driving increments)
 DIRECT_RUNS = {
-    "bell-bell-T10-N4096": (
-        10.0, 4096, ("bell", []), ("bell", []), 4096,
-        "6ca640c9281066d193be75af9c3cd3b18f8a084167c3edc8923234ea560091af",
-    ),
-    "trig-constdamp-T1-N512": (
-        1.0, 512, ("trig", [0.6, 0.2, 1.0]), ("constant", [1.0]), 512,
-        "cd269b49324a25d278073cea2917350fd16f037dc424bae9edaf0e3307c378e7",
-    ),
-    "constant075-T10-N1000": (
-        10.0, 1000, ("constant", [0.75]), None, 1000,
-        "4713bc63d3d8177c6e4380b7f76b5951df44ebf970d4b54e64e2796696259a16",
-    ),
-    "constant075-bell-T1-N512": (
-        1.0, 512, ("constant", [0.75]), ("bell", []), 512,
-        "44244497902452d83c054ab5adb4019130c036935e8fb44c3e097d9063ba69da",
-    ),
-    "constant075-bell-T10-N1000": (
-        10.0, 1000, ("constant", [0.75]), ("bell", []), 1000,
-        "6e26c3662ee31319918367ae186fe490dd8809b7049ff704b2df5f328ff9586a",
-    ),
+    "bell-bell-T10-N4096": (10.0, 4096, ("bell", []), ("bell", []), 4096),
+    "trig-constdamp-T1-N512": (1.0, 512, ("trig", [0.6, 0.2, 1.0]), ("constant", [1.0]), 512),
+    "constant075-T10-N1000": (10.0, 1000, ("constant", [0.75]), None, 1000),
+    "constant075-bell-T1-N512": (1.0, 512, ("constant", [0.75]), ("bell", []), 512),
+    "constant075-bell-T10-N1000": (10.0, 1000, ("constant", [0.75]), ("bell", []), 1000),
     "constant075-constdamp-T10-N1000": (
         10.0, 1000, ("constant", [0.75]), ("constant", [0.8]), 1000,
-        "7ab89df03784577694cc12ea3610f53652737006418df8aa2db3bf7057b32a9a",
     ),
 }
-
 
 
 def _python_float(t, x):
@@ -132,45 +118,139 @@ def _time_dependent_bell(t, x):
     return 0.55 + 0.1 * np.cos(t) + 0.3 / (1.0 + x * x)
 
 
-# name -> (hurst, dampening, digest of the solve, digest of the interpolation)
+# name -> (hurst, dampening)
 CUSTOM_RUNS = {
     "bell-floatdamp": (
         builtin_hurst("bell", []),
         DampeningFunction(_python_float, growth_C=0.3, lip_t=0.0, lip_x=0.0),
-        "98877b1fa43ed00042b9165252768256accb7d11fbd370311845e2e77abec852",
-        "0dd7089dfd8a2e6fbf9660cfd989d47cba0b9afd05b247d66db7806a7379825c",
     ),
     "floathurst-constdamp": (
         HurstFunction(_python_float, h_star=0.2, h_sup=0.4, lip_t=0.0, lip_x=0.0),
         builtin_dampening("constant", [0.8]),
-        "a2471fa0458447057c7fd527aedf551884cdbde783ef5170632a9556eb96483d",
-        "03439eb1ed022c2e419eb1397df6987c90ccf7a92ca026319ba2d17f7b311242",
     ),
     "float32hurst-undampened": (
         HurstFunction(_float32_rough, h_star=0.1, h_sup=0.5, lip_t=0.0, lip_x=0.8),
         None,
-        "064638a36ad4772a028cf8030e1c34f46b2f2c1bf1bd57a283bdad1ec4c2d0d2",
-        "d4b69fa06c7f9c827e9b67a0777d60451b7c3a77435aad01dfb9f28095ae732e",
     ),
     "constant075-intdamp": (
         builtin_hurst("constant", [0.75]),
         DampeningFunction(_int_steps, growth_C=1.0, lip_t=0.0, lip_x=0.0),
-        "bc06b2e3806c47b0ad7e02f1cb49b96c3f1babcedd19c22eb3b2222144f7646a",
-        "1a414d73fe5eaa0eb9556b031a5f288103d38dd9f288bdfdf84fe482fae76725",
     ),
     "float32hurst-intdamp": (
         HurstFunction(_float32_rough, h_star=0.1, h_sup=0.5, lip_t=0.0, lip_x=0.8),
         DampeningFunction(_int_steps, growth_C=1.0, lip_t=0.0, lip_x=0.0),
-        "30074451a584a40f812bcdcfc948569e98fb3cd3112815cc0e9ce17707a975bf",
-        "891b084f1ec34e68235919f0882e746bdf82eb957c689129dbc37ff2df233f01",
     ),
     "timehurst-bell": (
         HurstFunction(_time_dependent_bell, h_star=0.45, h_sup=0.95, lip_t=0.1, lip_x=0.6),
         builtin_dampening("bell", []),
-        "ea65253bbd84b5c3e4240e8676d8b06116bb4bb10505e94480937714d26c518a",
-        "90cad89cda4f3c34562df0004cfb4e4ede3d0927c7b3c7fa6d4eadda33cf0ba0",
     ),
 }
+
+# (numpy version, SIMD targets found) -> the digest of each config's data
+# file and of each direct run, and the digests of each custom run's solve
+# and of its interpolation.
+PINS = {
+    ("2.4.6", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")): {
+        "acf_baseline": "0ec081a3ac4dfed180ac1bc1973816164a26bb16e29345b691346d08a069d855",
+        "acf_clustering": "931908dadeb1c9b8364ac4d701316f963ebaa94feac4a739297293d84e573969",
+        "bell_trajectory": "980005c222e206d331ee53b2ebb85c87dd4b6efb22e4392cdd47938c20e5190c",
+        "converge_degenerate": "78534e15299f122e249befd987adaf3103f9518bcadb9c8285bed1457be6e02a",
+        "converge_trig": "5c728f677e168bae90ff5ec25af4f68ecb774b5a2f926bc2d201ca374b55ab51",
+        "gamma_comparison_f0": "b9ec04b697449a83a954ba5e79a87fc241cc671715dcf958bbd4d97e96af02b5",
+        "gamma_comparison_f05": "38313356b8edb6d20c91eaf479000b2cde48d3d11da9d112da32d76e044228eb",
+        "gamma_comparison_f1": "9f686bace0bc550c39c656c57f7aafc0037bea07ab134b81f6b0cb5b2437100d",
+        "gamma_comparison_f10": "afae148317ed56db426bef2a2198f3f0bb456d4a6665b15ff3295f9195cb6dde",
+        "holder_brownian": "9524596944be87834e3c5e8e5159d659036e3855fe326e38a17eb0220d2ff121",
+        "moments_gaussian": "f07eb0239c11754f5b5e81222bfd55d8efdc03a93ea0efaf6355940dfec26439",
+        "rough_trajectory": "757b51d6be1cfba9823b466ddcfbf7590eb79cbf53a3d9090926d822ae55e07e",
+        "smooth_trajectory": "c092564036f48231ab3a8efdfc31ae3dd8baebd735c80c7445d39ee0bb6f5429",
+        "trig_trajectory": "c51042a84a736f15fc0fee3bf7f2f95b1f72c82b361eea01554cdb90397c67a2",
+        "bell-bell-T10-N4096": "6ca640c9281066d193be75af9c3cd3b18f8a084167c3edc8923234ea560091af",
+        "trig-constdamp-T1-N512": "cd269b49324a25d278073cea2917350fd16f037dc424bae9edaf0e3307c378e7",
+        "constant075-T10-N1000": "4713bc63d3d8177c6e4380b7f76b5951df44ebf970d4b54e64e2796696259a16",
+        "constant075-bell-T1-N512": "44244497902452d83c054ab5adb4019130c036935e8fb44c3e097d9063ba69da",
+        "constant075-bell-T10-N1000": "6e26c3662ee31319918367ae186fe490dd8809b7049ff704b2df5f328ff9586a",
+        "constant075-constdamp-T10-N1000": "7ab89df03784577694cc12ea3610f53652737006418df8aa2db3bf7057b32a9a",
+        "bell-floatdamp": (
+            "98877b1fa43ed00042b9165252768256accb7d11fbd370311845e2e77abec852",
+            "0dd7089dfd8a2e6fbf9660cfd989d47cba0b9afd05b247d66db7806a7379825c",
+        ),
+        "floathurst-constdamp": (
+            "a2471fa0458447057c7fd527aedf551884cdbde783ef5170632a9556eb96483d",
+            "03439eb1ed022c2e419eb1397df6987c90ccf7a92ca026319ba2d17f7b311242",
+        ),
+        "float32hurst-undampened": (
+            "064638a36ad4772a028cf8030e1c34f46b2f2c1bf1bd57a283bdad1ec4c2d0d2",
+            "d4b69fa06c7f9c827e9b67a0777d60451b7c3a77435aad01dfb9f28095ae732e",
+        ),
+        "constant075-intdamp": (
+            "bc06b2e3806c47b0ad7e02f1cb49b96c3f1babcedd19c22eb3b2222144f7646a",
+            "1a414d73fe5eaa0eb9556b031a5f288103d38dd9f288bdfdf84fe482fae76725",
+        ),
+        "float32hurst-intdamp": (
+            "30074451a584a40f812bcdcfc948569e98fb3cd3112815cc0e9ce17707a975bf",
+            "891b084f1ec34e68235919f0882e746bdf82eb957c689129dbc37ff2df233f01",
+        ),
+        "timehurst-bell": (
+            "ea65253bbd84b5c3e4240e8676d8b06116bb4bb10505e94480937714d26c518a",
+            "90cad89cda4f3c34562df0004cfb4e4ede3d0927c7b3c7fa6d4eadda33cf0ba0",
+        ),
+    },
+    ("2.4.6", ("X86_V3",)): {
+        "acf_baseline": "572132735bb0c9baa2f1beff2549814f79d3e15f107323a6e59db16a8604d273",
+        "acf_clustering": "f70f7b4f1a56a6e8915f89241d50b5685e259838873b8ebb49a4a672730ea543",
+        "bell_trajectory": "0c77548555415dd9f147b07808e8274accaafcb398a2a04c5a5fcacd1126614e",
+        "converge_degenerate": "78534e15299f122e249befd987adaf3103f9518bcadb9c8285bed1457be6e02a",
+        "converge_trig": "0402b9d56340baab23818f2b952bf4d186c114a68c20890f8b85301abbfb6ae1",
+        "gamma_comparison_f0": "5784487141f0f612e8692a486a00feecd725429c1c24fb728b4174e9eee6d46e",
+        "gamma_comparison_f05": "2f83abae70132d500f0122af7d5c6b2e8ad9ff707c1ef159da1e9f13ab4bda92",
+        "gamma_comparison_f1": "2f599444fbccc1a2001961cedcce1133abd00c1e241952d97cb4e3d4501c7cdd",
+        "gamma_comparison_f10": "14e977e59ad09cd07a41ac76e7e3e69292a4f1bddc90ea2b149b26051cf47a92",
+        "holder_brownian": "9524596944be87834e3c5e8e5159d659036e3855fe326e38a17eb0220d2ff121",
+        "moments_gaussian": "981570f974883cbef796574aed4281227491f3970b3e7f5989d9225e6b969b03",
+        "rough_trajectory": "1fa428a8c93b3b9c14d3b56b7765d5e4cd72597281deea0cacba23a0af826f42",
+        "smooth_trajectory": "4bdfac8e57ce523928f2ff93cd4d94b7296b61b8de8aff5c901c016d61f3e54a",
+        "trig_trajectory": "5d862e97f7fd8c6023255dc9a39d344a307cfcffe0ae8573361c6560eea88db9",
+        "bell-bell-T10-N4096": "bcc72abf388fc4970f4f437538ce06afc2754e040bcccecd4891c34dfe703daf",
+        "constant075-T10-N1000": "48b21bb2475875aa95d9cbea62610c4a824e413df0169a0eb5e82e439860e677",
+        "constant075-bell-T1-N512": "ef477e212ad9c3960180f079488d6ed4d27419acbb048fa0e493600dc06908ac",
+        "constant075-bell-T10-N1000": "26f0733123753d43314f5128a8f756f6b448f4812ea8e6e6910c6f4cbd7d6bb3",
+        "constant075-constdamp-T10-N1000": "7f1dd645bb3fd0f140c19e1ea38b5f02d17fd95a9d90670dfb59a771190df9ae",
+        "trig-constdamp-T1-N512": "54c53fc41f090abeaef6bbf94c700c984b118c2082577d57e4b3248c3b1e94fe",
+        "bell-floatdamp": (
+            "0bd27771514a3758ba6bb8339b8c0932dd07a459f7d7e1345213fe714e32de6c",
+            "fa7c6faef4db79e2962f6f00e06fb846620d2ae4a8410592d1460e4791e2cca0",
+        ),
+        "constant075-intdamp": (
+            "a15c5be5dcef7efe77cb03396cd001bfe818bc53c783db2830438bac6a7a311a",
+            "aac3e71f562c153a1979321789deea1387b58d04983de08b55b8efbb60eac475",
+        ),
+        "float32hurst-intdamp": (
+            "ffea19b5cd1b545e5e41104d73a987896d34739fb4675c2684bc626011e04a3e",
+            "c35ea0674b01867f9c1862205de864b32f9452cd28874161a2613d9728de3adc",
+        ),
+        "float32hurst-undampened": (
+            "417f44206d44f955ea1ef7c6f1b75b51ca70d3ffdaedc985b8dcbaf359fd09b0",
+            "e698dc0ed7218dd9d168a6497b98a5ea78c312f27db73b0d7814b269390f4fa2",
+        ),
+        "floathurst-constdamp": (
+            "6574a2e18cb5762f7edca83ae0947fce820af47cca160c4967c8f476e917e75c",
+            "8c8073002bf89d3c8ec8db09dc4f132ee2b546219c08a2f01fb1444f3f8e0c94",
+        ),
+        "timehurst-bell": (
+            "fba7daee2d31faa865b12f28c99a2e543e281ebe36938e1308c2acbdbef83787",
+            "8c266dc042429a8600cd609fdb2b7c478432e92b9c3d25e95c4f71ac01024a7f",
+        ),
+    },
+}
+
+BUILD = (np.__version__, tuple(np.show_config(mode="dicts")["SIMD Extensions"]["found"]))
+DIGESTS = PINS.get(BUILD, {})
+
+pinned = pytest.mark.skipif(
+    BUILD not in PINS,
+    reason=f"no digests pinned for numpy {BUILD[0]} with SIMD targets {list(BUILD[1])}",
+)
 
 
 def _sha256(data: bytes) -> str:
@@ -178,10 +258,17 @@ def _sha256(data: bytes) -> str:
 
 
 def test_every_config_is_pinned():
-    assert sorted(p.stem for p in CONFIG_DIR.glob("*.json")) == sorted(CONFIG_DIGESTS)
+    assert sorted(p.stem for p in CONFIG_DIR.glob("*.json")) == sorted(CONFIG_FILES)
 
 
-@pytest.mark.parametrize("stem", sorted(CONFIG_DIGESTS))
+def test_every_class_pins_every_run():
+    runs = {*CONFIG_FILES, *DIRECT_RUNS, *CUSTOM_RUNS}
+    for build, digests in PINS.items():
+        assert set(digests) == runs, build
+
+
+@pinned
+@pytest.mark.parametrize("stem", sorted(CONFIG_FILES))
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_config_data_file_digest(stem, threads, tmp_path):
     config_path = CONFIG_DIR / f"{stem}.json"
@@ -190,14 +277,13 @@ def test_config_data_file_digest(stem, threads, tmp_path):
     assert main([command, "--config", str(config_path), "--output-dir", str(tmp_path),
                  "--threads", threads]) == 0
     data_files = sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
-    name, digest = CONFIG_DIGESTS[stem]
+    name, digest = CONFIG_FILES[stem], DIGESTS[stem]
     assert data_files == [name]
     assert _sha256((tmp_path / name).read_bytes()) == digest
 
 
-@pytest.mark.parametrize("name", sorted(DIRECT_RUNS))
-def test_direct_solve_digest(name):
-    horizon, steps, hurst, dampening, seed, digest = DIRECT_RUNS[name]
+def _direct_digest(name):
+    horizon, steps, hurst, dampening, seed = DIRECT_RUNS[name]
     grid = make_grid(horizon, steps)
     config = SimulationConfig(
         grid=grid,
@@ -206,11 +292,17 @@ def test_direct_solve_digest(name):
         seed=Seed(seed),
     )
     path = simulate_discrete(config, sample_brownian(Seed(seed), grid))
-    assert _sha256(path.values.tobytes()) == digest
+    return _sha256(path.values.tobytes())
+
+
+@pinned
+@pytest.mark.parametrize("name", sorted(DIRECT_RUNS))
+def test_direct_solve_digest(name):
+    assert _direct_digest(name) == DIGESTS[name]
 
 
 def _custom_digests(name):
-    hurst, dampening = CUSTOM_RUNS[name][:2]
+    hurst, dampening = CUSTOM_RUNS[name]
     config = SimulationConfig(grid=make_grid(1.0, 128), hurst=hurst, dampening=dampening,
                               seed=Seed(4242), n_paths=3)
     values = monte_carlo(config).values
@@ -223,6 +315,28 @@ def _custom_digests(name):
     return _sha256(values.tobytes()), _sha256(interpolated)
 
 
+@pinned
 @pytest.mark.parametrize("name", sorted(CUSTOM_RUNS))
 def test_custom_evaluator_digest(name):
-    assert _custom_digests(name) == CUSTOM_RUNS[name][2:]
+    assert _custom_digests(name) == DIGESTS[name]
+
+
+@pytest.mark.skipif(
+    "X86_V4" not in BUILD[1] or (BUILD[0], ("X86_V3",)) not in PINS,
+    reason="numpy finds no AVX-512 targets here, or the X86_V3 class has no pins",
+)
+def test_digests_of_the_x86_v3_class():
+    # Under this variable numpy finds the X86_V3 targets only.  It acts
+    # only on the process it is set in, so this module runs again in a new
+    # one, without this test.
+    this = pathlib.Path(__file__).resolve()
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(this),
+         "-k", "not test_digests_of_the_x86_v3_class"],
+        cwd=this.parent.parent,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    summary = result.stdout.strip().splitlines()[-1]
+    assert "passed" in summary and "skipped" not in summary, summary

@@ -247,6 +247,7 @@ def test_fund_ineq_coefficient_exponent_matters():
     (2.0, 1.0, -0.5, -0.1),
     (2.0, 1.0, 1.0, 0.5),
     (2.0, 1.0, 1.7, 0.5),
+    (2.0, 1.0, float("nan"), 0.5),
 ])
 def test_fund_ineq_rejects_bad_domain(u, v, alpha, beta):
     with pytest.raises(ValueError):
@@ -271,3 +272,5 @@ def test_kernel_params_validation():
         KernelParams(hurst=builtin_hurst("bell"), dampening=None, horizon=0.0)
     with pytest.raises(ValueError):
         KernelParams(hurst=builtin_hurst("bell"), dampening=None, horizon=float("inf"))
+    with pytest.raises(ValueError):
+        KernelParams(hurst=builtin_hurst("bell"), dampening=None, horizon="2.5")

@@ -99,6 +99,8 @@ def test_declared_slope_constants_are_sharp():
     ("trig", [0.9, 0.1, 2.0]),
     ("trig", [0.2, 0.2, 1.0]),
     ("no_such_family", []),
+    # A parameter is a finite int or float, never a string.
+    ("constant", ["0.5"]),
 ])
 def test_builtin_hurst_rejects(name, params):
     with pytest.raises(ValueError):
@@ -128,6 +130,8 @@ def test_vector_evaluation_clips_like_np_clip():
     ("abs_value", [2.0]),
     ("bell", [1.0]),
     ("nope", []),
+    # True == 1, but a flag is not a dampening level.
+    ("constant", [True]),
 ])
 def test_builtin_dampening_rejects(name, params):
     with pytest.raises(ValueError):

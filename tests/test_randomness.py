@@ -47,7 +47,10 @@ def test_make_grid_fractional_dt():
 @pytest.mark.parametrize(
     "horizon,steps",
     [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -3), (1.0, 2.5),
-     (1.0, float("inf")), (1.0, float("-inf")), (1.0, float("nan"))],
+     (1.0, float("inf")), (1.0, float("-inf")), (1.0, float("nan")),
+     # A horizon is a finite int or float: not a flag, a string or an int
+     # past the float range.
+     (True, 4), ("1.0", 4), pytest.param(10**400, 4, id="10**400-4")],
 )
 def test_make_grid_rejects_bad_inputs(horizon, steps):
     with pytest.raises(ValueError):
@@ -96,6 +99,8 @@ def test_seed_range_validation():
     # True == 1, but a flag is not a seed.
     with pytest.raises(ValueError, match="seed value"):
         Seed(True)
+    with pytest.raises(ValueError, match="seed value"):
+        Seed("5")
 
 
 def test_derive_path_seed_golden_values():

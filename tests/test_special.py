@@ -81,6 +81,8 @@ class TestMittagLeffler:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             mittag_leffler(1.0, beta=0.5, tolerance=0.0)
+        with pytest.raises(ValueError):
+            mittag_leffler(1.0, beta=0.5, tolerance=float("nan"))
 
     @pytest.mark.parametrize(("z", "beta"), [(19.5, 0.05), (710.0, 1.0)], ids=["term", "sum"])
     def test_overflow_is_infinite(self, z, beta):
@@ -128,6 +130,7 @@ class TestGronwallBound:
             (1.0, 1.0, 0.0, 1.0),
             (1.0, 1.0, 1.5, 1.0),
             (1.0, 1.0, 0.5, -1.0),
+            (float("nan"), 1.0, 0.5, 1.0),
         ],
     )
     def test_rejects_bad_inputs(self, a, g, beta, t):
