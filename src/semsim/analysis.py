@@ -137,14 +137,15 @@ def sample_moment(states: np.ndarray, p: float) -> MonteCarloEstimate:
 def fit_loglog_slope(xs, ys) -> tuple[float, float, float]:
     """OLS fit of ``log ys`` against ``log xs``: (slope, intercept, r^2).
 
-    Requires strictly positive inputs and at least two points.
+    Requires finite, strictly positive inputs and at least two points.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
         raise ValueError("need two 1-d arrays of equal length >= 2")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise ValueError("log-log fit requires strictly positive data")
+    # Written so NaN fails it too: NaN > 0.0 is False.
+    if not np.all(np.isfinite(xs) & (xs > 0.0) & np.isfinite(ys) & (ys > 0.0)):
+        raise ValueError("log-log fit requires finite, strictly positive data")
     lx, ly = np.log(xs), np.log(ys)
     mx, my = lx.mean(), ly.mean()
     sxx = float(np.sum((lx - mx) ** 2))

@@ -218,8 +218,12 @@ def _section(config: ExperimentConfig, command: str) -> dict:
 
 
 def _csv_fields(block: np.ndarray) -> list[str]:
-    """The CSV fields of a block of paths: one comma-joined string per node."""
-    return [",".join(map(repr, states)) for states in block.T.tolist()]
+    """The CSV fields of a block of paths: one comma-joined string per node.
+
+    One node's states become Python floats at a time, so a block never
+    holds a Python float per value.
+    """
+    return [",".join(map(repr, states.tolist())) for states in block.T]
 
 
 def _cmd_simulate(config: ExperimentConfig, section: dict,
@@ -228,10 +232,12 @@ def _cmd_simulate(config: ExperimentConfig, section: dict,
     sim = config.simulation_config()
     t = sim.grid.nodes
     # Each block's task formats its own paths, so the float reprs run in the
-    # pool workers too; a block is small (engine.run_blocks sets its size),
-    # so its tolist() stays small.  The parent keeps only the formatted strings, one per
-    # node and block, never a Python float per value, and the rows are
-    # made as main writes them instead of as one whole text.
+    # pool workers too, and every worker formats an equal share: blocks of
+    # up to 2**16 states, split evenly over the workers (engine.run_blocks).
+    # A block's floats are made one node at a time.  The parent keeps only
+    # the formatted strings, one per node and block, never a Python float
+    # per value, and the rows are made as main writes them instead of as
+    # one whole text.
     fields = [block for _, block in simulate_blocks(sim, threads, _csv_fields)]
     header = "t," + ",".join(f"path_{i}" for i in range(sim.n_paths)) + "\n"
     rows = (",".join([_fmt(t[k]), *(f[k] for f in fields)]) + "\n" for k in range(t.shape[0]))

@@ -21,15 +21,20 @@ is a batch of one; :func:`simulate_blocks` (behind :func:`monte_carlo`
 and every command of ``cli``) and the refinement study in ``analysis``
 solve contiguous blocks of paths through one block runner,
 :func:`run_blocks`, which sizes the blocks.  The worker count counts the
-processes that compute, the calling one included.  Every block task is
-``task(config, start, stop)``, its other inputs bound with
-``functools.partial``, and the block runner wraps it.  When more than one
-worker is asked for and there is more than one block, the calling
-process runs blocks ``0, W, 2W, ...`` of the ``W`` workers itself and a
-process pool of ``W - 1`` runs the others through the same callable, one
-task per block.  A task that does not pickle runs in the calling process:
-the builtin ``map`` then runs every block here.  Results arrive in block
-order either way.
+processes that compute, the calling one included.  A block holds at most
+``2**16`` states, paths times steps, whatever the kernel (one path when
+``N`` is larger), and the paths are split evenly: block sizes differ by
+at most one path.  With ``W > 1`` workers the block count is rounded up
+to a multiple of ``W``, capped at one block per path, so every worker
+gets the same number of blocks and none idles while another finishes a
+longer share.  Every block task is ``task(config, start, stop)``, its
+other inputs bound with ``functools.partial``, and the block runner wraps
+it.  When more than one worker is asked for and there is more than one
+path, the calling process runs blocks ``0, W, 2W, ...`` of the ``W``
+workers itself and a process pool of ``W - 1`` runs the others through
+the same callable, one task per block.  A task that does not pickle runs
+in the calling process, split as for one worker: the builtin ``map`` then
+runs every block here.  Results arrive in block order either way.
 
 Columns
 -------
@@ -177,8 +182,8 @@ __all__ = [
     "refine_config",
 ]
 
-# Paths per block are chosen so a block holds about this many states.
-_BLOCK_STATES = 2 ** 14
+# A block holds at most this many states, paths times steps, or one path.
+_BLOCK_STATES = 2 ** 16
 
 # The ufunc buffer size, in elements, while state-dependent columns are
 # built (see ``_column_sums``): numpy's minimum.
@@ -580,36 +585,56 @@ def _run_block(task: Callable, config: SimulationConfig, start: int, stop: int):
         raise PathSimulationError(start, exc) from exc
 
 
+def _block_bounds(n_paths: int, steps: int, n_workers: int) -> tuple[list[int], list[int]]:
+    """The starts and stops of the blocks that ``n_workers`` workers solve.
+
+    There are ``ceil(n_paths / max(1, _BLOCK_STATES // steps))`` blocks, so
+    none holds more than ``_BLOCK_STATES`` states unless one path does.
+    With ``n_workers > 1`` the count is rounded up to a multiple of
+    ``n_workers``, capped at ``n_paths``: each worker then gets as many
+    blocks as the others, and no block has more than ``ceil(n_paths /
+    n_workers)`` paths.  Block ``b`` is the paths ``[n_paths * b //
+    n_blocks, n_paths * (b + 1) // n_blocks)``, so sizes differ by at most
+    one path.
+    """
+    n_blocks = -(-n_paths // max(1, _BLOCK_STATES // steps))
+    if n_workers > 1:
+        n_blocks = min(n_paths, -(-n_blocks // n_workers) * n_workers)
+    bounds = [n_paths * b // n_blocks for b in range(n_blocks + 1)]
+    return bounds[:-1], bounds[1:]
+
+
 def run_blocks(task: Callable, config: SimulationConfig, n_workers: int
                ) -> Iterator[tuple[int, object]]:
     """Yield ``(start, task(config, start, stop))`` block by block, in order.
 
-    The paths ``range(config.n_paths)`` are cut into contiguous blocks of
-    ``max(1, 2**14 // N)`` for the ``N`` steps of ``config.grid``, and
-    ``run = partial(_run_block, task, config)`` runs each; a task's other
-    inputs are bound into it with ``functools.partial``.  ``n_workers``
-    counts the processes that compute, this one included.  With ``W =
-    min(n_workers, blocks) > 1``, this process runs blocks ``0, W, 2W,
-    ...`` itself, each when its turn comes, and the map of a pool of ``W -
-    1`` workers runs the others through the same ``run``, one task per
-    block.  A task that does not pickle runs in the calling process: ``W``
-    drops to 1 when ``run`` does not pickle, and one worker runs every
-    block here under the builtin ``map``.  Either way a failure raises
-    :class:`PathSimulationError` naming the lowest failing path, from the
-    first failing block, and however the caller stops reading, the blocks
-    not yet started are dropped: this process starts none of its own after
-    reading a failure.
+    ``n_workers`` counts the processes that compute, this one included,
+    and is capped at ``config.n_paths``.  The paths ``range(config.n_paths)``
+    are cut into the contiguous blocks of :func:`_block_bounds`: at most
+    ``2**16`` states (paths times the ``N`` steps of ``config.grid``) or
+    one path each, sizes that differ by at most one path, and, for ``W >
+    1`` workers, a block count that is a multiple of ``W`` (or one block
+    per path when there are fewer), so the workers get equal shares.
+    ``run = partial(_run_block, task, config)`` runs each block; a task's
+    other inputs are bound into it with ``functools.partial``.  With ``W >
+    1``, this process runs blocks ``0, W, 2W, ...`` itself, each when its
+    turn comes, and the map of a pool of ``W - 1`` workers runs the others
+    through the same ``run``, one task per block.  A task that does not
+    pickle runs in the calling process: ``W`` drops to 1 when ``run`` does
+    not pickle, and the blocks of one worker run here under the builtin
+    ``map``.  Either way a failure raises :class:`PathSimulationError`
+    naming the lowest failing path, from the first failing block, and
+    however the caller stops reading, the blocks not yet started are
+    dropped: this process starts none of its own after reading a failure.
     """
-    n_items, block = config.n_paths, max(1, _BLOCK_STATES // config.grid.steps)
-    starts = range(0, n_items, block)
-    stops = [min(s + block, n_items) for s in starts]
-    n_workers = min(_as_int(n_workers, "n_workers", least=1), len(starts))
+    n_workers = min(_as_int(n_workers, "n_workers", least=1), config.n_paths)
     run = partial(_run_block, task, config)
     if n_workers > 1:
         try:
             pickle.dumps(run)
         except Exception:
             n_workers = 1
+    starts, stops = _block_bounds(config.n_paths, config.grid.steps, n_workers)
     if n_workers == 1:
         yield from zip(starts, map(run, starts, stops))
         return
@@ -635,8 +660,9 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
     """Solve the ``config.n_paths`` paths block by block; yield ``(start, result)`` in order.
 
     A block is the contiguous paths ``start <= i < start + P``, with ``P``
-    set by :func:`run_blocks` (fewer in the last block), and its result is
-    their ``(P, N + 1)`` states, or ``finish`` of them.  ``finish`` is bound
+    set by :func:`run_blocks`: at most ``max(1, 2**16 // N)``, and the
+    same for every block to within one path.  Its result is their ``(P,
+    N + 1)`` states, or ``finish`` of them.  ``finish`` is bound
     into the block task and runs in the task that solved the block, so
     with ``n_workers > 1`` it runs in the pool workers too.  A task that
     does not pickle runs in the calling process, so a ``finish`` that does
@@ -655,15 +681,17 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     ensemble is a pure function of the config: any worker count, including
     the serial path, produces identical output, and paths can be
     regenerated individually.  Paths are solved in the contiguous blocks of
-    :func:`run_blocks`.  ``n_workers`` counts the processes that solve,
-    this one included, and is capped at the number of blocks: with
-    ``W > 1`` of them, this process solves blocks ``0, W, 2W, ...`` and a
-    process pool of ``W - 1`` solves the others, one task per block.  A
-    single block, one worker, or a task that does not pickle (a config
-    with a lambda offset, say) runs in this process alone.  Failures
-    surface as :class:`PathSimulationError` naming the lowest failing
-    index, and the blocks not yet started when the first failing block is
-    read are dropped.
+    :func:`run_blocks`: at most ``2**16`` states or one path each, evenly
+    sized, and a multiple of the worker count in number when there are
+    enough paths, so every worker solves an equal share.  ``n_workers``
+    counts the processes that solve, this one included, and is capped at
+    the number of paths: with ``W > 1`` of them, this process solves
+    blocks ``0, W, 2W, ...`` and a process pool of ``W - 1`` solves the
+    others, one task per block.  A single path, one worker, or a task that
+    does not pickle (a config with a lambda offset, say) runs in this
+    process alone.  Failures surface as :class:`PathSimulationError`
+    naming the lowest failing index, and the blocks not yet started when
+    the first failing block is read are dropped.
     """
     values = np.empty((config.n_paths, config.grid.steps + 1))
     for start, block in simulate_blocks(config, n_workers):

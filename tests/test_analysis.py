@@ -122,6 +122,17 @@ class TestFitLoglogSlope:
         with pytest.raises(ValueError, match="slope undefined"):
             fit_loglog_slope([2.0, 2.0], [1.0, 3.0])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", ["xs", "ys"])
+    def test_rejects_non_finite_data(self, axis, value):
+        # NaN is not <= 0 and inf is positive; either would fit a NaN slope
+        # and report it with r^2 = 1.
+        data = {"xs": [1.0, 2.0, 4.0], "ys": [1.0, 2.0, 3.0]}
+        data[axis][1] = value
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            fit_loglog_slope(data["xs"], data["ys"])
+
 
 class TestEstimateHolder:
     def test_linear_path_has_exponent_one(self):
@@ -292,10 +303,11 @@ class TestConvergenceStudy:
             assert np.max(np.abs(z)) <= 4.5
 
     def test_worker_count_does_not_change_report(self, monkeypatch):
-        # Base N = 64 puts the reference on N = 512, so the 40 seeds run as
-        # two blocks of 32 and 8 seeds, the first in this process and the
-        # second in a pool of one worker; the squared gaps must still add up
-        # in seed order.
+        # Base N = 64 puts the reference on N = 512, where one block of up to
+        # 2**16 // 512 = 128 seeds holds all 40.  Two workers split them into
+        # two blocks of 20, the first run in this process and the second in
+        # a pool of one worker; the squared gaps must still add up in seed
+        # order.
         cfg = replace(self._trig_config(builtin_dampening("constant", [1.0])),
                       grid=make_grid(1.0, 64))
         serial = convergence_study(cfg, n_levels=3, refine_factor=2)
@@ -315,16 +327,16 @@ class TestConvergenceStudy:
         monkeypatch.setattr(analysis, "run_blocks", recording_run_blocks)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         pooled = convergence_study(cfg, n_levels=3, refine_factor=2, n_workers=2)
-        assert blocks == [(0, 32), (32, 40)]
+        assert blocks == [(0, 20), (20, 40)]
         assert len(pools) == 1
         assert serial == pooled
         assert serial.degenerate is False
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_raising_evaluator_names_the_failing_seed(self, n_workers):
-        # Base N = 64 puts the reference on N = 512: two blocks of 32 and 8
-        # seeds, so n_workers = 2 runs the first here and the second in a
-        # pool.  The evaluation that raises covers a whole block; the error
+        # Base N = 64 puts the reference on N = 512: the 40 seeds are one
+        # block for one worker and two of 20 for two, the first run here and
+        # the second in a pool.  The evaluation that raises covers a whole block; the error
         # must name the lowest seed whose own study raises, not the first
         # seed of the block.
         hurst = HurstFunction(RaisingPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,

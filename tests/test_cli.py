@@ -205,10 +205,13 @@ class TestSimulateCommand:
                                        {"name": "bell", "params": []}],
                              ids=["tabled", "state-dependent"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_blockwise_csv_matches_columnwise_formatter(self, tmp_path, hurst, threads):
-        # N = 128 makes blocks of 2**14 // 128 = 128 paths, so 257 paths are
-        # two full blocks and a block of one: every block's fields must join
-        # into the rows of the whole ensemble.
+    def test_blockwise_csv_matches_columnwise_formatter(self, tmp_path, monkeypatch, hurst,
+                                                        threads):
+        # Under a budget of 2**14 states, N = 128 makes blocks of at most 128
+        # paths, so 257 paths are three blocks of 85 or 86 for one thread and
+        # four of 64 or 65 for two: every block's fields must join into the
+        # rows of the whole ensemble.
+        monkeypatch.setattr(semsim.engine, "_BLOCK_STATES", 2 ** 14)
         steps, n_paths = 128, 2 * 128 + 1
         config_path, _ = _write_config(tmp_path, {"hurst": hurst, "N": steps,
                                                   "n_paths": n_paths})
@@ -277,9 +280,10 @@ class TestAnalysisCommands:
         assert math.isfinite(payload["fitted_slope"])
 
     def test_converge_thread_counts_are_byte_identical(self, tmp_path):
-        # Base N = 64 with three levels puts the reference on N = 512:
-        # 40 seeds make two blocks, so --threads 2 runs the first in this
-        # process and the second in a pool of one worker.
+        # Base N = 64 with three levels puts the reference on N = 512: the
+        # 40 seeds fit one block of up to 2**16 // 512 = 128, and --threads 2
+        # splits them into two of 20, the first run in this process and the
+        # second in a pool of one worker.
         config_path, _ = _write_config(
             tmp_path,
             overrides={"N": 64, "n_paths": 40, "converge": {"n_levels": 3, "refine_factor": 2}},
@@ -361,10 +365,12 @@ class TestAnalysisCommands:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("command", ["holder", "acf", "moments"])
-    def test_blockwise_outputs_match_api_bitwise(self, tmp_path, command, threads):
-        # N = 128 makes blocks of 128 paths, so 257 paths are two full
-        # blocks and a block of one; the blocks' results must join into the
-        # statistics of the whole ensemble.
+    def test_blockwise_outputs_match_api_bitwise(self, tmp_path, monkeypatch, command, threads):
+        # Under a budget of 2**14 states, N = 128 makes blocks of at most 128
+        # paths, so 257 paths are three blocks for one thread and four for
+        # two; the blocks' results must join into the statistics of the
+        # whole ensemble.
+        monkeypatch.setattr(semsim.engine, "_BLOCK_STATES", 2 ** 14)
         steps, n_paths, nodes, ps = 128, 2 * 128 + 1, [0, 1, 64, 128], [0.5, 2.0]
         config_path, _ = _write_config(tmp_path, {
             "N": steps, "n_paths": n_paths, "holder": {"q": 1.5, "lags": [1, 2, 4, 8]},
@@ -399,6 +405,37 @@ class TestAnalysisCommands:
                 for i, e in enumerate(estimates)
             ]
             assert payload["median_exponent"] == float(np.median([e.exponent for e in estimates]))
+
+
+class TestBlockSplit:
+    @pytest.mark.parametrize(("command", "name", "steps", "solved_on"), [
+        ("simulate", "paths.csv", 64, 64),
+        ("acf", "acf.csv", 64, 64),
+        ("converge", "convergence.json", 16, 128),
+    ], ids=["simulate", "acf", "converge"])
+    def test_data_files_do_not_depend_on_the_split(self, tmp_path, monkeypatch, command, name,
+                                                   steps, solved_on):
+        # Budgets of 2**10, 2**14 and 2**16 states at one and two threads
+        # cut the 40 paths (or seeds, solved on the study's reference grid)
+        # into between one and six blocks; every data file must be the
+        # same bytes.
+        from semsim import engine
+
+        config_path, _ = _write_config(tmp_path, {
+            "N": steps, "n_paths": 40, "acf": {"max_lag": 5},
+            "converge": {"n_levels": 3, "refine_factor": 2},
+        })
+        outputs, splits = set(), set()
+        for budget in (2 ** 10, 2 ** 14, 2 ** 16):
+            monkeypatch.setattr(engine, "_BLOCK_STATES", budget)
+            for threads in (1, 2):
+                splits.add(tuple(engine._block_bounds(40, solved_on, threads)[0]))
+                out = tmp_path / f"{budget}-{threads}"
+                assert main([command, "--config", config_path, "--output-dir", str(out),
+                             "--threads", str(threads)]) == 0
+                outputs.add((out / name).read_bytes())
+        assert len(splits) >= 4
+        assert len(outputs) == 1
 
 
 class TestHandlers:

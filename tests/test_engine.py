@@ -865,6 +865,41 @@ class TestInterpolation:
         assert (excinfo.value.path_index, excinfo.value.step) == (0, 2)
 
 
+class TestBlockBounds:
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("steps", [1, 8, 255, 256, 1000, 4096, 2 ** 16, 2 ** 17])
+    def test_blocks_split_the_paths_evenly(self, steps, n_workers):
+        budget = engine._BLOCK_STATES
+        for n_paths in [*range(1, 41), 255, 256, 257, 600, 1000, 4097]:
+            starts, stops = engine._block_bounds(n_paths, steps, n_workers)
+            sizes = [stop - start for start, stop in zip(starts, stops)]
+            # Contiguous, and every path in exactly one block.
+            assert starts[0] == 0 and stops[-1] == n_paths and starts[1:] == stops[:-1]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            if n_workers == 1:
+                # The fewest blocks within the budget.
+                assert len(sizes) == -(-n_paths // max(1, budget // steps))
+            elif n_paths >= n_workers:
+                # A multiple of the worker count, or one block per path
+                # when the paths are too few for the next multiple.
+                assert len(sizes) % n_workers == 0 or len(sizes) == n_paths
+            assert max(sizes) * steps <= max(steps, budget)
+            assert max(sizes) <= -(-n_paths // n_workers)
+
+    @pytest.mark.parametrize(("n_paths", "steps", "n_workers", "starts"), [
+        (600, 256, 2, [0, 150, 300, 450]),
+        (64, 512, 2, [0, 32]),
+        (64, 512, 1, [0]),
+        (4, 4096, 1, [0]),
+        (7, 2 ** 16, 3, list(range(7))),
+    ])
+    def test_blocks_of_some_runs(self, n_paths, steps, n_workers, starts):
+        # 600 short paths on two workers are four blocks of 150, two each;
+        # one block at N = 512 holds 64 paths, which two workers halve; past
+        # 2**16 steps every path is its own block.
+        assert engine._block_bounds(n_paths, steps, n_workers)[0] == starts
+
+
 class TestMonteCarlo:
     def _config(self, n_paths=3, steps=64, seed=61):
         return SimulationConfig(
@@ -892,18 +927,25 @@ class TestMonteCarlo:
         assert a.values.shape == (4, 65)
 
     def test_worker_count_does_not_change_output(self):
-        # Blocks of 2**14 // 2048 = 8 paths: two blocks, so this process
+        # One block of up to 2**16 // 2048 = 32 paths would hold all ten;
+        # two workers split them into two blocks of five, so this process
         # runs one and a pool of one worker the other.
         cfg = self._config(n_paths=10, steps=2048)
         serial = monte_carlo(cfg, n_workers=1)
         parallel = monte_carlo(cfg, n_workers=2)
         assert serial.values.tobytes() == parallel.values.tobytes()
 
-    @pytest.mark.parametrize("n_paths", [100, 400], ids=["2-blocks", "7-blocks"])
-    def test_three_workers_match_serial(self, n_paths):
-        # Blocks of 2**14 // 256 = 64 paths.  Two blocks cap the workers at
-        # two; seven run blocks 0, 3 and 6 here and the others in a pool
-        # of two.
+    @pytest.mark.parametrize(("n_paths", "block_states"),
+                             [(2, 2 ** 16), (400, 2 ** 16), (400, 2 ** 14)],
+                             ids=["2-blocks", "3-blocks", "9-blocks"])
+    def test_three_workers_match_serial(self, monkeypatch, n_paths, block_states):
+        # Two paths make two blocks and cap the workers at two.  At N = 256,
+        # 400 paths need two blocks of at most 2**16 // 256 = 256 paths,
+        # rounded up to three of 133 or 134, one per worker; under a budget
+        # of 2**14 states, seven of at most 64, rounded up to nine of 44 or
+        # 45, of which this process runs 0, 3 and 6 and a pool of two the
+        # others.
+        monkeypatch.setattr(engine, "_BLOCK_STATES", block_states)
         cfg = self._config(n_paths=n_paths, steps=256)
         serial = monte_carlo(cfg, n_workers=1)
         parallel = monte_carlo(cfg, n_workers=3)
@@ -911,9 +953,11 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(("n_workers", "n_blocks"), [(2, 10), (3, 7)])
     def test_caller_runs_every_n_workers_th_block(self, monkeypatch, n_workers, n_blocks):
-        # N = 2**14 makes every path its own block.  The calling process is
-        # one of the n_workers: it runs blocks 0, W, 2W, ... and the one
-        # pool, of W - 1 workers, runs the others.
+        # N = 2**16 makes every path its own block: ten blocks on two
+        # workers, and seven on three, one per path since there are too few
+        # for nine.  The calling process is one of the n_workers: it runs
+        # blocks 0, W, 2W, ... and the one pool, of W - 1 workers, runs the
+        # others.
         pools = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -922,25 +966,27 @@ class TestMonteCarlo:
                 pools.append(self._max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
+        cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 16), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(72), n_paths=n_blocks)
         pids = [pid for _, pid in run_blocks(_process_id, cfg, n_workers)]
         assert [pid == os.getpid() for pid in pids] == [i % n_workers == 0 for i in range(n_blocks)]
         assert pools == [n_workers - 1]
 
     def test_single_block_runs_without_a_pool(self, monkeypatch):
-        serial = monte_carlo(self._config(n_paths=3), n_workers=1)
+        # Two workers split any two paths or more into two blocks; one path
+        # is one block, and caps the workers at one.
+        serial = monte_carlo(self._config(n_paths=1), n_workers=1)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started for a single block")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        parallel = monte_carlo(self._config(n_paths=3), n_workers=2)
+        parallel = monte_carlo(self._config(n_paths=1), n_workers=2)
         assert serial.values.tobytes() == parallel.values.tobytes()
 
     def test_unpicklable_config_falls_back_to_serial(self, monkeypatch):
-        # Two blocks of 8 paths on N = 2048, so a pool of one worker would run
-        # beside this process.
+        # Two workers split the ten paths into two blocks of five on
+        # N = 2048, so a pool of one worker would run beside this process.
         cfg = SimulationConfig(
             grid=make_grid(1.0, 2048),
             hurst=builtin_hurst("constant", [0.6]),
@@ -958,9 +1004,11 @@ class TestMonteCarlo:
         assert serial.values.tobytes() == fallback.values.tobytes()
 
     def test_unpicklable_finish_falls_back_to_serial(self, monkeypatch):
-        # Four blocks of up to 16 paths on N = 1024.  The lambda finish is
-        # bound into the block task, which then does not pickle, so every
-        # block runs in this process.
+        # Under a budget of 2**14 states, blocks of at most 16 paths on
+        # N = 1024: four blocks of 15.  The lambda finish is bound into the
+        # block task, which then does not pickle, so every block of the
+        # one-worker split runs in this process.
+        monkeypatch.setattr(engine, "_BLOCK_STATES", 2 ** 14)
         cfg = SimulationConfig(grid=make_grid(1.0, 1024), hurst=builtin_hurst("bell", []),
                                seed=Seed(66), n_paths=60)
         serial = [(start, block.tobytes()) for start, block in simulate_blocks(cfg, 1)]
@@ -976,8 +1024,9 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("failing", [0, 8], ids=["caller-block", "pool-block"])
     def test_block_runner_adds_the_block_start_to_a_row(self, failing):
-        # Two blocks of 8 paths on N = 2048 and 2 workers: block 0 runs in
-        # this process, block 8 in the pool.  The task names its last row,
+        # One block of up to 2**16 // 2048 = 32 paths would hold all 16; two
+        # workers split them into two blocks of 8: block 0 runs in this
+        # process, block 8 in the pool.  The task names its last row,
         # 7, and the error must name the global path.
         cfg = SimulationConfig(grid=make_grid(1.0, 2048), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(67), n_paths=16)
@@ -988,14 +1037,14 @@ class TestMonteCarlo:
         assert str(excinfo.value.cause) == "row fails"
 
     def test_no_pending_block_starts_after_the_first_failing_block(self, tmp_path):
-        # N = 2**14 makes every path its own block: 24 blocks on 2 workers,
+        # N = 2**16 makes every path its own block: 24 blocks on 2 workers,
         # this process and a pool of n_workers - 1 = 1, which is given the
         # 12 odd blocks.  Block 0 fails here.  The blocks that may still run
         # are the pool's: one per pool worker, and those in its call queue,
         # which holds n_workers - 1 + 1 calls a future can no longer cancel,
         # so at most 2 * n_workers - 1 = 3; 1 and 2 markers occur.  Without
         # the cancel all 12 pool blocks would run.
-        cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
+        cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 16), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(71), n_paths=24)
         n_workers = 2
         with pytest.raises(PathSimulationError) as excinfo:
@@ -1006,11 +1055,11 @@ class TestMonteCarlo:
         assert len(list(tmp_path.iterdir())) <= 2 * n_workers - 1
 
     def test_caller_starts_no_block_after_a_pool_failure(self, tmp_path):
-        # Every path its own block on 2 workers: this process runs blocks 0
-        # and 2, the pool blocks 1 and 3.  Block 1 fails first in block
+        # N = 2**16 makes every path its own block on 2 workers: this
+        # process runs blocks 0 and 2, the pool blocks 1 and 3.  Block 1 fails first in block
         # order, so the error names it, and this process reads that failure
         # before block 2's turn comes, so block 2 never starts.
-        cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 14), hurst=builtin_hurst("constant", [0.6]),
+        cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 16), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(73), n_paths=4)
         with pytest.raises(PathSimulationError) as excinfo:
             for _ in run_blocks(partial(_fail_blocks_one_and_two, marks=tmp_path), cfg, 2):
@@ -1035,7 +1084,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_non_finite_state_names_path_and_step(self, n_workers):
-        # Two blocks of 8 paths on N = 2048.  The healthy twin returns the
+        # On N = 2048 the ten paths are one block for one worker and two
+        # blocks of five for two.  The healthy twin returns the
         # same exponent everywhere, so both runs agree bitwise until the
         # first node past the threshold; the row after it turns NaN.
         grid = make_grid(1.0, 2048)
@@ -1061,9 +1111,11 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_raising_evaluator_names_the_failing_path(self, n_workers):
-        # All four paths share one block, so the evaluation that raises
-        # covers every path; the error must still name the one whose state
-        # left the domain, not the first path of the block.
+        # The four paths are one block for one worker and two blocks of two
+        # for two; the failing path, 1, is the second of block 0 either way.
+        # The evaluation that raises covers the whole block, and the error
+        # must still name the path whose state left the domain, not the
+        # first path of the block.
         grid = make_grid(1.0, 64)
         healthy = SimulationConfig(
             grid=grid,
@@ -1213,8 +1265,8 @@ def test_counts_are_integers_or_errors(name, value):
             use(value)
 
 
-# Blocks of 2**14 // 2048 = 8 paths and, for the study, 2**14 // 512 = 32
-# seeds on its reference grid: two blocks each, so two workers run a pool.
+# Two workers split each run into two blocks, the ten paths on N = 2048
+# and the study's 40 seeds on its N = 512 reference grid, so they run a pool.
 _POOLED_USES = {
     "monte_carlo": lambda n: monte_carlo(
         replace(_COARSE, grid=make_grid(1.0, 2048), n_paths=10), n_workers=n
