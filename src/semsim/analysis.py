@@ -23,7 +23,7 @@ from .engine import (
     solve_batch,
 )
 from .randomness import _as_int, _block_sums, sample_brownian_block
-from .special import gronwall_bound
+from .special import MittagLefflerError, gronwall_bound
 
 __all__ = [
     "DegeneratePathError",
@@ -94,9 +94,11 @@ class ConvergenceReport:
     satisfies ``sup_mse <= C * dt**0.5 * E_beta(Gamma(beta) * T**beta)``
     with ``beta = h_star``: the measured data re-expressed against a
     conservative comparison-bound envelope at the floor rate 1/2.  It is
-    an annotation for calibration tests, None in the degenerate case and
-    when the envelope overflows the float range, as it does for small
-    ``h_star`` (below about 0.22 at ``T = 1``).
+    an annotation for calibration tests, None in the degenerate case, when
+    the envelope overflows the float range, as it does for small
+    ``h_star`` (below about 0.22 at ``T = 1``), and when its Mittag-Leffler
+    series does not converge within the term budget.  The annotation never
+    fails a study.
     """
 
     dt_levels: tuple[float, ...]
@@ -304,9 +306,12 @@ def convergence_study(
     envelope_constant = None
     if not degenerate:
         slope, _, _ = fit_loglog_slope(np.array(dt_levels), np.array(sup_mse))
-        envelope = gronwall_bound(1.0, 1.0, config.hurst.h_star, config.grid.horizon)
-        # A small h_star can put the envelope past the float range, and any
-        # mse over inf would read 0.0.
+        try:
+            envelope = gronwall_bound(1.0, 1.0, config.hurst.h_star, config.grid.horizon)
+        except MittagLefflerError:
+            envelope = math.inf
+        # A small h_star can put the envelope past the float range, or its
+        # series past the term budget, and any mse over inf would read 0.0.
         if math.isfinite(envelope):
             envelope_constant = max(
                 mse / (dt ** 0.5 * envelope) for dt, mse in zip(dt_levels, sup_mse)

@@ -232,8 +232,8 @@ def _cmd_simulate(config: ExperimentConfig, section: dict,
     sim = config.simulation_config()
     t = sim.grid.nodes
     # Each block's task formats its own paths, so the float reprs run in the
-    # pool workers too, and every worker formats an equal share: blocks of
-    # up to 2**16 states, split evenly over the workers (engine.run_blocks).
+    # pool workers too, and every worker formats an equal share of the
+    # blocks (engine._block_bounds states the policy).
     # A block's floats are made one node at a time.  The parent keeps only
     # the formatted strings, one per node and block, never a Python float
     # per value, and the rows are made as main writes them instead of as

@@ -20,36 +20,34 @@ batch rather than once per step of every path.  :func:`simulate_discrete`
 is a batch of one; :func:`simulate_blocks` (behind :func:`monte_carlo`
 and every command of ``cli``) and the refinement study in ``analysis``
 solve contiguous blocks of paths through one block runner,
-:func:`run_blocks`, which sizes the blocks.  The worker count counts the
-processes that compute, the calling one included.  A block holds at most
-``2**16`` states, paths times steps, whatever the kernel (one path when
-``N`` is larger), and the paths are split evenly: block sizes differ by
-at most one path.  With ``W > 1`` workers the block count is rounded up
-to a multiple of ``W``, capped at one block per path, so every worker
-gets the same number of blocks and none idles while another finishes a
-longer share.  Every block task is ``task(config, start, stop)``, its
-other inputs bound with ``functools.partial``, and the block runner wraps
-it.  When more than one worker is asked for and there is more than one
-path, the calling process runs blocks ``0, W, 2W, ...`` of the ``W``
-workers itself and a process pool of ``W - 1`` runs the others through
-the same callable, one task per block.  A task that does not pickle runs
-in the calling process, split as for one worker: the builtin ``map`` then
-runs every block here.  Results arrive in block order either way.
+:func:`run_blocks`.  The worker count counts the processes that compute,
+the calling one included, and ``_block_bounds`` states the block policy
+once: how many states a block holds, how the paths are split, and which
+runs are too small for a pool.  Every block task is ``task(config, start,
+stop)``, its other inputs bound with ``functools.partial``, and the block
+runner wraps it.  With ``W > 1`` workers the calling process runs blocks
+``0, W, 2W, ...`` itself and a process pool of ``W - 1`` runs the others
+through the same callable, one task per block.  A task that does not
+pickle runs in the calling process, split as for one worker: the builtin
+``map`` then runs every block here.  Results arrive in block order either
+way.
 
 Columns
 -------
 The solver goes column by column: once node ``i`` is final, its terms for
 every later node ``k`` are built as one column and added to the running
-sums of those nodes.  A Hurst or dampening function that declares
-``lip_t == 0`` does not depend on time, and neither does a constant one,
-so it is evaluated once per column, at ``(t_i, X[i])``: one ``evaluate``
-call on the node's states as a ``(P, 1)`` column, whose values broadcast
-along the later nodes, and N evaluations per path instead of N(N+1)/2.
+sums of those nodes.  Every state-dependent factor is evaluated in one
+``evaluate`` call per column on the node's states as a ``(P, 1)``
+column.  A Hurst or dampening function that declares ``lip_t == 0`` does
+not depend on time, and neither does a constant one, so it is evaluated
+at ``(t_i, X[i])``, with the float time ``t_i``, and its values broadcast
+along the later nodes: N evaluations per path instead of N(N+1)/2.
 Every built-in declares ``lip_t == 0``.  Whatever dtype an evaluator
 returns, a Python float, float32 or ints, its values enter the exponent
 in float64.  A function with ``lip_t > 0`` is evaluated at ``(t_k,
-X[i])`` for every later node, as the recursion reads, in one call per
-column that takes the later times as a row.  The declaration is trusted:
+X[i])`` for every later node, as the recursion reads: its call gets the
+later times as a ``(1, m)`` row, which broadcasts against the ``(P, 1)``
+states.  The declaration is trusted:
 a custom function that varies in time while declaring ``lip_t == 0`` is
 evaluated at the node times only.  :func:`~semsim.model.validate_hurst` and
 :func:`~semsim.model.validate_dampening` scan the ``t`` direction and
@@ -84,7 +82,8 @@ does not read the state, a constant Hurst value's or a constant
 dampening's, depends on the distance alone; their sum is one state-free
 row, tabled once.  A column is the state-dependent Hurst exponent plus
 the state-dependent dampening exponent plus that row, exponentiated, times
-the increments; one builder assembles every column.
+the increments; one builder assembles every column, a state-free one
+(which only refinement interpolation builds) included.
 
 Refinement interpolation takes one fine draw and nothing else: it solves
 the coarse path from the draw's exact block sums, so the two grids share
@@ -184,6 +183,9 @@ __all__ = [
 
 # A block holds at most this many states, paths times steps, or one path.
 _BLOCK_STATES = 2 ** 16
+
+# A run of at most this many states is solved in one process.
+_POOL_STATES = 2 ** 14
 
 # The ufunc buffer size, in elements, while state-dependent columns are
 # built (see ``_column_sums``): numpy's minimum.
@@ -300,9 +302,7 @@ class _Kernel:
     ``exp(exponent) * increment``, its exponent the sum of ``(h - 1/2) *
     log d`` and ``-f * d``.  The exponents that do not read the state, a
     constant Hurst value's and a constant dampening's, are summed into the
-    state-free row ``fixed``; when no factor reads the state,
-    ``by_distance`` is its ``exp``, and the kernel of nodes ``d + 1`` steps
-    apart is ``by_distance[d]``.  A column of m later nodes is written into
+    state-free row ``fixed``.  A column of m later nodes is written into
     C-contiguous ``(P, m)`` views of two flat buffers of ``P * N`` floats,
     so its ``exp`` is one flat loop rather than P strided rows; its
     broadcast products are cheap only under the small ufunc buffer that
@@ -327,12 +327,10 @@ class _Kernel:
             damp = -damp_constant * self.d
             fixed = damp if fixed is None else fixed + damp
         self.fixed = fixed
-        varies = self.h_varies or self.damp_varies
-        self.by_distance = None if varies else np.exp(fixed)
         # The exponents, and the terms; each column views its (P, m) block
         # of them.
         self.n_paths = n_paths
-        self.work = np.empty(n_paths * n) if varies else None
+        self.work = np.empty(n_paths * n)
         self.terms = np.empty(n_paths * n)
 
     def column(self, i: int, t_i: float, states: np.ndarray, weights: np.ndarray
@@ -342,51 +340,42 @@ class _Kernel:
         ``states`` is the node's ``(P, 1)`` column.  Column ``k - i - 1`` of
         the result is ``sigma(t_k, t_i, states) * weights[:, k - i - 1]``, at
         the distance ``d[k - i - 1]``; ``weights`` is ``(P, 1)`` or ``(1,
-        m)``.  The exponent goes into the work buffer: the state-dependent
-        Hurst exponent, or the ``fixed`` row when Hurst is constant, less a
-        state-dependent ``f * d`` built in the terms buffer, or plus the
-        ``fixed`` row when the dampening is constant.  One ``exp`` and one
-        product with ``weights`` give the terms.  The result is a
-        C-contiguous ``(P, m)`` view of the kernel's terms buffer, valid
-        until the next call.
+        m)``.  The exponent starts as the ``fixed`` row.  A state-dependent
+        Hurst exponent replaces it in the work buffer, plus the row when the
+        dampening is constant; a state-dependent ``f * d``, built in the
+        terms buffer, is subtracted from it.  One ``exp`` and one product
+        with ``weights`` give the terms, for a state-free kernel too.  The
+        result is a C-contiguous ``(P, m)`` view of the kernel's terms
+        buffer, valid until the next call.
         """
         m = self.t.shape[0] - 1 - i
         size = self.n_paths * m
         out = self.terms[:size].reshape(self.n_paths, m)
-        if self.by_distance is not None:
-            return np.multiply(self.by_distance[:m], weights, out=out)
         exponents = self.work[:size].reshape(self.n_paths, m)
+        exponent = None if self.fixed is None else self.fixed[:m]
         if self.h_varies:
             h = self._at_column(self.hurst, i, t_i, states)
             # In float64 whatever the evaluator returns.
             np.multiply(np.subtract(h, 0.5, dtype=np.float64), self.log_d[:m], out=exponents)
-            base = exponents
-        else:
-            base = self.fixed[:m]
+            if exponent is not None:
+                exponents += exponent
+            exponent = exponents
         if self.damp_varies:
             f = self._at_column(self.dampening, i, t_i, states)
-            np.subtract(base, np.multiply(f, self.d[:m], out=out), out=exponents)
-        elif self.fixed is not None:
-            exponents += self.fixed[:m]
-        np.exp(exponents, out=out)
+            exponent = np.subtract(exponent, np.multiply(f, self.d[:m], out=out), out=exponents)
+        np.exp(exponent, out=out)
         return np.multiply(out, weights, out=out)
 
     def _at_column(self, fn, i: int, t_i: float, states: np.ndarray):
         """``fn(t_k, states)`` for the nodes ``k > i``, broadcastable to ``(P, m)``.
 
-        A function declaring ``lip_t == 0`` is evaluated once, at ``t_i``, on
-        the ``(P, 1)`` states.  Any other gets the times ``t_k`` as a ``(1,
-        m)`` row and the states repeated over the full ``(P, m)`` shape, so
-        it is asked about one state per term it returns.  The copy is there
-        for that count, not for speed: timed against a broadcast view,
-        neither was reliably faster.
+        Every function gets the node's ``(P, 1)`` states.  One declaring
+        ``lip_t == 0`` is evaluated once, at ``t_i``; any other gets the
+        times ``t_k`` as a ``(1, m)`` row, which broadcasts against the
+        states as the :class:`~semsim.model.HurstFunction` and
+        :class:`~semsim.model.DampeningFunction` contracts state.
         """
-        if fn.lip_t == 0.0:
-            return fn.evaluate(t_i, states)
-        times = self.t[None, i + 1:]
-        full = np.empty((states.shape[0], times.shape[1]))
-        full[...] = states
-        return fn.evaluate(times, full)
+        return fn.evaluate(t_i if fn.lip_t == 0.0 else self.t[None, i + 1:], states)
 
 
 def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
@@ -406,8 +395,8 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
     kernel = _Kernel(config, n_paths)
     # Node 0 sums no terms: it is 0.0, or the offset added to -0.0.
     x0 = 0.0 if g is None else -0.0
-    if kernel.by_distance is not None:
-        x = _diagonal_sums(kernel.by_distance, increments, x0)
+    if not (kernel.h_varies or kernel.damp_varies):
+        x = _diagonal_sums(np.exp(kernel.fixed), increments, x0)
     else:
         x = np.full((n_paths, n + 1), -0.0)
         x[:, 0] = x0
@@ -531,7 +520,7 @@ def interpolate_on_refinement(
             f"fine increments must live on the {refine_factor}-fold refinement {fine.grid}"
         )
     coarse_increments = coarsen(fine_increments, refine_factor)
-    coarse_path = simulate_discrete(config, coarse_increments)
+    x_c = simulate_discrete(config, coarse_increments).values
 
     # Coarse node i is one column at fine index i r, over the fine nodes
     # j > i r.  Its weight for the fine nodes inside its own block is the
@@ -541,7 +530,6 @@ def interpolate_on_refinement(
     # grid's.
     r = refine_factor
     t_c = config.grid.nodes
-    x_c = coarse_path.values
     dB_fine = fine_increments.values
     dB_coarse = coarse_increments.values
     g = _offset_values(fine)
@@ -588,14 +576,19 @@ def _run_block(task: Callable, config: SimulationConfig, start: int, stop: int):
 def _block_bounds(n_paths: int, steps: int, n_workers: int) -> tuple[list[int], list[int]]:
     """The starts and stops of the blocks that ``n_workers`` workers solve.
 
-    There are ``ceil(n_paths / max(1, _BLOCK_STATES // steps))`` blocks, so
-    none holds more than ``_BLOCK_STATES`` states unless one path does.
-    With ``n_workers > 1`` the count is rounded up to a multiple of
+    This is the block policy, and the rest of the module points here.
+    There are ``ceil(n_paths / max(1, _BLOCK_STATES // steps))`` blocks,
+    so none holds more than ``_BLOCK_STATES`` states (``2**16``, paths
+    times steps, whatever the kernel) unless one path does.  With
+    ``n_workers > 1`` the count is rounded up to a multiple of
     ``n_workers``, capped at ``n_paths``: each worker then gets as many
     blocks as the others, and no block has more than ``ceil(n_paths /
     n_workers)`` paths.  Block ``b`` is the paths ``[n_paths * b //
     n_blocks, n_paths * (b + 1) // n_blocks)``, so sizes differ by at most
-    one path.
+    one path.  :func:`run_blocks` caps ``n_workers`` at ``n_paths``, and at
+    1 for a run of at most ``_POOL_STATES`` states (``2**14``), where
+    starting a pool costs more than it saves, before it asks for the
+    blocks.
     """
     n_blocks = -(-n_paths // max(1, _BLOCK_STATES // steps))
     if n_workers > 1:
@@ -608,13 +601,10 @@ def run_blocks(task: Callable, config: SimulationConfig, n_workers: int
                ) -> Iterator[tuple[int, object]]:
     """Yield ``(start, task(config, start, stop))`` block by block, in order.
 
-    ``n_workers`` counts the processes that compute, this one included,
-    and is capped at ``config.n_paths``.  The paths ``range(config.n_paths)``
-    are cut into the contiguous blocks of :func:`_block_bounds`: at most
-    ``2**16`` states (paths times the ``N`` steps of ``config.grid``) or
-    one path each, sizes that differ by at most one path, and, for ``W >
-    1`` workers, a block count that is a multiple of ``W`` (or one block
-    per path when there are fewer), so the workers get equal shares.
+    ``n_workers`` counts the processes that compute, this one included.
+    The paths ``range(config.n_paths)`` are cut into the contiguous blocks
+    of :func:`_block_bounds`, which also says how ``n_workers`` is capped:
+    at the paths, and at one process for a run too small for a pool.
     ``run = partial(_run_block, task, config)`` runs each block; a task's
     other inputs are bound into it with ``functools.partial``.  With ``W >
     1``, this process runs blocks ``0, W, 2W, ...`` itself, each when its
@@ -622,12 +612,14 @@ def run_blocks(task: Callable, config: SimulationConfig, n_workers: int
     through the same ``run``, one task per block.  A task that does not
     pickle runs in the calling process: ``W`` drops to 1 when ``run`` does
     not pickle, and the blocks of one worker run here under the builtin
-    ``map``.  Either way a failure raises :class:`PathSimulationError`
-    naming the lowest failing path, from the first failing block, and
-    however the caller stops reading, the blocks not yet started are
-    dropped: this process starts none of its own after reading a failure.
+    ``map``.  The size cap comes first, so a small run never pickles its
+    task.  Either way a failure raises :class:`PathSimulationError` naming
+    the lowest failing path, from the first failing block, and however the
+    caller stops reading, the blocks not yet started are dropped: this
+    process starts none of its own after reading a failure.
     """
-    n_workers = min(_as_int(n_workers, "n_workers", least=1), config.n_paths)
+    cap = config.n_paths if config.n_paths * config.grid.steps > _POOL_STATES else 1
+    n_workers = min(_as_int(n_workers, "n_workers", least=1), cap)
     run = partial(_run_block, task, config)
     if n_workers > 1:
         try:
@@ -660,9 +652,8 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
     """Solve the ``config.n_paths`` paths block by block; yield ``(start, result)`` in order.
 
     A block is the contiguous paths ``start <= i < start + P``, with ``P``
-    set by :func:`run_blocks`: at most ``max(1, 2**16 // N)``, and the
-    same for every block to within one path.  Its result is their ``(P,
-    N + 1)`` states, or ``finish`` of them.  ``finish`` is bound
+    set by the policy of ``_block_bounds``.  Its result is their ``(P, N +
+    1)`` states, or ``finish`` of them.  ``finish`` is bound
     into the block task and runs in the task that solved the block, so
     with ``n_workers > 1`` it runs in the pool workers too.  A task that
     does not pickle runs in the calling process, so a ``finish`` that does
@@ -681,17 +672,16 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     ensemble is a pure function of the config: any worker count, including
     the serial path, produces identical output, and paths can be
     regenerated individually.  Paths are solved in the contiguous blocks of
-    :func:`run_blocks`: at most ``2**16`` states or one path each, evenly
-    sized, and a multiple of the worker count in number when there are
-    enough paths, so every worker solves an equal share.  ``n_workers``
-    counts the processes that solve, this one included, and is capped at
-    the number of paths: with ``W > 1`` of them, this process solves
-    blocks ``0, W, 2W, ...`` and a process pool of ``W - 1`` solves the
-    others, one task per block.  A single path, one worker, or a task that
-    does not pickle (a config with a lambda offset, say) runs in this
-    process alone.  Failures surface as :class:`PathSimulationError`
-    naming the lowest failing index, and the blocks not yet started when
-    the first failing block is read are dropped.
+    :func:`run_blocks`, sized and spread over the workers by the policy of
+    ``_block_bounds``.  ``n_workers`` counts the processes that solve,
+    this one included: with ``W > 1`` of them, this process solves blocks
+    ``0, W, 2W, ...`` and a process pool of ``W - 1`` solves the others,
+    one task per block.  A single path, one worker, a run too small for a
+    pool, or a task that does not pickle (a config with a lambda offset,
+    say) runs in this process alone.  Failures surface as
+    :class:`PathSimulationError` naming the lowest failing index, and the
+    blocks not yet started when the first failing block is read are
+    dropped.
     """
     values = np.empty((config.n_paths, config.grid.steps + 1))
     for start, block in simulate_blocks(config, n_workers):

@@ -55,7 +55,10 @@ def mittag_leffler(
 
     Terms are computed in log space, ``exp(k * log|z| - log_gamma(k * beta
     + 1))``, to keep large ``k`` stable, and accumulation stops once a term
-    falls below ``tolerance``.  Once a term or the sum overflows the float
+    falls below ``tolerance`` or below ``2**-54`` times the sum.  The
+    terms rise and then fall, so the second test can only fire past their
+    peak, and such a term and every later one lie below half an ulp of the
+    sum: the sum is final.  Once a term or the sum overflows the float
     range the result is ``math.inf``.  Exceeding ``max_terms``, an integer
     of at least 1, raises :class:`MittagLefflerError` with the partial sum
     attached.  Intended for ``z >= 0`` (the comparison-bound regime);
@@ -81,7 +84,7 @@ def mittag_leffler(
         except OverflowError:
             return math.inf
         total += term
-        if term < tolerance or total == math.inf:
+        if term < tolerance or term < total * 2.0 ** -54 or total == math.inf:
             return total
     raise MittagLefflerError(
         f"series for E_{beta}({z}) did not converge within {max_terms} terms",

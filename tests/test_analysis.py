@@ -18,6 +18,7 @@ from semsim import (
     DegeneratePathError,
     Ensemble,
     HurstFunction,
+    MittagLefflerError,
     PathSimulationError,
     SamplePath,
     Seed,
@@ -259,6 +260,20 @@ class TestConvergenceStudy:
         assert report.envelope_constant < 2.5e-6
         assert report.n_paths == 40
         assert report.refine_factor == 2
+
+    def test_unconverged_envelope_series_leaves_no_annotation(self, monkeypatch):
+        # An envelope series past its term budget is reported like one past
+        # the float range: no envelope constant, and the study stands.
+        def unconverged(*args):
+            raise MittagLefflerError("did not converge", partial_sum=1.0, terms_used=10)
+
+        cfg = replace(self._trig_config(), n_paths=4)
+        expected = convergence_study(cfg, n_levels=3, refine_factor=2)
+        monkeypatch.setattr(analysis, "gronwall_bound", unconverged)
+        report = convergence_study(cfg, n_levels=3, refine_factor=2)
+        assert expected.envelope_constant is not None
+        assert report.envelope_constant is None
+        assert report == replace(expected, envelope_constant=None)
 
     @pytest.mark.parametrize("refine_factor", [2, 3])
     def test_block_gaps_match_per_path_coarsening(self, refine_factor):

@@ -192,7 +192,9 @@ class TestSimulateCommand:
         simd = json.loads((out / "manifest.json").read_text())["numpy"]["simd"]
         assert not any(t == "X86_V4" or t.startswith("AVX512") for t in simd), simd
 
-    def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path):
+    def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path, monkeypatch):
+        # With no pool floor, two threads run a pool on the small config.
+        monkeypatch.setattr(semsim.engine, "_POOL_STATES", 0)
         config_path, _ = _write_config(tmp_path)
         outputs = []
         for label, extra in (("a", []), ("b", []), ("c", ["--threads", "2"])):
@@ -278,6 +280,23 @@ class TestAnalysisCommands:
         assert payload["flag"] == "ok"
         assert payload["envelope_constant"] is None
         assert math.isfinite(payload["fitted_slope"])
+
+    def test_converge_with_a_long_envelope_series(self, tmp_path):
+        # h_star = 0.1 at T = 1e-7 makes the envelope E_0.1(1.898...), whose
+        # terms fall below the series' absolute tolerance only after about
+        # 16,700 of them, past its budget of 10,000; the sum is final after
+        # about 8,100.
+        config_path, _ = _write_config(
+            tmp_path,
+            overrides={"hurst": {"name": "trig", "params": [0.3, 0.2, 1.0]}, "T": 1e-7,
+                       "N": 8, "n_paths": 4, "converge": {"n_levels": 3, "refine_factor": 2}},
+        )
+        out = tmp_path / "out"
+        assert main(["converge", "--config", config_path, "--output-dir", str(out)]) == 0
+        payload = json.loads((out / "convergence.json").read_text())
+        assert payload["flag"] == "ok"
+        assert math.isfinite(payload["envelope_constant"])
+        assert payload["envelope_constant"] > 0.0
 
     def test_converge_thread_counts_are_byte_identical(self, tmp_path):
         # Base N = 64 with three levels puts the reference on N = 512: the
@@ -418,9 +437,10 @@ class TestBlockSplit:
         # Budgets of 2**10, 2**14 and 2**16 states at one and two threads
         # cut the 40 paths (or seeds, solved on the study's reference grid)
         # into between one and six blocks; every data file must be the
-        # same bytes.
+        # same bytes.  With no pool floor, two threads run a pool.
         from semsim import engine
 
+        monkeypatch.setattr(engine, "_POOL_STATES", 0)
         config_path, _ = _write_config(tmp_path, {
             "N": steps, "n_paths": 40, "acf": {"max_lag": 5},
             "converge": {"n_levels": 3, "refine_factor": 2},

@@ -94,7 +94,7 @@ class _ConstantArray:
 
 
 class _CountingEvaluator:
-    """Bell-shaped evaluator that counts the states it is asked about.
+    """Bell-shaped evaluator that counts the ``(t, x)`` pairs it is asked about.
 
     ``bufsizes`` records ``np.getbufsize()`` at every call.
     """
@@ -106,7 +106,7 @@ class _CountingEvaluator:
     def __call__(self, t, x):
         self.bufsizes.append(np.getbufsize())
         x = np.asarray(x, dtype=np.float64)
-        self.values += x.size
+        self.values += np.broadcast(t, x).size
         return 0.5 + 0.3 / (1.0 + x * x)
 
 
@@ -244,7 +244,7 @@ class TestAgainstNaiveRecursion:
         np.testing.assert_allclose(path.values, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("driver", ["simulate_discrete", "monte_carlo"])
-    def test_time_dependent_functions_are_evaluated_per_row(self, driver):
+    def test_time_dependent_functions_are_evaluated_per_row(self, monkeypatch, driver):
         # With lip_t > 0 the kernel of row k must see h and f at the row
         # time t_k; a per-node cache evaluated at t_i would miss the
         # double loop by far more than the tolerance.
@@ -262,6 +262,8 @@ class TestAgainstNaiveRecursion:
             got = [simulate_discrete(cfg, incr).values]
             increments = [incr]
         else:
+            # With no pool floor, the pool solves one of the two blocks.
+            monkeypatch.setattr(engine, "_POOL_STATES", 0)
             got = list(monte_carlo(cfg, n_workers=2).values)
             increments = [
                 sample_brownian(derive_path_seed(cfg.seed, i), cfg.grid) for i in range(3)
@@ -519,7 +521,7 @@ class TestColumnBlocks:
         grid = make_grid(1.0, 64)
         cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(77), dampening=dampening)
         kernel = _Kernel(cfg, 3)
-        assert kernel.by_distance is None
+        assert kernel.h_varies or kernel.damp_varies
         states = np.array([-0.5, 0.0, 0.5])
         for i in (1, 30, 63):
             block = kernel.column(i, grid.nodes[i], states[:, None], np.ones((3, 1)))
@@ -680,9 +682,13 @@ def _tabled_config(dampening, offset=None, horizon=1.0, steps=64):
 
 
 def _distance_sums(config: SimulationConfig, dB: np.ndarray) -> np.ndarray:
-    """Plain Python left-to-right sums of ``by_distance[k - i - 1] * dB[i]``, plus the offset."""
-    by_distance = _Kernel(config, dB.shape[0]).by_distance
-    assert by_distance is not None
+    """Plain Python left-to-right sums of ``by_distance[k - i - 1] * dB[i]``, plus the offset.
+
+    ``by_distance`` is the ``exp`` of the kernel's state-free row.
+    """
+    kernel = _Kernel(config, dB.shape[0])
+    assert not (kernel.h_varies or kernel.damp_varies)
+    by_distance = np.exp(kernel.fixed)
     g = config.offset_g
     t = config.grid.nodes
     rows = []
@@ -722,7 +728,8 @@ class TestDiagonalLoop:
     def test_constant_kernel_is_tabled_on_inexact_grid(self, dampening):
         cfg = _tabled_config(dampening, horizon=10.0, steps=1000)
         kernel = _Kernel(cfg, 1)
-        assert kernel.by_distance is not None and kernel.by_distance.shape == (1000,)
+        assert not (kernel.h_varies or kernel.damp_varies)
+        assert np.exp(kernel.fixed).shape == (1000,)
 
     def test_path_bits_do_not_depend_on_the_batch(self):
         cfg = _tabled_config(builtin_dampening("constant", [0.8]), math.sin)
@@ -758,6 +765,7 @@ class TestDiagonalLoop:
 
 
 _TRIG = builtin_hurst("trig", [0.6, 0.2, 1.0])
+_CONSTANT = builtin_hurst("constant", [0.7])
 
 # (hurst, dampening, offset, coarse steps on T = 1, refinement factor)
 _INTERPOLATION_CASES = [
@@ -768,8 +776,13 @@ _INTERPOLATION_CASES = [
     (_TRIG, builtin_dampening("abs_value", []), None, 32, 3),
     # 1/25 is inexact, so neither grid has exact node products.
     (_TRIG, builtin_dampening("bell", []), math.sin, 25, 3),
+    # State-free kernels: the coarse path comes from the diagonal loop, the
+    # fine nodes from the columns.
+    (_CONSTANT, None, None, 32, 4),
+    (_CONSTANT, builtin_dampening("constant", [0.8]), math.sin, 32, 2),
 ]
-_INTERPOLATION_IDS = ["plain", "dampened-offset", "time-dependent", "r3", "inexact-r3"]
+_INTERPOLATION_IDS = ["plain", "dampened-offset", "time-dependent", "r3", "inexact-r3",
+                      "constant", "constant-dampened-offset"]
 
 
 class TestInterpolation:
@@ -786,10 +799,14 @@ class TestInterpolation:
         return cfg, coarse_path, fine
 
     def test_refine_factor_one_is_identity(self):
-        cfg, _, fine = self._coupled_setup(builtin_hurst("trig", [0.6, 0.2, 1.0]), refine=1)
-        out = interpolate_on_refinement(cfg, fine, 1)
-        assert out.values.tobytes() == simulate_discrete(cfg, fine).values.tobytes()
-        assert out.grid == cfg.grid
+        # A state-free kernel's coarse path is solved by the diagonal loop,
+        # and the columns must rebuild it bit for bit.
+        for hurst, dampening in [(_TRIG, None), (_CONSTANT, None),
+                                 (_CONSTANT, builtin_dampening("constant", [0.8]))]:
+            cfg, _, fine = self._coupled_setup(hurst, dampening, refine=1)
+            out = interpolate_on_refinement(cfg, fine, 1)
+            assert out.values.tobytes() == simulate_discrete(cfg, fine).values.tobytes()
+            assert out.grid == cfg.grid
 
     def test_coarse_nodes_agree_bitwise(self):
         for hurst, dampening, offset, steps, r in _INTERPOLATION_CASES:
@@ -798,7 +815,9 @@ class TestInterpolation:
             assert out.grid.steps == steps * r
             # A coarse time that is an ulp off the fine time of the same
             # instant (8 of 26 on the inexact grid with r = 3) sees other
-            # distances; every coarse node that is a fine node agrees bitwise.
+            # distances, and a node whose time is shared still sums terms at
+            # such distances; in these cases every coarse node that is a
+            # fine node agrees bitwise.
             shared = cfg.grid.nodes == out.grid.nodes[::r]
             assert shared.all() or not cfg.grid.has_exact_nodes
             assert shared.sum() >= steps // 2
@@ -939,13 +958,14 @@ class TestMonteCarlo:
                              [(2, 2 ** 16), (400, 2 ** 16), (400, 2 ** 14)],
                              ids=["2-blocks", "3-blocks", "9-blocks"])
     def test_three_workers_match_serial(self, monkeypatch, n_paths, block_states):
-        # Two paths make two blocks and cap the workers at two.  At N = 256,
-        # 400 paths need two blocks of at most 2**16 // 256 = 256 paths,
-        # rounded up to three of 133 or 134, one per worker; under a budget
-        # of 2**14 states, seven of at most 64, rounded up to nine of 44 or
-        # 45, of which this process runs 0, 3 and 6 and a pool of two the
-        # others.
+        # Two paths make two blocks and cap the workers at two; with no pool
+        # floor their 512 states start a pool too.  At N = 256, 400 paths
+        # need two blocks of at most 2**16 // 256 = 256 paths, rounded up to
+        # three of 133 or 134, one per worker; under a budget of 2**14
+        # states, seven of at most 64, rounded up to nine of 44 or 45, of
+        # which this process runs 0, 3 and 6 and a pool of two the others.
         monkeypatch.setattr(engine, "_BLOCK_STATES", block_states)
+        monkeypatch.setattr(engine, "_POOL_STATES", 0)
         cfg = self._config(n_paths=n_paths, steps=256)
         serial = monte_carlo(cfg, n_workers=1)
         parallel = monte_carlo(cfg, n_workers=3)
@@ -983,6 +1003,40 @@ class TestMonteCarlo:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         parallel = monte_carlo(self._config(n_paths=1), n_workers=2)
         assert serial.values.tobytes() == parallel.values.tobytes()
+
+    @pytest.mark.parametrize(("pool_states", "pools"), [(512, []), (511, [1])],
+                             ids=["at-the-floor", "past-the-floor"])
+    def test_small_runs_start_no_pool(self, monkeypatch, pool_states, pools):
+        # Two paths of 256 steps are 512 states.  A run of at most
+        # _POOL_STATES states is solved here, before its task is pickled;
+        # one state more gives two blocks, one of them in a pool of one.
+        started, probed = [], []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self._max_workers)
+
+        class RecordingPickle:
+            @staticmethod
+            def dumps(obj):
+                probed.append(obj)
+                return pickle.dumps(obj)
+
+        cfg = self._config(n_paths=2, steps=256)
+        serial = monte_carlo(cfg, n_workers=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(engine, "pickle", RecordingPickle)
+        monkeypatch.setattr(engine, "_POOL_STATES", pool_states)
+        parallel = monte_carlo(cfg, n_workers=2)
+        assert serial.values.tobytes() == parallel.values.tobytes()
+        assert started == pools
+        assert len(probed) == len(pools)
+
+    def test_the_pool_floor_keeps_the_benchmark_pools(self):
+        # A coupled study's 64 seeds on an N = 512 reference and 600 paths
+        # of 256 steps run pools; the floor lies below both.
+        assert engine._POOL_STATES < min(64 * 512, 600 * 256)
 
     def test_unpicklable_config_falls_back_to_serial(self, monkeypatch):
         # Two workers split the ten paths into two blocks of five on
@@ -1070,7 +1124,9 @@ class TestMonteCarlo:
         assert not (tmp_path / "started-2").exists()
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_path_failure_names_the_index(self, n_workers):
+    def test_path_failure_names_the_index(self, monkeypatch, n_workers):
+        # With no pool floor, two workers run the two paths in two processes.
+        monkeypatch.setattr(engine, "_POOL_STATES", 0)
         broken = HurstFunction(
             evaluator=_RaisingEvaluator(), h_star=0.4, h_sup=0.6, lip_t=0.0, lip_x=0.0
         )
@@ -1110,12 +1166,14 @@ class TestMonteCarlo:
         assert f"path {path} at step {step}" in str(excinfo.value)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_raising_evaluator_names_the_failing_path(self, n_workers):
-        # The four paths are one block for one worker and two blocks of two
-        # for two; the failing path, 1, is the second of block 0 either way.
+    def test_raising_evaluator_names_the_failing_path(self, monkeypatch, n_workers):
+        # The four paths are one block for one worker and, with no pool
+        # floor, two blocks of two for two; the failing path, 1, is the
+        # second of block 0 either way.
         # The evaluation that raises covers the whole block, and the error
         # must still name the path whose state left the domain, not the
         # first path of the block.
+        monkeypatch.setattr(engine, "_POOL_STATES", 0)
         grid = make_grid(1.0, 64)
         healthy = SimulationConfig(
             grid=grid,

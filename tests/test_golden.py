@@ -68,6 +68,7 @@ from semsim import (
     sample_brownian,
     simulate_discrete,
 )
+from semsim import engine
 from semsim.cli import main
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -270,7 +271,9 @@ def test_every_class_pins_every_run():
 @pinned
 @pytest.mark.parametrize("stem", sorted(CONFIG_FILES))
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_config_data_file_digest(stem, threads, tmp_path):
+def test_config_data_file_digest(stem, threads, tmp_path, monkeypatch):
+    # With no pool floor, two threads run a pool on every config.
+    monkeypatch.setattr(engine, "_POOL_STATES", 0)
     config_path = CONFIG_DIR / f"{stem}.json"
     raw = json.loads(config_path.read_text())
     command = next((c for c in ("converge", "holder", "acf", "moments") if c in raw), "simulate")

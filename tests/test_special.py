@@ -90,6 +90,24 @@ class TestMittagLeffler:
         # E_1(710) = e**710 is finite, but their sum is not.
         assert mittag_leffler(z, beta) == math.inf
 
+    @pytest.mark.parametrize(("z", "beta"), [
+        # Its terms peak near 1e262 and fall below 1e-12 only at k = 16,737.
+        (math.gamma(0.1) * 1e-7 ** 0.1, 0.1),
+        (1.0, 0.05), (5.0, 0.3), (2.5, 0.5), (40.0, 1.0), (0.001, 0.7),
+    ], ids=["past-the-budget", "1-0.05", "5-0.3", "2.5-0.5", "40-1", "0.001-0.7"])
+    def test_sum_is_final_once_a_term_is_below_half_an_ulp(self, z, beta):
+        # The series summed left to right until a term is below the
+        # tolerance, however many terms that takes: the same bits, within
+        # the default budget of 10,000 terms.
+        log_z, total = math.log(z), 0.0
+        for k in range(10 ** 5):
+            term = math.exp(k * log_z - math.lgamma(k * beta + 1.0))
+            total += term
+            if term < 1e-12:
+                break
+        assert math.isfinite(total)
+        assert mittag_leffler(z, beta) == total
+
     def test_truncation_error_carries_state(self):
         with pytest.raises(MittagLefflerError) as excinfo:
             mittag_leffler(50.0, beta=0.3, max_terms=5)
