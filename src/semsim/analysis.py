@@ -124,11 +124,15 @@ def sample_moment(states: np.ndarray, p: float) -> MonteCarloEstimate:
     """Monte Carlo estimate of ``E|X|**p`` from the 1-d samples ``states`` of ``X``.
 
     The standard error is the sample standard deviation over the square
-    root of the sample count, and 0 for a single sample.
+    root of the sample count, and 0 for a single sample.  ``states`` that
+    are empty or not 1-d raise ``ValueError``.
     """
     p = float(p)
     if not p >= 0.0:
         raise ValueError(f"moment order p must be nonnegative, got {p!r}")
+    states = np.asarray(states)
+    if states.ndim != 1 or states.size == 0:
+        raise ValueError(f"states must be a non-empty 1-d array, got shape {states.shape}")
     samples = np.abs(states) ** p
     m = samples.shape[0]
     value = float(np.mean(samples))

@@ -193,16 +193,22 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _atomic_write(directory: str, filename: str, text: str | Iterable[str]) -> None:
-    """Write ``text``, one string or its chunks in order, to ``directory/filename``."""
+    """Write ``text``, one string or its chunks in order, to ``directory/filename``.
+
+    The text goes to ``filename.tmp`` first, which replaces the file once
+    it is whole; a write that raises removes it and re-raises.
+    """
     os.makedirs(directory, exist_ok=True)
     final = os.path.join(directory, filename)
     tmp = final + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        if isinstance(text, str):
-            fh.write(text)
-        else:
-            fh.writelines(text)
-    os.replace(tmp, final)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, final)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _json_text(obj: Any) -> str:

@@ -55,8 +55,9 @@ report such a declaration as a ``lipschitz_t`` violation.
 
 A column of the ``m = N - i`` later nodes is built as one C-contiguous
 ``(P, m)`` block: the exponents and terms of every column are views of the
-first ``P * m`` floats of two flat buffers of ``P * N``, allocated once per
-batch, and the running sums keep the path-major ``(P, N + 1)`` layout.
+first ``P * m`` floats of two flat buffers of ``P * N``, which the column
+loop allocates once per call, and the running sums keep the path-major
+``(P, N + 1)`` layout.
 numpy runs the ``exp`` over such a block as one flat loop.  The other
 calls cannot be one flat loop: the ``(P, 1)`` Hurst, dampening and
 increment columns broadcast along ``(m,)`` rows, and each column is added
@@ -76,20 +77,22 @@ on the same operands, so no bit depends on the buffer size.
 
 On every grid, node ``k > i`` lies the distance ``d[k - i - 1]`` after node
 ``i``, where ``d = t[1:]`` are the node times themselves: one rounding of
-``(k - i) * dt``.  ``log d`` is tabled once per kernel, and a term is one
+``(k - i) * dt``.  ``log d`` is tabled once per loop, and a term is one
 ``exp``: ``exp((h - 1/2) * log d - f * d) * increment``.  An exponent that
 does not read the state, a constant Hurst value's or a constant
 dampening's, depends on the distance alone; their sum is one state-free
-row, tabled once.  A column is the state-dependent Hurst exponent plus
-the state-dependent dampening exponent plus that row, exponentiated, times
-the increments; one builder assembles every column, a state-free one
-(which only refinement interpolation builds) included.
+row, tabled once; ``_kernel_row`` tables it and names the factors that
+read the state, and so decides which loop a solve runs.  A column is the
+state-dependent Hurst exponent plus the state-dependent dampening exponent
+plus that row, exponentiated, times the increments; the column loop
+assembles every column, a state-free one (which only refinement
+interpolation builds) included.
 
 Refinement interpolation takes one fine draw and nothing else: it solves
 the coarse path from the draw's exact block sums, so the two grids share
 their randomness by construction, and builds the fine sums from the same
 columns through the same loop, one per coarse node over the fine nodes
-after it.  The solver keeps this batched builder, with its row and
+after it.  The solver keeps this batched column loop, with its row and
 buffers, apart from :mod:`semsim.kernels`, whose
 :func:`~semsim.kernels.sigma` (the power ``gap ** (h - 1/2)``) is the
 reference it is tested against; the two agree to a few ulp per term.
@@ -102,10 +105,10 @@ dampening), on any grid, the kernel is ``K = exp`` of the state-free row:
 the sums node-major, ``(N + 1, P)``, and adds one distance ``d`` at a
 time, ``sums[d:] += K[d] * dB[:N - d]``, where every operand is one
 contiguous block; going from the largest distance down keeps each node's
-index order, and ``K[d] * dB[i]`` is the column builder's term bit for
-bit.  The offset is added last.  State-dependent kernels keep the
-path-major columns, where the node-major layout is slower on narrow
-batches.
+index order, and ``K[d] * dB[i]`` is the column loop's term bit for
+bit.  This loop builds no columns and allocates no column buffers.  The
+offset is added last.  State-dependent kernels keep the path-major
+columns, where the node-major layout is slower on narrow batches.
 
 Summation discipline
 --------------------
@@ -293,89 +296,27 @@ def _offset_values(config: SimulationConfig) -> np.ndarray | None:
     return np.array([float(config.offset_g(float(t))) for t in config.grid.nodes])
 
 
-class _Kernel:
-    """Kernel terms of one node for every later node, for a batch of paths.
+def _kernel_row(config: SimulationConfig) -> tuple:
+    """``(log_d, row, hurst, dampening)``: the kernel on ``config.grid``, split by the state.
 
-    Built for the grid of the later nodes and a batch of P paths.  Node
-    ``k > i`` is the distance ``d[k - i - 1]`` after node ``i`` on every
-    grid, with ``d = t[1:]``, and ``log d`` is tabled once.  A term is
-    ``exp(exponent) * increment``, its exponent the sum of ``(h - 1/2) *
-    log d`` and ``-f * d``.  The exponents that do not read the state, a
-    constant Hurst value's and a constant dampening's, are summed into the
-    state-free row ``fixed``.  A column of m later nodes is written into
-    C-contiguous ``(P, m)`` views of two flat buffers of ``P * N`` floats,
-    so its ``exp`` is one flat loop rather than P strided rows; its
-    broadcast products are cheap only under the small ufunc buffer that
-    :func:`_column_sums` sets.  The kernel owns the buffers, and a column's
-    terms last until the next column is built.
+    ``log_d`` is ``log d`` for the distances ``d = t[1:]``.  ``row`` is the
+    state-free row of the exponent: ``(H - 1/2) * log d`` for a constant
+    Hurst value ``H``, plus ``-c * d`` for a constant dampening ``c``, or
+    None when neither factor is constant.  ``hurst`` and ``dampening`` are
+    the factors that read the state, each None when it does not: a
+    constant, or no dampening.  When both are None the kernel depends on
+    the distance alone, ``exp(row)``.
     """
-
-    def __init__(self, config: SimulationConfig, n_paths: int):
-        hurst, dampening = config.hurst, config.dampening
-        n = config.grid.steps
-        self.t = config.grid.nodes
-        self.d = self.t[1:]
-        self.log_d = np.log(self.d)
-        self.hurst = hurst
-        self.dampening = dampening
-        damp_constant = None if dampening is None else dampening.constant_value
-        # Whether each factor depends on the state.
-        self.h_varies = not hurst.is_constant
-        self.damp_varies = dampening is not None and damp_constant is None
-        fixed = None if self.h_varies else (hurst.h_star - 0.5) * self.log_d
-        if damp_constant is not None:
-            damp = -damp_constant * self.d
-            fixed = damp if fixed is None else fixed + damp
-        self.fixed = fixed
-        # The exponents, and the terms; each column views its (P, m) block
-        # of them.
-        self.n_paths = n_paths
-        self.work = np.empty(n_paths * n)
-        self.terms = np.empty(n_paths * n)
-
-    def column(self, i: int, t_i: float, states: np.ndarray, weights: np.ndarray
-               ) -> np.ndarray:
-        """Terms of a node at ``(t_i, states)`` for the ``m = N - i`` nodes ``k > i``.
-
-        ``states`` is the node's ``(P, 1)`` column.  Column ``k - i - 1`` of
-        the result is ``sigma(t_k, t_i, states) * weights[:, k - i - 1]``, at
-        the distance ``d[k - i - 1]``; ``weights`` is ``(P, 1)`` or ``(1,
-        m)``.  The exponent starts as the ``fixed`` row.  A state-dependent
-        Hurst exponent replaces it in the work buffer, plus the row when the
-        dampening is constant; a state-dependent ``f * d``, built in the
-        terms buffer, is subtracted from it.  One ``exp`` and one product
-        with ``weights`` give the terms, for a state-free kernel too.  The
-        result is a C-contiguous ``(P, m)`` view of the kernel's terms
-        buffer, valid until the next call.
-        """
-        m = self.t.shape[0] - 1 - i
-        size = self.n_paths * m
-        out = self.terms[:size].reshape(self.n_paths, m)
-        exponents = self.work[:size].reshape(self.n_paths, m)
-        exponent = None if self.fixed is None else self.fixed[:m]
-        if self.h_varies:
-            h = self._at_column(self.hurst, i, t_i, states)
-            # In float64 whatever the evaluator returns.
-            np.multiply(np.subtract(h, 0.5, dtype=np.float64), self.log_d[:m], out=exponents)
-            if exponent is not None:
-                exponents += exponent
-            exponent = exponents
-        if self.damp_varies:
-            f = self._at_column(self.dampening, i, t_i, states)
-            exponent = np.subtract(exponent, np.multiply(f, self.d[:m], out=out), out=exponents)
-        np.exp(exponent, out=out)
-        return np.multiply(out, weights, out=out)
-
-    def _at_column(self, fn, i: int, t_i: float, states: np.ndarray):
-        """``fn(t_k, states)`` for the nodes ``k > i``, broadcastable to ``(P, m)``.
-
-        Every function gets the node's ``(P, 1)`` states.  One declaring
-        ``lip_t == 0`` is evaluated once, at ``t_i``; any other gets the
-        times ``t_k`` as a ``(1, m)`` row, which broadcasts against the
-        states as the :class:`~semsim.model.HurstFunction` and
-        :class:`~semsim.model.DampeningFunction` contracts state.
-        """
-        return fn.evaluate(t_i if fn.lip_t == 0.0 else self.t[None, i + 1:], states)
+    d = config.grid.nodes[1:]
+    log_d = np.log(d)
+    hurst, dampening = config.hurst, config.dampening
+    row = None
+    if hurst.is_constant:
+        row, hurst = (hurst.h_star - 0.5) * log_d, None
+    if dampening is not None and dampening.constant_value is not None:
+        damp = -dampening.constant_value * d
+        row, dampening = (damp if row is None else row + damp), None
+    return log_d, row, hurst, dampening
 
 
 def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
@@ -392,11 +333,11 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
         raise ValueError(f"increments must be (P, {config.grid.steps}), got {increments.shape}")
     n_paths, n = increments.shape
     g = _offset_values(config)
-    kernel = _Kernel(config, n_paths)
+    _, row, hurst, dampening = _kernel_row(config)
     # Node 0 sums no terms: it is 0.0, or the offset added to -0.0.
     x0 = 0.0 if g is None else -0.0
-    if not (kernel.h_varies or kernel.damp_varies):
-        x = _diagonal_sums(np.exp(kernel.fixed), increments, x0)
+    if hurst is None and dampening is None:
+        x = _diagonal_sums(np.exp(row), increments, x0)
     else:
         x = np.full((n_paths, n + 1), -0.0)
         x[:, 0] = x0
@@ -405,10 +346,10 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
         # increments[:, i:i + 1].  Column i is drawn after column i - 1 has
         # been added, so node i's state is final when it is read; the state
         # includes the node's offset, the sums do not.
-        states, weights, t = x.T[:, :, None], increments.T[:, :, None], kernel.t
+        states, weights, t = x.T[:, :, None], increments.T[:, :, None], config.grid.nodes
         columns = ((i, t[i], states[i] if g is None else states[i] + g[i], weights[i])
                    for i in range(n))
-        _column_sums(kernel, columns, x[:, 1:])
+        _column_sums(config, columns, x[:, 1:])
     if g is not None:
         # Neither loop puts the offset into the sums, so every node gets it
         # once, here.
@@ -422,24 +363,59 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
     return x
 
 
-def _column_sums(kernel: _Kernel, columns: Iterable[tuple], sums: np.ndarray) -> None:
+def _column_sums(config: SimulationConfig, columns: Iterable[tuple], sums: np.ndarray
+                 ) -> None:
     """Add each column ``(i, t_i, states, weights)`` to ``sums[:, i:]``, in order.
 
-    The column's terms are ``kernel.column(i, t_i, states, weights)``, and
-    ``sums`` holds the running sums of the nodes after the first,
-    path-major, starting at -0.0.  ``columns`` is read lazily, one column
-    after the one before it has been added: each node still sums its
-    terms in index order, and a solver can read a node's final state when
-    it yields the node's column.  The loop, drawing the columns included,
-    runs under a ufunc buffer of ``_BUFSIZE`` elements, and the caller's
-    size comes back however it ends.  At numpy's default of 8192, every
-    broadcast product and strided sum of a column with at most 8192 terms
-    would be copied through 8192-element buffers first.
+    ``sums`` holds the running sums of the nodes after the first of
+    ``config.grid``, path-major ``(P, N)``, starting at -0.0.  Column ``k -
+    i - 1`` of node ``i``'s terms is ``sigma(t_k, t_i, states) * weights[:,
+    k - i - 1]``, at the distance ``d[k - i - 1]``; ``states`` is the
+    node's ``(P, 1)`` column and ``weights`` is ``(P, 1)`` or ``(1, m)``
+    for the ``m = N - i`` nodes ``k > i``.  Each factor that reads the
+    state gets one ``evaluate`` call per column on ``states``, at ``t_i``
+    when it declares ``lip_t == 0`` and at the ``(1, m)`` row of times
+    ``t_k`` otherwise.  The exponent starts as the state-free row of
+    :func:`_kernel_row`: a state-dependent Hurst exponent replaces it,
+    plus the row when there is one, and a state-dependent ``f * d`` is
+    subtracted from it.  One ``exp`` and one product with ``weights`` give
+    the terms, a state-free column's too, in C-contiguous ``(P, m)`` views
+    of two flat buffers of ``P * N`` floats, allocated once per call.
+
+    ``columns`` is read lazily, one column after the one before it has
+    been added: each node still sums its terms in index order, and a
+    solver can read a node's final state when it yields the node's column.
+    The loop, drawing the columns included, runs under a ufunc buffer of
+    ``_BUFSIZE`` elements, and the caller's size comes back however it
+    ends.  At numpy's default of 8192, every broadcast product and strided
+    sum of a column with at most 8192 terms would be copied through
+    8192-element buffers first.
     """
+    log_d, row, hurst, dampening = _kernel_row(config)
+    t = config.grid.nodes
+    d = t[1:]
+    n_paths, n = sums.shape
+    # The exponents, and the terms; each column views its (P, m) block.
+    work, terms = np.empty(n_paths * n), np.empty(n_paths * n)
     old = np.setbufsize(_BUFSIZE)
     try:
         for i, t_i, states, weights in columns:
-            sums[:, i:] += kernel.column(i, t_i, states, weights)
+            m = n - i
+            out = terms[:n_paths * m].reshape(n_paths, m)
+            exponents = work[:n_paths * m].reshape(n_paths, m)
+            exponent = None if row is None else row[:m]
+            if hurst is not None:
+                h = hurst.evaluate(t_i if hurst.lip_t == 0.0 else t[None, i + 1:], states)
+                # In float64 whatever the evaluator returns.
+                np.multiply(np.subtract(h, 0.5, dtype=np.float64), log_d[:m], out=exponents)
+                if exponent is not None:
+                    exponents += exponent
+                exponent = exponents
+            if dampening is not None:
+                f = dampening.evaluate(t_i if dampening.lip_t == 0.0 else t[None, i + 1:], states)
+                exponent = np.subtract(exponent, np.multiply(f, d[:m], out=out), out=exponents)
+            np.exp(exponent, out=out)
+            sums[:, i:] += np.multiply(out, weights, out=out)
     finally:
         np.setbufsize(old)
 
@@ -504,13 +480,13 @@ def interpolate_on_refinement(
     grids.  ``refine_factor == 1`` gives the coarse path's bits: the
     columns rebuild it term for term.
 
-    Each coarse node contributes one column of the solver's builder over
-    the fine nodes after it, added by the solver's column loop under its
-    ufunc buffer: its kernel at their times, weighted by the running sums
-    of its own block's fine increments and then by its coarse increment.
-    Functions declaring ``lip_t > 0`` see every fine node's time.  A
-    non-finite coarse state raises :class:`PathSimulationError` with
-    ``path_index`` 0 and the step.
+    Each coarse node contributes one column over the fine nodes after it,
+    built and added by the solver's column loop, ``_column_sums``, under
+    its ufunc buffer: its kernel at their times, weighted by the running
+    sums of its own block's fine increments and then by its coarse
+    increment.  Functions declaring ``lip_t > 0`` see every fine node's
+    time.  A non-finite coarse state raises :class:`PathSimulationError`
+    with ``path_index`` 0 and the step.
     """
     refine_factor = _as_int(refine_factor, "refine_factor", least=1)
     n = config.grid.steps
@@ -546,7 +522,7 @@ def interpolate_on_refinement(
 
     out = np.full(n * r + 1, -0.0)
     out[0] = x_c[0]
-    _column_sums(_Kernel(fine, 1), columns(), out[None, 1:])
+    _column_sums(fine, columns(), out[None, 1:])
     if g is not None:
         out[1:] += g[1:]
     out.setflags(write=False)

@@ -91,6 +91,13 @@ class TestEstimateMoment:
         with pytest.raises(ValueError, match="p must be nonnegative"):
             estimate_moment(_manual_ensemble(), p=float("nan"), node=0)
 
+    @pytest.mark.parametrize(
+        "states", [np.array([]), np.ones((4, 3)), np.float64(1.0)], ids=["empty", "2-d", "0-d"]
+    )
+    def test_sample_moment_rejects_empty_or_not_1d_samples(self, states):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            analysis.sample_moment(states, 2.0)
+
 
 class TestFitLoglogSlope:
     def test_identity_has_unit_slope(self):

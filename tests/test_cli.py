@@ -28,7 +28,11 @@ from semsim import (
     monte_carlo,
 )
 from semsim import __version__
-from semsim.cli import ConfigError, main, parse_config
+from semsim.cli import ConfigError, _atomic_write, main, parse_config
+
+from _exact import scheme_weights
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 BASE = {
     "process": "sem",
@@ -425,6 +429,44 @@ class TestAnalysisCommands:
             ]
             assert payload["median_exponent"] == float(np.median([e.exponent for e in estimates]))
 
+    def test_moments_match_their_exact_gaussian_expectation(self, tmp_path):
+        # A constant Hurst value and no dampening: X[k] = sum_j C[k, j] dB[j]
+        # is Gaussian with variance sigma_k^2 = dt sum_j C[k, j]^2, so
+        # E|X[k]|^p = (2 sigma_k^2)^(p/2) Gamma((p + 1)/2) / sqrt(pi).  The
+        # bound |z| <= 4 and the config's seed were fixed before the first run.
+        config_path = CONFIG_DIR / "moments_gaussian.json"
+        raw = json.loads(config_path.read_text())
+        assert raw["hurst"] == {"name": "constant", "params": [0.75]}
+        assert "dampening" not in raw
+        out = tmp_path / "out"
+        assert main(["moments", "--config", str(config_path), "--output-dir", str(out)]) == 0
+        grid = make_grid(raw["T"], raw["N"])
+        variances = grid.dt * np.sum(scheme_weights(grid, 0.75) ** 2, axis=1)
+        rows = [line.split(",") for line in (out / "moments.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(raw["moments"]["nodes"]) * len(raw["moments"]["p"])
+        for node, p, value, std_error in rows:
+            node, p, value, std_error = int(node), float(p), float(value), float(std_error)
+            if p == 0.0:
+                assert (value, std_error) == (1.0, 0.0)
+                continue
+            exact = ((2.0 * variances[node]) ** (p / 2) * math.gamma((p + 1) / 2)
+                     / math.sqrt(math.pi))
+            assert abs(value - exact) <= 4.0 * std_error, (node, p, (value - exact) / std_error)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        def chunks():
+            yield "a,b\n"
+            raise RuntimeError("chunk failed")
+
+        (tmp_path / "paths.csv").write_text("old\n")
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _atomic_write(str(tmp_path), "paths.csv", chunks())
+        assert sorted(os.listdir(tmp_path)) == ["paths.csv"]
+        # The file written before is untouched.
+        assert (tmp_path / "paths.csv").read_text() == "old\n"
+
 
 class TestBlockSplit:
     @pytest.mark.parametrize(("command", "name", "steps", "solved_on"), [
@@ -562,7 +604,7 @@ class TestStartup:
     def test_loading_a_config_imports_no_scipy(self):
         # numpy is the only runtime dependency; scipy's import alone cost
         # about 330 ms and 25 MB before a config was parsed.
-        config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "bell_trajectory.json"
+        config = CONFIG_DIR / "bell_trajectory.json"
         package_root = str(pathlib.Path(semsim.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)

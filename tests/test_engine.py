@@ -44,7 +44,7 @@ from semsim import (
 )
 from semsim import engine
 from semsim.analysis import convergence_study
-from semsim.engine import _Kernel, _run_block, run_blocks, solve_batch
+from semsim.engine import _column_sums, _kernel_row, _run_block, run_blocks, solve_batch
 from semsim.kernels import kernel_values
 from semsim.randomness import coarsen
 
@@ -517,14 +517,25 @@ class TestColumnBlocks:
         ],
         ids=["bell-bell", "trig-constant"],
     )
-    def test_column_is_a_contiguous_block(self, hurst, dampening):
+    def test_column_is_a_contiguous_block(self, monkeypatch, hurst, dampening):
         grid = make_grid(1.0, 64)
         cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(77), dampening=dampening)
-        kernel = _Kernel(cfg, 3)
-        assert kernel.h_varies or kernel.damp_varies
-        states = np.array([-0.5, 0.0, 0.5])
+        _, _, h, f = _kernel_row(cfg)
+        assert h is not None or f is not None
+        blocks = []
+        exp = np.exp
+
+        def spy(x, /, *args, **kwargs):
+            # The evaluators' own exp calls pass no out.
+            if "out" in kwargs:
+                blocks.append(kwargs["out"])
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        solve_batch(cfg, np.ones((3, 64)))
+        assert len(blocks) == 64
         for i in (1, 30, 63):
-            block = kernel.column(i, grid.nodes[i], states[:, None], np.ones((3, 1)))
+            block = blocks[i]
             assert block.shape == (3, 64 - i)
             assert block.flags.c_contiguous
 
@@ -657,11 +668,14 @@ class TestKernelAccuracy:
         states = np.random.default_rng(78).uniform(-4.0, 4.0, n_paths)
         # bell is 1 at x = 0: the exponent 1/2.
         states[0] = 0.0
-        kernel = _Kernel(SimulationConfig(grid=grid, hurst=hurst, seed=Seed(78),
-                                          dampening=dampening), n_paths)
+        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(78), dampening=dampening)
+        ones = np.ones((n_paths, 1))
         ulps = []
         for i in range(0, 4096, 256):
-            got = kernel.column(i, t[i], states[:, None], np.ones((n_paths, 1)))
+            # -0.0 + a is a, bit for bit: the sums are the column's terms.
+            sums = np.full((n_paths, 4096), -0.0)
+            _column_sums(cfg, [(i, t[i], states[:, None], ones)], sums)
+            got = sums[:, i:]
             want = np.broadcast_to(kernel_values(hurst, dampening, t[None, i + 1:], t[i],
                                                  states[:, None]), got.shape)
             assert (got > 0.0).all() and (want > 0.0).all()
@@ -686,9 +700,9 @@ def _distance_sums(config: SimulationConfig, dB: np.ndarray) -> np.ndarray:
 
     ``by_distance`` is the ``exp`` of the kernel's state-free row.
     """
-    kernel = _Kernel(config, dB.shape[0])
-    assert not (kernel.h_varies or kernel.damp_varies)
-    by_distance = np.exp(kernel.fixed)
+    _, row, hurst, dampening = _kernel_row(config)
+    assert hurst is None and dampening is None
+    by_distance = np.exp(row)
     g = config.offset_g
     t = config.grid.nodes
     rows = []
@@ -727,9 +741,9 @@ class TestDiagonalLoop:
     )
     def test_constant_kernel_is_tabled_on_inexact_grid(self, dampening):
         cfg = _tabled_config(dampening, horizon=10.0, steps=1000)
-        kernel = _Kernel(cfg, 1)
-        assert not (kernel.h_varies or kernel.damp_varies)
-        assert np.exp(kernel.fixed).shape == (1000,)
+        _, row, hurst, dampening = _kernel_row(cfg)
+        assert hurst is None and dampening is None
+        assert np.exp(row).shape == (1000,)
 
     def test_path_bits_do_not_depend_on_the_batch(self):
         cfg = _tabled_config(builtin_dampening("constant", [0.8]), math.sin)
