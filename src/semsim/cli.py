@@ -16,6 +16,18 @@ fields, ``holder`` and ``acf`` estimate each of its paths, and
 ``moments`` keeps its paths' states at the requested nodes.  The parent
 joins the block results in path order and never holds the whole path
 matrix.
+
+Every float is written as ``repr`` writes it: the shortest decimal that
+reads back as the same double, the closest such one to it.  ``paths.csv``
+holds about a hundred thousand of them per block, so :func:`_csv_fields`
+makes their bytes with numpy instead of one ``repr`` call each.  It
+computes the digits with Schubfach's integer arithmetic (R. Giulietti,
+"The Schubfach way to render doubles", 2020), which finds the same
+decimal, and lays them out in the fixed notation ``repr`` uses for
+``1e-4 <= |x| < 1e16``.  Every other value, zeros and values ``repr``
+writes with an exponent, is passed to ``repr`` itself.  The arithmetic is
+on integers, so the bytes depend on no SIMD class; the tests compare them
+with ``repr`` byte for byte.
 """
 
 from __future__ import annotations
@@ -223,13 +235,218 @@ def _section(config: ExperimentConfig, command: str) -> dict:
     return section
 
 
+# The shortest-digits kernel of _csv_fields.  Every uint64 array meets
+# np.uint64 operands only: a Python int would be a signed one under numpy's
+# older promotion rules, and uint64 with int64 promotes to float64.
+_U64 = np.uint64
+_M32, _M63 = _U64(2 ** 32 - 1), _U64(2 ** 63 - 1)
+# repr writes |x| in [1e-4, 1e16) in fixed notation, and the kernel covers
+# exactly these values.
+_FIXED = (1e-4, 1e16)
+# Values formatted per call of _fields; its buffers are a few hundred kB.
+_CHUNK = 4096
+# Bytes per value: up to 24 characters, the separator at column 25.
+_WIDTH = 28
+
+
+def _schubfach_table() -> tuple[int, np.ndarray]:
+    """The lowest biased exponent of the fixed range, and one table row per rounding case.
+
+    Row ``2 (E - E_lo) + irregular`` serves the doubles of biased exponent
+    ``E``, ``irregular`` when the mantissa bits are all zero, where the
+    rounding interval is closer below.  It holds, for ``x = c 2**q`` and
+    ``k = floor(log10(2**q))`` (of ``3/4 2**q`` when irregular), as
+    Giulietti's section 9 names them: ``h + 2``, the shift that makes ``c
+    << (h + 2)`` the scaled centre of the interval; the 32-bit halves of
+    ``g1`` and ``g0``, where ``g = g1 2**63 + g0 = floor(10**-k 2**(125 -
+    floor(log2 10**-k))) + 1``; ``g`` times the half-width of the
+    interval above and below, as the bits at and above 127, the 63 bits
+    under them and the low 64 bits; and ``k`` modulo ``2**64``.  Every
+    ``k`` of the range is at most 0, so ``10**-k`` is an integer.
+    """
+    lowest = int(np.float64(_FIXED[0]).view(_U64)) >> 52
+    highest = int(np.nextafter(_FIXED[1], 0.0).view(_U64)) >> 52
+
+    def words(v: int) -> list[int]:
+        return [v >> 127, (v >> 64) & (2 ** 63 - 1), v & (2 ** 64 - 1)]
+
+    rows = []
+    for biased in range(lowest, highest + 1):
+        q = biased - 1075
+        for irregular in (0, 1):
+            k = (q * 1262611 - 524031 * irregular) >> 22
+            log2_pow10 = (-k * 1741647) >> 19
+            g = (10 ** -k << (125 - log2_pow10)) + 1
+            h = q + log2_pow10 + 2
+            g1, g0 = g >> 63, g & (2 ** 63 - 1)
+            rows.append([h + 2, g1 & (2 ** 32 - 1), g1 >> 32, g0 & (2 ** 32 - 1), g0 >> 32,
+                         *words(g << (h + 1)), *words(g << (h + 1 - irregular)), k % 2 ** 64])
+    return lowest, np.array(rows, dtype=_U64)
+
+
+_E_LO, _SCHUBFACH = _schubfach_table()
+# _ALIGN[n] scales a significand of n = 15, 16 or 17 digits to 17.
+_ALIGN = np.array([0] * 15 + [100, 10, 1], dtype=_U64)
+# "0000" to "9999", four ASCII digits to a uint32.
+_DIGITS4 = np.ascontiguousarray(
+    np.moveaxis(np.indices((10,) * 4, np.uint8) + np.uint8(ord("0")), 0, -1)).view(np.uint32).ravel()
+# _SHIFT[p] marks the columns (p, 24] of a row, which move one byte right
+# to open column p for the point; _KEEP[32 lo + hi] marks a field's
+# columns [lo, hi) and its separator.
+_COLUMNS = np.arange(_WIDTH)
+_SHIFT = ((_COLUMNS > np.arange(25)[:, None]) & (_COLUMNS <= 24)).astype(np.uint8)
+_KEEP = ((_COLUMNS >= np.arange(32)[:, None, None]) & (_COLUMNS < np.arange(32)[:, None])
+         | (_COLUMNS == 25)).reshape(-1, _WIDTH)
+
+
+def _shortest_digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, k)``: the decimal ``d 10**k`` that ``repr`` writes for each double of ``ax``.
+
+    ``ax`` holds positive doubles in the fixed range.  ``d`` is the
+    shortest significand that reads back as the double, the closest such
+    one, an even one on a tie, and has 15 to 17 digits, trailing zeros
+    included.  This is Giulietti's figure 9 with the skeleton of his
+    figure 7, as in Java's ``DoubleToDecimal``: three products of ``g``
+    with a scaled endpoint or centre of the rounding interval, each
+    rounded to odd to the bits at and above 127.  The endpoints differ
+    from the centre by ``g`` shifted, tabled per row, so one 126 by
+    60-bit product in 32-bit limbs serves all three.
+    """
+    bits = ax.view(_U64)
+    t = bits & _U64(2 ** 52 - 1)
+    c = t | _U64(2 ** 52)
+    row = (((bits >> _U64(52)) - _U64(_E_LO)) << _U64(1)).astype(np.intp) + (t == 0)
+    h2, g1l, g1h, g0l, g0h, up_hi, up_mid, up_lo, dn_hi, dn_mid, dn_lo, k = \
+        np.take(_SCHUBFACH, row, axis=0).T
+    # The centre times g: y 2**63 + x, with y = g1 cb and x = g0 cb.
+    cb = c << h2
+    b0, b1 = cb & _M32, cb >> _U64(32)
+    p = g0l * b0
+    mid = (p >> _U64(32)) + g0l * b1 + g0h * b0
+    x0, x1 = (mid << _U64(32)) | (p & _M32), g0h * b1 + (mid >> _U64(32))
+    p = g1l * b0
+    mid = (p >> _U64(32)) + g1l * b1 + g1h * b0
+    y0, y1 = (mid << _U64(32)) | (p & _M32), g1h * b1 + (mid >> _U64(32))
+    # Its bits at and above 127, the 63 under them and the low 64.
+    lo = x0 + (y0 << _U64(63))
+    mid = x1 + (y0 >> _U64(1)) + (lo < x0)
+    hi, mid = y1 + (mid >> _U64(63)), mid & _M63
+    # Rounded to odd: the low bit set when any of the 63 is.
+    vb = hi | (mid != 0)
+    # The endpoints': the centre's product plus and minus g times the
+    # half-widths, the low words' carry and borrow taken into the middle.
+    m = mid + up_mid + (lo > ~up_lo)
+    vbr = (hi + up_hi + (m >> _U64(63))) | ((m & _M63) != 0)
+    m = mid - dn_mid - (lo < dn_lo)
+    vbl = (hi - dn_hi - (m >> _U64(63))) | ((m & _M63) != 0)
+    # The interval's endpoints belong to it when c is even.
+    odd = c & _U64(1)
+    lower, upper = vbl + odd, vbr - odd
+    # The candidates one digit shorter, u' = 10 sp and w' = u' + 10, and
+    # those at full length, u = s and w = s + 1, all scaled by 4 as vb is:
+    # when just one of a pair lies in the interval, it is the result.
+    s = vb >> _U64(2)
+    sp = s // _U64(10)
+    u4 = sp * _U64(40)
+    upin, wpin = lower <= u4, u4 + _U64(40) <= upper
+    s4 = s << _U64(2)
+    uin, win = lower <= s4, s4 + _U64(4) <= upper
+    # vb - 4 s past the midpoint 2, or on it with s odd: vb % 8 in {3, 6, 7}.
+    closer = ((_U64(0xC8) >> (vb & _U64(7))) & _U64(1)).astype(bool)
+    shorter = upin != wpin
+    d = np.where(shorter, sp + wpin, s + (win & (~uin | closer)))
+    return d, k.view(np.int64) + shorter
+
+
+def _divmod(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    # numpy divides uint64 arrays by a scalar much faster than it takes
+    # their remainder.
+    q = a // b
+    return q, a - q * b
+
+
+def _fields(x: np.ndarray, rows: np.ndarray) -> bytes:
+    """The ``repr`` of each value of ``x``, each followed by its separator.
+
+    ``rows`` is a ``(len(x), _WIDTH)`` uint8 buffer whose column 25 holds
+    the separators; its other columns are overwritten.  Row ``i`` gets the
+    digits of ``x[i]`` in columns 7 to 23 behind seven zeros, then the
+    point opened at its position, the sign, and the field's bounds ``[lo,
+    hi)``; a value out of the fixed range gets its ``repr`` in columns 0
+    to 23 instead.  One boolean mask over the rows compresses them into
+    the text.
+    """
+    n = x.shape[0]
+    ax = np.abs(x)
+    fixed = (ax >= _FIXED[0]) & (ax < _FIXED[1])
+    others = np.flatnonzero(~fixed)
+    if others.size:
+        ax[others] = 1.0
+    d, k = _shortest_digits(ax)
+    # The digit count, the position of the point after the first digit
+    # (1 for 1.5, 0 for 0.25, -3 for 0.0001) and the digits left-aligned.
+    count = 15 + (d >= _U64(10 ** 15)) + (d >= _U64(10 ** 16))
+    point = k + count
+    digits = d * np.take(_ALIGN, count)
+    # The significant digits: the count less the trailing zeros.
+    significant = count.copy()
+    tail, q = np.arange(n), d
+    while tail.size:
+        q, r = _divmod(q, _U64(10))
+        zero = r == _U64(0)
+        tail, q = tail[zero], q[zero]
+        significant[tail] -= 1
+    # Seven zeros, then the 17 digits, four to a uint32 from the table.
+    first, rest = _divmod(digits, _U64(10 ** 16))
+    high, low = _divmod(rest, _U64(10 ** 8))
+    groups = np.stack([first, *_divmod(high, _U64(10 ** 4)), *_divmod(low, _U64(10 ** 4))])
+    words = rows.view(np.uint32)
+    words[:, 0] = _DIGITS4[0]
+    words[:, 1:6] = np.take(_DIGITS4, groups).T
+    flat = rows.reshape(-1)
+    # Column 7 + point takes the point; the digits from there move right.
+    at = point + 7
+    moved = flat[:-1] - flat[1:]
+    moved *= np.take(_SHIFT, at, axis=0).reshape(-1)[1:]
+    flat[1:] += moved
+    starts = np.arange(0, n * _WIDTH, _WIDTH)
+    flat[starts + at] = ord(".")
+    # One zero before the point when the value is below 1.
+    lo = 6 + np.minimum(point, 1)
+    negative = np.signbit(x)
+    lo -= negative
+    flat[(starts + lo)[negative]] = ord("-")
+    # At least one digit after the point, as in "2.0".
+    hi = 8 + np.maximum(significant, point + 1)
+    if others.size:
+        text = [repr(v) for v in x[others].tolist()]
+        rows[others, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
+        lo[others] = 0
+        hi[others] = [len(v) for v in text]
+    return flat[np.take(_KEEP, lo * 32 + hi, axis=0).reshape(-1)].tobytes()
+
+
 def _csv_fields(block: np.ndarray) -> list[str]:
     """The CSV fields of a block of paths: one comma-joined string per node.
 
-    One node's states become Python floats at a time, so a block never
-    holds a Python float per value.
+    Each field is ``repr(float(v))`` of the state, byte for byte.  The
+    nodes are formatted a few at a time, about ``_CHUNK`` states and at
+    least one node, in one buffer allocated per block, whose separator
+    column holds a comma after each path but the last, and a newline
+    after it; each chunk's text is cut at the newlines.  No Python float
+    is made for a value in the fixed range, and ``repr`` runs for the rest
+    only.
     """
-    return [",".join(map(repr, states.tolist())) for states in block.T]
+    n_paths, n_nodes = block.shape
+    step = max(1, _CHUNK // n_paths)
+    rows = np.empty((step * n_paths, _WIDTH), np.uint8)
+    rows[:, 25] = ord(",")
+    rows[n_paths - 1::n_paths, 25] = ord("\n")
+    fields = []
+    for k in range(0, n_nodes, step):
+        states = block[:, k:k + step].T.ravel()
+        fields += _fields(states, rows[:states.shape[0]]).decode("ascii").split("\n")[:-1]
+    return fields
 
 
 def _cmd_simulate(config: ExperimentConfig, section: dict,
@@ -237,13 +454,12 @@ def _cmd_simulate(config: ExperimentConfig, section: dict,
     """simulate an ensemble and write paths.csv"""
     sim = config.simulation_config()
     t = sim.grid.nodes
-    # Each block's task formats its own paths, so the float reprs run in the
+    # Each block's task formats its own paths, so the formatting runs in the
     # pool workers too, and every worker formats an equal share of the
-    # blocks (engine._block_bounds states the policy).
-    # A block's floats are made one node at a time.  The parent keeps only
-    # the formatted strings, one per node and block, never a Python float
-    # per value, and the rows are made as main writes them instead of as
-    # one whole text.
+    # blocks (engine._block_bounds states the policy).  The parent keeps
+    # only the formatted strings, one per node and block, never a Python
+    # float per value, and the rows are made as main writes them instead
+    # of as one whole text.
     fields = [block for _, block in simulate_blocks(sim, threads, _csv_fields)]
     header = "t," + ",".join(f"path_{i}" for i in range(sim.n_paths)) + "\n"
     rows = (",".join([_fmt(t[k]), *(f[k] for f in fields)]) + "\n" for k in range(t.shape[0]))

@@ -77,12 +77,13 @@ on the same operands, so no bit depends on the buffer size.
 
 On every grid, node ``k > i`` lies the distance ``d[k - i - 1]`` after node
 ``i``, where ``d = t[1:]`` are the node times themselves: one rounding of
-``(k - i) * dt``.  ``log d`` is tabled once per loop, and a term is one
+``(k - i) * dt``.  ``log d`` is tabled once per solve, and a term is one
 ``exp``: ``exp((h - 1/2) * log d - f * d) * increment``.  An exponent that
 does not read the state, a constant Hurst value's or a constant
 dampening's, depends on the distance alone; their sum is one state-free
-row, tabled once; ``_kernel_row`` tables it and names the factors that
-read the state, and so decides which loop a solve runs.  A column is the
+row, tabled once; ``_kernel_row`` tables it with ``log d`` and names the
+factors that read the state, and so decides which loop a solve runs; the
+column loop is handed that table, never builds its own.  A column is the
 state-dependent Hurst exponent plus the state-dependent dampening exponent
 plus that row, exponentiated, times the increments; the column loop
 assembles every column, a state-free one (which only refinement
@@ -333,7 +334,8 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
         raise ValueError(f"increments must be (P, {config.grid.steps}), got {increments.shape}")
     n_paths, n = increments.shape
     g = _offset_values(config)
-    _, row, hurst, dampening = _kernel_row(config)
+    kernel = _kernel_row(config)
+    _, row, hurst, dampening = kernel
     # Node 0 sums no terms: it is 0.0, or the offset added to -0.0.
     x0 = 0.0 if g is None else -0.0
     if hurst is None and dampening is None:
@@ -349,7 +351,7 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
         states, weights, t = x.T[:, :, None], increments.T[:, :, None], config.grid.nodes
         columns = ((i, t[i], states[i] if g is None else states[i] + g[i], weights[i])
                    for i in range(n))
-        _column_sums(config, columns, x[:, 1:])
+        _column_sums(config, kernel, columns, x[:, 1:])
     if g is not None:
         # Neither loop puts the offset into the sums, so every node gets it
         # once, here.
@@ -363,8 +365,8 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
     return x
 
 
-def _column_sums(config: SimulationConfig, columns: Iterable[tuple], sums: np.ndarray
-                 ) -> None:
+def _column_sums(config: SimulationConfig, kernel: tuple, columns: Iterable[tuple],
+                 sums: np.ndarray) -> None:
     """Add each column ``(i, t_i, states, weights)`` to ``sums[:, i:]``, in order.
 
     ``sums`` holds the running sums of the nodes after the first of
@@ -375,12 +377,13 @@ def _column_sums(config: SimulationConfig, columns: Iterable[tuple], sums: np.nd
     for the ``m = N - i`` nodes ``k > i``.  Each factor that reads the
     state gets one ``evaluate`` call per column on ``states``, at ``t_i``
     when it declares ``lip_t == 0`` and at the ``(1, m)`` row of times
-    ``t_k`` otherwise.  The exponent starts as the state-free row of
-    :func:`_kernel_row`: a state-dependent Hurst exponent replaces it,
-    plus the row when there is one, and a state-dependent ``f * d`` is
-    subtracted from it.  One ``exp`` and one product with ``weights`` give
-    the terms, a state-free column's too, in C-contiguous ``(P, m)`` views
-    of two flat buffers of ``P * N`` floats, allocated once per call.
+    ``t_k`` otherwise.  ``kernel`` is :func:`_kernel_row` of ``config``,
+    tabled once by the caller.  The exponent starts as its state-free row:
+    a state-dependent Hurst exponent replaces it, plus the row when there
+    is one, and a state-dependent ``f * d`` is subtracted from it.  One
+    ``exp`` and one product with ``weights`` give the terms, a state-free
+    column's too, in C-contiguous ``(P, m)`` views of two flat buffers of
+    ``P * N`` floats, allocated once per call.
 
     ``columns`` is read lazily, one column after the one before it has
     been added: each node still sums its terms in index order, and a
@@ -391,7 +394,7 @@ def _column_sums(config: SimulationConfig, columns: Iterable[tuple], sums: np.nd
     sum of a column with at most 8192 terms would be copied through
     8192-element buffers first.
     """
-    log_d, row, hurst, dampening = _kernel_row(config)
+    log_d, row, hurst, dampening = kernel
     t = config.grid.nodes
     d = t[1:]
     n_paths, n = sums.shape
@@ -522,7 +525,7 @@ def interpolate_on_refinement(
 
     out = np.full(n * r + 1, -0.0)
     out[0] = x_c[0]
-    _column_sums(fine, columns(), out[None, 1:])
+    _column_sums(fine, _kernel_row(fine), columns(), out[None, 1:])
     if g is not None:
         out[1:] += g[1:]
     out.setflags(write=False)

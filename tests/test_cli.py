@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import semsim
 from semsim import (
@@ -28,7 +29,7 @@ from semsim import (
     monte_carlo,
 )
 from semsim import __version__
-from semsim.cli import ConfigError, _atomic_write, main, parse_config
+from semsim.cli import ConfigError, _atomic_write, _csv_fields, main, parse_config
 
 from _exact import scheme_weights
 
@@ -42,6 +43,19 @@ BASE = {
     "seed": 12345,
     "n_paths": 2,
 }
+
+
+def _repr_fields(block):
+    """The reference for ``_csv_fields``: each node's states, ``repr`` by ``repr``."""
+    return [",".join(map(repr, states.tolist())) for states in block.T]
+
+
+def _repr_csv(grid, matrix):
+    """The bytes of ``paths.csv`` for ``matrix`` on ``grid``, by ``repr``."""
+    t = grid.nodes
+    lines = ["t," + ",".join(f"path_{i}" for i in range(matrix.shape[0]))]
+    lines += [repr(float(t[k])) + "," + row for k, row in enumerate(_repr_fields(matrix))]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _write_config(tmp_path, overrides=None, drop=(), name="config.json"):
@@ -230,11 +244,91 @@ class TestSimulateCommand:
             seed=Seed(12345),
             n_paths=n_paths,
         )).values
-        t = make_grid(1.0, steps).nodes
-        lines = ["t," + ",".join(f"path_{i}" for i in range(n_paths))]
-        for k in range(steps + 1):
-            lines.append(repr(float(t[k])) + "," + ",".join(map(repr, matrix[:, k].tolist())))
-        assert (out / "paths.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert (out / "paths.csv").read_bytes() == _repr_csv(make_grid(1.0, steps), matrix)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_csv_rows_mixing_fixed_and_exponent_notation(self, tmp_path, monkeypatch, threads):
+        # On a horizon of 1e-6 the states are of order 1e-4, so most rows
+        # mix values repr writes in fixed notation with ones below 1e-4,
+        # which it writes with an exponent; node 0 is all zeros.  Blocks of
+        # 10 paths make four blocks, solved by a pool at two threads.
+        monkeypatch.setattr(semsim.engine, "_BLOCK_STATES", 640)
+        monkeypatch.setattr(semsim.engine, "_POOL_STATES", 0)
+        grid, n_paths = make_grid(1e-6, 64), 40
+        config_path, _ = _write_config(tmp_path, {"T": 1e-6, "N": 64, "n_paths": n_paths})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config_path, "--output-dir", str(out),
+                     "--threads", str(threads)]) == 0
+        matrix = monte_carlo(SimulationConfig(
+            grid=grid, hurst=builtin_hurst("trig", [0.6, 0.2, 1.0]), seed=Seed(12345),
+            n_paths=n_paths,
+        )).values
+        small = (np.abs(matrix) < 1e-4) & (matrix != 0.0)
+        fixed = np.abs(matrix) >= 1e-4
+        assert (matrix[:, 0] == 0.0).all()
+        assert (small.any(axis=0) & fixed.any(axis=0)).sum() >= 32
+        assert (out / "paths.csv").read_bytes() == _repr_csv(grid, matrix)
+
+
+def _bits_to_float(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# Zeros, the least subnormal and normal doubles, every power of two from
+# 2**-14 to 2**53 (so each irregularly spaced double of [1e-4, 1e16), the
+# range repr writes in fixed notation), the doubles on both sides of 1e-4
+# and 1e16, where repr switches notation, and a few short decimals.
+EDGE_VALUES = [
+    0.0, 5e-324, 2.0 ** -1022, *(2.0 ** e for e in range(-14, 54)),
+    *(float(np.nextafter(v, to)) for v in (1e-4, 1e16) for to in (0.0, np.inf)), 1e-4, 1e16,
+    9999999999999998.0, 0.1, 0.5, 1.25, 1.0, 2.0 ** 52, 123456789012345.0,
+]
+
+
+class TestCsvFields:
+    """``_csv_fields`` writes ``repr``'s bytes for every double, in any block shape."""
+
+    @pytest.mark.parametrize("shape", ["one node", "one path"])
+    def test_edge_values(self, shape):
+        values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+        block = values[:, None] if shape == "one node" else values[None, :]
+        assert _csv_fields(block) == _repr_fields(block)
+
+    @seed(2026)
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=120),
+           n_paths=st.integers(1, 5))
+    def test_any_finite_double(self, bits, n_paths):
+        # Raw bit patterns: zeros, subnormals, values past 1e16 and below
+        # 1e-4, which repr writes itself, among the fixed range's.
+        values = [v for v in map(_bits_to_float, bits) if math.isfinite(v)]
+        n_paths = min(n_paths, max(1, len(values)))
+        block = np.array(values[:len(values) // n_paths * n_paths]).reshape(n_paths, -1)
+        assert _csv_fields(block) == _repr_fields(block)
+
+    @seed(2027)
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(min_value=1e-4, max_value=1e16, exclude_max=True),
+                           min_size=1, max_size=120),
+           negative=st.lists(st.booleans(), min_size=120, max_size=120),
+           n_paths=st.integers(1, 5))
+    def test_doubles_of_the_fixed_range(self, values, negative, n_paths):
+        values = [-v if minus else v for v, minus in zip(values, negative)]
+        n_paths = min(n_paths, len(values))
+        block = np.array(values[:len(values) // n_paths * n_paths]).reshape(n_paths, -1)
+        assert _csv_fields(block) == _repr_fields(block)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64, 4096])
+    def test_chunks_of_any_size(self, monkeypatch, chunk):
+        # 7 paths of 600 nodes: chunks of one node, or of 9 or 585 nodes
+        # and a last shorter one.
+        from semsim import cli
+
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        rng = np.random.default_rng(2028)
+        block = rng.standard_normal((7, 600)) * 10.0 ** rng.uniform(-6, 18, (7, 600))
+        block[:, 0] = 0.0
+        assert _csv_fields(block) == _repr_fields(block)
 
 
 class TestAnalysisCommands:

@@ -674,7 +674,7 @@ class TestKernelAccuracy:
         for i in range(0, 4096, 256):
             # -0.0 + a is a, bit for bit: the sums are the column's terms.
             sums = np.full((n_paths, 4096), -0.0)
-            _column_sums(cfg, [(i, t[i], states[:, None], ones)], sums)
+            _column_sums(cfg, _kernel_row(cfg), [(i, t[i], states[:, None], ones)], sums)
             got = sums[:, i:]
             want = np.broadcast_to(kernel_values(hurst, dampening, t[None, i + 1:], t[i],
                                                  states[:, None]), got.shape)
