@@ -69,9 +69,7 @@ to three times a flat call.  Larger calls run one inner loop per row at
 about flat speed.  So the column loop sets the buffer to numpy's minimum,
 16 elements, under which a small call costs about what a flat one does,
 and restores the caller's size when it returns or raises; the Hurst and
-dampening evaluators of a column run under it too.  There is one column
-loop, ``_column_sums``: the solver and refinement interpolation each feed
-it their columns, so both run under the buffer.  Buffering copies
+dampening evaluators of a column run under it too.  Buffering copies
 operands and nothing else: every value is the same IEEE operation
 on the same operands, so no bit depends on the buffer size.
 
@@ -85,18 +83,14 @@ row, tabled once; ``_kernel_row`` tables it with ``log d`` and names the
 factors that read the state, and so decides which loop a solve runs; the
 column loop is handed that table, never builds its own.  A column is the
 state-dependent Hurst exponent plus the state-dependent dampening exponent
-plus that row, exponentiated, times the increments; the column loop
-assembles every column, a state-free one (which only refinement
-interpolation builds) included.
+plus that row, exponentiated, times the increments.  A kernel with no
+factor that reads the state goes to the diagonal loop below, so every
+column reads the state.
 
-Refinement interpolation takes one fine draw and nothing else: it solves
-the coarse path from the draw's exact block sums, so the two grids share
-their randomness by construction, and builds the fine sums from the same
-columns through the same loop, one per coarse node over the fine nodes
-after it.  The solver keeps this batched column loop, with its row and
-buffers, apart from :mod:`semsim.kernels`, whose
-:func:`~semsim.kernels.sigma` (the power ``gap ** (h - 1/2)``) is the
-reference it is tested against; the two agree to a few ulp per term.
+The solver keeps this batched column loop, with its row and buffers,
+apart from :mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma`
+(the power ``gap ** (h - 1/2)``) is the reference it is tested against;
+the two agree to a few ulp per term.
 
 Diagonals
 ---------
@@ -123,14 +117,13 @@ show in the bits.  Together with the lattice quantization of the driving
 increments this makes the exact identities hold bitwise: a constant Hurst
 value of 1/2 gives the exponent 0 and the factor 1, which reproduces
 Brownian prefix sums; zero dampening adds an exact zero to the exponent,
-which reproduces the undampened run; and refinement interpolation
-reproduces, at shared nodes, the coarse path it solves from the coarsened
-fine draw, on grids with exact node products (see
-``TimeGrid.has_exact_nodes``), where a coarse distance is bitwise a fine
-one.  A path's bits do not depend on the batch it is solved in, and a
-constant declared as varying gives the bits of its tabled row.  The row
-serves the whole batch, never one path, and constant dampening is never
-passed to ``evaluate``.
+which reproduces the undampened run; and a level solved from the block
+sums of a fine draw, as the refinement study in ``analysis`` solves its
+levels, is :func:`solve_batch` on :func:`~semsim.randomness.coarsen` of
+that draw, bit for bit.  A path's bits do not depend on the batch it is
+solved in, and a constant declared as varying gives the bits of its
+tabled row.  The row serves the whole batch, never one path, and
+constant dampening is never passed to ``evaluate``.
 
 The bits themselves are those of one numpy build on one class of SIMD
 targets: numpy runs ``exp``, ``log`` and ``power`` on arrays through the
@@ -166,7 +159,6 @@ from .randomness import (
     Seed,
     TimeGrid,
     _as_int,
-    coarsen,
     make_grid,
     sample_brownian_block,
 )
@@ -178,7 +170,6 @@ __all__ = [
     "PathSimulationError",
     "simulate_discrete",
     "solve_batch",
-    "interpolate_on_refinement",
     "monte_carlo",
     "simulate_blocks",
     "run_blocks",
@@ -348,8 +339,8 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
         # increments[:, i:i + 1].  Column i is drawn after column i - 1 has
         # been added, so node i's state is final when it is read; the state
         # includes the node's offset, the sums do not.
-        states, weights, t = x.T[:, :, None], increments.T[:, :, None], config.grid.nodes
-        columns = ((i, t[i], states[i] if g is None else states[i] + g[i], weights[i])
+        states, weights = x.T[:, :, None], increments.T[:, :, None]
+        columns = ((i, states[i] if g is None else states[i] + g[i], weights[i])
                    for i in range(n))
         _column_sums(config, kernel, columns, x[:, 1:])
     if g is not None:
@@ -367,27 +358,27 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
 
 def _column_sums(config: SimulationConfig, kernel: tuple, columns: Iterable[tuple],
                  sums: np.ndarray) -> None:
-    """Add each column ``(i, t_i, states, weights)`` to ``sums[:, i:]``, in order.
+    """Add each column ``(i, states, weights)`` to ``sums[:, i:]``, in order.
 
     ``sums`` holds the running sums of the nodes after the first of
     ``config.grid``, path-major ``(P, N)``, starting at -0.0.  Column ``k -
-    i - 1`` of node ``i``'s terms is ``sigma(t_k, t_i, states) * weights[:,
-    k - i - 1]``, at the distance ``d[k - i - 1]``; ``states`` is the
-    node's ``(P, 1)`` column and ``weights`` is ``(P, 1)`` or ``(1, m)``
-    for the ``m = N - i`` nodes ``k > i``.  Each factor that reads the
-    state gets one ``evaluate`` call per column on ``states``, at ``t_i``
-    when it declares ``lip_t == 0`` and at the ``(1, m)`` row of times
-    ``t_k`` otherwise.  ``kernel`` is :func:`_kernel_row` of ``config``,
-    tabled once by the caller.  The exponent starts as its state-free row:
-    a state-dependent Hurst exponent replaces it, plus the row when there
-    is one, and a state-dependent ``f * d`` is subtracted from it.  One
-    ``exp`` and one product with ``weights`` give the terms, a state-free
-    column's too, in C-contiguous ``(P, m)`` views of two flat buffers of
-    ``P * N`` floats, allocated once per call.
+    i - 1`` of node ``i``'s terms is ``sigma(t_k, t_i, states) * weights``,
+    at the distance ``d[k - i - 1]``, for the ``m = N - i`` nodes ``k >
+    i``; ``states`` and ``weights`` are the node's states and increments as
+    ``(P, 1)`` columns.  Each factor that reads the state gets one
+    ``evaluate`` call per column on ``states``, at ``t_i`` when it
+    declares ``lip_t == 0`` and at the ``(1, m)`` row of times ``t_k``
+    otherwise.  ``kernel`` is :func:`_kernel_row` of ``config``, tabled
+    once by the caller, with at least one factor that reads the state.
+    The exponent starts as its state-free row: a state-dependent Hurst
+    exponent replaces it, plus the row when there is one, and a
+    state-dependent ``f * d`` is subtracted from it.  One ``exp`` and one
+    product with ``weights`` give the terms, in C-contiguous ``(P, m)``
+    views of two flat buffers of ``P * N`` floats, allocated once per call.
 
     ``columns`` is read lazily, one column after the one before it has
-    been added: each node still sums its terms in index order, and a
-    solver can read a node's final state when it yields the node's column.
+    been added: each node still sums its terms in index order, and the
+    solver reads a node's final state when it yields the node's column.
     The loop, drawing the columns included, runs under a ufunc buffer of
     ``_BUFSIZE`` elements, and the caller's size comes back however it
     ends.  At numpy's default of 8192, every broadcast product and strided
@@ -402,20 +393,20 @@ def _column_sums(config: SimulationConfig, kernel: tuple, columns: Iterable[tupl
     work, terms = np.empty(n_paths * n), np.empty(n_paths * n)
     old = np.setbufsize(_BUFSIZE)
     try:
-        for i, t_i, states, weights in columns:
+        for i, states, weights in columns:
             m = n - i
             out = terms[:n_paths * m].reshape(n_paths, m)
             exponents = work[:n_paths * m].reshape(n_paths, m)
             exponent = None if row is None else row[:m]
             if hurst is not None:
-                h = hurst.evaluate(t_i if hurst.lip_t == 0.0 else t[None, i + 1:], states)
+                h = hurst.evaluate(t[i] if hurst.lip_t == 0.0 else t[None, i + 1:], states)
                 # In float64 whatever the evaluator returns.
                 np.multiply(np.subtract(h, 0.5, dtype=np.float64), log_d[:m], out=exponents)
                 if exponent is not None:
                     exponents += exponent
                 exponent = exponents
             if dampening is not None:
-                f = dampening.evaluate(t_i if dampening.lip_t == 0.0 else t[None, i + 1:], states)
+                f = dampening.evaluate(t[i] if dampening.lip_t == 0.0 else t[None, i + 1:], states)
                 exponent = np.subtract(exponent, np.multiply(f, d[:m], out=out), out=exponents)
             np.exp(exponent, out=out)
             sums[:, i:] += np.multiply(out, weights, out=out)
@@ -459,77 +450,6 @@ def simulate_discrete(config: SimulationConfig, increments: BrownianIncrements) 
     x = solve_batch(config, increments.values[None, :])[0]
     x.setflags(write=False)
     return SamplePath(grid=config.grid, values=x, path_index=0)
-
-
-def interpolate_on_refinement(
-    config: SimulationConfig,
-    fine_increments: BrownianIncrements,
-    refine_factor: int,
-) -> SamplePath:
-    """Solve the coarsened fine draw on ``config.grid``, then extend it to the fine grid.
-
-    The coarse path is the recursion driven by ``coarsen(fine_increments,
-    refine_factor)``, so the two grids share one draw by construction.
-    Each fine node ``tau_j`` then gets
-
-        g(tau_j) + sum over fine intervals below tau_j of
-            sigma(tau_j, eta_l, X_coarse[eta_l]) * dB_fine[l]
-
-    where ``eta_l`` is the coarse node at or below the interval start.  The
-    kernel value is constant across each whole coarse block, so whole
-    blocks are accumulated through the block sums of the fine increments;
-    on the lattice those sums are exact, which makes the value at every
-    coarse node agree bitwise with the coarse recursion on exact-node
-    grids.  ``refine_factor == 1`` gives the coarse path's bits: the
-    columns rebuild it term for term.
-
-    Each coarse node contributes one column over the fine nodes after it,
-    built and added by the solver's column loop, ``_column_sums``, under
-    its ufunc buffer: its kernel at their times, weighted by the running
-    sums of its own block's fine increments and then by its coarse
-    increment.  Functions declaring ``lip_t > 0`` see every fine node's
-    time.  A non-finite coarse state raises :class:`PathSimulationError`
-    with ``path_index`` 0 and the step.
-    """
-    refine_factor = _as_int(refine_factor, "refine_factor", least=1)
-    n = config.grid.steps
-    fine = refine_config(config, refine_factor)
-    if fine_increments.grid != fine.grid:
-        raise ValueError(
-            f"fine increments must live on the {refine_factor}-fold refinement {fine.grid}"
-        )
-    coarse_increments = coarsen(fine_increments, refine_factor)
-    x_c = simulate_discrete(config, coarse_increments).values
-
-    # Coarse node i is one column at fine index i r, over the fine nodes
-    # j > i r.  Its weight for the fine nodes inside its own block is the
-    # running sum of the fine increments up to j, and dB_coarse[i] for every
-    # later node.  The fine grid's distances serve the columns; on an exact
-    # fine grid, dt = T / (N r) exactly, so they are bitwise the coarse
-    # grid's.
-    r = refine_factor
-    t_c = config.grid.nodes
-    dB_fine = fine_increments.values
-    dB_coarse = coarse_increments.values
-    g = _offset_values(fine)
-
-    def columns() -> Iterator[tuple]:
-        # One weight buffer, refilled for each column once the column
-        # before it has been added.
-        weights = np.empty((1, n * r))
-        for i in range(n):
-            w = weights[:, :(n - i) * r]
-            np.cumsum(dB_fine[i * r:(i + 1) * r], out=w[0, :r])
-            w[:, r:] = dB_coarse[i]
-            yield i * r, t_c[i], x_c[i:i + 1, None], w
-
-    out = np.full(n * r + 1, -0.0)
-    out[0] = x_c[0]
-    _column_sums(fine, _kernel_row(fine), columns(), out[None, 1:])
-    if g is not None:
-        out[1:] += g[1:]
-    out.setflags(write=False)
-    return SamplePath(grid=fine.grid, values=out)
 
 
 def _run_block(task: Callable, config: SimulationConfig, start: int, stop: int):

@@ -1,10 +1,10 @@
-"""Tests for the discrete solver, refinement interpolation, and the ensemble driver.
+"""Tests for the discrete solver and the ensemble driver.
 
 The solver is checked three ways: against a deliberately naive double-loop
 re-implementation built on the scalar kernel (scalar powers, Python running
 sums), against exact identities that must hold bitwise (Brownian collapse at
 h = 1/2, zero dampening, table versus direct kernel evaluation, evaluation
-per node versus per later time, coarse-node agreement under refinement), and
+per node versus per later time, columns versus diagonals), and
 statistically on a shared Gaussian ensemble.
 """
 
@@ -33,7 +33,6 @@ from semsim import (
     builtin_dampening,
     builtin_hurst,
     derive_path_seed,
-    interpolate_on_refinement,
     make_grid,
     monte_carlo,
     refine_config,
@@ -46,7 +45,6 @@ from semsim import engine
 from semsim.analysis import convergence_study
 from semsim.engine import _column_sums, _kernel_row, _run_block, run_blocks, solve_batch
 from semsim.kernels import kernel_values
-from semsim.randomness import coarsen
 
 from _evaluators import NanPastThreshold, RaisingPastThreshold
 
@@ -566,27 +564,13 @@ class TestUfuncBuffer:
         assert recorder.bufsizes == [engine._BUFSIZE] * 64
         assert np.getbufsize() == caller_bufsize
 
-    def test_interpolation_columns_see_the_solver_buffer(self, caller_bufsize):
-        recorder = _CountingEvaluator()
-        grid = make_grid(1.0, 32)
-        hurst = HurstFunction(recorder, h_star=0.5, h_sup=0.8, lip_t=0.0, lip_x=0.2)
-        cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(84))
-        fine = sample_brownian(Seed(84), refine_config(cfg, 2).grid)
-        interpolate_on_refinement(cfg, fine, 2)
-        # N columns of the coarse solve, then N of the interpolation.
-        assert recorder.bufsizes == [engine._BUFSIZE] * 64
-        assert np.getbufsize() == caller_bufsize
-
     def test_caller_buffer_comes_back(self, caller_bufsize):
         grid = make_grid(1.0, 32)
         cfg = SimulationConfig(grid=grid, hurst=builtin_hurst("trig", [0.6, 0.2, 1.0]),
                                seed=Seed(81), dampening=builtin_dampening("constant", [1.0]),
                                n_paths=3)
-        fine = sample_brownian(Seed(81), refine_config(cfg, 2).grid)
         assert np.getbufsize() == caller_bufsize
         monte_carlo(cfg)
-        assert np.getbufsize() == caller_bufsize
-        interpolate_on_refinement(cfg, fine, 2)
         assert np.getbufsize() == caller_bufsize
         convergence_study(cfg, n_levels=3, refine_factor=2)
         assert np.getbufsize() == caller_bufsize
@@ -674,7 +658,7 @@ class TestKernelAccuracy:
         for i in range(0, 4096, 256):
             # -0.0 + a is a, bit for bit: the sums are the column's terms.
             sums = np.full((n_paths, 4096), -0.0)
-            _column_sums(cfg, _kernel_row(cfg), [(i, t[i], states[:, None], ones)], sums)
+            _column_sums(cfg, _kernel_row(cfg), [(i, states[:, None], ones)], sums)
             got = sums[:, i:]
             want = np.broadcast_to(kernel_values(hurst, dampening, t[None, i + 1:], t[i],
                                                  states[:, None]), got.shape)
@@ -776,126 +760,6 @@ class TestDiagonalLoop:
             _run_block(lambda config, start, stop: solve_batch(config, dB), cfg, 10, 13)
         # Increment 17 first enters the state at node 18.
         assert (excinfo.value.path_index, excinfo.value.step) == (11, 18)
-
-
-_TRIG = builtin_hurst("trig", [0.6, 0.2, 1.0])
-_CONSTANT = builtin_hurst("constant", [0.7])
-
-# (hurst, dampening, offset, coarse steps on T = 1, refinement factor)
-_INTERPOLATION_CASES = [
-    (_TRIG, None, None, 32, 4),
-    (_TRIG, builtin_dampening("abs_value", []), math.sin, 32, 4),
-    (HurstFunction(_TimeVaryingHurst(), h_star=0.55, h_sup=0.8, lip_t=0.25, lip_x=0.25),
-     DampeningFunction(_TimeVaryingDampening(), growth_C=1.0, lip_t=1.0, lip_x=1.0), None, 32, 4),
-    (_TRIG, builtin_dampening("abs_value", []), None, 32, 3),
-    # 1/25 is inexact, so neither grid has exact node products.
-    (_TRIG, builtin_dampening("bell", []), math.sin, 25, 3),
-    # State-free kernels: the coarse path comes from the diagonal loop, the
-    # fine nodes from the columns.
-    (_CONSTANT, None, None, 32, 4),
-    (_CONSTANT, builtin_dampening("constant", [0.8]), math.sin, 32, 2),
-]
-_INTERPOLATION_IDS = ["plain", "dampened-offset", "time-dependent", "r3", "inexact-r3",
-                      "constant", "constant-dampened-offset"]
-
-
-class TestInterpolation:
-    def _coupled_setup(self, hurst, dampening=None, offset=None, steps=32, refine=4, seed=51):
-        cfg = SimulationConfig(
-            grid=make_grid(1.0, steps),
-            hurst=hurst,
-            seed=Seed(seed),
-            dampening=dampening,
-            offset_g=offset,
-        )
-        fine = sample_brownian(Seed(seed), make_grid(1.0, steps * refine))
-        coarse_path = simulate_discrete(cfg, coarsen(fine, refine))
-        return cfg, coarse_path, fine
-
-    def test_refine_factor_one_is_identity(self):
-        # A state-free kernel's coarse path is solved by the diagonal loop,
-        # and the columns must rebuild it bit for bit.
-        for hurst, dampening in [(_TRIG, None), (_CONSTANT, None),
-                                 (_CONSTANT, builtin_dampening("constant", [0.8]))]:
-            cfg, _, fine = self._coupled_setup(hurst, dampening, refine=1)
-            out = interpolate_on_refinement(cfg, fine, 1)
-            assert out.values.tobytes() == simulate_discrete(cfg, fine).values.tobytes()
-            assert out.grid == cfg.grid
-
-    def test_coarse_nodes_agree_bitwise(self):
-        for hurst, dampening, offset, steps, r in _INTERPOLATION_CASES:
-            cfg, coarse_path, fine = self._coupled_setup(hurst, dampening, offset, steps, r)
-            out = interpolate_on_refinement(cfg, fine, r)
-            assert out.grid.steps == steps * r
-            # A coarse time that is an ulp off the fine time of the same
-            # instant (8 of 26 on the inexact grid with r = 3) sees other
-            # distances, and a node whose time is shared still sums terms at
-            # such distances; in these cases every coarse node that is a
-            # fine node agrees bitwise.
-            shared = cfg.grid.nodes == out.grid.nodes[::r]
-            assert shared.all() or not cfg.grid.has_exact_nodes
-            assert shared.sum() >= steps // 2
-            assert out.values[::r][shared].tobytes() == coarse_path.values[shared].tobytes()
-
-    @pytest.mark.parametrize(
-        ("hurst", "dampening", "offset", "steps", "r"),
-        _INTERPOLATION_CASES, ids=_INTERPOLATION_IDS,
-    )
-    def test_matches_double_loop(self, hurst, dampening, offset, steps, r):
-        cfg, coarse_path, fine = self._coupled_setup(hurst, dampening, offset, steps, r, seed=52)
-        out = interpolate_on_refinement(cfg, fine, r)
-
-        t_c = cfg.grid.nodes
-        tau = out.grid.nodes
-        # The last fine node can overshoot the horizon by an ulp.
-        params = KernelParams(hurst=hurst, dampening=dampening, horizon=max(1.0, float(tau[-1])))
-        expected = np.empty_like(out.values)
-        expected[0] = coarse_path.values[0]
-        for j in range(1, tau.shape[0]):
-            total = 0.0
-            for ell in range(j):
-                b = ell // r
-                total += sigma(
-                    params, float(tau[j]), float(t_c[b]), float(coarse_path.values[b])
-                ) * float(fine.values[ell])
-            expected[j] = total if offset is None else float(offset(float(tau[j]))) + total
-        np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-14)
-
-    @pytest.mark.parametrize(
-        "hurst", [_TRIG, builtin_hurst("constant", [0.75])], ids=["columns", "tabled-columns"]
-    )
-    def test_negative_zero_increments_give_negative_zero_states(self, hurst):
-        # Each fine sum starts from its first term, as in the solver.
-        cfg = SimulationConfig(grid=make_grid(1.0, 16), hurst=hurst, seed=Seed(53))
-        fine = BrownianIncrements(grid=make_grid(1.0, 64), values=np.full(64, -0.0),
-                                  seed_provenance=(53, 0))
-        out = interpolate_on_refinement(cfg, fine, 4)
-        assert np.signbit(out.values[1:]).all()
-
-    def test_half_hurst_refinement_is_fine_brownian(self):
-        cfg, _, fine = self._coupled_setup(builtin_hurst("constant", [0.5]))
-        out = interpolate_on_refinement(cfg, fine, 4)
-        assert out.values[1:].tobytes() == np.cumsum(fine.values).tobytes()
-        fine_cfg = refine_config(cfg, 4)
-        direct = simulate_discrete(fine_cfg, fine)
-        assert out.values.tobytes() == direct.values.tobytes()
-
-    def test_rejects_wrong_grids_and_factor(self):
-        cfg, _, fine = self._coupled_setup(builtin_hurst("constant", [0.7]))
-        with pytest.raises(ValueError, match="refine_factor"):
-            interpolate_on_refinement(cfg, fine, 0)
-        with pytest.raises(ValueError, match="refinement"):
-            interpolate_on_refinement(cfg, fine, 2)
-
-    def test_non_finite_coarse_state_names_path_and_step(self):
-        # x[0] = 0 is within the threshold; the first nonzero coarse state
-        # is not, so the coarse recursion fails before any fine node is built.
-        hurst = HurstFunction(NanPastThreshold(0.7, 0.0), h_star=0.6, h_sup=0.8,
-                              lip_t=0.0, lip_x=0.0)
-        cfg, _, fine = self._coupled_setup(builtin_hurst("constant", [0.7]))
-        with pytest.raises(PathSimulationError) as excinfo:
-            interpolate_on_refinement(replace(cfg, hurst=hurst), fine, 4)
-        assert (excinfo.value.path_index, excinfo.value.step) == (0, 2)
 
 
 class TestBlockBounds:
@@ -1310,16 +1174,10 @@ class TestGaussianEnsemble:
 
 _COARSE = SimulationConfig(grid=make_grid(1.0, 8), hurst=builtin_hurst("constant", [0.7]),
                            seed=Seed(3))
-_FINE_INCR = sample_brownian(Seed(4), make_grid(1.0, 16))
-
-
-def _interpolated(factor):
-    return interpolate_on_refinement(_COARSE, _FINE_INCR, factor).values.tobytes()
-
 
 _COUNT_USES = {
     "n_paths": lambda n: replace(_COARSE, n_paths=n),
-    "refine_factor": _interpolated,
+    "refine_factor": lambda n: convergence_study(_COARSE, n_levels=3, refine_factor=n),
     "factor": lambda n: refine_config(_COARSE, n),
 }
 

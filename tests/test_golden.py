@@ -24,10 +24,9 @@ runs:
   where both exponents are in the tabled row and the diagonal loop sums.
 No example config reaches the last three.
 
-``CUSTOM_RUNS`` are three-path batches solved with custom evaluators
-whose values are not float64 arrays: a Python float, a float32 array and
-an int array, and one Hurst function declaring ``lip_t > 0``.  Each is
-also interpolated onto its 2-fold refinement, one path at a time.
+``CUSTOM_RUNS`` are three-path ``monte_carlo`` batches solved with custom
+evaluators whose values are not float64 arrays: a Python float, a float32
+array and an int array, and one Hurst function declaring ``lip_t > 0``.
 
 The digests hold for one numpy version and one SIMD class, the targets
 numpy finds on the running CPU, as ``manifest.json`` records both:
@@ -61,10 +60,8 @@ from semsim import (
     SimulationConfig,
     builtin_dampening,
     builtin_hurst,
-    interpolate_on_refinement,
     make_grid,
     monte_carlo,
-    refine_config,
     sample_brownian,
     simulate_discrete,
 )
@@ -148,8 +145,7 @@ CUSTOM_RUNS = {
 }
 
 # (numpy version, SIMD targets found) -> the digest of each config's data
-# file and of each direct run, and the digests of each custom run's solve
-# and of its interpolation.
+# file, of each direct run and of each custom run.
 PINS = {
     ("2.4.6", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")): {
         "acf_baseline": "0ec081a3ac4dfed180ac1bc1973816164a26bb16e29345b691346d08a069d855",
@@ -172,30 +168,12 @@ PINS = {
         "constant075-bell-T1-N512": "44244497902452d83c054ab5adb4019130c036935e8fb44c3e097d9063ba69da",
         "constant075-bell-T10-N1000": "6e26c3662ee31319918367ae186fe490dd8809b7049ff704b2df5f328ff9586a",
         "constant075-constdamp-T10-N1000": "7ab89df03784577694cc12ea3610f53652737006418df8aa2db3bf7057b32a9a",
-        "bell-floatdamp": (
-            "98877b1fa43ed00042b9165252768256accb7d11fbd370311845e2e77abec852",
-            "0dd7089dfd8a2e6fbf9660cfd989d47cba0b9afd05b247d66db7806a7379825c",
-        ),
-        "floathurst-constdamp": (
-            "a2471fa0458447057c7fd527aedf551884cdbde783ef5170632a9556eb96483d",
-            "03439eb1ed022c2e419eb1397df6987c90ccf7a92ca026319ba2d17f7b311242",
-        ),
-        "float32hurst-undampened": (
-            "064638a36ad4772a028cf8030e1c34f46b2f2c1bf1bd57a283bdad1ec4c2d0d2",
-            "d4b69fa06c7f9c827e9b67a0777d60451b7c3a77435aad01dfb9f28095ae732e",
-        ),
-        "constant075-intdamp": (
-            "bc06b2e3806c47b0ad7e02f1cb49b96c3f1babcedd19c22eb3b2222144f7646a",
-            "1a414d73fe5eaa0eb9556b031a5f288103d38dd9f288bdfdf84fe482fae76725",
-        ),
-        "float32hurst-intdamp": (
-            "30074451a584a40f812bcdcfc948569e98fb3cd3112815cc0e9ce17707a975bf",
-            "891b084f1ec34e68235919f0882e746bdf82eb957c689129dbc37ff2df233f01",
-        ),
-        "timehurst-bell": (
-            "ea65253bbd84b5c3e4240e8676d8b06116bb4bb10505e94480937714d26c518a",
-            "90cad89cda4f3c34562df0004cfb4e4ede3d0927c7b3c7fa6d4eadda33cf0ba0",
-        ),
+        "bell-floatdamp": "98877b1fa43ed00042b9165252768256accb7d11fbd370311845e2e77abec852",
+        "floathurst-constdamp": "a2471fa0458447057c7fd527aedf551884cdbde783ef5170632a9556eb96483d",
+        "float32hurst-undampened": "064638a36ad4772a028cf8030e1c34f46b2f2c1bf1bd57a283bdad1ec4c2d0d2",
+        "constant075-intdamp": "bc06b2e3806c47b0ad7e02f1cb49b96c3f1babcedd19c22eb3b2222144f7646a",
+        "float32hurst-intdamp": "30074451a584a40f812bcdcfc948569e98fb3cd3112815cc0e9ce17707a975bf",
+        "timehurst-bell": "ea65253bbd84b5c3e4240e8676d8b06116bb4bb10505e94480937714d26c518a",
     },
     ("2.4.6", ("X86_V3",)): {
         "acf_baseline": "572132735bb0c9baa2f1beff2549814f79d3e15f107323a6e59db16a8604d273",
@@ -218,30 +196,12 @@ PINS = {
         "constant075-bell-T10-N1000": "26f0733123753d43314f5128a8f756f6b448f4812ea8e6e6910c6f4cbd7d6bb3",
         "constant075-constdamp-T10-N1000": "7f1dd645bb3fd0f140c19e1ea38b5f02d17fd95a9d90670dfb59a771190df9ae",
         "trig-constdamp-T1-N512": "54c53fc41f090abeaef6bbf94c700c984b118c2082577d57e4b3248c3b1e94fe",
-        "bell-floatdamp": (
-            "0bd27771514a3758ba6bb8339b8c0932dd07a459f7d7e1345213fe714e32de6c",
-            "fa7c6faef4db79e2962f6f00e06fb846620d2ae4a8410592d1460e4791e2cca0",
-        ),
-        "constant075-intdamp": (
-            "a15c5be5dcef7efe77cb03396cd001bfe818bc53c783db2830438bac6a7a311a",
-            "aac3e71f562c153a1979321789deea1387b58d04983de08b55b8efbb60eac475",
-        ),
-        "float32hurst-intdamp": (
-            "ffea19b5cd1b545e5e41104d73a987896d34739fb4675c2684bc626011e04a3e",
-            "c35ea0674b01867f9c1862205de864b32f9452cd28874161a2613d9728de3adc",
-        ),
-        "float32hurst-undampened": (
-            "417f44206d44f955ea1ef7c6f1b75b51ca70d3ffdaedc985b8dcbaf359fd09b0",
-            "e698dc0ed7218dd9d168a6497b98a5ea78c312f27db73b0d7814b269390f4fa2",
-        ),
-        "floathurst-constdamp": (
-            "6574a2e18cb5762f7edca83ae0947fce820af47cca160c4967c8f476e917e75c",
-            "8c8073002bf89d3c8ec8db09dc4f132ee2b546219c08a2f01fb1444f3f8e0c94",
-        ),
-        "timehurst-bell": (
-            "fba7daee2d31faa865b12f28c99a2e543e281ebe36938e1308c2acbdbef83787",
-            "8c266dc042429a8600cd609fdb2b7c478432e92b9c3d25e95c4f71ac01024a7f",
-        ),
+        "bell-floatdamp": "0bd27771514a3758ba6bb8339b8c0932dd07a459f7d7e1345213fe714e32de6c",
+        "constant075-intdamp": "a15c5be5dcef7efe77cb03396cd001bfe818bc53c783db2830438bac6a7a311a",
+        "float32hurst-intdamp": "ffea19b5cd1b545e5e41104d73a987896d34739fb4675c2684bc626011e04a3e",
+        "float32hurst-undampened": "417f44206d44f955ea1ef7c6f1b75b51ca70d3ffdaedc985b8dcbaf359fd09b0",
+        "floathurst-constdamp": "6574a2e18cb5762f7edca83ae0947fce820af47cca160c4967c8f476e917e75c",
+        "timehurst-bell": "fba7daee2d31faa865b12f28c99a2e543e281ebe36938e1308c2acbdbef83787",
     },
 }
 
@@ -304,24 +264,17 @@ def test_direct_solve_digest(name):
     assert _direct_digest(name) == DIGESTS[name]
 
 
-def _custom_digests(name):
+def _custom_digest(name):
     hurst, dampening = CUSTOM_RUNS[name]
     config = SimulationConfig(grid=make_grid(1.0, 128), hurst=hurst, dampening=dampening,
                               seed=Seed(4242), n_paths=3)
-    values = monte_carlo(config).values
-    fine = refine_config(config, 2)
-    interpolated = b"".join(
-        interpolate_on_refinement(config, sample_brownian(Seed(4242 + p), fine.grid), 2)
-        .values.tobytes()
-        for p in range(3)
-    )
-    return _sha256(values.tobytes()), _sha256(interpolated)
+    return _sha256(monte_carlo(config).values.tobytes())
 
 
 @pinned
 @pytest.mark.parametrize("name", sorted(CUSTOM_RUNS))
 def test_custom_evaluator_digest(name):
-    assert _custom_digests(name) == DIGESTS[name]
+    assert _custom_digest(name) == DIGESTS[name]
 
 
 @pytest.mark.skipif(
