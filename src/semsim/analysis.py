@@ -282,10 +282,12 @@ def convergence_study(
     refine_factor ** l)``, and give ``dt_levels``.  Seeds are solved in
     blocks, on ``n_workers`` processes, this one included, when more than
     one is asked for; the block task binds the levels and solves each from
-    the exact block sums of the reference's draw.  It runs in this process
-    alone when it does not pickle (a config with a lambda offset, say).
-    The squared gaps are added up here in seed order, so the report does
-    not depend on the worker count.  A failure raises
+    the exact block sums of the reference's draw.  The other processes are
+    workers made by ``os.fork``, so they inherit the task, a config with a
+    lambda offset included, and return each block's squared gaps pickled,
+    in block order; a platform without ``os.fork`` runs one worker.  The
+    squared gaps are added up here in seed order, so the report does not
+    depend on the worker count.  A failure raises
     :class:`~semsim.engine.PathSimulationError` naming the lowest failing
     seed index; the block task names a seed by its row in the block and
     the block runner adds the block's first index.

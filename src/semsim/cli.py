@@ -455,7 +455,7 @@ def _cmd_simulate(config: ExperimentConfig, section: dict,
     sim = config.simulation_config()
     t = sim.grid.nodes
     # Each block's task formats its own paths, so the formatting runs in the
-    # pool workers too, and every worker formats an equal share of the
+    # forked workers too, and every worker formats an equal share of the
     # blocks (engine._block_bounds states the policy).  The parent keeps
     # only the formatted strings, one per node and block, never a Python
     # float per value, and the rows are made as main writes them instead
@@ -487,9 +487,10 @@ def _each_path(config: ExperimentConfig, threads: int, estimate: Callable) -> li
     """``estimate`` of every path of the ensemble, in path order.
 
     The estimates are made in the task that solved the block, so the
-    parent never holds more than one block's states.  ``estimate`` is a
-    ``partial`` of a module-level function, so it pickles and the blocks
-    can run in a pool; one that does not pickle runs here.
+    parent never holds more than one block's states.  With ``threads >
+    1`` the blocks run here and in workers made by ``os.fork``, which
+    inherit ``estimate``; only each block's estimates are pickled back,
+    in block order.  A platform without ``os.fork`` runs one worker.
     """
     sim = config.simulation_config()
     blocks = simulate_blocks(sim, threads, partial(_per_path, sim.grid, estimate))

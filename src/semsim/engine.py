@@ -23,14 +23,16 @@ solve contiguous blocks of paths through one block runner,
 :func:`run_blocks`.  The worker count counts the processes that compute,
 the calling one included, and ``_block_bounds`` states the block policy
 once: how many states a block holds, how the paths are split, and which
-runs are too small for a pool.  Every block task is ``task(config, start,
-stop)``, its other inputs bound with ``functools.partial``, and the block
-runner wraps it.  With ``W > 1`` workers the calling process runs blocks
-``0, W, 2W, ...`` itself and a process pool of ``W - 1`` runs the others
-through the same callable, one task per block.  A task that does not
-pickle runs in the calling process, split as for one worker: the builtin
-``map`` then runs every block here.  Results arrive in block order either
-way.
+runs are too small to fork for.  Every block task is ``task(config,
+start, stop)``, its other inputs bound with ``functools.partial``, and the
+block runner wraps it.  With ``W > 1`` workers the calling process runs
+blocks ``0, W, 2W, ...`` itself and ``W - 1`` workers made by ``os.fork``
+run the others, worker ``w`` the blocks ``w, w + W, ...``.  A forked
+worker inherits the task, so nothing but the blocks' results is pickled:
+each worker writes every block's result, or the exception it raised,
+pickled to its own pipe, and the calling process reads the pipes in block
+order between its own blocks.  Results arrive in block order either way.
+A platform without ``os.fork`` runs one worker.
 
 Columns
 -------
@@ -145,8 +147,9 @@ find the lowest that fails.
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
 import pickle
+import signal
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator
@@ -486,7 +489,7 @@ def _block_bounds(n_paths: int, steps: int, n_workers: int) -> tuple[list[int], 
     n_blocks, n_paths * (b + 1) // n_blocks)``, so sizes differ by at most
     one path.  :func:`run_blocks` caps ``n_workers`` at ``n_paths``, and at
     1 for a run of at most ``_POOL_STATES`` states (``2**14``), where
-    starting a pool costs more than it saves, before it asks for the
+    forking workers costs more than it saves, before it asks for the
     blocks.
     """
     n_blocks = -(-n_paths // max(1, _BLOCK_STATES // steps))
@@ -496,6 +499,111 @@ def _block_bounds(n_paths: int, steps: int, n_workers: int) -> tuple[list[int], 
     return bounds[:-1], bounds[1:]
 
 
+class _Worker:
+    """A forked process that runs its share of a run's blocks and pipes back each result.
+
+    The worker runs ``blocks``, a list of ``(start, stop)``, in order, each
+    through ``run``, and writes each block's ``(ok, result or exception)``,
+    pickled and prefixed by its length, to its result pipe.  Before each
+    block past its second it takes a byte from its credit pipe, and the
+    caller writes one there for each result it reads while the worker has
+    blocks left, so the worker starts a block only while fewer than two of
+    its finished blocks are unread.  It stops after it sends a failure.  It
+    leaves by ``os._exit`` alone, so it never flushes the caller's stdio or
+    runs its ``atexit``, and it first closes the pipe ends of ``others``,
+    the workers forked before it.
+    """
+
+    def __init__(self, run: Callable, blocks: list[tuple[int, int]], others: list[_Worker]):
+        credit_r, self.credits = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (credit_r, self.credits, result_r, result_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                for fd in (self.credits, result_r,
+                           *(fd for w in others for fd in (w.credits, w.results.fileno()))):
+                    os.close(fd)
+                _serve(run, blocks, credit_r, result_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(credit_r)
+        os.close(result_w)
+        self.results = open(result_r, "rb")
+
+    def receive(self, start: int, stop: int) -> object:
+        """The result of the block ``[start, stop)``, the next one the worker sends.
+
+        Its failure is raised here.  A worker that ends without sending it,
+        or a message that does not unpickle, raises
+        :class:`PathSimulationError` naming the block's first path.
+        """
+        header = self.results.read(8)
+        size = int.from_bytes(header, "little")
+        body = self.results.read(size)
+        if len(header) < 8 or len(body) < size:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            raise PathSimulationError(start, ChildProcessError(
+                f"the worker solving paths {start} to {stop - 1} exited with code "
+                f"{os.waitstatus_to_exitcode(status)} before sending their result"))
+        try:
+            ok, value = pickle.loads(body)
+        except Exception as exc:
+            raise PathSimulationError(start, pickle.UnpicklingError(
+                f"what the worker sent for paths {start} to {stop - 1} does not unpickle: "
+                f"{exc!r}")) from exc
+        if not ok:
+            raise value
+        return value
+
+    def credit(self) -> None:
+        """Let the worker start one more block."""
+        try:
+            os.write(self.credits, b"\0")
+        except BrokenPipeError:
+            # The worker has died; reading its next result says so.
+            pass
+
+    def close(self) -> None:
+        """Close the pipes, then end the worker and reap it."""
+        os.close(self.credits)
+        self.results.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+def _serve(run: Callable, blocks: list[tuple[int, int]], credits: int, results: int) -> None:
+    """A worker's loop: run ``blocks`` in turn and send each outcome (see :class:`_Worker`)."""
+    with open(results, "wb") as out:
+        for j, (start, stop) in enumerate(blocks):
+            if j > 1 and not os.read(credits, 1):
+                return
+            try:
+                ok, value = True, run(start, stop)
+            except Exception as exc:
+                ok, value = False, exc
+            try:
+                message = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                what = "result" if ok else f"error {value!r}"
+                ok, value = False, PathSimulationError(start, pickle.PicklingError(
+                    f"the {what} of paths {start} to {stop - 1} does not pickle: {exc!r}"))
+                message = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
+            out.write(len(message).to_bytes(8, "little"))
+            out.write(message)
+            out.flush()
+            if not ok:
+                return
+
+
 def run_blocks(task: Callable, config: SimulationConfig, n_workers: int
                ) -> Iterator[tuple[int, object]]:
     """Yield ``(start, task(config, start, stop))`` block by block, in order.
@@ -503,40 +611,48 @@ def run_blocks(task: Callable, config: SimulationConfig, n_workers: int
     ``n_workers`` counts the processes that compute, this one included.
     The paths ``range(config.n_paths)`` are cut into the contiguous blocks
     of :func:`_block_bounds`, which also says how ``n_workers`` is capped:
-    at the paths, and at one process for a run too small for a pool.
-    ``run = partial(_run_block, task, config)`` runs each block; a task's
-    other inputs are bound into it with ``functools.partial``.  With ``W >
-    1``, this process runs blocks ``0, W, 2W, ...`` itself, each when its
-    turn comes, and the map of a pool of ``W - 1`` workers runs the others
-    through the same ``run``, one task per block.  A task that does not
-    pickle runs in the calling process: ``W`` drops to 1 when ``run`` does
-    not pickle, and the blocks of one worker run here under the builtin
-    ``map``.  The size cap comes first, so a small run never pickles its
-    task.  Either way a failure raises :class:`PathSimulationError` naming
-    the lowest failing path, from the first failing block, and however the
-    caller stops reading, the blocks not yet started are dropped: this
-    process starts none of its own after reading a failure.
+    at the paths, and at one process for a run too small to fork for, or
+    on a platform without ``os.fork``.  ``run = partial(_run_block, task,
+    config)`` runs each block; a task's other inputs are bound into it with
+    ``functools.partial``.  With ``W > 1``, this process runs blocks ``0,
+    W, 2W, ...`` itself, each when its turn comes, and ``W - 1`` workers
+    made by ``os.fork`` run the others through the same ``run``, worker
+    ``w`` the blocks ``w, w + W, ...``.  A worker inherits ``run``, so any
+    task runs in it, a lambda included, and only the blocks' results are
+    pickled: each worker sends them through its own pipe, and this process
+    reads them in block order between its own blocks.  A worker starts a
+    block only while fewer than two of its finished blocks are unread.
+    Either way a failure raises :class:`PathSimulationError` naming the
+    lowest failing path, from the first failing block; a worker that dies,
+    or a result that does not pickle, names the block's first path.
+    However the caller stops reading, this process starts no block of its
+    own after reading a failure, and every worker is ended and reaped
+    before the iterator returns, raises or is closed.
     """
     cap = config.n_paths if config.n_paths * config.grid.steps > _POOL_STATES else 1
-    n_workers = min(_as_int(n_workers, "n_workers", least=1), cap)
+    n_workers = min(_as_int(n_workers, "n_workers", least=1), cap if hasattr(os, "fork") else 1)
     run = partial(_run_block, task, config)
-    if n_workers > 1:
-        try:
-            pickle.dumps(run)
-        except Exception:
-            n_workers = 1
     starts, stops = _block_bounds(config.n_paths, config.grid.steps, n_workers)
     if n_workers == 1:
         yield from zip(starts, map(run, starts, stops))
         return
-    pooled = [i for i in range(len(starts)) if i % n_workers]
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers - 1)
+    blocks = list(zip(starts, stops))
+    workers: list[_Worker] = []
     try:
-        results = pool.map(run, [starts[i] for i in pooled], [stops[i] for i in pooled])
-        for i, start in enumerate(starts):
-            yield start, next(results) if i % n_workers else run(start, stops[i])
+        for w in range(1, n_workers):
+            workers.append(_Worker(run, blocks[w::n_workers], workers))
+        for i, (start, stop) in enumerate(blocks):
+            if i % n_workers == 0:
+                yield start, run(start, stop)
+                continue
+            worker = workers[i % n_workers - 1]
+            result = worker.receive(start, stop)
+            if i + 2 * n_workers < len(blocks):
+                worker.credit()
+            yield start, result
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker in workers:
+            worker.close()
 
 
 def _simulate_block(config: SimulationConfig, start: int, stop: int,
@@ -554,12 +670,12 @@ def simulate_blocks(config: SimulationConfig, n_workers: int = 1,
     set by the policy of ``_block_bounds``.  Its result is their ``(P, N +
     1)`` states, or ``finish`` of them.  ``finish`` is bound
     into the block task and runs in the task that solved the block, so
-    with ``n_workers > 1`` it runs in the pool workers too.  A task that
-    does not pickle runs in the calling process, so a ``finish`` that does
-    not pickle, a lambda say, gives the same results from this process
-    alone.  The blocks are run as for :func:`monte_carlo`, by this process
-    and a pool or by this process alone; closing the iterator early drops
-    the blocks not yet started.
+    with ``n_workers > 1`` it runs in the forked workers too.  A worker
+    inherits the task, so any ``finish`` runs there, a lambda included;
+    only its results are pickled, and they come back in block order.  The
+    blocks are run as for :func:`monte_carlo`, by this process and its
+    forked workers or by this process alone; closing the iterator early
+    drops the blocks not yet started and reaps the workers.
     """
     return run_blocks(partial(_simulate_block, finish=finish), config, n_workers)
 
@@ -574,13 +690,15 @@ def monte_carlo(config: SimulationConfig, n_workers: int = 1) -> Ensemble:
     :func:`run_blocks`, sized and spread over the workers by the policy of
     ``_block_bounds``.  ``n_workers`` counts the processes that solve,
     this one included: with ``W > 1`` of them, this process solves blocks
-    ``0, W, 2W, ...`` and a process pool of ``W - 1`` solves the others,
-    one task per block.  A single path, one worker, a run too small for a
-    pool, or a task that does not pickle (a config with a lambda offset,
-    say) runs in this process alone.  Failures surface as
-    :class:`PathSimulationError` naming the lowest failing index, and the
-    blocks not yet started when the first failing block is read are
-    dropped.
+    ``0, W, 2W, ...`` and ``W - 1`` workers made by ``os.fork`` solve the
+    others, worker ``w`` the blocks ``w, w + W, ...``.  A worker inherits
+    the config, so one that does not pickle (a lambda offset, say) is
+    solved there too; each worker returns its blocks' states pickled, and
+    they are read in block order.  A single path, one worker, a run too
+    small to fork for, or a platform without ``os.fork`` runs in this
+    process alone.  Failures surface as :class:`PathSimulationError`
+    naming the lowest failing index, and the blocks not yet started when
+    the first failing block is read are dropped.
     """
     values = np.empty((config.n_paths, config.grid.steps + 1))
     for start, block in simulate_blocks(config, n_workers):

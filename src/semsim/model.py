@@ -169,7 +169,9 @@ def eval_hurst(h: HurstFunction, t: float, x: float) -> float:
 
 
 # Built-in evaluators pickle, so configurations built from them can be
-# sent to process pools: a parameterless one is a module-level function,
+# saved or sent to another process.  The block runner needs none of it:
+# its workers are forked and inherit the config, and only block results
+# are pickled.  A parameterless evaluator is a module-level function,
 # pickled by name, and one with parameters is a tiny frozen dataclass,
 # which also keeps dataclass equality.
 

@@ -1,7 +1,7 @@
 """Evaluators that fail once the state leaves a range, shared by the engine and analysis tests.
 
-They live in a module of their own, as ``_scans`` does, so that they pickle
-by reference and a process pool can run the tests' blocks.
+They live in a module of their own, as ``_scans`` does, so that both test
+modules import one definition.
 """
 
 from dataclasses import dataclass

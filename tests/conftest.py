@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from semsim import (
@@ -20,3 +22,19 @@ def brownian_ensemble():
         n_paths=10_000,
     )
     return monte_carlo(config)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The process ids that ``os.fork`` returns to this process during the test, in order."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids

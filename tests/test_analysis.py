@@ -6,7 +6,6 @@ increments); the refinement study is checked once in its degenerate exactly
 coupled regime and once on a state-dependent Hurst family with pinned seeds.
 """
 
-import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -324,16 +323,17 @@ class TestConvergenceStudy:
             z = (mean[1:] - expected[1:]) / (expected[1:] * math.sqrt(2.0 / cfg.n_paths))
             assert np.max(np.abs(z)) <= 4.5
 
-    def test_worker_count_does_not_change_report(self, monkeypatch):
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_worker_count_does_not_change_report(self, monkeypatch, forks):
         # Base N = 64 puts the reference on N = 512, where one block of up to
         # 2**16 // 512 = 128 seeds holds all 40.  Two workers split them into
         # two blocks of 20, the first run in this process and the second in
-        # a pool of one worker; the squared gaps must still add up in seed
+        # one forked worker; the squared gaps must still add up in seed
         # order.
         cfg = replace(self._trig_config(builtin_dampening("constant", [1.0])),
                       grid=make_grid(1.0, 64))
         serial = convergence_study(cfg, n_levels=3, refine_factor=2)
-        blocks, pools = [], []
+        blocks = []
         run_blocks = analysis.run_blocks
 
         def recording_run_blocks(*args):
@@ -341,16 +341,10 @@ class TestConvergenceStudy:
                 blocks.append((start, start + gaps[0].shape[0]))
                 yield start, gaps
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
-
         monkeypatch.setattr(analysis, "run_blocks", recording_run_blocks)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         pooled = convergence_study(cfg, n_levels=3, refine_factor=2, n_workers=2)
         assert blocks == [(0, 20), (20, 40)]
-        assert len(pools) == 1
+        assert len(forks) == 1
         assert serial == pooled
         assert serial.degenerate is False
 
@@ -358,7 +352,7 @@ class TestConvergenceStudy:
     def test_raising_evaluator_names_the_failing_seed(self, n_workers):
         # Base N = 64 puts the reference on N = 512: the 40 seeds are one
         # block for one worker and two of 20 for two, the first run here and
-        # the second in a pool.  The evaluation that raises covers a whole block; the error
+        # the second in a forked worker.  The evaluation that raises covers a whole block; the error
         # must name the lowest seed whose own study raises, not the first
         # seed of the block.
         hurst = HurstFunction(RaisingPastThreshold(0.7, 1.2), h_star=0.6, h_sup=0.8,

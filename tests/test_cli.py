@@ -211,7 +211,7 @@ class TestSimulateCommand:
         assert not any(t == "X86_V4" or t.startswith("AVX512") for t in simd), simd
 
     def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path, monkeypatch):
-        # With no pool floor, two threads run a pool on the small config.
+        # With no floor, two threads fork a worker on the small config.
         monkeypatch.setattr(semsim.engine, "_POOL_STATES", 0)
         config_path, _ = _write_config(tmp_path)
         outputs = []
@@ -251,7 +251,8 @@ class TestSimulateCommand:
         # On a horizon of 1e-6 the states are of order 1e-4, so most rows
         # mix values repr writes in fixed notation with ones below 1e-4,
         # which it writes with an exponent; node 0 is all zeros.  Blocks of
-        # 10 paths make four blocks, solved by a pool at two threads.
+        # 10 paths make four blocks, two of them in a forked worker at two
+        # threads.
         monkeypatch.setattr(semsim.engine, "_BLOCK_STATES", 640)
         monkeypatch.setattr(semsim.engine, "_POOL_STATES", 0)
         grid, n_paths = make_grid(1e-6, 64), 40
@@ -400,7 +401,7 @@ class TestAnalysisCommands:
         # Base N = 64 with three levels puts the reference on N = 512: the
         # 40 seeds fit one block of up to 2**16 // 512 = 128, and --threads 2
         # splits them into two of 20, the first run in this process and the
-        # second in a pool of one worker.
+        # second in a forked worker.
         config_path, _ = _write_config(
             tmp_path,
             overrides={"N": 64, "n_paths": 40, "converge": {"n_levels": 3, "refine_factor": 2}},
@@ -573,7 +574,7 @@ class TestBlockSplit:
         # Budgets of 2**10, 2**14 and 2**16 states at one and two threads
         # cut the 40 paths (or seeds, solved on the study's reference grid)
         # into between one and six blocks; every data file must be the
-        # same bytes.  With no pool floor, two threads run a pool.
+        # same bytes.  With no floor, two threads fork a worker.
         from semsim import engine
 
         monkeypatch.setattr(engine, "_POOL_STATES", 0)

@@ -8,7 +8,7 @@ per node versus per later time, columns versus diagonals), and
 statistically on a shared Gaussian ensemble.
 """
 
-import concurrent.futures
+import atexit
 import math
 import os
 import pickle
@@ -144,6 +144,47 @@ def _fail_last_row(config: SimulationConfig, start: int, stop: int, failing: int
     return start
 
 
+def _mark_start(config: SimulationConfig, start: int, stop: int, marks) -> int:
+    """A block task: leaves a marker in ``marks`` as it starts."""
+    (marks / f"started-{start}").touch()
+    return start
+
+
+def _exit_in_worker(config: SimulationConfig, start: int, stop: int, caller: int,
+                    failing: int) -> int:
+    """A block task: the block starting at ``failing`` ends its process, unless it is ``caller``."""
+    if start == failing and os.getpid() != caller:
+        os._exit(3)
+    return start
+
+
+class _TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: ``__init__`` takes two arguments and keeps one."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _unpicklable_outcome(config: SimulationConfig, start: int, stop: int, kind: str):
+    """A block task: any block holding path 10 returns or raises what does not travel."""
+    if not start <= 10 < stop:
+        return start
+    if kind == "result":
+        return lambda: start
+    if kind == "error":
+        raise FloatingPointError(lambda: start)
+    raise _TwoArgumentError("pickles but does not unpickle", start)
+
+
+def _started(marks, count: int) -> list[int]:
+    """The blocks that left a start marker, once ``count`` have and 0.3 s more have passed."""
+    deadline = time.monotonic() + 30.0
+    while len(list(marks.iterdir())) < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.3)
+    return sorted(int(p.name.split("-")[1]) for p in marks.iterdir())
+
+
 def _oracle_path(config: SimulationConfig, increments: BrownianIncrements) -> np.ndarray:
     """Naive reference recursion: scalar kernel calls, Python running sums."""
     t = config.grid.nodes
@@ -260,7 +301,7 @@ class TestAgainstNaiveRecursion:
             got = [simulate_discrete(cfg, incr).values]
             increments = [incr]
         else:
-            # With no pool floor, the pool solves one of the two blocks.
+            # With no floor, a forked worker solves one of the two blocks.
             monkeypatch.setattr(engine, "_POOL_STATES", 0)
             got = list(monte_carlo(cfg, n_workers=2).values)
             increments = [
@@ -797,6 +838,12 @@ class TestBlockBounds:
         assert engine._block_bounds(n_paths, steps, n_workers)[0] == starts
 
 
+# A fork in a process with threads warns from Python 3.12 on; in the tests
+# that fork workers it fails instead.
+_NO_FORK_WITH_THREADS = pytest.mark.filterwarnings("error::DeprecationWarning")
+
+
+@_NO_FORK_WITH_THREADS
 class TestMonteCarlo:
     def _config(self, n_paths=3, steps=64, seed=61):
         return SimulationConfig(
@@ -826,7 +873,7 @@ class TestMonteCarlo:
     def test_worker_count_does_not_change_output(self):
         # One block of up to 2**16 // 2048 = 32 paths would hold all ten;
         # two workers split them into two blocks of five, so this process
-        # runs one and a pool of one worker the other.
+        # runs one and a forked worker the other.
         cfg = self._config(n_paths=10, steps=2048)
         serial = monte_carlo(cfg, n_workers=1)
         parallel = monte_carlo(cfg, n_workers=2)
@@ -836,12 +883,12 @@ class TestMonteCarlo:
                              [(2, 2 ** 16), (400, 2 ** 16), (400, 2 ** 14)],
                              ids=["2-blocks", "3-blocks", "9-blocks"])
     def test_three_workers_match_serial(self, monkeypatch, n_paths, block_states):
-        # Two paths make two blocks and cap the workers at two; with no pool
-        # floor their 512 states start a pool too.  At N = 256, 400 paths
+        # Two paths make two blocks and cap the workers at two; with no
+        # floor their 512 states fork a worker too.  At N = 256, 400 paths
         # need two blocks of at most 2**16 // 256 = 256 paths, rounded up to
         # three of 133 or 134, one per worker; under a budget of 2**14
         # states, seven of at most 64, rounded up to nine of 44 or 45, of
-        # which this process runs 0, 3 and 6 and a pool of two the others.
+        # which this process runs 0, 3 and 6 and two forked workers the others.
         monkeypatch.setattr(engine, "_BLOCK_STATES", block_states)
         monkeypatch.setattr(engine, "_POOL_STATES", 0)
         cfg = self._config(n_paths=n_paths, steps=256)
@@ -850,75 +897,50 @@ class TestMonteCarlo:
         assert serial.values.tobytes() == parallel.values.tobytes()
 
     @pytest.mark.parametrize(("n_workers", "n_blocks"), [(2, 10), (3, 7)])
-    def test_caller_runs_every_n_workers_th_block(self, monkeypatch, n_workers, n_blocks):
+    def test_caller_runs_every_n_workers_th_block(self, forks, n_workers, n_blocks):
         # N = 2**16 makes every path its own block: ten blocks on two
         # workers, and seven on three, one per path since there are too few
         # for nine.  The calling process is one of the n_workers: it runs
-        # blocks 0, W, 2W, ... and the one pool, of W - 1 workers, runs the
-        # others.
-        pools = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self._max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # blocks 0, W, 2W, ... and the W - 1 forked workers run the others,
+        # worker w the blocks w, w + W, ...
         cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 16), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(72), n_paths=n_blocks)
         pids = [pid for _, pid in run_blocks(_process_id, cfg, n_workers)]
         assert [pid == os.getpid() for pid in pids] == [i % n_workers == 0 for i in range(n_blocks)]
-        assert pools == [n_workers - 1]
+        assert len(forks) == n_workers - 1
+        assert [pid for i, pid in enumerate(pids) if i % n_workers] == [
+            forks[i % n_workers - 1] for i in range(n_blocks) if i % n_workers]
 
-    def test_single_block_runs_without_a_pool(self, monkeypatch):
+    def test_single_block_runs_without_a_pool(self, forks):
         # Two workers split any two paths or more into two blocks; one path
         # is one block, and caps the workers at one.
         serial = monte_carlo(self._config(n_paths=1), n_workers=1)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started for a single block")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         parallel = monte_carlo(self._config(n_paths=1), n_workers=2)
         assert serial.values.tobytes() == parallel.values.tobytes()
+        assert forks == []
 
-    @pytest.mark.parametrize(("pool_states", "pools"), [(512, []), (511, [1])],
+    @pytest.mark.parametrize(("pool_states", "pools"), [(512, 0), (511, 1)],
                              ids=["at-the-floor", "past-the-floor"])
-    def test_small_runs_start_no_pool(self, monkeypatch, pool_states, pools):
+    def test_small_runs_start_no_pool(self, monkeypatch, forks, pool_states, pools):
         # Two paths of 256 steps are 512 states.  A run of at most
-        # _POOL_STATES states is solved here, before its task is pickled;
-        # one state more gives two blocks, one of them in a pool of one.
-        started, probed = [], []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self._max_workers)
-
-        class RecordingPickle:
-            @staticmethod
-            def dumps(obj):
-                probed.append(obj)
-                return pickle.dumps(obj)
-
+        # _POOL_STATES states is solved here; one state more gives two
+        # blocks, one of them in a forked worker.
         cfg = self._config(n_paths=2, steps=256)
         serial = monte_carlo(cfg, n_workers=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(engine, "pickle", RecordingPickle)
         monkeypatch.setattr(engine, "_POOL_STATES", pool_states)
         parallel = monte_carlo(cfg, n_workers=2)
         assert serial.values.tobytes() == parallel.values.tobytes()
-        assert started == pools
-        assert len(probed) == len(pools)
+        assert len(forks) == pools
 
     def test_the_pool_floor_keeps_the_benchmark_pools(self):
         # A coupled study's 64 seeds on an N = 512 reference and 600 paths
-        # of 256 steps run pools; the floor lies below both.
+        # of 256 steps fork workers; the floor lies below both.
         assert engine._POOL_STATES < min(64 * 512, 600 * 256)
 
-    def test_unpicklable_config_falls_back_to_serial(self, monkeypatch):
+    def test_lambda_offset_runs_on_two_processes(self, forks):
         # Two workers split the ten paths into two blocks of five on
-        # N = 2048, so a pool of one worker would run beside this process.
+        # N = 2048.  The forked worker inherits the config, so the lambda
+        # offset, which does not pickle, is solved there too.
         cfg = SimulationConfig(
             grid=make_grid(1.0, 2048),
             hurst=builtin_hurst("constant", [0.6]),
@@ -927,38 +949,32 @@ class TestMonteCarlo:
             n_paths=10,
         )
         serial = monte_carlo(cfg, n_workers=1)
+        assert forks == []
+        forked = monte_carlo(cfg, n_workers=2)
+        assert len(forks) == 1
+        assert serial.values.tobytes() == forked.values.tobytes()
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started for an unpicklable config")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        fallback = monte_carlo(cfg, n_workers=2)
-        assert serial.values.tobytes() == fallback.values.tobytes()
-
-    def test_unpicklable_finish_falls_back_to_serial(self, monkeypatch):
+    def test_lambda_finish_runs_on_two_processes(self, monkeypatch, forks):
         # Under a budget of 2**14 states, blocks of at most 16 paths on
-        # N = 1024: four blocks of 15.  The lambda finish is bound into the
-        # block task, which then does not pickle, so every block of the
-        # one-worker split runs in this process.
+        # N = 1024: four blocks of 15, for one worker or two.  The lambda
+        # finish is bound into the block task, which the forked worker
+        # inherits: it runs blocks 1 and 3 and pickles only their states.
         monkeypatch.setattr(engine, "_BLOCK_STATES", 2 ** 14)
         cfg = SimulationConfig(grid=make_grid(1.0, 1024), hurst=builtin_hurst("bell", []),
                                seed=Seed(66), n_paths=60)
         serial = [(start, block.tobytes()) for start, block in simulate_blocks(cfg, 1)]
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started for a task that does not pickle")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        fallback = [(start, block.tobytes())
-                    for start, block in simulate_blocks(cfg, 2, finish=lambda x: x)]
+        assert forks == []
+        forked = [(start, block.tobytes())
+                  for start, block in simulate_blocks(cfg, 2, finish=lambda x: x)]
+        assert len(forks) == 1
         assert len(serial) == 4
-        assert fallback == serial
+        assert forked == serial
 
     @pytest.mark.parametrize("failing", [0, 8], ids=["caller-block", "pool-block"])
     def test_block_runner_adds_the_block_start_to_a_row(self, failing):
         # One block of up to 2**16 // 2048 = 32 paths would hold all 16; two
         # workers split them into two blocks of 8: block 0 runs in this
-        # process, block 8 in the pool.  The task names its last row,
+        # process, block 8 in the forked worker.  The task names its last row,
         # 7, and the error must name the global path.
         cfg = SimulationConfig(grid=make_grid(1.0, 2048), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(67), n_paths=16)
@@ -970,12 +986,13 @@ class TestMonteCarlo:
 
     def test_no_pending_block_starts_after_the_first_failing_block(self, tmp_path):
         # N = 2**16 makes every path its own block: 24 blocks on 2 workers,
-        # this process and a pool of n_workers - 1 = 1, which is given the
-        # 12 odd blocks.  Block 0 fails here.  The blocks that may still run
-        # are the pool's: one per pool worker, and those in its call queue,
-        # which holds n_workers - 1 + 1 calls a future can no longer cancel,
-        # so at most 2 * n_workers - 1 = 3; 1 and 2 markers occur.  Without
-        # the cancel all 12 pool blocks would run.
+        # this process and n_workers - 1 = 1 forked worker, which runs the
+        # 12 odd blocks.  Block 0 fails here.  A worker starts a block only
+        # while fewer than two of its finished blocks are unread, and this
+        # process reads none, so each worker starts at most two: at most
+        # 2 * (n_workers - 1) <= 2 * n_workers - 1 markers, by construction.
+        # The worker is killed when the failure is raised, so fewer occur.
+        # Without the bound all 12 of its blocks would run.
         cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 16), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(71), n_paths=24)
         n_workers = 2
@@ -988,7 +1005,8 @@ class TestMonteCarlo:
 
     def test_caller_starts_no_block_after_a_pool_failure(self, tmp_path):
         # N = 2**16 makes every path its own block on 2 workers: this
-        # process runs blocks 0 and 2, the pool blocks 1 and 3.  Block 1 fails first in block
+        # process runs blocks 0 and 2, the forked worker blocks 1 and 3.
+        # Block 1 fails first in block
         # order, so the error names it, and this process reads that failure
         # before block 2's turn comes, so block 2 never starts.
         cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 16), hurst=builtin_hurst("constant", [0.6]),
@@ -1003,7 +1021,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_path_failure_names_the_index(self, monkeypatch, n_workers):
-        # With no pool floor, two workers run the two paths in two processes.
+        # With no floor, two workers run the two paths in two processes.
         monkeypatch.setattr(engine, "_POOL_STATES", 0)
         broken = HurstFunction(
             evaluator=_RaisingEvaluator(), h_star=0.4, h_sup=0.6, lip_t=0.0, lip_x=0.0
@@ -1045,8 +1063,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_raising_evaluator_names_the_failing_path(self, monkeypatch, n_workers):
-        # The four paths are one block for one worker and, with no pool
-        # floor, two blocks of two for two; the failing path, 1, is the
+        # The four paths are one block for one worker and, with no floor,
+        # two blocks of two for two; the failing path, 1, is the
         # second of block 0 either way.
         # The evaluation that raises covers the whole block, and the error
         # must still name the path whose state left the domain, not the
@@ -1127,6 +1145,105 @@ class TestMonteCarlo:
             refine_config(cfg, 0)
 
 
+@_NO_FORK_WITH_THREADS
+class TestForkedWorkers:
+    """The contract of the workers that ``run_blocks`` forks."""
+
+    @staticmethod
+    def _one_path_blocks(n_paths: int) -> SimulationConfig:
+        # N = 2**16 makes every path its own block.
+        return SimulationConfig(grid=make_grid(1.0, 2 ** 16),
+                                hurst=builtin_hurst("constant", [0.6]), seed=Seed(74),
+                                n_paths=n_paths)
+
+    def test_worker_starts_a_block_while_fewer_than_two_are_unread(self, tmp_path):
+        # Ten blocks on two workers: the forked one runs 1, 3, 5, 7 and 9.
+        # Until this process reads block 1 it may start two of them, 1 and
+        # 3; each result read lets it start one more.
+        blocks = run_blocks(partial(_mark_start, marks=tmp_path), self._one_path_blocks(10), 2)
+        assert next(blocks)[0] == 0
+        assert _started(tmp_path, 3) == [0, 1, 3]
+        assert next(blocks)[0] == 1
+        assert _started(tmp_path, 4) == [0, 1, 3, 5]
+        assert [start for start, _ in blocks] == list(range(2, 10))
+
+    def test_dying_worker_names_its_block(self):
+        # The forked worker runs blocks 1 and 3 and ends its process in
+        # block 3: the error names that block's path, and nothing hangs.
+        cfg = self._one_path_blocks(4)
+        read = []
+        with pytest.raises(PathSimulationError) as excinfo:
+            for start, _ in run_blocks(partial(_exit_in_worker, caller=os.getpid(), failing=3),
+                                       cfg, 2):
+                read.append(start)
+        assert read == [0, 1, 2]
+        assert excinfo.value.path_index == 3
+        assert isinstance(excinfo.value.cause, ChildProcessError)
+        assert "exited with code 3" in str(excinfo.value)
+
+    @pytest.mark.parametrize(("kind", "cause", "says"), [
+        ("result", pickle.PicklingError, "the result of paths 8 to 15 does not pickle"),
+        ("error", pickle.PicklingError, "of paths 8 to 15 does not pickle"),
+        ("unpickling", pickle.UnpicklingError, "for paths 8 to 15 does not unpickle"),
+    ])
+    def test_outcome_that_does_not_travel_names_the_block(self, kind, cause, says):
+        # 16 paths on N = 2048 are two blocks of 8 on two workers; the
+        # forked worker's block, 8, holds path 10.
+        cfg = SimulationConfig(grid=make_grid(1.0, 2048), hurst=builtin_hurst("constant", [0.6]),
+                               seed=Seed(75), n_paths=16)
+        with pytest.raises(PathSimulationError) as excinfo:
+            for _ in run_blocks(partial(_unpicklable_outcome, kind=kind), cfg, 2):
+                pass
+        assert excinfo.value.path_index == 8
+        assert isinstance(excinfo.value.cause, cause)
+        assert says in str(excinfo.value)
+        assert str(pickle.loads(pickle.dumps(excinfo.value))) == str(excinfo.value)
+
+    @pytest.mark.parametrize("ending", ["normal", "worker-failure", "early-close"])
+    def test_every_worker_is_reaped(self, forks, tmp_path, ending):
+        # Six blocks on three workers: two forked workers, one with blocks
+        # 1 and 4, one with 2 and 5.  However the run ends, neither is left
+        # to reap.
+        cfg = self._one_path_blocks(6)
+        if ending == "normal":
+            assert [start for start, _ in run_blocks(_process_id, cfg, 3)] == list(range(6))
+        elif ending == "worker-failure":
+            with pytest.raises(PathSimulationError):
+                for _ in run_blocks(partial(_fail_blocks_one_and_two, marks=tmp_path), cfg, 3):
+                    pass
+        else:
+            blocks = run_blocks(_process_id, cfg, 3)
+            next(blocks)
+            blocks.close()
+        assert len(forks) == 2
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_workers_flush_no_buffer_and_run_no_atexit(self, tmp_path):
+        # A worker leaves by os._exit: the caller's unflushed buffer is
+        # written once, by the caller, and its atexit hooks stay its own.
+        marker = tmp_path / "atexit-ran"
+        atexit.register(marker.touch)
+        try:
+            with open(tmp_path / "out.txt", "w") as out:
+                out.write("written once")
+                assert len(list(run_blocks(_process_id, self._one_path_blocks(4), 2))) == 4
+        finally:
+            atexit.unregister(marker.touch)
+        assert (tmp_path / "out.txt").read_text() == "written once"
+        assert not marker.exists()
+
+    def test_a_platform_without_fork_runs_one_worker(self, monkeypatch):
+        # Ten paths on N = 2048 are two blocks on two workers, and one block
+        # on one.
+        cfg = replace(self._one_path_blocks(10), grid=make_grid(1.0, 2048))
+        serial = monte_carlo(cfg, n_workers=1)
+        monkeypatch.delattr(os, "fork")
+        assert [pid for _, pid in run_blocks(_process_id, cfg, 2)] == [os.getpid()]
+        assert monte_carlo(cfg, n_workers=2).values.tobytes() == serial.values.tobytes()
+
+
 class TestGaussianEnsemble:
     """Distributional checks on the shared h = 1/2 ensemble (10^4 paths).
 
@@ -1196,7 +1313,7 @@ def test_counts_are_integers_or_errors(name, value):
 
 
 # Two workers split each run into two blocks, the ten paths on N = 2048
-# and the study's 40 seeds on its N = 512 reference grid, so they run a pool.
+# and the study's 40 seeds on its N = 512 reference grid, so they fork a worker.
 _POOLED_USES = {
     "monte_carlo": lambda n: monte_carlo(
         replace(_COARSE, grid=make_grid(1.0, 2048), n_paths=10), n_workers=n

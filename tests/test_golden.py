@@ -232,7 +232,7 @@ def test_every_class_pins_every_run():
 @pytest.mark.parametrize("stem", sorted(CONFIG_FILES))
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_config_data_file_digest(stem, threads, tmp_path, monkeypatch):
-    # With no pool floor, two threads run a pool on every config.
+    # With no floor, two threads fork a worker on every config.
     monkeypatch.setattr(engine, "_POOL_STATES", 0)
     config_path = CONFIG_DIR / f"{stem}.json"
     raw = json.loads(config_path.read_text())

@@ -169,8 +169,9 @@ PARAMS = {("hurst", "constant"): [0.75], ("hurst", "trig"): [0.6, 0.2, 1.0],
 
 @pytest.mark.parametrize(("kind", "name", "names"), FAMILIES)
 def test_builtin_survives_pickling(kind, name, names):
-    # Configurations are sent to process pools; an evaluator must pickle
-    # and come back equal to a fresh build with the same parameters.
+    # A configuration can be saved or sent to another process; an
+    # evaluator must pickle and come back equal to a fresh build with the
+    # same parameters.
     params = PARAMS.get((kind, name), [])
     back = pickle.loads(pickle.dumps(BUILD[kind](name, params)))
     assert back == BUILD[kind](name, params)
