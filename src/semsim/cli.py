@@ -597,8 +597,9 @@ def main(argv=None) -> int:
             "config": config.echo,
             "files": [filename],
             "threads": threads,
-            # Whether refinement coupling is bit-exact on the base grid: its
-            # node products are exact (TimeGrid.has_exact_nodes).
+            # Whether the base grid's node differences equal the solver's
+            # distances t[k - i] bit for bit (TimeGrid.has_exact_nodes).
+            # Refinement coupling is bit-exact on every grid.
             "exact_nodes": config.simulation_config().grid.has_exact_nodes,
             "wall_seconds": wall,
             "seed_rule": SEED_RULE,

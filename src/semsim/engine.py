@@ -502,38 +502,33 @@ def _block_bounds(n_paths: int, steps: int, n_workers: int) -> tuple[list[int], 
 class _Worker:
     """A forked process that runs its share of a run's blocks and pipes back each result.
 
-    The worker runs ``blocks``, a list of ``(start, stop)``, in order, each
-    through ``run``, and writes each block's ``(ok, result or exception)``,
-    pickled and prefixed by its length, to its result pipe.  Before each
-    block past its second it takes a byte from its credit pipe, and the
-    caller writes one there for each result it reads while the worker has
-    blocks left, so the worker starts a block only while fewer than two of
-    its finished blocks are unread.  It stops after it sends a failure.  It
-    leaves by ``os._exit`` alone, so it never flushes the caller's stdio or
-    runs its ``atexit``, and it first closes the pipe ends of ``others``,
-    the workers forked before it.
+    The worker runs ``blocks``, a list of ``(start, stop)``, back to back,
+    each through ``run``, and writes each block's ``(ok, result or
+    exception)``, pickled and prefixed by its length, to its one pipe.  A
+    full pipe holds it until the caller reads, so a result the pipe cannot
+    hold keeps the worker from starting its next block.  It stops after it
+    sends a failure.  It leaves by ``os._exit`` alone, so it never flushes
+    the caller's stdio or runs its ``atexit``, and it first closes the pipe
+    ends of ``others``, the workers forked before it.
     """
 
     def __init__(self, run: Callable, blocks: list[tuple[int, int]], others: list[_Worker]):
-        credit_r, self.credits = os.pipe()
         result_r, result_w = os.pipe()
         try:
             self.pid = os.fork()
         except BaseException:
-            for fd in (credit_r, self.credits, result_r, result_w):
-                os.close(fd)
+            os.close(result_r)
+            os.close(result_w)
             raise
         if self.pid == 0:
             code = 1
             try:
-                for fd in (self.credits, result_r,
-                           *(fd for w in others for fd in (w.credits, w.results.fileno()))):
+                for fd in (result_r, *(w.results.fileno() for w in others)):
                     os.close(fd)
-                _serve(run, blocks, credit_r, result_w)
+                _serve(run, blocks, result_w)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(credit_r)
         os.close(result_w)
         self.results = open(result_r, "rb")
 
@@ -563,29 +558,18 @@ class _Worker:
             raise value
         return value
 
-    def credit(self) -> None:
-        """Let the worker start one more block."""
-        try:
-            os.write(self.credits, b"\0")
-        except BrokenPipeError:
-            # The worker has died; reading its next result says so.
-            pass
-
     def close(self) -> None:
-        """Close the pipes, then end the worker and reap it."""
-        os.close(self.credits)
+        """Close the pipe, then end the worker and reap it."""
         self.results.close()
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
 
 
-def _serve(run: Callable, blocks: list[tuple[int, int]], credits: int, results: int) -> None:
+def _serve(run: Callable, blocks: list[tuple[int, int]], results: int) -> None:
     """A worker's loop: run ``blocks`` in turn and send each outcome (see :class:`_Worker`)."""
     with open(results, "wb") as out:
-        for j, (start, stop) in enumerate(blocks):
-            if j > 1 and not os.read(credits, 1):
-                return
+        for start, stop in blocks:
             try:
                 ok, value = True, run(start, stop)
             except Exception as exc:
@@ -614,15 +598,16 @@ def run_blocks(task: Callable, config: SimulationConfig, n_workers: int
     at the paths, and at one process for a run too small to fork for, or
     on a platform without ``os.fork``.  ``run = partial(_run_block, task,
     config)`` runs each block; a task's other inputs are bound into it with
-    ``functools.partial``.  With ``W > 1``, this process runs blocks ``0,
-    W, 2W, ...`` itself, each when its turn comes, and ``W - 1`` workers
-    made by ``os.fork`` run the others through the same ``run``, worker
-    ``w`` the blocks ``w, w + W, ...``.  A worker inherits ``run``, so any
-    task runs in it, a lambda included, and only the blocks' results are
+    ``functools.partial``.  Of ``W`` workers, this process runs blocks
+    ``0, W, 2W, ...`` itself, each when its turn comes, and ``W - 1``
+    workers made by ``os.fork`` run the others through the same ``run``,
+    worker ``w`` the blocks ``w, w + W, ...``; one worker is this process
+    alone, running every block.  A worker inherits ``run``, so any task
+    runs in it, a lambda included, and only the blocks' results are
     pickled: each worker sends them through its own pipe, and this process
-    reads them in block order between its own blocks.  A worker starts a
-    block only while fewer than two of its finished blocks are unread.
-    Either way a failure raises :class:`PathSimulationError` naming the
+    reads them in block order between its own blocks.  A worker runs its
+    blocks back to back, and a full pipe holds it until this process reads.
+    A failure raises :class:`PathSimulationError` naming the
     lowest failing path, from the first failing block; a worker that dies,
     or a result that does not pickle, names the block's first path.
     However the caller stops reading, this process starts no block of its
@@ -632,24 +617,14 @@ def run_blocks(task: Callable, config: SimulationConfig, n_workers: int
     cap = config.n_paths if config.n_paths * config.grid.steps > _POOL_STATES else 1
     n_workers = min(_as_int(n_workers, "n_workers", least=1), cap if hasattr(os, "fork") else 1)
     run = partial(_run_block, task, config)
-    starts, stops = _block_bounds(config.n_paths, config.grid.steps, n_workers)
-    if n_workers == 1:
-        yield from zip(starts, map(run, starts, stops))
-        return
-    blocks = list(zip(starts, stops))
+    blocks = list(zip(*_block_bounds(config.n_paths, config.grid.steps, n_workers)))
     workers: list[_Worker] = []
     try:
         for w in range(1, n_workers):
             workers.append(_Worker(run, blocks[w::n_workers], workers))
         for i, (start, stop) in enumerate(blocks):
-            if i % n_workers == 0:
-                yield start, run(start, stop)
-                continue
-            worker = workers[i % n_workers - 1]
-            result = worker.receive(start, stop)
-            if i + 2 * n_workers < len(blocks):
-                worker.credit()
-            yield start, result
+            w = i % n_workers
+            yield start, run(start, stop) if w == 0 else workers[w - 1].receive(start, stop)
     finally:
         for worker in workers:
             worker.close()

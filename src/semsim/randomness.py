@@ -257,11 +257,12 @@ class TimeGrid:
         Holds whenever the odd part of the significand of ``dt`` times
         ``steps`` fits in 53 bits, e.g. for any power-of-two ``steps`` with
         a short-significand horizon such as 1.0, 2.5 or 10.0.  On such grids
-        node differences collapse exactly, ``nodes[k] - nodes[i] ==
-        nodes[k - i]`` bitwise, and a coarse node is bitwise a node of
-        every refinement, which is what makes refinement coupling bit-exact.
-        The solver's kernel reads node distances as ``nodes[k - i]`` on
-        every grid, so it does not depend on this property.
+        node differences equal the solver's distances bit for bit,
+        ``nodes[k] - nodes[i] == nodes[k - i]``.  The solver's kernel reads
+        node distances as ``nodes[k - i]`` on every grid, so it does not
+        depend on this property, and neither does refinement coupling: the
+        refinement study solves every level from the block sums of one
+        draw, so coupling is bit-exact on every grid.
         """
         mantissa, _ = math.frexp(self.dt)
         m = int(mantissa * (1 << 53))

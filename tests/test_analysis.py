@@ -237,18 +237,22 @@ class TestConvergenceStudy:
         )
 
     def test_exactly_coupled_levels_are_degenerate(self):
-        cfg = SimulationConfig(
-            grid=make_grid(1.0, 16),
-            hurst=builtin_hurst("constant", [0.5]),
-            seed=Seed(9),
-            n_paths=2,
-        )
-        report = convergence_study(cfg, n_levels=3, refine_factor=2)
-        assert report.degenerate is True
-        assert report.fitted_slope is None
-        assert report.envelope_constant is None
-        assert report.sup_mse == (0.0, 0.0, 0.0)
-        assert report.theoretical_rate_bound == 1.0
+        # Every level is solved from the block sums of one draw, so the
+        # coupling is exact on a grid whose node products are not.
+        for grid, exact in [(make_grid(1.0, 16), True), (make_grid(0.1, 30), False)]:
+            assert grid.has_exact_nodes is exact
+            cfg = SimulationConfig(
+                grid=grid,
+                hurst=builtin_hurst("constant", [0.5]),
+                seed=Seed(9),
+                n_paths=2,
+            )
+            report = convergence_study(cfg, n_levels=3, refine_factor=2)
+            assert report.degenerate is True
+            assert report.fitted_slope is None
+            assert report.envelope_constant is None
+            assert report.sup_mse == (0.0, 0.0, 0.0)
+            assert report.theoretical_rate_bound == 1.0
 
     @pytest.mark.parametrize(
         "dampening", [None, builtin_dampening("constant", [1.0])], ids=["plain", "dampened"]

@@ -144,10 +144,10 @@ def _fail_last_row(config: SimulationConfig, start: int, stop: int, failing: int
     return start
 
 
-def _mark_start(config: SimulationConfig, start: int, stop: int, marks) -> int:
-    """A block task: leaves a marker in ``marks`` as it starts."""
+def _mark_start(config: SimulationConfig, start: int, stop: int, marks, size: int = 0) -> bytes:
+    """A block task: leaves a marker in ``marks`` as it starts, and returns ``size`` zero bytes."""
     (marks / f"started-{start}").touch()
-    return start
+    return bytes(size)
 
 
 def _exit_in_worker(config: SimulationConfig, start: int, stop: int, caller: int,
@@ -183,6 +183,11 @@ def _started(marks, count: int) -> list[int]:
         time.sleep(0.01)
     time.sleep(0.3)
     return sorted(int(p.name.split("-")[1]) for p in marks.iterdir())
+
+
+def _open_descriptors() -> int | None:
+    """How many descriptors this process has open, or None where ``/proc/self/fd`` does not exist."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 def _oracle_path(config: SimulationConfig, increments: BrownianIncrements) -> np.ndarray:
@@ -987,12 +992,11 @@ class TestMonteCarlo:
     def test_no_pending_block_starts_after_the_first_failing_block(self, tmp_path):
         # N = 2**16 makes every path its own block: 24 blocks on 2 workers,
         # this process and n_workers - 1 = 1 forked worker, which runs the
-        # 12 odd blocks.  Block 0 fails here.  A worker starts a block only
-        # while fewer than two of its finished blocks are unread, and this
-        # process reads none, so each worker starts at most two: at most
-        # 2 * (n_workers - 1) <= 2 * n_workers - 1 markers, by construction.
-        # The worker is killed when the failure is raised, so fewer occur.
-        # Without the bound all 12 of its blocks would run.
+        # 12 odd blocks.  Block 0 fails here, at once, and the worker is
+        # killed when that failure is raised.  Every other block sleeps
+        # 0.2 s before it leaves its marker, so a prompt kill leaves none,
+        # and at most 2 * n_workers - 1 markers allow for a slow one.  Were
+        # the worker left running, all 12 of its blocks would leave one.
         cfg = SimulationConfig(grid=make_grid(1.0, 2 ** 16), hurst=builtin_hurst("constant", [0.6]),
                                seed=Seed(71), n_paths=24)
         n_workers = 2
@@ -1156,15 +1160,27 @@ class TestForkedWorkers:
                                 hurst=builtin_hurst("constant", [0.6]), seed=Seed(74),
                                 n_paths=n_paths)
 
-    def test_worker_starts_a_block_while_fewer_than_two_are_unread(self, tmp_path):
+    def test_worker_runs_its_blocks_without_waiting_for_reads(self, tmp_path):
         # Ten blocks on two workers: the forked one runs 1, 3, 5, 7 and 9.
-        # Until this process reads block 1 it may start two of them, 1 and
-        # 3; each result read lets it start one more.
+        # Their empty results all fit in the pipe, so it starts every one
+        # of them before this process reads any.
         blocks = run_blocks(partial(_mark_start, marks=tmp_path), self._one_path_blocks(10), 2)
         assert next(blocks)[0] == 0
+        assert _started(tmp_path, 6) == [0, 1, 3, 5, 7, 9]
+        assert [start for start, _ in blocks] == list(range(1, 10))
+
+    def test_a_full_pipe_holds_the_worker_until_the_caller_reads(self, tmp_path):
+        # The same ten blocks, but each returns 1 MiB, more than a pipe
+        # holds: the worker's write of block 1 waits for this process to
+        # read it, so the worker holds one result at a time and starts
+        # block 3 only once block 1 is read.
+        blocks = run_blocks(partial(_mark_start, marks=tmp_path, size=2 ** 20),
+                            self._one_path_blocks(10), 2)
+        assert next(blocks)[0] == 0
+        assert _started(tmp_path, 2) == [0, 1]
+        start, result = next(blocks)
+        assert (start, len(result)) == (1, 2 ** 20)
         assert _started(tmp_path, 3) == [0, 1, 3]
-        assert next(blocks)[0] == 1
-        assert _started(tmp_path, 4) == [0, 1, 3, 5]
         assert [start for start, _ in blocks] == list(range(2, 10))
 
     def test_dying_worker_names_its_block(self):
@@ -1203,8 +1219,9 @@ class TestForkedWorkers:
     def test_every_worker_is_reaped(self, forks, tmp_path, ending):
         # Six blocks on three workers: two forked workers, one with blocks
         # 1 and 4, one with 2 and 5.  However the run ends, neither is left
-        # to reap.
+        # to reap, and no pipe is left open.
         cfg = self._one_path_blocks(6)
+        fds = _open_descriptors()
         if ending == "normal":
             assert [start for start, _ in run_blocks(_process_id, cfg, 3)] == list(range(6))
         elif ending == "worker-failure":
@@ -1219,6 +1236,7 @@ class TestForkedWorkers:
         for pid in forks:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+        assert _open_descriptors() == fds
 
     def test_workers_flush_no_buffer_and_run_no_atexit(self, tmp_path):
         # A worker leaves by os._exit: the caller's unflushed buffer is
