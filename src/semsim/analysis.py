@@ -9,6 +9,7 @@ level to one fine Brownian draw per path through exact block sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -22,7 +23,7 @@ from .engine import (
     run_blocks,
     solve_batch,
 )
-from .randomness import _as_int, _block_sums, sample_brownian_block
+from .randomness import _as_int, _as_real, _block_sums, sample_brownian_block
 from .special import MittagLefflerError, gronwall_bound
 
 __all__ = [
@@ -125,11 +126,13 @@ def sample_moment(states: np.ndarray, p: float) -> MonteCarloEstimate:
 
     The standard error is the sample standard deviation over the square
     root of the sample count, and 0 for a single sample.  ``states`` that
-    are empty or not 1-d raise ``ValueError``.
+    are empty or not 1-d raise ``ValueError``, and so does a ``p`` that is
+    negative or not a finite real: a string, a bool or an infinity.
     """
-    p = float(p)
-    if not p >= 0.0:
-        raise ValueError(f"moment order p must be nonnegative, got {p!r}")
+    # NaN fails the sign test; _as_real rejects bools and ints past the float range.
+    if not (isinstance(p, numbers.Real) and 0.0 <= p < math.inf):
+        raise ValueError(f"moment order p must be nonnegative and a finite real, got {p!r}")
+    p = _as_real(p, "moment order p")
     states = np.asarray(states)
     if states.ndim != 1 or states.size == 0:
         raise ValueError(f"states must be a non-empty 1-d array, got shape {states.shape}")
@@ -196,12 +199,13 @@ def estimate_holder(path: SamplePath, q: float = 2.0, lags=None) -> HolderEstima
     Brownian input and ``q = 2`` this recovers 1/2.  Lags must be at least
     three, strictly increasing, and no larger than a quarter of the step
     count (larger lags leave too few pairs to average); by default they
-    are the powers of two up to ``min(64, N // 4)``.  A constant path (any
+    are the powers of two up to ``min(64, N // 4)``.  ``q`` must be a
+    positive finite real, not a string or a bool.  A constant path (any
     ``S(m) == 0``) raises :class:`DegeneratePathError`.
     """
-    q = float(q)
-    if not q > 0.0:
-        raise ValueError(f"q must be positive, got {q!r}")
+    if not (isinstance(q, numbers.Real) and 0.0 < q < math.inf):
+        raise ValueError(f"q must be positive and a finite real, got {q!r}")
+    q = _as_real(q, "q")
     lags = _holder_lags(path.grid.steps, lags)
     x = path.values
     s_vals = np.empty(len(lags))

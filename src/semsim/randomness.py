@@ -10,8 +10,9 @@ All randomness flows through a single counter-based pipeline:
 2. Raw 64-bit words come from the Philox-4x64 counter-based generator keyed
    by the stream key.
 3. Each word is mapped to a uniform in the open interval (0, 1) by taking the
-   top 53 bits and centering, ``u = (w >> 11 + 0.5) * 2**-53``.  Exactly one
-   word is consumed per Gaussian.
+   top 53 bits and centering, ``u = (w >> 11 + 0.5) * 2**-53``.  The top
+   code, whose centred value rounds to 1.0, maps to ``1 - 2**-53``, the
+   largest double below 1.  Exactly one word is consumed per Gaussian.
 4. Gaussians are produced by the inverse normal CDF, never by rejection
    sampling, so the draw count is a fixed function of the request size.
    The inverse is a numpy port of the Cephes ``ndtri`` rational
@@ -383,6 +384,7 @@ def _increments(keys, grid: TimeGrid) -> np.ndarray:
         bitgen.state = state
         row[...] = bitgen.random_raw(n)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    np.minimum(u, 1.0 - 2.0 ** -53, out=u)
     return np.rint(_ndtri(u) * math.sqrt(grid.dt) / QUANTUM) * QUANTUM
 
 

@@ -4,23 +4,23 @@
 that closes the fractional comparison argument: a nonnegative ``u`` with
 ``u(t) <= a + g * integral((t - s)**(beta - 1) * u(s), 0, t)`` satisfies
 ``u(t) <= a * E_beta(g * Gamma(beta) * t**beta)``.  For ``beta = 1`` this
-collapses to the classical exponential envelope ``a * exp(g * t)``.
+collapses to the classical exponential envelope ``a * exp(g * t)``.  The
+series stops at a term below ``_TOLERANCE`` (``1e-12``) and gives up after
+``_MAX_TERMS`` (10,000) terms.
 """
 
 from __future__ import annotations
 
 import math
 
-from .randomness import _as_int
+__all__ = ["MittagLefflerError", "mittag_leffler", "gronwall_bound"]
 
-__all__ = ["MittagLefflerError", "log_gamma", "mittag_leffler", "gronwall_bound"]
-
-_DEFAULT_TOLERANCE = 1e-12
-_DEFAULT_MAX_TERMS = 10_000
+_TOLERANCE = 1e-12
+_MAX_TERMS = 10_000
 
 
 class MittagLefflerError(ArithmeticError):
-    """Series did not reach the tolerance within the term budget.
+    """Series did not reach ``_TOLERANCE`` within ``_MAX_TERMS`` terms.
 
     Carries the partial sum accumulated so far in ``partial_sum`` and the
     number of terms taken in ``terms_used``.
@@ -32,35 +32,17 @@ class MittagLefflerError(ArithmeticError):
         self.terms_used = terms_used
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for ``x > 0``.
-
-    Delegates to the platform ``lgamma`` (Lanczos-type approximation),
-    which is accurate to well under 1e-12 relative error on
-    ``[1e-3, 1e3]``.
-    """
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def mittag_leffler(
-    z: float,
-    beta: float,
-    tolerance: float = _DEFAULT_TOLERANCE,
-    max_terms: int = _DEFAULT_MAX_TERMS,
-) -> float:
+def mittag_leffler(z: float, beta: float) -> float:
     """Evaluate ``E_beta(z)`` by its power series.
 
-    Terms are computed in log space, ``exp(k * log|z| - log_gamma(k * beta
-    + 1))``, to keep large ``k`` stable, and accumulation stops once a term
-    falls below ``tolerance`` or below ``2**-54`` times the sum.  The
+    Terms are computed in log space, ``exp(k * log(z) - math.lgamma(k *
+    beta + 1))``, to keep large ``k`` stable, and accumulation stops once a
+    term falls below ``_TOLERANCE`` or below ``2**-54`` times the sum.  The
     terms rise and then fall, so the second test can only fire past their
     peak, and such a term and every later one lie below half an ulp of the
     sum: the sum is final.  Once a term or the sum overflows the float
-    range the result is ``math.inf``.  Exceeding ``max_terms``, an integer
-    of at least 1, raises :class:`MittagLefflerError` with the partial sum
+    range the result is ``math.inf``.  Taking ``_MAX_TERMS`` terms without
+    stopping raises :class:`MittagLefflerError` with the partial sum
     attached.  Intended for ``z >= 0`` (the comparison-bound regime);
     negative ``z`` is rejected because the alternating series cancels
     catastrophically.
@@ -70,26 +52,23 @@ def mittag_leffler(
         raise ValueError(f"beta must be positive, got {beta!r}")
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"z must be finite and nonnegative, got {z!r}")
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-    max_terms = _as_int(max_terms, "max_terms", least=1)
     if z == 0.0:
         return 1.0
     log_z = math.log(z)
     total = 0.0
-    for k in range(max_terms):
+    for k in range(_MAX_TERMS):
         log_term = k * log_z - math.lgamma(k * beta + 1.0)
         try:
             term = math.exp(log_term)
         except OverflowError:
             return math.inf
         total += term
-        if term < tolerance or term < total * 2.0 ** -54 or total == math.inf:
+        if term < _TOLERANCE or term < total * 2.0 ** -54 or total == math.inf:
             return total
     raise MittagLefflerError(
-        f"series for E_{beta}({z}) did not converge within {max_terms} terms",
+        f"series for E_{beta}({z}) did not converge within {_MAX_TERMS} terms",
         partial_sum=total,
-        terms_used=max_terms,
+        terms_used=_MAX_TERMS,
     )
 
 

@@ -32,6 +32,7 @@ from semsim import (
     coarsen,
     derive_path_seed,
     make_grid,
+    monte_carlo,
     refine_config,
     sample_brownian,
     sample_brownian_block,
@@ -42,7 +43,7 @@ from semsim.analysis import _coupled_squared_gaps
 from semsim.engine import solve_batch
 
 from _evaluators import NanPastThreshold, RaisingPastThreshold
-from _exact import scheme_weights
+from _exact import scheme_weights, structure_function_mean
 
 
 def _manual_ensemble():
@@ -96,6 +97,19 @@ class TestEstimateMoment:
     def test_sample_moment_rejects_empty_or_not_1d_samples(self, states):
         with pytest.raises(ValueError, match="non-empty 1-d"):
             analysis.sample_moment(states, 2.0)
+
+    @pytest.mark.parametrize("p", ["2", True, None, math.inf, -math.inf, np.float64(math.inf),
+                                   10**400],
+                             ids=["str", "bool", "None", "inf", "-inf", "numpy-inf", "huge-int"])
+    def test_sample_moment_rejects_orders_that_are_not_finite_reals(self, p):
+        with pytest.raises(ValueError, match="moment order p must be .*a finite real"):
+            analysis.sample_moment(np.array([1.0, 2.0]), p)
+
+    @pytest.mark.parametrize("p", [2, np.int64(2), np.float32(2.0)],
+                             ids=["int", "numpy-int", "numpy-float32"])
+    def test_sample_moment_takes_any_real_order(self, p):
+        states = np.array([1.0, 2.0])
+        assert analysis.sample_moment(states, p) == analysis.sample_moment(states, 2.0)
 
 
 class TestFitLoglogSlope:
@@ -170,11 +184,50 @@ class TestEstimateHolder:
         with pytest.raises(ValueError, match="q must be positive"):
             estimate_holder(path, q=float("nan"))
 
+    @pytest.mark.parametrize("q", ["2", True, None, math.inf, np.float64(math.inf), 10**400],
+                             ids=["str", "bool", "None", "inf", "numpy-inf", "huge-int"])
+    def test_rejects_orders_that_are_not_finite_reals(self, q):
+        grid = make_grid(1.0, 64)
+        path = SamplePath(grid=grid, values=grid.nodes)
+        with pytest.raises(ValueError, match="q must be .*a finite real"):
+            estimate_holder(path, q=q)
+
     def test_brownian_exponent_near_half(self, brownian_path_16k):
         est = estimate_holder(brownian_path_16k, q=2.0)
         assert est.lags == (1, 2, 4, 8, 16, 32, 64)
         assert 0.45 < est.exponent < 0.55
         assert est.r_squared > 0.999
+
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    def test_exact_structure_function_matches_dense_weights(self, h):
+        grid = make_grid(1.0, 64)
+        weights = scheme_weights(grid, h)
+        for m in (1, 3, 16):
+            diff = weights[m:] - weights[:-m]
+            sd = np.sqrt(grid.dt * np.sum(diff * diff, axis=1))
+            mean_abs = math.sqrt(2.0 / math.pi) * np.mean(sd)
+            assert structure_function_mean(grid, h, 1.0, m) == pytest.approx(mean_abs, rel=1e-13)
+            assert structure_function_mean(grid, h, 2.0, m) == pytest.approx(
+                np.mean(sd * sd), rel=1e-13)
+
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    def test_structure_function_matches_its_exact_expectation(self, h):
+        # For a constant Hurst value and no dampening, every path increment
+        # is centred Gaussian with an exact variance, so the mean over paths
+        # of S(m) has an exact expectation.  The bound |z| <= 4 at every
+        # default lag and the seed were fixed before the first run.  The
+        # lags share paths, so their z are correlated.
+        cfg = SimulationConfig(grid=make_grid(1.0, 2**12), hurst=builtin_hurst("constant", [h]),
+                               seed=Seed(2027), n_paths=200)
+        paths = monte_carlo(cfg).values
+        lags = estimate_holder(SamplePath(grid=cfg.grid, values=paths[0])).lags
+        assert lags == (1, 2, 4, 8, 16, 32, 64)
+        for q in (1.0, 2.0):
+            for m in lags:
+                s = np.mean(np.abs(paths[:, m:] - paths[:, :-m]) ** q, axis=1)
+                expected = structure_function_mean(cfg.grid, h, q, m)
+                z = (s.mean() - expected) / (s.std(ddof=1) / math.sqrt(cfg.n_paths))
+                assert abs(z) <= 4.0, (q, m, z)
 
 
 class TestAcfAbsIncrements:

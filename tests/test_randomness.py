@@ -193,6 +193,27 @@ def test_block_sampler_bounds():
             sample_brownian_block(Seed(1), grid, start, stop)
 
 
+class _TopWordPhilox:
+    """A stand-in for ``np.random.Philox`` whose every raw word is ``2**64 - 1``."""
+
+    def __init__(self, key=0):
+        self.state = {"state": {"key": np.zeros(2, dtype=np.uint64)}}
+
+    def random_raw(self, n):
+        return np.full(n, 2**64 - 1, dtype=np.uint64)
+
+
+def test_top_word_gives_a_finite_increment(monkeypatch):
+    # The top code's centred value rounds to 1.0, where the inverse CDF is
+    # +inf; it maps to the largest double below 1 instead.
+    monkeypatch.setattr(np.random, "Philox", _TopWordPhilox)
+    grid = make_grid(1.0, 4)
+    block = sample_brownian_block(Seed(1), grid, 0, 2)
+    top = _ndtri(np.array([1.0 - 2.0 ** -53]))[0]
+    assert math.isfinite(top) and top > 8.0
+    assert_array_equal(block, np.rint(top * math.sqrt(grid.dt) / QUANTUM) * QUANTUM)
+
+
 def test_increments_are_lattice_multiples():
     grid = make_grid(2.5, 512)
     incr = sample_brownian(Seed(11), grid)
