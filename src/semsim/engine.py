@@ -152,7 +152,7 @@ import pickle
 import signal
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -188,6 +188,9 @@ _POOL_STATES = 2 ** 14
 # The ufunc buffer size, in elements, while state-dependent columns are
 # built (see ``_column_sums``): numpy's minimum.
 _BUFSIZE = 16
+
+# 1/2 as a float64 0-d array, which a ufunc takes without converting it.
+_HALF = np.array(0.5)
 
 
 class PathSimulationError(RuntimeError):
@@ -337,15 +340,7 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
     else:
         x = np.full((n_paths, n + 1), -0.0)
         x[:, 0] = x0
-        # Per-node views: states[i] and weights[i] (node i's states and
-        # increments as (P, 1) columns) index faster than x[:, i:i + 1] and
-        # increments[:, i:i + 1].  Column i is drawn after column i - 1 has
-        # been added, so node i's state is final when it is read; the state
-        # includes the node's offset, the sums do not.
-        states, weights = x.T[:, :, None], increments.T[:, :, None]
-        columns = ((i, states[i] if g is None else states[i] + g[i], weights[i])
-                   for i in range(n))
-        _column_sums(config, kernel, columns, x[:, 1:])
+        _column_sums(config, kernel, x, increments, g, range(n))
     if g is not None:
         # Neither loop puts the offset into the sums, so every node gets it
         # once, here.
@@ -359,60 +354,70 @@ def solve_batch(config: SimulationConfig, increments: np.ndarray) -> np.ndarray:
     return x
 
 
-def _column_sums(config: SimulationConfig, kernel: tuple, columns: Iterable[tuple],
-                 sums: np.ndarray) -> None:
-    """Add each column ``(i, states, weights)`` to ``sums[:, i:]``, in order.
+def _column_sums(config: SimulationConfig, kernel: tuple, x: np.ndarray, increments: np.ndarray,
+                 g: np.ndarray | None, nodes: range) -> None:
+    """Add the column of each node ``i`` in ``nodes``, in order, to the sums of the later nodes.
 
-    ``sums`` holds the running sums of the nodes after the first of
-    ``config.grid``, path-major ``(P, N)``, starting at -0.0.  Column ``k -
-    i - 1`` of node ``i``'s terms is ``sigma(t_k, t_i, states) * weights``,
-    at the distance ``d[k - i - 1]``, for the ``m = N - i`` nodes ``k >
-    i``; ``states`` and ``weights`` are the node's states and increments as
-    ``(P, 1)`` columns.  Each factor that reads the state gets one
-    ``evaluate`` call per column on ``states``, at ``t_i`` when it
-    declares ``lip_t == 0`` and at the ``(1, m)`` row of times ``t_k``
-    otherwise.  ``kernel`` is :func:`_kernel_row` of ``config``, tabled
-    once by the caller, with at least one factor that reads the state.
-    The exponent starts as its state-free row: a state-dependent Hurst
-    exponent replaces it, plus the row when there is one, and a
-    state-dependent ``f * d`` is subtracted from it.  One ``exp`` and one
-    product with ``weights`` give the terms, in C-contiguous ``(P, m)``
-    views of two flat buffers of ``P * N`` floats, allocated once per call.
+    ``x`` holds the running sums of the nodes of ``config.grid``,
+    path-major ``(P, N + 1)``, starting at -0.0; ``increments`` is ``(P,
+    N)`` and ``g`` the offset of every node, or None.  Column ``k - i - 1``
+    of node ``i``'s terms is ``sigma(t_k, t_i, states) * increments[:, i]``,
+    at the distance ``d[k - i - 1]``, for the ``m = N - i`` nodes ``k > i``,
+    and is added to ``x[:, i + 1:]``.  The states are node ``i``'s sums plus
+    its offset, read as a ``(P, 1)`` column when the column is built: with
+    the columns before it added, they are final.  Each factor that reads
+    the state gets one ``evaluate`` call per column on the states, at the
+    float ``t_i`` when it declares ``lip_t == 0`` and at the ``(1, m)`` row
+    of times ``t_k`` otherwise; the time arguments are chosen once per call.
+    ``kernel`` is :func:`_kernel_row` of ``config``, tabled once by the
+    caller, with at least one factor that reads the state.  The exponent
+    starts as its state-free row: a state-dependent Hurst exponent replaces
+    it, plus the row when there is one, and a state-dependent ``f * d`` is
+    subtracted from it.  One ``exp`` and one product with the increments
+    give the terms, in C-contiguous ``(P, m)`` views of two flat buffers of
+    ``P * N`` floats, allocated once per call.
 
-    ``columns`` is read lazily, one column after the one before it has
-    been added: each node still sums its terms in index order, and the
-    solver reads a node's final state when it yields the node's column.
-    The loop, drawing the columns included, runs under a ufunc buffer of
-    ``_BUFSIZE`` elements, and the caller's size comes back however it
-    ends.  At numpy's default of 8192, every broadcast product and strided
-    sum of a column with at most 8192 terms would be copied through
-    8192-element buffers first.
+    The loop runs under a ufunc buffer of ``_BUFSIZE`` elements, and the
+    caller's size comes back however it ends.  At numpy's default of 8192,
+    every broadcast product and strided sum of a column with at most 8192
+    terms would be copied through 8192-element buffers first.
     """
     log_d, row, hurst, dampening = kernel
     t = config.grid.nodes
     d = t[1:]
-    n_paths, n = sums.shape
+    n_paths, n = increments.shape
+    # Node i's states and increments as (P, 1) views, which index faster
+    # than x[:, i:i + 1].
+    states, weights = x.T[:, :, None], increments.T[:, :, None]
+    # Each factor's evaluate, and its time argument for node i: the float
+    # t_i, or the (1, m) row of later times.
+    times = t.tolist()
+    (h_eval, h_at), (f_eval, f_at) = [
+        (None, None) if fn is None else
+        (fn.evaluate, times if fn.lip_t == 0.0 else [t[None, i + 1:] for i in range(n)])
+        for fn in (hurst, dampening)]
     # The exponents, and the terms; each column views its (P, m) block.
     work, terms = np.empty(n_paths * n), np.empty(n_paths * n)
     old = np.setbufsize(_BUFSIZE)
     try:
-        for i, states, weights in columns:
+        for i in nodes:
             m = n - i
             out = terms[:n_paths * m].reshape(n_paths, m)
             exponents = work[:n_paths * m].reshape(n_paths, m)
+            s = states[i] if g is None else states[i] + g[i]
             exponent = None if row is None else row[:m]
             if hurst is not None:
-                h = hurst.evaluate(t[i] if hurst.lip_t == 0.0 else t[None, i + 1:], states)
+                h = h_eval(h_at[i], s)
                 # In float64 whatever the evaluator returns.
-                np.multiply(np.subtract(h, 0.5, dtype=np.float64), log_d[:m], out=exponents)
+                np.multiply(np.subtract(h, _HALF, dtype=np.float64), log_d[:m], out=exponents)
                 if exponent is not None:
                     exponents += exponent
                 exponent = exponents
             if dampening is not None:
-                f = dampening.evaluate(t[i] if dampening.lip_t == 0.0 else t[None, i + 1:], states)
+                f = f_eval(f_at[i], s)
                 exponent = np.subtract(exponent, np.multiply(f, d[:m], out=out), out=exponents)
             np.exp(exponent, out=out)
-            sums[:, i:] += np.multiply(out, weights, out=out)
+            x[:, i + 1:] += np.multiply(out, weights[i], out=out)
     finally:
         np.setbufsize(old)
 

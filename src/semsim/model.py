@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -74,8 +74,14 @@ class HurstFunction:
     ``evaluator(t, x)`` must accept a float ``t`` and a float or ndarray
     ``x``.  A function declaring ``lip_t > 0``, or one passed to
     :func:`~semsim.kernels.kernel_values`, is also called with an ndarray
-    ``t`` that broadcasts against ``x``.  Values are clipped into
-    ``[h_star, h_sup]`` on evaluation.
+    ``t`` that broadcasts against ``x``.  :meth:`evaluate` clips the values
+    into ``[h_star, h_sup]`` for every function constructed directly or
+    copied with ``dataclasses.replace``, one that wraps a built-in
+    evaluator included.  Only :func:`builtin_hurst` marks the functions it
+    returns as in range, and :meth:`evaluate` does not clip those: each
+    built-in formula stays in its declared range under rounding (see
+    :func:`builtin_hurst`), so the clip would return its operand and cost
+    the solver two ufunc calls per node.
     ``h_star`` must be strictly positive and ``h_sup`` at most 1; the value
     1 itself is allowed because two built-ins attain it at the origin.
     """
@@ -86,6 +92,8 @@ class HurstFunction:
     lip_t: float
     lip_x: float
     name: str = "custom"
+    # Set by builtin_hurst alone; not an argument, not compared.
+    _in_range: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.h_star <= self.h_sup <= 1.0):
@@ -101,12 +109,16 @@ class HurstFunction:
         return self.h_star == self.h_sup
 
     def evaluate(self, t, x):
-        """Clipped evaluation; ndarray in, ndarray out.
+        """Evaluation in ``[h_star, h_sup]``; ndarray in, ndarray out.
 
-        The two ufuncs give the bits of ``np.clip``, NaN included, without
-        its Python-level dispatch, which the solver pays once per node.
+        A built-in's values are returned as its evaluator gives them; every
+        other function's are clipped.  The two ufuncs of the clip give the
+        bits of ``np.clip``, NaN included, without its Python-level
+        dispatch, and the solver calls this once per node.
         """
         raw = self.evaluator(t, x)
+        if self._in_range:
+            return raw
         return np.minimum(np.maximum(raw, self.h_star), self.h_sup)
 
 
@@ -197,19 +209,25 @@ class _TrigEval:
         return self.alpha + self.beta * np.sin(self.gamma * x)
 
 
+# The constants of the formulas below as float64 0-d arrays: a ufunc
+# converts a Python float operand afresh on every call, and the solver
+# calls these evaluators once per node.
+_ONE, _HALF, _FLOOR = np.array(1.0), np.array(0.5), np.array(EPSILON_FLOOR)
+
+
 def _smooth_at_origin(t, x):
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 + 0.5 / (1.0 + x * x)
+    return _HALF + _HALF / (_ONE + x * x)
 
 
 def _rough_at_origin(t, x):
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(0.5 - 0.5 / (1.0 + x * x), EPSILON_FLOOR)
+    return np.maximum(_HALF - _HALF / (_ONE + x * x), _FLOOR)
 
 
 def _bell(t, x):
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(1.0 / (1.0 + x * x), EPSILON_FLOOR)
+    return np.maximum(_ONE / (_ONE + x * x), _FLOOR)
 
 
 def _abs_value(t, x):
@@ -287,8 +305,20 @@ def builtin_hurst(name: str, params: tuple | list = ()) -> HurstFunction:
     |beta| < 1``.  An unknown name, a wrong number of parameters, a
     parameter that is not a finite int or float (a bool or a string, say)
     or a value out of range raises ``ValueError``.
+
+    The function is marked as in range, so :meth:`HurstFunction.evaluate`
+    does not clip it.  Each formula stays in ``[h_star, h_sup]`` under
+    rounding, since IEEE rounding is monotone: the constant returns ``H``;
+    ``1 + x**2 >= 1`` puts the quotient in ``[0, 1/2]`` or ``[0, 1]``, and
+    the floors are ``np.maximum`` with ``h_star``; numpy's ``sin`` stays in
+    ``[-1, 1]``, so ``beta * sin`` stays in ``[-|beta|, |beta|]``, and the
+    bounds ``alpha - |beta|`` and ``alpha + |beta|`` are the formula's own
+    roundings at those ends.  NaN stays NaN, as under the clip.  The tests
+    check each family over a lattice and at its extreme points.
     """
-    return _builtin(_HURST_FAMILIES, "hurst", name, params)
+    h = _builtin(_HURST_FAMILIES, "hurst", name, params)
+    object.__setattr__(h, "_in_range", True)
+    return h
 
 
 def builtin_dampening(name: str, params: tuple | list = ()) -> DampeningFunction:

@@ -41,6 +41,7 @@ from semsim import (
 from semsim import analysis
 from semsim.analysis import _coupled_squared_gaps
 from semsim.engine import solve_batch
+from semsim.special import gronwall_bound
 
 from _evaluators import NanPastThreshold, RaisingPastThreshold
 from _exact import scheme_weights, structure_function_mean
@@ -269,6 +270,23 @@ class TestAcfAbsIncrements:
         with pytest.raises(ValueError, match="max_lag"):
             acf_abs_increments(path, max_lag=0)
 
+    def test_matches_plain_python_sums(self):
+        # One solved path against the biased ACF summed term by term with
+        # math.fsum; numpy's pairwise sums may differ only by rounding.
+        cfg = SimulationConfig(grid=make_grid(10.0, 1024), hurst=builtin_hurst("bell"),
+                               seed=Seed(2031), dampening=builtin_dampening("bell"))
+        path = monte_carlo(cfg).paths[0]
+        series = acf_abs_increments(path, max_lag=40)
+        d = [abs(b - a) for a, b in zip(path.values.tolist(), path.values.tolist()[1:])]
+        mean = math.fsum(d) / len(d)
+        a = [v - mean for v in d]
+        denom = math.fsum(v * v for v in a)
+        want = [math.fsum(a[i] * a[i + m] for i in range(len(a) - m)) / denom for m in range(41)]
+        assert np.abs(series.values - want).max() <= 1e-9
+        # Values this large would move by more than the tolerance under a
+        # relative error of 1e-7.
+        assert np.abs(series.values[1:]).max() > 0.05
+
     def test_white_noise_stays_inside_band(self, brownian_path_16k):
         # Brownian absolute increments are independent, so beyond lag 0 the
         # sample ACF should stay within the 3 / sqrt(n) normal band at all
@@ -323,6 +341,15 @@ class TestConvergenceStudy:
         assert report.envelope_constant < 2.5e-6
         assert report.n_paths == 40
         assert report.refine_factor == 2
+
+    def test_envelope_constant_is_recomputed_from_the_report(self):
+        # The smallest C with sup_mse <= C * dt**0.5 * E_beta(Gamma(beta) T**beta)
+        # at every level, beta = h_star.
+        cfg = self._trig_config()
+        report = convergence_study(cfg, n_levels=3, refine_factor=2)
+        envelope = gronwall_bound(1.0, 1.0, cfg.hurst.h_star, cfg.grid.horizon)
+        ratios = [mse / (math.sqrt(dt) * envelope) for dt, mse in zip(report.dt_levels, report.sup_mse)]
+        assert report.envelope_constant == pytest.approx(max(ratios), rel=1e-12)
 
     def test_unconverged_envelope_series_leaves_no_annotation(self, monkeypatch):
         # An envelope series past its term budget is reported like one past

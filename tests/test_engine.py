@@ -699,13 +699,15 @@ class TestKernelAccuracy:
         # bell is 1 at x = 0: the exponent 1/2.
         states[0] = 0.0
         cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(78), dampening=dampening)
-        ones = np.ones((n_paths, 1))
+        ones = np.ones((n_paths, 4096))
         ulps = []
         for i in range(0, 4096, 256):
-            # -0.0 + a is a, bit for bit: the sums are the column's terms.
-            sums = np.full((n_paths, 4096), -0.0)
-            _column_sums(cfg, _kernel_row(cfg), [(i, states[:, None], ones)], sums)
-            got = sums[:, i:]
+            # Node i holds the states; -0.0 + a is a, bit for bit, so the
+            # later nodes' sums are node i's column of terms.
+            x = np.full((n_paths, 4097), -0.0)
+            x[:, i] = states
+            _column_sums(cfg, _kernel_row(cfg), x, ones, None, range(i, i + 1))
+            got = x[:, i + 1:]
             want = np.broadcast_to(kernel_values(hurst, dampening, t[None, i + 1:], t[i],
                                                  states[:, None]), got.shape)
             assert (got > 0.0).all() and (want > 0.0).all()
@@ -1150,6 +1152,31 @@ class TestMonteCarlo:
 
 
 @_NO_FORK_WITH_THREADS
+class TestCustomHurstClip:
+    """A custom Hurst evaluator that strays is clipped into its declared range.
+
+    No golden digest is needed: the same evaluator wrapped in ``np.clip`` by
+    hand gives the bits, and the raw one would not.
+    """
+
+    @pytest.mark.parametrize("lip_t", [0.0, 1.0], ids=["time-free", "time-varying"])
+    @pytest.mark.parametrize("dampening", [None, builtin_dampening("bell")], ids=["plain", "bell"])
+    def test_straying_evaluator_gives_the_bits_of_its_clip(self, lip_t, dampening):
+        def raw(t, x):
+            return 0.5 + 0.6 * np.sin(3.0 * np.asarray(x) + lip_t * t)
+
+        def run(evaluator):
+            hurst = HurstFunction(evaluator, h_star=0.2, h_sup=0.8, lip_t=lip_t, lip_x=1.8)
+            return monte_carlo(SimulationConfig(grid=make_grid(1.0, 128), hurst=hurst, seed=Seed(31),
+                                                dampening=dampening, n_paths=8)).values
+
+        got = run(raw)
+        assert got.tobytes() == run(lambda t, x: np.clip(raw(t, x), 0.2, 0.8)).tobytes()
+        # The paths take the raw values past both ends of the range.
+        strays = raw(make_grid(1.0, 128).nodes, got)
+        assert (strays < 0.2).any() and (strays > 0.8).any()
+
+
 class TestForkedWorkers:
     """The contract of the workers that ``run_blocks`` forks."""
 

@@ -3,7 +3,7 @@
 import math
 import pickle
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -122,6 +122,75 @@ def test_vector_evaluation_clips_like_np_clip():
     assert got.tobytes() == np.clip(raw, 0.3, 0.7).tobytes()
     for value in raw:
         assert np.asarray(h.evaluate(0.0, value)).tobytes() == np.clip(value, 0.3, 0.7).tobytes()
+
+
+# Every built-in Hurst family, trig with |beta| at its limits too: 2**-53
+# and 2**-54 from the edges of (0, 1), either sign.
+IN_RANGE_HURSTS = [
+    ("constant", [0.75]),
+    ("constant", [1.0]),
+    ("constant", [1e-300]),
+    ("smooth_at_origin", []),
+    ("rough_at_origin", []),
+    ("bell", []),
+    ("trig", [0.6, 0.2, 1.0]),
+    ("trig", [0.5, -0.3, 2.5]),
+    ("trig", [0.7, 0.25, 1000.0]),
+    ("trig", [0.5, 0.5 - 2.0 ** -53, 1.0]),
+    ("trig", [0.25, -(0.25 - 2.0 ** -54), 3.0]),
+]
+
+
+def _range_probes(gamma: float) -> np.ndarray:
+    """A lattice and the extreme points of the built-in formulas.
+
+    The extremes: 0 and -0.0, the steepest points +-1/sqrt(3), tiny values
+    whose square underflows, values whose square overflows, +-1e300, both
+    infinities, NaN, and the points where ``sin(gamma * x)`` is +-1, with
+    their float neighbours.
+    """
+    peaks = (np.pi / 2.0 + np.pi * np.arange(-40, 41)) / gamma
+    peaks = np.concatenate([peaks, np.nextafter(peaks, np.inf), np.nextafter(peaks, -np.inf)])
+    special = [0.0, -0.0, 1.0 / math.sqrt(3.0), 5e-324, 1e-170, 1e154, 1e160, 1e300, np.inf]
+    special = np.array(special + [-v for v in special] + [np.nan])
+    return np.concatenate([np.linspace(-30.0, 30.0, 60001), peaks, special])
+
+
+@pytest.mark.parametrize(("name", "params"), IN_RANGE_HURSTS)
+def test_builtin_stays_in_its_declared_range(name, params):
+    # evaluate does not clip a built-in: the clip must give back its raw
+    # values bit for bit, NaN included, and the probes reach both bounds.
+    h = builtin_hurst(name, params)
+    xs = _range_probes(params[2] if name == "trig" else 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.asarray(h.evaluator(0.0, xs), dtype=np.float64)
+    clipped = np.minimum(np.maximum(raw, h.h_star), h.h_sup)
+    assert raw.tobytes() == clipped.tobytes()
+    assert (np.nanmin(raw), np.nanmax(raw)) == (h.h_star, h.h_sup)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert h.evaluate(0.0, xs).tobytes() == raw.tobytes()
+        for value in xs[-19:]:
+            want = np.asarray(h.evaluator(0.0, value)).tobytes()
+            assert np.asarray(h.evaluate(0.0, value)).tobytes() == want
+
+
+@pytest.mark.parametrize(("name", "params"), [("smooth_at_origin", []), ("rough_at_origin", []),
+                                              ("bell", []), ("trig", [0.6, 0.2, 1.0])])
+def test_hand_built_function_with_a_builtin_evaluator_is_clipped(name, params):
+    # Only builtin_hurst marks a function as in range: one built by hand, or
+    # copied by dataclasses.replace, is clipped whatever its evaluator.
+    builtin = builtin_hurst(name, params)
+    lo, hi = builtin.h_star, builtin.h_sup
+    lo, hi = lo + (hi - lo) / 4.0, hi - (hi - lo) / 4.0
+    xs = np.linspace(-30.0, 30.0, 60001)
+    raw = builtin.evaluator(0.0, xs)
+    assert ((raw < lo) | (raw > hi)).any()
+    narrower = [
+        HurstFunction(builtin.evaluator, h_star=lo, h_sup=hi, lip_t=0.0, lip_x=builtin.lip_x),
+        replace(builtin, h_star=lo, h_sup=hi),
+    ]
+    for h in narrower:
+        assert h.evaluate(0.0, xs).tobytes() == np.clip(raw, lo, hi).tobytes()
 
 
 @pytest.mark.parametrize("name,params", [
