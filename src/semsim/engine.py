@@ -38,18 +38,23 @@ Columns
 -------
 The solver goes column by column: once node ``i`` is final, its terms for
 every later node ``k`` are built as one column and added to the running
-sums of those nodes.  Every state-dependent factor is evaluated in one
-``evaluate`` call per column on the node's states as a ``(P, 1)``
-column.  A Hurst or dampening function that declares ``lip_t == 0`` does
-not depend on time, and neither does a constant one, so it is evaluated
-at ``(t_i, X[i])``, with the float time ``t_i``, and its values broadcast
-along the later nodes: N evaluations per path instead of N(N+1)/2.
-Every built-in declares ``lip_t == 0``.  Whatever dtype an evaluator
+sums of those nodes.  The column loop reads node ``i``'s states from the
+sums, plus its offset, and its increments itself, as ``(P, 1)`` views.
+Every state-dependent factor is evaluated in one ``evaluate`` call per
+column on those states.  A Hurst or dampening function that declares
+``lip_t == 0`` does not depend on time, and neither does a constant one,
+so it is evaluated at ``(t_i, X[i])``, with the node time ``t_i`` as a
+Python float, and its values broadcast along the later nodes: N
+evaluations per path instead of N(N+1)/2.  Every built-in declares
+``lip_t == 0``, and a built-in Hurst function's values are not clipped,
+since they stay in its declared range (see
+:class:`~semsim.model.HurstFunction`).  Whatever dtype an evaluator
 returns, a Python float, float32 or ints, its values enter the exponent
 in float64.  A function with ``lip_t > 0`` is evaluated at ``(t_k,
 X[i])`` for every later node, as the recursion reads: its call gets the
 later times as a ``(1, m)`` row, which broadcasts against the ``(P, 1)``
-states.  The declaration is trusted:
+states.  Which time argument and which ``evaluate`` each factor gets is
+decided once per solve, not per column.  The declaration is trusted:
 a custom function that varies in time while declaring ``lip_t == 0`` is
 evaluated at the node times only.  :func:`~semsim.model.validate_hurst` and
 :func:`~semsim.model.validate_dampening` scan the ``t`` direction and
@@ -156,7 +161,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .model import DampeningFunction, HurstFunction
+from .model import _HALF, DampeningFunction, HurstFunction
 from .randomness import (
     BrownianIncrements,
     Seed,
@@ -188,9 +193,6 @@ _POOL_STATES = 2 ** 14
 # The ufunc buffer size, in elements, while state-dependent columns are
 # built (see ``_column_sums``): numpy's minimum.
 _BUFSIZE = 16
-
-# 1/2 as a float64 0-d array, which a ufunc takes without converting it.
-_HALF = np.array(0.5)
 
 
 class PathSimulationError(RuntimeError):
@@ -408,7 +410,8 @@ def _column_sums(config: SimulationConfig, kernel: tuple, x: np.ndarray, increme
             exponent = None if row is None else row[:m]
             if hurst is not None:
                 h = h_eval(h_at[i], s)
-                # In float64 whatever the evaluator returns.
+                # In float64 whatever the evaluator returns; _HALF is a 0-d
+                # array, which a ufunc takes without converting a float.
                 np.multiply(np.subtract(h, _HALF, dtype=np.float64), log_d[:m], out=exponents)
                 if exponent is not None:
                     exponents += exponent

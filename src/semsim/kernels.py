@@ -84,9 +84,11 @@ def sigma(params: KernelParams, t: float, s: float, x: float) -> float:
 def kernel_values(hurst: HurstFunction, dampening: DampeningFunction | None, t, s, x) -> np.ndarray:
     """The kernel ``sigma(t, s, x)`` on arrays broadcast together.
 
-    The Hurst values are clipped into ``[h_star, h_sup]`` silently, with
-    the bits of ``np.clip``.  No time pair is checked: ``t - s`` must be
-    positive wherever the value is used.
+    The Hurst values are those of
+    :meth:`~semsim.model.HurstFunction.evaluate`, in ``[h_star, h_sup]``:
+    clipped silently with the bits of ``np.clip``, unless the function is
+    a built-in, which stays in range.  No time pair is checked: ``t - s``
+    must be positive wherever the value is used.
     """
     h = np.asarray(hurst.evaluate(t, x), dtype=np.float64)
     f = None if dampening is None else np.asarray(dampening.evaluate(t, x), dtype=np.float64)

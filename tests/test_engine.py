@@ -1151,7 +1151,6 @@ class TestMonteCarlo:
             refine_config(cfg, 0)
 
 
-@_NO_FORK_WITH_THREADS
 class TestCustomHurstClip:
     """A custom Hurst evaluator that strays is clipped into its declared range.
 
@@ -1177,6 +1176,7 @@ class TestCustomHurstClip:
         assert (strays < 0.2).any() and (strays > 0.8).any()
 
 
+@_NO_FORK_WITH_THREADS
 class TestForkedWorkers:
     """The contract of the workers that ``run_blocks`` forks."""
 

@@ -145,9 +145,9 @@ def _range_probes(gamma: float) -> np.ndarray:
     """A lattice and the extreme points of the built-in formulas.
 
     The extremes: 0 and -0.0, the steepest points +-1/sqrt(3), tiny values
-    whose square underflows, values whose square overflows, +-1e300, both
-    infinities, NaN, and the points where ``sin(gamma * x)`` is +-1, with
-    their float neighbours.
+    whose square is subnormal or underflows, values whose square is near
+    or past the float range, +-1e300, both infinities, NaN, and the points
+    where ``sin(gamma * x)`` is +-1, with their float neighbours.
     """
     peaks = (np.pi / 2.0 + np.pi * np.arange(-40, 41)) / gamma
     peaks = np.concatenate([peaks, np.nextafter(peaks, np.inf), np.nextafter(peaks, -np.inf)])
