@@ -95,9 +95,10 @@ factor that reads the state goes to the diagonal loop below, so every
 column reads the state.
 
 The solver keeps this batched column loop, with its row and buffers,
-apart from :mod:`semsim.kernels`, whose :func:`~semsim.kernels.sigma`
-(the power ``gap ** (h - 1/2)``) is the reference it is tested against;
-the two agree to a few ulp per term.
+apart from :mod:`semsim.kernels`, whose one formula, the power ``gap **
+(h - 1/2)`` of :func:`~semsim.kernels.kernel_values` (and of
+:func:`~semsim.kernels.sigma`, which is it at one point), is the
+reference it is tested against; the two agree to a few ulp per term.
 
 Diagonals
 ---------

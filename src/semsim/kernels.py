@@ -2,11 +2,12 @@
 
 The base kernel is ``sigma(t, s, x) = (t - s)**(h(t, x) - 1/2)``, singular
 on the diagonal whenever ``h < 1/2``.  The dampened variant multiplies in
-``exp(-f(t, x) * (t - s))``.  :func:`kernel_values` evaluates it on arrays
-and :func:`sigma` at one point, both from the one formula here.  That
-formula is the reference the tests compare the solver's own batched
-kernel against (through ``sigma``, and in ulps through ``kernel_values``;
-the solver builds each term as one ``exp`` of a tabled ``log``) and the
+``exp(-f(t, x) * (t - s))``.  The formula is written once, in
+:func:`kernel_values`, which evaluates it on arrays; :func:`sigma` is
+``kernel_values`` at one point, after its time-pair check.  That formula
+is the reference the tests compare the solver's own batched kernel
+against (through ``sigma``, and in ulps through ``kernel_values``; the
+solver builds each term as one ``exp`` of a tabled ``log``) and the
 kernel the inequality scans sample (through ``kernel_values``).  The
 remaining operations are the analytic comparison tools: a state-free
 dominating kernel, the two-time comparison kernel ``lambda_gamma``, and
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DampeningFunction, HurstFunction, eval_hurst
+from .model import DampeningFunction, HurstFunction
 from .randomness import _as_real
 
 __all__ = [
@@ -58,41 +59,35 @@ def _check_time_pair(params: KernelParams, t, s) -> None:
         raise ValueError(f"need 0 <= s < t <= {params.horizon}, got s={s!r}, t={t!r}")
 
 
-def _kernel(gap, h, f):
-    """``gap**(h - 1/2)``, times ``exp(-f * gap)`` unless ``f`` is None."""
-    value = gap ** (h - 0.5)
-    if f is not None:
-        value = value * np.exp(-f * gap)
-    return value
-
-
 def sigma(params: KernelParams, t: float, s: float, x: float) -> float:
     """Evaluate the (possibly dampened) kernel at ``(t, s, x)``.
 
-    Requires ``0 <= s < t <= horizon``.  Always finite and positive: the
-    Hurst exponent is clipped into its declared range, with a
-    :class:`~semsim.model.HurstClipWarning` when it strayed, and the
-    dampening factor is ``exp`` of a finite nonpositive argument.
+    Requires ``0 <= s < t <= horizon``.  This is :func:`kernel_values` at
+    one point, so the Hurst exponent is clipped by the one rule of
+    :meth:`~semsim.model.HurstFunction.evaluate`.  Always finite and
+    positive: the exponent lies in ``[h_star, h_sup]``, and the dampening
+    factor is ``exp`` of a finite nonpositive argument.
     """
     t, s, x = float(t), float(s), float(x)
     _check_time_pair(params, t, s)
-    h = eval_hurst(params.hurst, t, x)
-    f = None if params.dampening is None else float(params.dampening.evaluate(t, x))
-    return float(_kernel(t - s, h, f))
+    return float(kernel_values(params.hurst, params.dampening, t, s, x))
 
 
 def kernel_values(hurst: HurstFunction, dampening: DampeningFunction | None, t, s, x) -> np.ndarray:
     """The kernel ``sigma(t, s, x)`` on arrays broadcast together.
 
-    The Hurst values are those of
+    ``gap**(h - 1/2)``, times ``exp(-f * gap)`` when there is a
+    dampening, where ``gap = t - s``.  The Hurst values are those of
     :meth:`~semsim.model.HurstFunction.evaluate`, in ``[h_star, h_sup]``:
     clipped silently with the bits of ``np.clip``, unless the function is
     a built-in, which stays in range.  No time pair is checked: ``t - s``
     must be positive wherever the value is used.
     """
-    h = np.asarray(hurst.evaluate(t, x), dtype=np.float64)
-    f = None if dampening is None else np.asarray(dampening.evaluate(t, x), dtype=np.float64)
-    return _kernel(t - s, h, f)
+    gap = t - s
+    value = gap ** (np.asarray(hurst.evaluate(t, x), dtype=np.float64) - 0.5)
+    if dampening is not None:
+        value = value * np.exp(-np.asarray(dampening.evaluate(t, x), dtype=np.float64) * gap)
+    return value
 
 
 def dominating_kernel(params: KernelParams, t, s):

@@ -32,8 +32,7 @@ time-independent):
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -42,14 +41,12 @@ from .randomness import _as_int, _as_real
 
 __all__ = [
     "EPSILON_FLOOR",
-    "HurstClipWarning",
     "HurstFunction",
     "DampeningFunction",
     "Violation",
     "ValidationReport",
     "builtin_hurst",
     "builtin_dampening",
-    "eval_hurst",
     "validate_hurst",
     "validate_dampening",
 ]
@@ -63,10 +60,6 @@ _HALF_CAUCHY_SLOPE = 3.0 * math.sqrt(3.0) / 16.0
 _CAUCHY_SLOPE = 3.0 * math.sqrt(3.0) / 8.0
 
 
-class HurstClipWarning(UserWarning):
-    """Raised when a scalar Hurst evaluation had to be clipped into range."""
-
-
 @dataclass(frozen=True)
 class HurstFunction:
     """A Hurst function together with its declared constants.
@@ -74,14 +67,18 @@ class HurstFunction:
     ``evaluator(t, x)`` must accept a float ``t`` and a float or ndarray
     ``x``.  A function declaring ``lip_t > 0``, or one passed to
     :func:`~semsim.kernels.kernel_values`, is also called with an ndarray
-    ``t`` that broadcasts against ``x``.  :meth:`evaluate` clips the values
-    into ``[h_star, h_sup]`` for every function constructed directly or
-    copied with ``dataclasses.replace``, one that wraps a built-in
-    evaluator included.  Only :func:`builtin_hurst` marks the functions it
-    returns as in range, and :meth:`evaluate` does not clip those: each
-    built-in formula stays in its declared range under rounding (see
-    :func:`builtin_hurst`), so the clip would return its operand and cost
-    the solver two ufunc calls per node.
+    ``t`` that broadcasts against ``x``.  :meth:`evaluate` holds the one
+    clip rule: the solver, :func:`~semsim.kernels.kernel_values` and
+    :func:`~semsim.kernels.sigma` all read Hurst values through it.  It
+    clips the values into ``[h_star, h_sup]``, silently, for every function
+    constructed directly or copied with ``dataclasses.replace``, one that
+    wraps a built-in evaluator included.  Only :func:`builtin_hurst` marks
+    the functions it returns as in range, and :meth:`evaluate` does not
+    clip those: each built-in formula stays in its declared range under
+    rounding (see :func:`builtin_hurst`), so the clip would return its
+    operand and cost the solver two ufunc calls per node.  A custom
+    evaluator that strays out of its range has a wrong declaration, which
+    :func:`validate_hurst` reports as a ``range`` violation.
     ``h_star`` must be strictly positive and ``h_sup`` at most 1; the value
     1 itself is allowed because two built-ins attain it at the origin.
     """
@@ -111,10 +108,11 @@ class HurstFunction:
     def evaluate(self, t, x):
         """Evaluation in ``[h_star, h_sup]``; ndarray in, ndarray out.
 
-        A built-in's values are returned as its evaluator gives them; every
-        other function's are clipped.  The two ufuncs of the clip give the
-        bits of ``np.clip``, NaN included, without its Python-level
-        dispatch, and the solver calls this once per node.
+        The one clip rule for Hurst values, with no warning.  A built-in's
+        values are returned as its evaluator gives them; every other
+        function's are clipped.  The two ufuncs of the clip give the bits
+        of ``np.clip``, NaN included, without its Python-level dispatch,
+        and the solver calls this once per node.
         """
         raw = self.evaluator(t, x)
         if self._in_range:
@@ -162,24 +160,6 @@ class DampeningFunction:
         return self.evaluator(t, x)
 
 
-def eval_hurst(h: HurstFunction, t: float, x: float) -> float:
-    """Scalar Hurst evaluation, clipped into ``[h_star, h_sup]``.
-
-    Emits :class:`HurstClipWarning` when the raw value strayed outside the
-    declared range, which flags an evaluator/declaration mismatch for
-    custom functions (built-ins keep themselves in range).
-    """
-    raw = float(h.evaluator(float(t), float(x)))
-    clipped = min(max(raw, h.h_star), h.h_sup)
-    if clipped != raw:
-        warnings.warn(
-            f"hurst function {h.name!r} returned {raw} at (t={t}, x={x}); clipped to {clipped}",
-            HurstClipWarning,
-            stacklevel=2,
-        )
-    return clipped
-
-
 # Built-in evaluators pickle, so configurations built from them can be
 # saved or sent to another process.  The block runner needs none of it:
 # its workers are forked and inherit the config, and only block results
@@ -192,10 +172,7 @@ class _ConstantEval:
     value: float
 
     def __call__(self, t, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape == ():
-            return self.value
-        return np.full(x.shape, self.value)
+        return np.full(np.asarray(x, dtype=np.float64).shape, self.value)
 
 
 @dataclass(frozen=True)
@@ -204,9 +181,22 @@ class _TrigEval:
     beta: float
     gamma: float
 
+    # The parameters as float64 0-d arrays, made once: a ufunc converts a
+    # Python float operand afresh on every call.  They are not fields, so
+    # repr and equality read the floats; a pickle holds the fields alone,
+    # and unpickling makes the copies again.
+    def __post_init__(self):
+        object.__setattr__(self, "_abg", tuple(np.array(v, dtype=np.float64) for v in astuple(self)))
+
+    def __getstate__(self):
+        return asdict(self)
+
+    def __setstate__(self, state):
+        self.__init__(**state)
+
     def __call__(self, t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return self.alpha + self.beta * np.sin(self.gamma * x)
+        alpha, beta, gamma = self._abg
+        return alpha + beta * np.sin(gamma * np.asarray(x, dtype=np.float64))
 
 
 # The constants of the formulas below as float64 0-d arrays: a ufunc

@@ -1,12 +1,14 @@
 """Exact moments of the scheme where it is linear in its increments.
 
 For a constant Hurst value ``h`` and no dampening, the left-point scheme
-is ``X[k] = sum_{i < k} t[k - i]**(h - 1/2) dB[i]``, with ``X[0] = 0``.
+is ``X[k] = sum_{i < k} t[k - i]**(h - 1/2) dB[i]``, with ``X[0] = 0``;
+a constant dampening ``c`` multiplies each weight by ``exp(-c t[k - i])``.
 Every state is then a fixed linear combination of the Brownian increments,
 and every covariance of states is an exact finite sum of products of the
 weights times the variance ``dt`` of one increment.  Every difference of
 states is centred Gaussian, so its absolute moments follow from its
-variance.
+variance, and any two differences are jointly Gaussian, so the mean of
+the product of their absolute values follows from their covariance.
 """
 
 import math
@@ -47,3 +49,29 @@ def structure_function_mean(grid, h: float, q: float, lag: int) -> float:
     variance = grid.dt * (np.sum(kernel[:lag] ** 2) + gaps[:n_pairs])
     gaussian = 2.0 ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi)
     return float(gaussian * np.mean(variance ** (q / 2)))
+
+
+def abs_increment_product_sums(grid, h: float, lags, c: float = 0.0) -> np.ndarray:
+    """The exact expectations of ``sum_k |dX[k]| |dX[k+m]|`` at each lag ``m`` of ``lags``.
+
+    ``dX[k] = X[k+1] - X[k]`` for the scheme with constant Hurst value
+    ``h`` and constant dampening ``c``, whose weights ``C`` are
+    :func:`scheme_weights` times ``exp(-c t[k - j])``.  The increments are
+    ``D C dW``, with ``D`` the difference operator, so their covariance is
+    ``dt (D C)(D C)^T``.  For jointly Gaussian ``(U, V)`` with standard
+    deviations ``s_U``, ``s_V`` and correlation ``r``,
+    ``E|U||V| = (2/pi) s_U s_V (r arcsin r + sqrt(1 - r**2))``; the sum
+    over ``k`` runs over the ``N - m`` pairs.  The cost is O(N**3).
+    """
+    k = np.arange(grid.steps + 1)[:, None]
+    j = np.arange(grid.steps)[None, :]
+    weights = scheme_weights(grid, h) * np.exp(-c * grid.nodes[np.maximum(k - j, 1)])
+    increments = np.diff(weights, axis=0)
+    cov = grid.dt * (increments @ increments.T)
+    sd = np.sqrt(np.diagonal(cov))
+    sums = []
+    for m in lags:
+        scale = sd[:grid.steps - m] * sd[m:]
+        rho = np.clip(np.diagonal(cov, m) / scale, -1.0, 1.0)
+        sums.append(2.0 / math.pi * np.sum(scale * (rho * np.arcsin(rho) + np.sqrt(1.0 - rho * rho))))
+    return np.array(sums)

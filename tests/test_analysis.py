@@ -44,7 +44,7 @@ from semsim.engine import solve_batch
 from semsim.special import gronwall_bound
 
 from _evaluators import NanPastThreshold, RaisingPastThreshold
-from _exact import scheme_weights, structure_function_mean
+from _exact import abs_increment_product_sums, scheme_weights, structure_function_mean
 
 
 def _manual_ensemble():
@@ -286,6 +286,38 @@ class TestAcfAbsIncrements:
         # Values this large would move by more than the tolerance under a
         # relative error of 1e-7.
         assert np.abs(series.values[1:]).max() > 0.05
+
+    def test_exact_product_sums_at_lag_zero_and_for_brownian_increments(self):
+        # At lag 0 the sum is the trace of the increments' covariance; for
+        # h = 1/2 the increments are independent N(0, dt), so each of the
+        # N - m products has mean (2/pi) dt.
+        grid = make_grid(1.0, 64)
+        increments = np.diff(scheme_weights(grid, 0.3), axis=0)
+        assert abs_increment_product_sums(grid, 0.3, [0])[0] == pytest.approx(
+            grid.dt * np.sum(increments * increments), rel=1e-13)
+        lags = [1, 2, 5, 63]
+        assert abs_increment_product_sums(grid, 0.5, lags) == pytest.approx(
+            [(64 - m) * 2.0 / math.pi * grid.dt for m in lags], rel=1e-13)
+
+    @pytest.mark.parametrize(("h", "c"), [(0.3, 0.0), (0.7, 0.0), (0.3, 1.0)])
+    def test_lag_product_sums_match_their_exact_expectation(self, h, c):
+        # For a constant Hurst value, with or without constant dampening,
+        # the absolute increments the ACF reads have jointly Gaussian
+        # parents, so the lag-product sums have an exact expectation.  The
+        # sums are compared rather than the biased ACF, a ratio of demeaned
+        # sums.  The bound |z| <= 4 at every lag and the seed were fixed
+        # before the first run.  The lags share paths, so their z are
+        # correlated.
+        dampening = builtin_dampening("constant", [c]) if c else None
+        cfg = SimulationConfig(grid=make_grid(1.0, 2**10), hurst=builtin_hurst("constant", [h]),
+                               seed=Seed(2028), n_paths=200, dampening=dampening)
+        d = np.abs(np.diff(monte_carlo(cfg).values, axis=1))
+        lags = range(1, 33)
+        expected = abs_increment_product_sums(cfg.grid, h, lags, c)
+        for m, want in zip(lags, expected):
+            sums = np.sum(d[:, :-m] * d[:, m:], axis=1)
+            z = (sums.mean() - want) / (sums.std(ddof=1) / math.sqrt(cfg.n_paths))
+            assert abs(z) <= 4.0, (m, z)
 
     def test_white_noise_stays_inside_band(self, brownian_path_16k):
         # Brownian absolute increments are independent, so beyond lag 0 the

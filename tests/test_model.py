@@ -2,7 +2,6 @@
 
 import math
 import pickle
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -12,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from semsim import (
     EPSILON_FLOOR,
     DampeningFunction,
-    HurstClipWarning,
     HurstFunction,
+    KernelParams,
     builtin_dampening,
     builtin_hurst,
-    eval_hurst,
+    sigma,
     validate_dampening,
     validate_hurst,
 )
@@ -39,28 +38,28 @@ ALL_DAMPS = [
 
 def test_smooth_at_origin_values():
     h = builtin_hurst("smooth_at_origin")
-    assert eval_hurst(h, 0.0, 0.0) == 1.0
-    assert eval_hurst(h, 0.0, 1.0) == 0.75
+    assert float(h.evaluate(0.0, 0.0)) == 1.0
+    assert float(h.evaluate(0.0, 1.0)) == 0.75
     assert h.h_star == 0.5 and h.h_sup == 1.0
 
 
 def test_rough_at_origin_is_floored():
     h = builtin_hurst("rough_at_origin")
-    assert eval_hurst(h, 0.0, 0.0) == EPSILON_FLOOR
-    assert eval_hurst(h, 0.0, 1e8) == pytest.approx(0.5)
+    assert float(h.evaluate(0.0, 0.0)) == EPSILON_FLOOR
+    assert float(h.evaluate(0.0, 1e8)) == pytest.approx(0.5)
     assert h.h_star == EPSILON_FLOOR and h.h_sup == 0.5
 
 
 def test_bell_values():
     h = builtin_hurst("bell")
-    assert eval_hurst(h, 0.0, 0.0) == 1.0
-    assert eval_hurst(h, 0.0, 1e8) == EPSILON_FLOOR
-    assert eval_hurst(h, 0.0, 1.0) == 0.5
+    assert float(h.evaluate(0.0, 0.0)) == 1.0
+    assert float(h.evaluate(0.0, 1e8)) == EPSILON_FLOOR
+    assert float(h.evaluate(0.0, 1.0)) == 0.5
 
 
 def test_trig_at_quarter_period():
     h = builtin_hurst("trig", [0.5, 0.2, 1.0])
-    assert eval_hurst(h, 0.0, math.pi / 2) == pytest.approx(0.7, abs=1e-12)
+    assert float(h.evaluate(0.0, math.pi / 2)) == pytest.approx(0.7, abs=1e-12)
     assert h.h_star == pytest.approx(0.3)
     assert h.h_sup == pytest.approx(0.7)
     assert h.lip_x == pytest.approx(0.2)
@@ -69,7 +68,7 @@ def test_trig_at_quarter_period():
 def test_constant_everywhere():
     h = builtin_hurst("constant", [0.5])
     for t, x in [(0.0, 0.0), (1.0, -3.5), (0.3, 100.0)]:
-        assert eval_hurst(h, t, x) == 0.5
+        assert float(h.evaluate(t, x)) == 0.5
     assert h.is_constant
     assert not builtin_hurst("bell").is_constant
 
@@ -109,7 +108,7 @@ def test_builtin_hurst_rejects(name, params):
 
 def test_constant_boundary_value_allowed():
     h = builtin_hurst("constant", [1.0])
-    assert eval_hurst(h, 0.5, 2.0) == 1.0
+    assert float(h.evaluate(0.5, 2.0)) == 1.0
 
 
 def test_vector_evaluation_clips_like_np_clip():
@@ -291,19 +290,20 @@ def test_dampening_constant_validation():
         DampeningFunction(lambda t, x: 0.0, growth_C=-1.0, lip_t=0.0, lip_x=0.0)
 
 
-def test_eval_hurst_warns_on_clip():
+@pytest.mark.parametrize(("raw", "bound"), [(0.9, 0.4), (0.1, 0.2)], ids=["above", "below"])
+def test_sigma_clips_a_straying_exponent_by_the_one_rule(raw, bound):
+    # sigma reads the Hurst value through evaluate, so a custom function
+    # that strays out of its declared range is clipped silently, as in the
+    # solver: the kernel is the power at the nearer bound, bit for bit.
+    # np.power is the power kernel_values applies; Python's ** may round an
+    # ulp apart from it.
     mislabeled = HurstFunction(
-        lambda t, x: 0.9, h_star=0.2, h_sup=0.4, lip_t=0.0, lip_x=0.0, name="off"
+        lambda t, x: raw, h_star=0.2, h_sup=0.4, lip_t=0.0, lip_x=0.0, name="off"
     )
-    with pytest.warns(HurstClipWarning):
-        value = eval_hurst(mislabeled, 0.0, 0.0)
-    assert value == 0.4
-
-
-def test_eval_hurst_silent_in_range():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        eval_hurst(builtin_hurst("smooth_at_origin"), 0.2, 1.3)
+    params = KernelParams(hurst=mislabeled, dampening=None, horizon=1.0)
+    t, s = 0.75, 0.125
+    assert sigma(params, t, s, 0.0) == np.power(t - s, bound - 0.5)
+    assert sigma(params, t, s, 0.0) != np.power(t - s, raw - 0.5)
 
 
 @pytest.mark.parametrize("h", ALL_HURSTS, ids=lambda h: h.name)
@@ -439,8 +439,8 @@ def test_validators_require_two_samples():
     h=st.sampled_from(ALL_HURSTS),
 )
 @settings(max_examples=200, deadline=None)
-def test_eval_hurst_always_in_declared_range(t, x, h):
-    value = eval_hurst(h, t, x)
+def test_evaluate_always_in_declared_range(t, x, h):
+    value = float(h.evaluate(t, x))
     assert h.h_star <= value <= h.h_sup
 
 
