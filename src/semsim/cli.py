@@ -597,10 +597,6 @@ def main(argv=None) -> int:
             "config": config.echo,
             "files": [filename],
             "threads": threads,
-            # Whether the base grid's node differences equal the solver's
-            # distances t[k - i] bit for bit (TimeGrid.has_exact_nodes).
-            # Refinement coupling is bit-exact on every grid.
-            "exact_nodes": config.simulation_config().grid.has_exact_nodes,
             "wall_seconds": wall,
             "seed_rule": SEED_RULE,
             # The data bits depend on the numpy build and on the SIMD

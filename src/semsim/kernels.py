@@ -68,7 +68,7 @@ def sigma(params: KernelParams, t: float, s: float, x: float) -> float:
     positive: the exponent lies in ``[h_star, h_sup]``, and the dampening
     factor is ``exp`` of a finite nonpositive argument.
     """
-    t, s, x = float(t), float(s), float(x)
+    t, s, x = map(_as_real, (t, s, x), ("t", "s", "x"))
     _check_time_pair(params, t, s)
     return float(kernel_values(params.hurst, params.dampening, t, s, x))
 
@@ -127,7 +127,7 @@ def lambda_gamma(
     times are floats or arrays broadcast together, as in
     :func:`dominating_kernel`, and every triple must be in that order.
     """
-    gamma, constant = float(gamma), float(constant)
+    gamma, constant = _as_real(gamma, "gamma"), _as_real(constant, "constant")
     h_star = params.hurst.h_star
     if not constant > 0.0:
         raise ValueError(f"constant must be positive, got {constant!r}")
@@ -158,7 +158,7 @@ def check_fund_ineq(u: float, v: float, alpha: float, beta: float) -> bool:
     close to ``v`` the true margin is quadratic in the gap and smaller
     than the cancellation noise of the subtraction on the left.
     """
-    u, v, alpha, beta = float(u), float(v), float(alpha), float(beta)
+    u, v, alpha, beta = map(_as_real, (u, v, alpha, beta), ("u", "v", "alpha", "beta"))
     if not u > v > 0.0:
         raise ValueError(f"need u > v > 0, got u={u!r}, v={v!r}")
     if not 0.0 <= beta <= 1.0:

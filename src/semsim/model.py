@@ -60,6 +60,15 @@ _HALF_CAUCHY_SLOPE = 3.0 * math.sqrt(3.0) / 16.0
 _CAUCHY_SLOPE = 3.0 * math.sqrt(3.0) / 8.0
 
 
+def _store_constants(function, labels) -> None:
+    """Store each constant ``labels`` names on the frozen ``function`` as a finite nonnegative float."""
+    for label in labels:
+        c = _as_real(getattr(function, label), label)
+        if not c >= 0.0:
+            raise ValueError(f"{label} must be a finite nonnegative constant, got {c!r}")
+        object.__setattr__(function, label, c)
+
+
 @dataclass(frozen=True)
 class HurstFunction:
     """A Hurst function together with its declared constants.
@@ -93,13 +102,13 @@ class HurstFunction:
     _in_range: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "h_star", _as_real(self.h_star, "h_star"))
+        object.__setattr__(self, "h_sup", _as_real(self.h_sup, "h_sup"))
         if not (0.0 < self.h_star <= self.h_sup <= 1.0):
             raise ValueError(
                 f"need 0 < h_star <= h_sup <= 1, got h_star={self.h_star!r}, h_sup={self.h_sup!r}"
             )
-        for label, c in (("lip_t", self.lip_t), ("lip_x", self.lip_x)):
-            if not (math.isfinite(c) and c >= 0.0):
-                raise ValueError(f"{label} must be a finite nonnegative constant, got {c!r}")
+        _store_constants(self, ("lip_t", "lip_x"))
 
     @property
     def is_constant(self) -> bool:
@@ -143,9 +152,7 @@ class DampeningFunction:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        for label, c in (("growth_C", self.growth_C), ("lip_t", self.lip_t), ("lip_x", self.lip_x)):
-            if not (math.isfinite(c) and c >= 0.0):
-                raise ValueError(f"{label} must be a finite nonnegative constant, got {c!r}")
+        _store_constants(self, ("growth_C", "lip_t", "lip_x"))
 
     @property
     def constant_value(self) -> float | None:
@@ -243,7 +250,7 @@ def _trig_hurst(alpha: float, beta: float, gamma: float) -> HurstFunction:
 
 
 def _constant_dampening(c: float) -> DampeningFunction:
-    if not (math.isfinite(c) and c >= 0.0):
+    if not c >= 0.0:
         raise ValueError(f"constant dampening level must be finite and nonnegative, got {c!r}")
     return DampeningFunction(_ConstantEval(c), growth_C=c, lip_t=0.0, lip_x=0.0, name="constant")
 

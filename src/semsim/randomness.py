@@ -137,7 +137,8 @@ def _as_real(value, name: str) -> float:
     converted: a string such as ``"1.0"``, ``None``, NaN, an infinity, an
     int past the float range, or a bool, since a flag is not a number.
     """
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # float, numpy's float64 included, is tested first: the ABC test is slow.
+    real = isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
     try:
         x = float(value) if real else math.nan
     except OverflowError:
@@ -224,11 +225,10 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``steps + 1`` nodes on ``[0, horizon]``.
+    """Uniform grid of the ``steps + 1`` nodes ``k * dt`` on ``[0, horizon]``.
 
-    Node ``k`` sits at ``k * dt`` with ``dt = horizon / steps``.  Because
-    ``dt`` is a rounded quotient, ``dt * steps`` may differ from ``horizon``
-    by one ulp; the node array is always built as ``k * dt``.
+    ``dt = horizon / steps`` is a rounded quotient, so ``dt * steps`` may
+    differ from ``horizon`` by one ulp.
     """
 
     horizon: float
@@ -250,25 +250,6 @@ class TimeGrid:
         t = np.arange(self.steps + 1, dtype=np.float64) * self.dt
         t.setflags(write=False)
         return t
-
-    @cached_property
-    def has_exact_nodes(self) -> bool:
-        """True when every product ``k * dt`` is exact in double precision.
-
-        Holds whenever the odd part of the significand of ``dt`` times
-        ``steps`` fits in 53 bits, e.g. for any power-of-two ``steps`` with
-        a short-significand horizon such as 1.0, 2.5 or 10.0.  On such grids
-        node differences equal the solver's distances bit for bit,
-        ``nodes[k] - nodes[i] == nodes[k - i]``.  The solver's kernel reads
-        node distances as ``nodes[k - i]`` on every grid, so it does not
-        depend on this property, and neither does refinement coupling: the
-        refinement study solves every level from the block sums of one
-        draw, so coupling is bit-exact on every grid.
-        """
-        mantissa, _ = math.frexp(self.dt)
-        m = int(mantissa * (1 << 53))
-        m >>= (m & -m).bit_length() - 1
-        return m * self.steps < (1 << 53)
 
 
 def make_grid(horizon: float, steps: int) -> TimeGrid:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+from .randomness import _as_real
+
 __all__ = ["MittagLefflerError", "mittag_leffler", "gronwall_bound"]
 
 _TOLERANCE = 1e-12
@@ -47,10 +49,10 @@ def mittag_leffler(z: float, beta: float) -> float:
     negative ``z`` is rejected because the alternating series cancels
     catastrophically.
     """
-    z, beta = float(z), float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
+    z, beta = _as_real(z, "z"), _as_real(beta, "beta")
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    if not (math.isfinite(z) and z >= 0.0):
+    if not z >= 0.0:
         raise ValueError(f"z must be finite and nonnegative, got {z!r}")
     if z == 0.0:
         return 1.0
@@ -81,7 +83,7 @@ def gronwall_bound(a: float, g: float, beta: float, t: float) -> float:
     when ``a > 0`` and the Mittag-Leffler value overflows, and ``a`` when
     ``a`` or ``t`` is 0.
     """
-    a, g, beta, t = float(a), float(g), float(beta), float(t)
+    a, g, beta, t = map(_as_real, (a, g, beta, t), ("a", "g", "beta", "t"))
     if not (a >= 0.0 and g >= 0.0):
         raise ValueError(f"need a >= 0 and g >= 0, got a={a!r}, g={g!r}")
     if not (0.0 < beta <= 1.0):

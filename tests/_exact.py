@@ -16,6 +16,17 @@ import math
 import numpy as np
 
 
+def differences_are_distances(grid) -> bool:
+    """Whether every node difference ``t[k] - t[i]`` is the node time ``t[k - i]`` bit for bit.
+
+    The solver reads the distance from node ``i`` to node ``k`` as
+    ``t[k - i]``; a reference evaluated at ``t[k] - t[i]`` sees the same
+    distances exactly when every ``t[i:] - t[i]`` equals ``t[:N + 1 - i]``.
+    """
+    t = grid.nodes
+    return all(np.array_equal(t[i:] - t[i], t[:t.size - i]) for i in range(t.size))
+
+
 def scheme_weights(grid, h: float, stride: int = 1) -> np.ndarray:
     """The weights of the scheme on ``grid`` over increments ``stride`` times finer.
 

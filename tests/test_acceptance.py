@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 import _scans
+from _exact import structure_function_mean
 from semsim import (
     KernelParams,
     Seed,
@@ -27,6 +28,7 @@ from semsim import (
     check_fund_ineq,
     convergence_study,
     estimate_holder,
+    fit_loglog_slope,
     gronwall_bound,
     lambda_gamma,
     make_grid,
@@ -35,6 +37,7 @@ from semsim import (
     sample_brownian,
     simulate_discrete,
 )
+from semsim.analysis import _holder_lags
 from semsim.cli import main as cli_main
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -159,10 +162,12 @@ def test_04_strong_convergence_rate(capsys):
 def test_05_holder_exponent_recovery(capsys):
     budget = 120.0
     started = time.monotonic()
-    medians = {}
+    medians, exact = {}, {}
+    grid = make_grid(1.0, 2**14)
+    lags = _holder_lags(grid.steps)
     for target in (0.3, 0.5, 0.7):
         cfg = SimulationConfig(
-            grid=make_grid(1.0, 2**14),
+            grid=grid,
             hurst=builtin_hurst("constant", [target]),
             seed=Seed(77),
             n_paths=20,
@@ -170,15 +175,21 @@ def test_05_holder_exponent_recovery(capsys):
         ensemble = monte_carlo(cfg)
         exponents = [estimate_holder(p, q=2.0).exponent for p in ensemble.paths]
         medians[target] = float(np.median(exponents))
+        # The exponent the estimator fits to the scheme's exact expected
+        # structure function: the scheme's bias at these lags, without noise.
+        means = [structure_function_mean(grid, target, 2.0, m) for m in lags]
+        exact[target] = fit_loglog_slope(np.array(lags) * grid.dt, np.array(means))[0] / 2.0
     elapsed = time.monotonic() - started
     recovered = all(abs(med - target) < 0.1 for target, med in medians.items())
-    ok = recovered and elapsed < budget
+    unbiased = all(abs(medians[h] - exact[h]) <= 0.01 for h in medians)
+    ok = recovered and unbiased and elapsed < budget
     _announce(capsys, 5, ok,
               "median roughness exponents "
-              + ", ".join(f"{m:.3f} for h={h}" for h, m in medians.items())
-              + f", all within 0.1 ({elapsed:.1f}s < {budget:.0f}s)")
+              + ", ".join(f"{m:.3f} for h={h} (exact {exact[h]:.4f})" for h, m in medians.items())
+              + f", all within 0.1 of h and 0.01 of exact ({elapsed:.1f}s < {budget:.0f}s)")
     for target, med in medians.items():
         assert abs(med - target) < 0.1
+        assert abs(med - exact[target]) <= 0.01
     assert elapsed < budget
 
 

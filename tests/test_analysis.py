@@ -44,7 +44,12 @@ from semsim.engine import solve_batch
 from semsim.special import gronwall_bound
 
 from _evaluators import NanPastThreshold, RaisingPastThreshold
-from _exact import abs_increment_product_sums, scheme_weights, structure_function_mean
+from _exact import (
+    abs_increment_product_sums,
+    differences_are_distances,
+    scheme_weights,
+    structure_function_mean,
+)
 
 
 def _manual_ensemble():
@@ -341,9 +346,9 @@ class TestConvergenceStudy:
 
     def test_exactly_coupled_levels_are_degenerate(self):
         # Every level is solved from the block sums of one draw, so the
-        # coupling is exact on a grid whose node products are not.
+        # coupling is exact on a grid whose node differences are not.
         for grid, exact in [(make_grid(1.0, 16), True), (make_grid(0.1, 30), False)]:
-            assert grid.has_exact_nodes is exact
+            assert differences_are_distances(grid) is exact
             cfg = SimulationConfig(
                 grid=grid,
                 hurst=builtin_hurst("constant", [0.5]),

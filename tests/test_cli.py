@@ -172,25 +172,18 @@ class TestSimulateCommand:
             assert float(b_str) == expected[1, k]
 
         manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"tool", "version", "command", "config", "files", "threads",
+                                 "wall_seconds", "seed_rule", "numpy"}
         assert manifest["tool"] == "semsim"
         assert manifest["version"] == __version__
         assert manifest["command"] == "simulate"
         assert manifest["config"] == raw
         assert manifest["files"] == ["paths.csv"]
         assert manifest["threads"] == 1
-        assert manifest["exact_nodes"] is True
         assert manifest["seed_rule"] == "splitmix64-philox-ndtri-v1"
         assert isinstance(manifest["wall_seconds"], float)
         simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
         assert manifest["numpy"] == {"version": np.__version__, "simd": simd}
-
-    @pytest.mark.parametrize(("steps", "exact"), [(1000, False), (1024, True)])
-    def test_manifest_says_whether_grid_nodes_are_exact(self, tmp_path, steps, exact):
-        config_path, _ = _write_config(tmp_path, {"T": 10.0, "N": steps})
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", config_path, "--output-dir", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["exact_nodes"] is exact
 
     def test_manifest_names_the_simd_targets_of_the_run(self, tmp_path):
         # The targets numpy dispatches to are those of the running process:

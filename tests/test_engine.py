@@ -47,6 +47,7 @@ from semsim.engine import _column_sums, _kernel_row, _run_block, run_blocks, sol
 from semsim.kernels import kernel_values
 
 from _evaluators import NanPastThreshold, RaisingPastThreshold
+from _exact import differences_are_distances
 
 
 @dataclass(frozen=True)
@@ -364,7 +365,7 @@ class TestExactIdentities:
         # state-free row), once wrapped so the solver must evaluate it afresh
         # on every column.
         grid = make_grid(horizon, steps)
-        assert grid.has_exact_nodes == exact
+        assert differences_are_distances(grid) == exact
         tabled = builtin_hurst("constant", [0.75])
         direct = HurstFunction(
             evaluator=_FixedValue(0.75), h_star=0.5, h_sup=1.0, lip_t=0.0, lip_x=0.0
@@ -386,7 +387,7 @@ class TestExactIdentities:
     )
     def test_dampening_table_matches_direct_evaluation(self, horizon, steps, exact, hurst):
         grid = make_grid(horizon, steps)
-        assert grid.has_exact_nodes == exact
+        assert differences_are_distances(grid) == exact
         tabled = builtin_dampening("constant", [0.8])
         direct = DampeningFunction(
             evaluator=_FixedValue(0.8), growth_C=0.8, lip_t=0.0, lip_x=0.0
@@ -518,7 +519,7 @@ class TestColumnOrder:
         # Every sum starts from its first term: starting from 0.0 would
         # turn the -0.0 sums into +0.0.
         grid = make_grid(1.0, 64)
-        assert grid.has_exact_nodes
+        assert differences_are_distances(grid)
         cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(72))
         x = solve_batch(cfg, np.full((2, 64), -0.0))
         assert np.signbit(x[:, 1:]).all()
@@ -547,7 +548,7 @@ class TestColumnBlocks:
         cfg = SimulationConfig(grid=grid, hurst=hurst, seed=Seed(76), dampening=dampening,
                                offset_g=offset)
         # Only the case with an offset runs on an inexact grid.
-        assert grid.has_exact_nodes == (offset is None)
+        assert differences_are_distances(grid) == (offset is None)
         dB = np.stack([sample_brownian(Seed(76 + p), grid).values for p in range(32)])
         batch = solve_batch(cfg, dB)
         for p in range(32):
@@ -692,7 +693,7 @@ class TestKernelAccuracy:
     def test_terms_within_ulps_of_reference(self, hurst, dampening):
         grid = make_grid(10.0, 4096)
         # The node differences are the solver's distances bit for bit.
-        assert grid.has_exact_nodes
+        assert differences_are_distances(grid)
         t = grid.nodes
         n_paths = 64
         states = np.random.default_rng(78).uniform(-4.0, 4.0, n_paths)
@@ -722,7 +723,7 @@ class TestKernelAccuracy:
 def _tabled_config(dampening, offset=None, horizon=1.0, steps=64):
     """Constant Hurst, on the exact grid T = 1, N = 64 by default: the kernel is tabled."""
     grid = make_grid(horizon, steps)
-    assert grid.has_exact_nodes == (steps == 64)
+    assert differences_are_distances(grid) == (steps == 64)
     return SimulationConfig(grid=grid, hurst=builtin_hurst("constant", [0.7]), seed=Seed(74),
                             dampening=dampening, offset_g=offset)
 

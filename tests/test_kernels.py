@@ -1,6 +1,7 @@
 """Kernel evaluation, dominating bounds, and the power-difference inequality."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -274,3 +275,19 @@ def test_kernel_params_validation():
         KernelParams(hurst=builtin_hurst("bell"), dampening=None, horizon=float("inf"))
     with pytest.raises(ValueError):
         KernelParams(hurst=builtin_hurst("bell"), dampening=None, horizon="2.5")
+
+
+@pytest.mark.parametrize("bad", ["1.0", True, None, math.inf, math.nan],
+                         ids=["str", "bool", "None", "inf", "nan"])
+def test_rejects_arguments_that_are_not_finite_reals(bad):
+    params = _params(builtin_hurst("constant", [0.75]))
+    for function, names, valid in [
+        (partial(sigma, params), ("t", "s", "x"), (1.0, 0.5, 0.0)),
+        (partial(lambda_gamma, params, 1.0, 0.5, 0.25), ("gamma", "constant"), (0.5, 1.0)),
+        (check_fund_ineq, ("u", "v", "alpha", "beta"), (2.0, 1.0, 0.5, 0.5)),
+    ]:
+        for i, name in enumerate(names):
+            args = list(valid)
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+                function(*args)

@@ -478,3 +478,23 @@ def test_counts_are_integers_or_errors(validator, name, value):
     else:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             use(value)
+
+
+@pytest.mark.parametrize("bad", ["1.0", True, None, math.inf, math.nan],
+                         ids=["str", "bool", "None", "inf", "nan"])
+def test_declared_constants_reject_values_that_are_not_finite_reals(bad):
+    evaluator = lambda t, x: 0.5
+    for make, valid in [
+        (HurstFunction, {"h_star": 0.5, "h_sup": 0.5, "lip_t": 0.0, "lip_x": 0.0}),
+        (DampeningFunction, {"growth_C": 1.0, "lip_t": 0.0, "lip_x": 0.0}),
+    ]:
+        for name in valid:
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+                make(evaluator, **{**valid, name: bad})
+
+
+def test_declared_constants_are_stored_as_floats():
+    h = HurstFunction(lambda t, x: 0.5, h_star=np.float32(0.5), h_sup=1, lip_t=0, lip_x=np.int64(2))
+    f = DampeningFunction(lambda t, x: 0.0, growth_C=np.int64(1), lip_t=0, lip_x=0)
+    for c in (h.h_star, h.h_sup, h.lip_t, h.lip_x, f.growth_C, f.lip_t, f.lip_x):
+        assert type(c) is float

@@ -1,7 +1,7 @@
 """Grid construction, seed derivation, Brownian sampling, coarsening.
 
-The load-bearing facts here are exactness facts: node products on friendly
-grids, lattice quantization of increments, and the bitwise prefix-sum
+The load-bearing facts here are exactness facts: node differences on
+friendly grids, lattice quantization of increments, and the bitwise prefix-sum
 coupling between refinement levels.
 """
 
@@ -25,6 +25,8 @@ from semsim import (
     sample_brownian_block,
 )
 from semsim.randomness import _ndtri, _path_keys
+
+from _exact import differences_are_distances
 
 
 def test_make_grid_quarter_steps():
@@ -63,18 +65,17 @@ def test_grid_endpoint_within_one_ulp():
         assert abs(end - horizon) <= math.ulp(horizon)
 
 
-def test_exact_nodes_on_dyadic_grids():
+def test_node_differences_are_distances_on_dyadic_grids():
     for horizon in (0.5, 1.0, 2.0, 2.5, 3.0, 10.0):
         grid = make_grid(horizon, 1024)
-        assert grid.has_exact_nodes
-        # the property downstream code relies on: node differences collapse
+        assert differences_are_distances(grid)
         t = grid.nodes
         for k, i in [(1024, 512), (1000, 1), (513, 512), (700, 137)]:
             assert t[k] - t[i] == t[k - i]
 
 
-def test_exact_nodes_false_for_decimal_step():
-    assert not make_grid(1.0, 1000).has_exact_nodes
+def test_node_differences_are_not_distances_for_decimal_step():
+    assert not differences_are_distances(make_grid(1.0, 1000))
 
 
 def test_grid_nodes_read_only():

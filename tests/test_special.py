@@ -141,3 +141,17 @@ class TestGronwallBound:
         lhs = a + g * integral
         rhs = gronwall_bound(a, g, beta, t)
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+@pytest.mark.parametrize("bad", ["1.0", True, None, math.inf, math.nan],
+                         ids=["str", "bool", "None", "inf", "nan"])
+def test_rejects_arguments_that_are_not_finite_reals(bad):
+    for function, names, valid in [
+        (mittag_leffler, ("z", "beta"), (1.0, 0.5)),
+        (gronwall_bound, ("a", "g", "beta", "t"), (1.0, 1.0, 0.5, 1.0)),
+    ]:
+        for i, name in enumerate(names):
+            args = list(valid)
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+                function(*args)
