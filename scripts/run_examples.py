@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--configs", default="configs", help="directory of *.json configs")
     parser.add_argument("--results", default="results", help="output root directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker processes per run")
+    parser.add_argument("--threads", type=int, default=1, help="worker processes per run")
     args = parser.parse_args(argv)
 
     config_dir = pathlib.Path(args.configs)
@@ -39,10 +39,8 @@ def main(argv=None) -> int:
         raw = json.loads(path.read_text())
         command = command_for(raw)
         out_dir = pathlib.Path(args.results) / path.stem
-        argv_run = [command, "--config", str(path), "--output-dir", str(out_dir)]
-        if args.threads is not None:
-            argv_run += ["--threads", str(args.threads)]
-        code = cli_main(argv_run)
+        code = cli_main([command, "--config", str(path), "--output-dir", str(out_dir),
+                         "--threads", str(args.threads)])
         if code != 0:
             print(f"{path.name}: exit {code}", file=sys.stderr)
             failures += 1

@@ -2,7 +2,7 @@
 
 One JSON config drives every subcommand; outputs are plain CSV/JSON files
 plus a run manifest.  Data files are a pure function of the config: the
-thread count (or ``SEM_THREADS``) changes wall time only, never bytes.
+``--threads`` count (default 1) changes wall time only, never bytes.
 
 Each command is one handler, ``(config, section, threads) -> (file name,
 text)``, where the text is one string or its chunks in order.  The handler
@@ -150,7 +150,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(_is_int(raw["n_paths"]) and raw["n_paths"] >= 1,
              "n_paths must be a positive integer")
     steps = raw["N"]
-    simulation = SimulationConfig(grid=make_grid(raw["T"], steps), hurst=hurst,
+    simulation = SimulationConfig(grid=_checked("T and N", make_grid, raw["T"], steps), hurst=hurst,
                                   dampening=dampening, seed=Seed(raw["seed"]),
                                   n_paths=raw["n_paths"])
 
@@ -548,18 +548,6 @@ _COMMANDS = {
 }
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("SEM_THREADS", "1")
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SEM_THREADS must be an integer, got {env!r}") from exc
-    if value < 1:
-        raise ConfigError(f"threads must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semsim",
@@ -570,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--output-dir", default=".", help="directory for output files")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: SEM_THREADS or 1); never changes output bytes")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes (default: 1); never changes output bytes")
     return parser
 
 
@@ -580,14 +568,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        threads = _resolve_threads(args.threads)
+        _require(args.threads >= 1, f"threads must be at least 1, got {args.threads}")
         config = load_config(args.config)
         section = _section(config, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        filename, text = _COMMANDS[args.command](config, section, threads)
+        filename, text = _COMMANDS[args.command](config, section, args.threads)
         _atomic_write(args.output_dir, filename, text)
         wall = time.monotonic() - started
         manifest = {
@@ -596,7 +584,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "config": config.echo,
             "files": [filename],
-            "threads": threads,
+            "threads": args.threads,
             "wall_seconds": wall,
             "seed_rule": SEED_RULE,
             # The data bits depend on the numpy build and on the SIMD

@@ -228,7 +228,9 @@ class TimeGrid:
     """Uniform grid of the ``steps + 1`` nodes ``k * dt`` on ``[0, horizon]``.
 
     ``dt = horizon / steps`` is a rounded quotient, so ``dt * steps`` may
-    differ from ``horizon`` by one ulp.
+    differ from ``horizon`` by one ulp.  ``dt`` must be positive and the
+    last node ``dt * steps`` finite: a subnormal horizon can round ``dt``
+    to zero, and the largest ones can round the last node up to infinity.
     """
 
     horizon: float
@@ -239,6 +241,9 @@ class TimeGrid:
         object.__setattr__(self, "steps", _as_int(self.steps, "steps", least=1))
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be a positive finite float, got {self.horizon!r}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt * self.steps)):
+            raise ValueError(f"horizon {self.horizon!r} over {self.steps} steps gives step "
+                             f"{self.dt!r}; the step must be positive and the last node finite")
 
     @property
     def dt(self) -> float:
@@ -258,7 +263,8 @@ def make_grid(horizon: float, steps: int) -> TimeGrid:
     Parameters
     ----------
     horizon : float
-        Final time ``T``, strictly positive and finite.
+        Final time ``T``, strictly positive and finite, and such that the
+        step ``T / N`` is positive and the last node ``N * (T / N)`` finite.
     steps : int
         Number of uniform steps ``N``, at least 1; a non-integral value
         raises ``ValueError`` rather than being truncated.

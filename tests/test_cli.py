@@ -114,6 +114,10 @@ class TestParseConfig:
             ({"T": 10**400}, (), "T must be"),
             # The default lags of N = 8 are (1, 2), too few for a fit.
             ({"holder": {"q": 2.0}, "N": 8}, (), "holder.lags"),
+            # A step that rounds to zero, and a last node that rounds up to
+            # infinity.
+            ({"T": 5e-324, "N": 2}, (), "T and N"),
+            ({"T": 1.7976931348623157e308, "N": 3}, (), "T and N"),
         ],
     )
     def test_rejections(self, overrides, drop, fragment):
@@ -659,28 +663,14 @@ class TestExitCodes:
 
 
 class TestThreadResolution:
-    def test_env_variable_sets_worker_count(self, tmp_path, monkeypatch):
+    def test_environment_does_not_set_worker_count(self, tmp_path, monkeypatch):
+        # --threads is the only way to set the count; SEM_THREADS is ignored.
         monkeypatch.setenv("SEM_THREADS", "3")
         config_path, _ = _write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", config_path, "--output-dir", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threads"] == 3
-
-    def test_explicit_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEM_THREADS", "3")
-        config_path, _ = _write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", config_path, "--output-dir", str(out),
-                     "--threads", "1"]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threads"] == 1
-
-    def test_invalid_env_value_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SEM_THREADS", "many")
-        config_path, _ = _write_config(tmp_path)
-        assert main(["simulate", "--config", config_path]) == 2
-        assert "SEM_THREADS" in capsys.readouterr().err
+        for flag, expected in (([], 1), (["--threads", "2"], 2)):
+            out = tmp_path / str(expected)
+            assert main(["simulate", "--config", config_path, "--output-dir", str(out)] + flag) == 0
+            assert json.loads((out / "manifest.json").read_text())["threads"] == expected
 
     def test_nonpositive_threads_rejected(self, tmp_path, capsys):
         config_path, _ = _write_config(tmp_path)

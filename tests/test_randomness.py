@@ -59,6 +59,20 @@ def test_make_grid_rejects_bad_inputs(horizon, steps):
         make_grid(horizon, steps)
 
 
+@pytest.mark.parametrize(
+    "horizon,steps,ok",
+    [(5e-324, 2, False), (1.7976931348623157e308, 3, False),
+     (1.7976931348623157e308, 2, True), (1e-310, 10, True)],
+)
+def test_grid_step_positive_and_last_node_finite(horizon, steps, ok):
+    if ok:
+        t = make_grid(horizon, steps).nodes
+        assert t[1] > 0.0 and math.isfinite(t[-1])
+    else:
+        with pytest.raises(ValueError, match="step must be positive and the last node finite"):
+            make_grid(horizon, steps)
+
+
 def test_grid_endpoint_within_one_ulp():
     for horizon, steps in [(1.0, 4), (2.5, 100), (10.0, 1000), (0.7, 13), (3.0, 7)]:
         end = make_grid(horizon, steps).nodes[-1]
